@@ -13,7 +13,7 @@ from .grid import (Mesh, TimeField, BoundaryTimeField, ControlBounds,
                    sup_norm, positive_part, project_interval, extract_boundary,
                    space_slice_from_function)
 from .operators import DiffusionCoefficients, DiscreteOperator, assemble_operator
-from .solvers import solve_forward, solve_adjoint, LinearSolveError
+from .solvers import solve_forward, solve_adjoint
 from .cost import (ProblemSpec, cost_J, augmented_lagrangian,
                    multiplier_candidate, residual_index, kkt_residuals,
                    subproblem_objective)

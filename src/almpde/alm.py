@@ -120,7 +120,7 @@ class AlmTrace:
                 fh.write(format_trace_row(r) + "\n")
 
 
-def alm_step(spec, state, warm_controls, config, backend=None):
+def alm_step(spec, state, warm_controls, config):
     """One outer iteration: sub-problem solve, residual test, update.
 
     Returns (MsaResult, R_k, success, new AlmState).  The input state is not
@@ -128,7 +128,7 @@ def alm_step(spec, state, warm_controls, config, backend=None):
     """
     warm_u, warm_v = warm_controls
     result = msa_solve(spec, state.rho, state.mu, init_u=warm_u, init_v=warm_v,
-                       config=config.msa, backend=backend)
+                       config=config.msa)
     R_k = residual_index(result.y, spec.psi, result.mu_bar)
     if not np.isfinite(R_k):
         raise RuntimeError(f"non-finite residual index at outer iteration {state.k + 1}")
@@ -147,7 +147,7 @@ def alm_step(spec, state, warm_controls, config, backend=None):
     return result, R_k, success, new_state
 
 
-def alm_run(spec, config, backend=None, on_row=None):
+def alm_run(spec, config, on_row=None):
     """Run the outer loop until R+ <= eps2 at a success, or max_outer.
 
     on_row, when given, is called with each AlmTraceRow as it is produced
@@ -160,7 +160,7 @@ def alm_run(spec, config, backend=None, on_row=None):
     termination = "max_outer"
     for _ in range(config.max_outer):
         rho_k, mu_k = state.rho, state.mu
-        result, R_k, success, state = alm_step(spec, state, warm, config, backend=backend)
+        result, R_k, success, state = alm_step(spec, state, warm, config)
         kkt = kkt_residuals(spec, result.y, result.u, result.v, result.p, result.mu_bar)
         row = AlmTraceRow(
             k=state.k, n=state.n, rho=rho_k, R=R_k, success=success,

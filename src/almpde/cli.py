@@ -8,7 +8,6 @@ Subcommands:
                                     (exit 0 iff all checks pass)
   sweep   --config --param --values run one job per parameter value plus a
                                     summary CSV
-  bench   [--nx ...]                time the numba and numpy kernel backends
 
 The ALMPDE_OUTPUT_ROOT environment variable, when set, prefixes every
 relative output directory.
@@ -164,18 +163,6 @@ def cmd_sweep(args):
     return 0 if all(not s[4].startswith("error") for s in summary) else 1
 
 
-def cmd_bench(args):
-    from .benchmark import run_benchmark
-    rows = run_benchmark(nx=args.nx, ny=args.ny, nt=args.nt, reps=args.reps)
-    print(f"{'backend':<8} {'total_s':>10} {'per_step_ms':>12}")
-    for name, total, per_step in rows:
-        print(f"{name:<8} {total:>10.4f} {per_step:>12.4f}")
-    if len(rows) == 2:
-        speedup = rows[1][1] / rows[0][1]
-        print(f"numba speedup over numpy: {speedup:.2f}x")
-    return 0
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="almpde",
@@ -200,12 +187,6 @@ def main(argv=None):
     p_sweep.add_argument("--param", required=True, help=f"one of {sorted(SWEEP_PARAMS)}")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
 
-    p_bench = sub.add_parser("bench", help="benchmark the kernel backends")
-    p_bench.add_argument("--nx", type=int, default=65)
-    p_bench.add_argument("--ny", type=int, default=65)
-    p_bench.add_argument("--nt", type=int, default=32)
-    p_bench.add_argument("--reps", type=int, default=3)
-
     args = parser.parse_args(argv)
     if args.command == "run":
         return cmd_run(args)
@@ -213,8 +194,6 @@ def main(argv=None):
         return cmd_verify(args)
     if args.command == "sweep":
         return cmd_sweep(args)
-    if args.command == "bench":
-        return cmd_bench(args)
     return 1
 
 

@@ -129,8 +129,7 @@ def kkt_residuals(spec, y, u, v, p, mu_bar):
     return KktResiduals(stat_u, stat_v, feas, compl)
 
 
-def subproblem_objective(spec, rho, mu, u, v=None, y=None,
-                         lin_tol=1e-10, backend=None):
+def subproblem_objective(spec, rho, mu, u, v=None, y=None):
     """The discrete functional minimized by the inner solvers.
 
     Uses the right-endpoint rule in time for the control costs, the
@@ -143,11 +142,11 @@ def subproblem_objective(spec, rho, mu, u, v=None, y=None,
     mesh = spec.mesh
     op = spec.operator()
     if y is None:
-        y = solve_forward(mesh, op, u, v, spec.y0, lin_tol=lin_tol, backend=backend)
+        y = solve_forward(mesh, op, u, v, spec.y0)
     dt = mesh.dt
     w = mesh.w_space
     e = y.values[-1] - spec.y_d
-    val = 0.5 * float(np.sum(w * e * e)) + 0.5 * dt * float(np.sum(e * op.apply(e, backend=backend)))
+    val = 0.5 * float(np.sum(w * e * e)) + 0.5 * dt * float(np.sum(e * op.apply(e)))
     uu = u.values[1:]
     val += 0.5 * spec.alpha * dt * float(np.einsum("mji,ji->", uu * uu, w))
     if v is not None:

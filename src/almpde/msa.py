@@ -21,7 +21,7 @@ import numpy as np
 from .grid import (TimeField, BoundaryTimeField, extract_boundary,
                    project_interval)
 from .cost import multiplier_candidate
-from .solvers import solve_forward, solve_adjoint, DEFAULT_LIN_TOL
+from .solvers import solve_forward, solve_adjoint
 
 
 class MsaDivergenceError(RuntimeError):
@@ -40,7 +40,6 @@ class MsaConfig:
     lr0: float = 1e-3
     lr_decay: float = 0.9
     lr_period: int = 100
-    lin_tol: float = DEFAULT_LIN_TOL
 
     def __post_init__(self):
         if self.eps1 <= 0:
@@ -114,7 +113,7 @@ def _sup_diff(a, b):
     return float(np.max(np.abs(a.values - b.values))) if a is not None else 0.0
 
 
-def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None, backend=None):
+def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None):
     """Solve the sub-problem at (rho, mu) by successive approximations.
 
     Controls start from init_u/init_v (projected into the admissible box;
@@ -139,11 +138,9 @@ def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None, backend=None
     for i in range(1, config.max_inner + 1):
         iters = i
         try:
-            y = solve_forward(mesh, op, u, v if with_v else None, spec.y0,
-                              lin_tol=config.lin_tol, backend=backend)
+            y = solve_forward(mesh, op, u, v if with_v else None, spec.y0)
             mu_bar = multiplier_candidate(y, spec.psi, mu, rho)
-            p = solve_adjoint(mesh, op, mu_bar, y.values[-1] - spec.y_d,
-                              lin_tol=config.lin_tol, backend=backend)
+            p = solve_adjoint(mesh, op, mu_bar, y.values[-1] - spec.y_d)
         except ValueError as exc:
             raise MsaDivergenceError(i, str(exc)) from exc
         if config.update_mode == "exact_argmin":
@@ -173,10 +170,8 @@ def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None, backend=None
 
     # consistency pass so the returned state/adjoint/multiplier match the
     # returned controls
-    y = solve_forward(mesh, op, u, v if with_v else None, spec.y0,
-                      lin_tol=config.lin_tol, backend=backend)
+    y = solve_forward(mesh, op, u, v if with_v else None, spec.y0)
     mu_bar = multiplier_candidate(y, spec.psi, mu, rho)
-    p = solve_adjoint(mesh, op, mu_bar, y.values[-1] - spec.y_d,
-                      lin_tol=config.lin_tol, backend=backend)
+    p = solve_adjoint(mesh, op, mu_bar, y.values[-1] - spec.y_d)
     return MsaResult(y=y, u=u, v=v, p=p, mu_bar=mu_bar,
                      inner_iters=iters, final_gap=gap, converged=converged)

@@ -6,12 +6,20 @@ fluxes over the dual cells: full cells at interior nodes, half cells along
 edges, quarter cells at corners.  This yields a symmetric positive
 semidefinite stiffness matrix A with zero row sums, paired with the diagonal
 mass matrix of the trapezoidal space weights.
+
+Every implicit-Euler step solves with the same SPD matrix M + dt A.  In
+row-major node order its nonzeros lie on the diagonal, one row below it
+(x-coupling) and nx rows below it (y-coupling), so it is held as a banded
+Cholesky factor, built on the first solve and reused for every later one.
 """
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cholesky_banded, get_lapack_funcs
 
-from . import kernels
+# LAPACK's banded triangular solve, fetched once: scipy's cho_solve_banded
+# wrapper costs about ten times the solve itself on the small grids.
+_pbtrs = get_lapack_funcs("pbtrs", dtype=np.float64)
 
 
 class DiffusionCoefficients:
@@ -39,8 +47,9 @@ class DiffusionCoefficients:
 class DiscreteOperator:
     """5-point flux stencil with Neumann closure.
 
-    Holds the edge conductances consumed by the CG kernels, the diagonal
-    mass weights, and (lazily) a CSR copy for whole-matrix checks.
+    Holds the edge conductances of the stencil, the diagonal mass weights,
+    and two lazily built companions: the banded Cholesky factor of the step
+    matrix M + dt A, and a CSR copy of A for whole-matrix checks.
     """
 
     def __init__(self, mesh, coeffs, cx, cy):
@@ -54,18 +63,62 @@ class DiscreteOperator:
         for arr in (self.cx, self.cy):
             arr.flags.writeable = False
         self._csr = None
+        self._step_factor = None
 
     @property
     def n(self):
         return self.mesh.nx * self.mesh.ny
 
-    def apply(self, f, backend=None):
+    def apply(self, f):
         """A f for one spatial slice f of shape (ny, nx)."""
-        return kernels.apply_operator(self.cx, self.cy, f, backend=backend)
+        f = np.asarray(f, dtype=np.float64)
+        out = np.zeros_like(f)
+        fx = self.cx * (f[:, :-1] - f[:, 1:])
+        out[:, :-1] += fx
+        out[:, 1:] -= fx
+        fy = self.cy * (f[:-1, :] - f[1:, :])
+        out[:-1, :] += fy
+        out[1:, :] -= fy
+        return out
 
-    def normalized_apply(self, f, backend=None):
+    def normalized_apply(self, f):
         """M^{-1} A f, the operator entering the implicit-Euler step."""
-        return self.inv_mass * self.apply(f, backend=backend)
+        return self.inv_mass * self.apply(f)
+
+    def step_apply(self, f):
+        """(M + dt A) f, the implicit-Euler step matrix applied to one slice."""
+        return self.mass * f + self.mesh.dt * self.apply(f)
+
+    def step_solve(self, b):
+        """(M + dt A)^{-1} b for one slice b.
+
+        The banded Cholesky factor is built on the first call and kept.
+        """
+        if self._step_factor is None:
+            self._step_factor = cholesky_banded(self._step_band(), lower=True)
+        x, info = _pbtrs(self._step_factor, np.ravel(b), lower=1)
+        if info != 0:
+            raise RuntimeError(f"LAPACK pbtrs failed with info = {info}")
+        return x.reshape(self.mesh.shape_space)
+
+    def _step_band(self):
+        """Lower band of M + dt A in the layout of `cholesky_banded`.
+
+        Row d holds the entries d places below the diagonal: row 0 the
+        diagonal, row 1 the x-coupling of node k to k + 1, row nx the
+        y-coupling of node k to k + nx, in row-major node order.
+        """
+        nx, ny, dt = self.mesh.nx, self.mesh.ny, self.mesh.dt
+        degree = np.zeros((ny, nx))
+        degree[:, :-1] += self.cx
+        degree[:, 1:] += self.cx
+        degree[:-1, :] += self.cy
+        degree[1:, :] += self.cy
+        band = np.zeros((nx + 1, nx * ny))
+        band[0] = (self.mass + dt * degree).ravel()
+        band[1].reshape(ny, nx)[:, :-1] = -dt * self.cx
+        band[nx, :nx * (ny - 1)] = -dt * self.cy.ravel()
+        return band
 
     def as_csr(self):
         if self._csr is None:

@@ -111,7 +111,6 @@ def adjoint_identity_check(spec=None, seed=0, fd_step=1e-5, kink_margin=1e-3):
     """
     rng = np.random.default_rng(seed)
     mesh = spec.mesh if spec is not None else build_mesh(6, 5, 5, 1.0, 1.0, 0.5)
-    lin_tol = 1e-13
     for _ in range(100):
         inst = spec if spec is not None else _random_instance(rng, mesh)
         rho = rng.uniform(0.5, 8.0)
@@ -119,18 +118,18 @@ def adjoint_identity_check(spec=None, seed=0, fd_step=1e-5, kink_margin=1e-3):
         u = TimeField(mesh, rng.uniform(-0.5, 0.5, size=(mesh.nt + 1, mesh.ny, mesh.nx)))
         du = TimeField(mesh, rng.uniform(-1.0, 1.0, size=(mesh.nt + 1, mesh.ny, mesh.nx)))
         op = inst.operator()
-        y = solve_forward(mesh, op, u, None, inst.y0, lin_tol=lin_tol)
+        y = solve_forward(mesh, op, u, None, inst.y0)
         arg = rho * (y.values - inst.psi.values) + mu.values
         if np.min(np.abs(arg)) < kink_margin:
             continue
         mu_bar = multiplier_candidate(y, inst.psi, mu, rho)
-        p = solve_adjoint(mesh, op, mu_bar, y.values[-1] - inst.y_d, lin_tol=lin_tol)
+        p = solve_adjoint(mesh, op, mu_bar, y.values[-1] - inst.y_d)
         grad = mesh.dt * mesh.w_space[None, :, :] * (inst.alpha * u.values + p.values)
         adj_dir = float(np.sum(grad[1:] * du.values[1:]))
 
         def f_at(s):
             us = TimeField(mesh, u.values + s * du.values)
-            return subproblem_objective(inst, rho, mu, us, lin_tol=lin_tol)
+            return subproblem_objective(inst, rho, mu, us)
 
         fd_dir = (f_at(fd_step) - f_at(-fd_step)) / (2.0 * fd_step)
         denom = max(abs(adj_dir), abs(fd_dir), 1e-12)
@@ -194,10 +193,11 @@ def hamiltonian_gradient_check(n_tuples=100, seed=0, fd_step=1e-6):
 def projected_gradient_oracle(spec, rho, mu, iters=100000, lr=1e-3):
     """Minimize the sub-problem objective by dense projected gradient descent.
 
-    Uses its own Cholesky-factorized dense solves and plain pointwise
-    gradient steps u <- clip(u - lr (alpha u + p)), so it shares neither the
-    CG path nor the fixed-point update with msa_solve.  Restricted to small
-    grids.  Returns (u, v, cost) with cost the sub-problem objective.
+    Uses its own Cholesky-factorized dense solves of the CSR assembly and
+    plain pointwise gradient steps u <- clip(u - lr (alpha u + p)), so it
+    shares neither the banded step factor nor the fixed-point update with
+    msa_solve.  Restricted to small grids.  Returns (u, v, cost) with cost
+    the sub-problem objective.
     """
     mesh = spec.mesh
     if (mesh.nx > ORACLE_GRID_LIMIT[0] or mesh.ny > ORACLE_GRID_LIMIT[1]

@@ -11,32 +11,25 @@ propagator:
 
     p_nt = terminal,   (M + dt A) p_m = M p_{m+1} + dt M mu_m,  m = nt-1..0.
 
-Each step is an SPD solve handled by the CG kernels, warm-started from the
-neighboring time slice.
+Each step is an SPD solve with the operator's cached banded Cholesky factor
+of M + dt A, taken in defect-correction form from the neighboring time slice
+x_prev:
+
+    x = x_prev + (M + dt A)^{-1} (rhs - (M + dt A) x_prev).
+
+A plain solve of rhs leaves a constant state off by rounding (about 1e-15).
+In this form a steady slice has an exactly zero defect, so constant states
+are preserved exactly.  The sweeps take M + dt A from the operator, so it
+must have been assembled on the sweep's mesh.
 """
 
 import numpy as np
 
-from . import kernels
 from .grid import TimeField
 
-DEFAULT_LIN_TOL = 1e-10
 
-
-class LinearSolveError(RuntimeError):
-    """CG failed to reach the requested relative residual."""
-
-    def __init__(self, step, iterations, residual, tol):
-        self.step = step
-        self.iterations = iterations
-        self.residual = residual
-        super().__init__(
-            f"linear solve at time step {step} stopped at relative residual "
-            f"{residual:.3e} > {tol:.1e} after {iterations} iterations")
-
-
-def _max_iter(mesh, max_iter):
-    return 10 * mesh.nx * mesh.ny if max_iter is None else int(max_iter)
+def _step(op, rhs, prev):
+    return prev + op.step_solve(rhs - op.step_apply(prev))
 
 
 def _boundary_load(mesh, v_slice):
@@ -45,7 +38,7 @@ def _boundary_load(mesh, v_slice):
     return load
 
 
-def solve_forward(mesh, op, u, v, y0, lin_tol=DEFAULT_LIN_TOL, max_iter=None, backend=None):
+def solve_forward(mesh, op, u, v, y0):
     """March the state equation forward from the initial slice y0.
 
     u is a TimeField source, v an optional BoundaryTimeField flux (None means
@@ -54,7 +47,8 @@ def solve_forward(mesh, op, u, v, y0, lin_tol=DEFAULT_LIN_TOL, max_iter=None, ba
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.shape != mesh.shape_space:
         raise ValueError(f"initial slice shape {y0.shape} != {mesh.shape_space}")
-    maxiter = _max_iter(mesh, max_iter)
+    if not op.mesh.compatible(mesh):
+        raise ValueError("operator was assembled on a different mesh")
     mass = mesh.w_space
     dt = mesh.dt
     y = np.empty((mesh.nt + 1, mesh.ny, mesh.nx))
@@ -63,15 +57,11 @@ def solve_forward(mesh, op, u, v, y0, lin_tol=DEFAULT_LIN_TOL, max_iter=None, ba
         rhs = mass * (y[m - 1] + dt * u.values[m])
         if v is not None:
             rhs += dt * _boundary_load(mesh, v.values[m])
-        x, iters, rel = kernels.solve_shifted(op.cx, op.cy, mass, dt, rhs, y[m - 1],
-                                              lin_tol, maxiter, backend=backend)
-        if rel > lin_tol:
-            raise LinearSolveError(m, iters, rel, lin_tol)
-        y[m] = x
+        y[m] = _step(op, rhs, y[m - 1])
     return TimeField(mesh, y)
 
 
-def solve_adjoint(mesh, op, mu, terminal, lin_tol=DEFAULT_LIN_TOL, max_iter=None, backend=None):
+def solve_adjoint(mesh, op, mu, terminal):
     """March the adjoint equation backward from the assigned terminal slice.
 
     mu is the TimeField source (the multiplier candidate) and terminal a
@@ -80,16 +70,13 @@ def solve_adjoint(mesh, op, mu, terminal, lin_tol=DEFAULT_LIN_TOL, max_iter=None
     terminal = np.asarray(terminal, dtype=np.float64)
     if terminal.shape != mesh.shape_space:
         raise ValueError(f"terminal slice shape {terminal.shape} != {mesh.shape_space}")
-    maxiter = _max_iter(mesh, max_iter)
+    if not op.mesh.compatible(mesh):
+        raise ValueError("operator was assembled on a different mesh")
     mass = mesh.w_space
     dt = mesh.dt
     p = np.empty((mesh.nt + 1, mesh.ny, mesh.nx))
     p[mesh.nt] = terminal
     for m in range(mesh.nt - 1, -1, -1):
         rhs = mass * (p[m + 1] + dt * mu.values[m])
-        x, iters, rel = kernels.solve_shifted(op.cx, op.cy, mass, dt, rhs, p[m + 1],
-                                              lin_tol, maxiter, backend=backend)
-        if rel > lin_tol:
-            raise LinearSolveError(m, iters, rel, lin_tol)
-        p[m] = x
+        p[m] = _step(op, rhs, p[m + 1])
     return TimeField(mesh, p)

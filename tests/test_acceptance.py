@@ -175,7 +175,7 @@ def test_criterion_6_degenerate_correctness():
     m = build_mesh(17, 17, 20, 1.0, 1.0, 0.5)
     op = assemble_operator(m, DiffusionCoefficients.unit(m))
     y = solve_forward(m, op, TimeField.zeros(m), None,
-                      rng.uniform(0.5, 2.0, m.shape_space), lin_tol=1e-12)
+                      rng.uniform(0.5, 2.0, m.shape_space))
     masses = np.array([np.sum(m.w_space * y.values[k]) for k in range(m.nt + 1)])
     drift = np.abs(masses - masses[0]).max() / abs(masses[0])
     assert drift <= 1e-10

@@ -3,6 +3,8 @@ import csv
 import numpy as np
 import pytest
 
+from almpde import operators
+from almpde.config import build_run, parse_config
 from almpde.grid import build_mesh, TimeField
 from almpde.msa import MsaConfig
 from almpde.alm import AlmConfig, AlmState, alm_step, alm_run, TRACE_COLUMNS
@@ -157,3 +159,22 @@ def test_alm_config_validation():
         AlmConfig(max_outer=0)
     with pytest.raises(ValueError, match="failure_update"):
         AlmConfig(failure_update="reset")
+
+
+def test_run_factors_the_step_matrix_once(tmp_path, monkeypatch):
+    calls = []
+    factor = operators.cholesky_banded
+
+    def counting_factor(*args, **kwargs):
+        calls.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "cholesky_banded", counting_factor)
+    cfg = tmp_path / "sec5.cfg"
+    cfg.write_text("problem.preset = paper_example_sec5\n")
+    spec, config = build_run(parse_config(str(cfg)))
+    operators.assemble_operator(spec.mesh, spec.coeffs)
+    spec.operator()
+    assert calls == []
+    alm_run(spec, config)
+    assert len(calls) == 1

@@ -258,9 +258,3 @@ def test_sweep_empty_values_rejected(tmp_path, capsys):
 def test_sweep_unknown_param_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.cfg", ["problem.preset = paper_example_sec5"])
     assert main(["sweep", "--config", cfg, "--param", "zeta", "--values", "1"]) == 1
-
-
-# ------------------------------------------------------------------- bench
-
-def test_bench_smoke():
-    assert main(["bench", "--nx", "9", "--ny", "9", "--nt", "3", "--reps", "1"]) == 0

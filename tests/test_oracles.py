@@ -59,7 +59,7 @@ def test_adjoint_identity_closed_form_control_term():
     rng = np.random.default_rng(0)
     shape = (mesh.nt + 1, mesh.ny, mesh.nx)
     u = TimeField(mesh, rng.uniform(-0.5, 0.5, shape))
-    y_u = solve_forward(mesh, base.operator(), u, None, base.y0, lin_tol=1e-13)
+    y_u = solve_forward(mesh, base.operator(), u, None, base.y0)
     spec = ProblemSpec(mesh, base.coeffs, base.y0, y_u.values[-1].copy(), base.psi,
                        alpha=1.3, beta=1.0, bounds=base.bounds)
     du = TimeField(mesh, rng.uniform(-1, 1, shape))
@@ -69,8 +69,8 @@ def test_adjoint_identity_closed_form_control_term():
     h = 1e-2
     up = TimeField(mesh, u.values + h * du.values)
     um = TimeField(mesh, u.values - h * du.values)
-    fd = (subproblem_objective(spec, 1.0, mu, up, lin_tol=1e-13)
-          - subproblem_objective(spec, 1.0, mu, um, lin_tol=1e-13)) / (2 * h)
+    fd = (subproblem_objective(spec, 1.0, mu, up)
+          - subproblem_objective(spec, 1.0, mu, um)) / (2 * h)
     closed = spec.alpha * mesh.dt * sum(
         np.sum(mesh.w_space * u.values[m] * du.values[m]) for m in range(1, mesh.nt + 1))
     assert abs(fd - closed) / max(abs(closed), 1e-12) <= 1e-10
