@@ -7,19 +7,22 @@ edges, quarter cells at corners.  This yields a symmetric positive
 semidefinite stiffness matrix A with zero row sums, paired with the diagonal
 mass matrix of the trapezoidal space weights.
 
+A is applied in difference form (`FluxStencil`): every flux is an edge
+conductance times the difference of the two nodal values it joins, so a
+constant slice gives exactly zero, for any coefficients.  A matrix-form
+product (banded BLAS, CSR) sums products of the matrix entries instead and
+leaves rounding of about 1e-15 on such a slice.
+
 Every implicit-Euler step solves with the same SPD matrix M + dt A.  In
 row-major node order its nonzeros lie on the diagonal, one row below it
 (x-coupling) and nx rows below it (y-coupling), so it is held as a banded
-Cholesky factor, built on the first solve and reused for every later one.
+Cholesky factor.  The factor and the dt-scaled stencil with its work buffers
+are built together on the first sweep and reused for every later one.
 """
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cholesky_banded, get_lapack_funcs
-
-# LAPACK's banded triangular solve, fetched once: scipy's cho_solve_banded
-# wrapper costs about ten times the solve itself on the small grids.
-_pbtrs = get_lapack_funcs("pbtrs", dtype=np.float64)
+from scipy.linalg import cholesky_banded
 
 
 class DiffusionCoefficients:
@@ -44,12 +47,56 @@ class DiffusionCoefficients:
         return cls(mesh, 1.0, 1.0)
 
 
+class FluxStencil:
+    """The 5-point flux stencil on flattened slices, in difference form.
+
+    Nodes are numbered row-major, k = j nx + i.  x-edges join k to k + 1, with
+    a zero conductance at the end of each row, and y-edges join k to k + nx.
+    The conductances are multiplied by `scale` (dt for the implicit-Euler
+    step).  The fluxes of a slice x go into zero-padded buffers,
+
+        q[k + 1]  = gx[k] (x[k + 1] - x[k]),    q[0] = q[n] = 0,
+        p[k + nx] = gy[k] (x[k + nx] - x[k]),   p zero in its first and last nx,
+
+    and A x = (q[:n] - q[1:]) + (p[:n] - p[nx:]).  Only the interior of the
+    buffers is ever written, so their padding stays zero between calls.
+    """
+
+    def __init__(self, cx, cy, scale=1.0):
+        ny, nx = cy.shape[0] + 1, cy.shape[1]
+        n = nx * ny
+        self.nx, self.n = nx, n
+        gx = np.zeros((ny, nx))
+        gx[:, :-1] = scale * cx
+        self.gx = gx.ravel()[:-1]
+        self.gy = scale * cy.ravel()
+        self._q = np.zeros(n + 1)
+        self._p = np.zeros(n + nx)
+        # views made once: slicing costs as much as the arithmetic at 5x5
+        self._q_edges, self._q_out, self._q_in = self._q[1:n], self._q[:n], self._q[1:]
+        self._p_edges, self._p_out, self._p_in = self._p[nx:n], self._p[:n], self._p[nx:]
+        self._p_diff = np.empty(n)
+
+    def apply(self, x, out):
+        """Write A x into out, for a flat slice x of length n."""
+        nx = self.nx
+        np.subtract(x[1:], x[:-1], out=self._q_edges)
+        self._q_edges *= self.gx
+        np.subtract(x[nx:], x[:-nx], out=self._p_edges)
+        self._p_edges *= self.gy
+        np.subtract(self._q_out, self._q_in, out=out)
+        np.subtract(self._p_out, self._p_in, out=self._p_diff)
+        out += self._p_diff
+        return out
+
+
 class DiscreteOperator:
     """5-point flux stencil with Neumann closure.
 
     Holds the edge conductances of the stencil, the diagonal mass weights,
-    and two lazily built companions: the banded Cholesky factor of the step
-    matrix M + dt A, and a CSR copy of A for whole-matrix checks.
+    and two lazily built companions: the implicit-Euler step kit (the
+    dt-scaled `FluxStencil` with its buffers and the banded Cholesky factor
+    of M + dt A), and a CSR copy of A for whole-matrix checks.
     """
 
     def __init__(self, mesh, coeffs, cx, cy):
@@ -63,7 +110,7 @@ class DiscreteOperator:
         for arr in (self.cx, self.cy):
             arr.flags.writeable = False
         self._csr = None
-        self._step_factor = None
+        self._step_kit = None
 
     @property
     def n(self):
@@ -72,34 +119,24 @@ class DiscreteOperator:
     def apply(self, f):
         """A f for one spatial slice f of shape (ny, nx)."""
         f = np.asarray(f, dtype=np.float64)
-        out = np.zeros_like(f)
-        fx = self.cx * (f[:, :-1] - f[:, 1:])
-        out[:, :-1] += fx
-        out[:, 1:] -= fx
-        fy = self.cy * (f[:-1, :] - f[1:, :])
-        out[:-1, :] += fy
-        out[1:, :] -= fy
-        return out
+        out = np.empty(self.n)
+        FluxStencil(self.cx, self.cy).apply(f.ravel(), out)
+        return out.reshape(self.mesh.shape_space)
 
     def normalized_apply(self, f):
         """M^{-1} A f, the operator entering the implicit-Euler step."""
         return self.inv_mass * self.apply(f)
 
-    def step_apply(self, f):
-        """(M + dt A) f, the implicit-Euler step matrix applied to one slice."""
-        return self.mass * f + self.mesh.dt * self.apply(f)
+    def step_kit(self):
+        """(dt-scaled FluxStencil, lower banded Cholesky factor of M + dt A).
 
-    def step_solve(self, b):
-        """(M + dt A)^{-1} b for one slice b.
-
-        The banded Cholesky factor is built on the first call and kept.
+        Both are built on the first call and kept; the sweeps take every
+        step with them.
         """
-        if self._step_factor is None:
-            self._step_factor = cholesky_banded(self._step_band(), lower=True)
-        x, info = _pbtrs(self._step_factor, np.ravel(b), lower=1)
-        if info != 0:
-            raise RuntimeError(f"LAPACK pbtrs failed with info = {info}")
-        return x.reshape(self.mesh.shape_space)
+        if self._step_kit is None:
+            self._step_kit = (FluxStencil(self.cx, self.cy, self.mesh.dt),
+                              cholesky_banded(self._step_band(), lower=True))
+        return self._step_kit
 
     def _step_band(self):
         """Lower band of M + dt A in the layout of `cholesky_banded`.

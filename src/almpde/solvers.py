@@ -11,31 +11,60 @@ propagator:
 
     p_nt = terminal,   (M + dt A) p_m = M p_{m+1} + dt M mu_m,  m = nt-1..0.
 
-Each step is an SPD solve with the operator's cached banded Cholesky factor
-of M + dt A, taken in defect-correction form from the neighboring time slice
-x_prev:
+Both sweeps run one march loop.  With K = M + dt A, every step is taken in
+defect form from the neighbouring time slice x:
 
-    x = x_prev + (M + dt A)^{-1} (rhs - (M + dt A) x_prev).
+    x_next = x + K^{-1} (s_next - dt A x),
 
-A plain solve of rhs leaves a constant state off by rounding (about 1e-15).
-In this form a steady slice has an exactly zero defect, so constant states
-are preserved exactly.  The sweeps take M + dt A from the operator, so it
-must have been assembled on the sweep's mesh.
+with the sources s = dt (M u + B v) forward and s = dt M mu backward, built
+for all time levels at once.  This is the defect rhs - K x of the equations
+above with the M x terms, which cancel, left out.  dt A x is evaluated in
+difference form (`FluxStencil`), so a constant slice has an exactly zero
+defect and constant states are preserved bit-exactly for any coefficients;
+a plain K^{-1} rhs, or a matrix-form product for dt A x, leaves them off by
+rounding (about 1e-15).  K^{-1} is a solve with the operator's banded
+Cholesky factor.  The stencil, its buffers and the factor are built on the
+operator's first sweep.  The sweeps take dt from the operator, so it must
+have been assembled on the sweep's mesh.
 """
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from .grid import TimeField
 
+# LAPACK's banded triangular solve, fetched once: scipy's cho_solve_banded
+# wrapper costs about ten times the solve itself on the small grids.
+_pbtrs = get_lapack_funcs("pbtrs", dtype=np.float64)
 
-def _step(op, rhs, prev):
-    return prev + op.step_solve(rhs - op.step_apply(prev))
+
+def _march(op, x0, sources):
+    """Implicit-Euler steps from the slice x0, one per row of sources.
+
+    sources is (steps, n), in marching order.  Returns the (steps + 1, n)
+    array of x0 and the slices after each step.
+    """
+    stencil, factor = op.step_kit()
+    x = np.empty((len(sources) + 1, stencil.n))
+    x[0] = x0.ravel()
+    defect = np.empty(stencil.n)
+    for m, s in enumerate(sources, start=1):
+        stencil.apply(x[m - 1], out=defect)
+        np.subtract(s, defect, out=defect)
+        dx, info = _pbtrs(factor, defect, lower=1, overwrite_b=1)
+        if info != 0:
+            raise RuntimeError(f"LAPACK pbtrs failed with info = {info}")
+        np.add(x[m - 1], dx, out=x[m])
+    return x
 
 
-def _boundary_load(mesh, v_slice):
-    load = np.zeros(mesh.shape_space)
-    load[mesh.boundary_j, mesh.boundary_i] = mesh.w_arc * v_slice
-    return load
+def _check(mesh, op, slice_, name):
+    slice_ = np.asarray(slice_, dtype=np.float64)
+    if slice_.shape != mesh.shape_space:
+        raise ValueError(f"{name} slice shape {slice_.shape} != {mesh.shape_space}")
+    if not op.mesh.compatible(mesh):
+        raise ValueError("operator was assembled on a different mesh")
+    return slice_
 
 
 def solve_forward(mesh, op, u, v, y0):
@@ -44,21 +73,13 @@ def solve_forward(mesh, op, u, v, y0):
     u is a TimeField source, v an optional BoundaryTimeField flux (None means
     homogeneous Neumann), y0 a (ny, nx) array.  Returns the state TimeField.
     """
-    y0 = np.asarray(y0, dtype=np.float64)
-    if y0.shape != mesh.shape_space:
-        raise ValueError(f"initial slice shape {y0.shape} != {mesh.shape_space}")
-    if not op.mesh.compatible(mesh):
-        raise ValueError("operator was assembled on a different mesh")
-    mass = mesh.w_space
-    dt = mesh.dt
-    y = np.empty((mesh.nt + 1, mesh.ny, mesh.nx))
-    y[0] = y0
-    for m in range(1, mesh.nt + 1):
-        rhs = mass * (y[m - 1] + dt * u.values[m])
-        if v is not None:
-            rhs += dt * _boundary_load(mesh, v.values[m])
-        y[m] = _step(op, rhs, y[m - 1])
-    return TimeField(mesh, y)
+    y0 = _check(mesh, op, y0, "initial")
+    load = mesh.w_space * u.values
+    if v is not None:
+        load[:, mesh.boundary_j, mesh.boundary_i] += mesh.w_arc * v.values
+    sources = (mesh.dt * load).reshape(mesh.nt + 1, -1)
+    y = _march(op, y0, sources[1:])
+    return TimeField(mesh, y.reshape(mesh.nt + 1, mesh.ny, mesh.nx))
 
 
 def solve_adjoint(mesh, op, mu, terminal):
@@ -67,16 +88,7 @@ def solve_adjoint(mesh, op, mu, terminal):
     mu is the TimeField source (the multiplier candidate) and terminal a
     (ny, nx) array; the boundary closure is homogeneous.
     """
-    terminal = np.asarray(terminal, dtype=np.float64)
-    if terminal.shape != mesh.shape_space:
-        raise ValueError(f"terminal slice shape {terminal.shape} != {mesh.shape_space}")
-    if not op.mesh.compatible(mesh):
-        raise ValueError("operator was assembled on a different mesh")
-    mass = mesh.w_space
-    dt = mesh.dt
-    p = np.empty((mesh.nt + 1, mesh.ny, mesh.nx))
-    p[mesh.nt] = terminal
-    for m in range(mesh.nt - 1, -1, -1):
-        rhs = mass * (p[m + 1] + dt * mu.values[m])
-        p[m] = _step(op, rhs, p[m + 1])
-    return TimeField(mesh, p)
+    terminal = _check(mesh, op, terminal, "terminal")
+    sources = (mesh.dt * (mesh.w_space * mu.values)).reshape(mesh.nt + 1, -1)
+    p = _march(op, terminal, sources[-2::-1])
+    return TimeField(mesh, p[::-1].reshape(mesh.nt + 1, mesh.ny, mesh.nx))

@@ -13,12 +13,32 @@ def unit_op(mesh):
 
 # ------------------------------------------------------------ forward solve
 
-def test_constant_state_is_preserved(unit_mesh):
-    op = unit_op(unit_mesh)
-    y = solve_forward(unit_mesh, op, TimeField.zeros(unit_mesh), None,
-                      np.full(unit_mesh.shape_space, 3.0))
-    # the defect-correction step sees a zero defect, so this is exact
-    assert np.abs(y.values - 3.0).max() == 0.0
+def varcoef_op(m, seed):
+    rng = np.random.default_rng(seed)
+    return assemble_operator(m, DiffusionCoefficients(
+        m, rng.uniform(0.5, 2.0, m.shape_space), rng.uniform(0.5, 2.0, m.shape_space)))
+
+
+CONSTANT_STATE_CASES = {
+    # h = dt = 0.25 and unit coefficients: every product is exact here
+    "unit_5x5": lambda: unit_op(build_mesh(5, 5, 4, 1.0, 1.0, 1.0)),
+    # seeded coefficients on a rectangle: the conductances round, so a defect
+    # taken in matrix form (sums of products of matrix entries) is not zero
+    "varcoef_7x4": lambda: varcoef_op(build_mesh(7, 4, 5, 1.3, 0.7, 0.9), 13),
+}
+
+
+@pytest.mark.parametrize("case", CONSTANT_STATE_CASES)
+def test_constant_state_is_preserved(case):
+    op = CONSTANT_STATE_CASES[case]()
+    m = op.mesh
+    const = np.full(m.shape_space, 3.0)
+    # a steady slice has an exactly zero defect, so both sweeps are exact
+    for flux in (None, BoundaryTimeField.zeros(m)):
+        y = solve_forward(m, op, TimeField.zeros(m), flux, const)
+        assert np.abs(y.values - 3.0).max() == 0.0
+    p = solve_adjoint(m, op, TimeField.zeros(m), const)
+    assert np.abs(p.values - 3.0).max() == 0.0
 
 
 def test_constant_source_ramps_exactly(unit_mesh):
@@ -189,3 +209,23 @@ def test_sweeps_reject_operator_of_another_mesh(unit_mesh):
         solve_forward(unit_mesh, op, TimeField.zeros(unit_mesh), None, zeros)
     with pytest.raises(ValueError, match="different mesh"):
         solve_adjoint(unit_mesh, op, TimeField.zeros(unit_mesh), zeros)
+
+
+def test_cached_step_buffers_carry_no_state():
+    # the operator keeps its step stencil, buffers and factor between sweeps;
+    # sweeps on other data in between must not change a repeated sweep
+    rng = np.random.default_rng(17)
+    m = build_mesh(7, 4, 5, 1.3, 0.7, 0.9)
+    op = varcoef_op(m, 19)
+    u = TimeField(m, rng.standard_normal((m.nt + 1, m.ny, m.nx)))
+    y0 = rng.standard_normal(m.shape_space)
+    first = solve_forward(m, op, u, None, y0)
+    solve_adjoint(m, op, TimeField(m, 1e3 * rng.standard_normal((m.nt + 1, m.ny, m.nx))),
+                  1e3 * rng.standard_normal(m.shape_space))
+    solve_forward(m, op, TimeField(m, 1e3 * rng.standard_normal((m.nt + 1, m.ny, m.nx))),
+                  BoundaryTimeField(m, 1e3 * rng.standard_normal((m.nt + 1, m.n_boundary))),
+                  1e3 * rng.standard_normal(m.shape_space))
+    again = solve_forward(m, op, u, None, y0)
+    fresh = solve_forward(m, varcoef_op(m, 19), u, None, y0)
+    assert np.array_equal(again.values, first.values)
+    assert np.array_equal(fresh.values, first.values)
