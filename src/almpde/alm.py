@@ -4,9 +4,9 @@ Each outer iteration solves the sub-problem at the current (rho, mu),
 computes the residual index R_k, and declares the step successful when
 R_k <= tau * R+_{n-1} (R+ being the sequence of residuals at successful
 steps, seeded with a large R+_0).  Success adopts the multiplier candidate
-and keeps rho; failure keeps the multiplier (configurable) and grows rho by
-the factor gamma.  The loop stops at the first success with R+ <= eps2 or at
-the iteration cap.
+and keeps rho; failure keeps the multiplier and grows rho by the factor
+gamma.  The loop stops at the first success with R+ <= eps2 or at the
+iteration cap.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +27,6 @@ class AlmConfig:
     R_plus_0: float = 1e6
     eps2: float = 1e-4
     max_outer: int = 200
-    failure_update: str = "keep"
     msa: MsaConfig = field(default_factory=MsaConfig)
 
     def __post_init__(self):
@@ -43,8 +42,6 @@ class AlmConfig:
             raise ValueError(f"eps2 must be nonnegative, got {self.eps2}")
         if self.max_outer < 1:
             raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
-        if self.failure_update not in ("keep", "adopt"):
-            raise ValueError(f"failure_update must be 'keep' or 'adopt', got {self.failure_update!r}")
 
 
 class AlmState:
@@ -139,8 +136,7 @@ def alm_step(spec, state, warm_controls, config):
                              R_plus_history=state.R_plus_history + [R_k],
                              n=state.n + 1, k=state.k + 1)
     else:
-        mu_next = result.mu_bar if config.failure_update == "adopt" else state.mu
-        new_state = AlmState(mu=mu_next, rho=state.gamma * state.rho, tau=state.tau,
+        new_state = AlmState(mu=state.mu, rho=state.gamma * state.rho, tau=state.tau,
                              gamma=state.gamma,
                              R_plus_history=state.R_plus_history,
                              n=state.n, k=state.k + 1)

@@ -62,16 +62,11 @@ _SCHEMA = {
     "alm.r_plus0": (float, 1e6),
     "alm.eps2": (float, 1e-4),
     "alm.max_outer": (int, 200),
-    "alm.failure_update": (str, "keep"),
     "msa.eps1": (float, 1e-4),
     "msa.max_inner": (int, 500),
-    "msa.update_mode": (str, "exact_argmin"),
-    "msa.lr0": (float, 1e-3),
-    "msa.lr_decay": (float, 0.9),
-    "msa.lr_period": (int, 100),
+    "msa.step": (float, 1.0),
     "run.output_dir": (str, "out"),
     "run.dump_fields": (_parse_bool, False),
-    "run.seed": (int, 0),
 }
 
 
@@ -153,16 +148,9 @@ def _validate(raw, path):
     _require(raw["alm.eps2"] >= 0, f"alm.eps2 must be nonnegative, got {raw['alm.eps2']}")
     _require(raw["alm.max_outer"] >= 1, f"alm.max_outer must be >= 1, got {raw['alm.max_outer']}")
     _require(raw["alm.r_plus0"] > 0, "alm.r_plus0 must be positive")
-    _require(raw["alm.failure_update"] in ("keep", "adopt"),
-             f"alm.failure_update must be 'keep' or 'adopt', got {raw['alm.failure_update']!r}")
     _require(raw["msa.eps1"] > 0, f"msa.eps1 must be positive, got {raw['msa.eps1']}")
     _require(raw["msa.max_inner"] >= 1, "msa.max_inner must be >= 1")
-    _require(raw["msa.update_mode"] in ("exact_argmin", "projected_gradient"),
-             f"msa.update_mode must be 'exact_argmin' or 'projected_gradient', "
-             f"got {raw['msa.update_mode']!r}")
-    _require(raw["msa.lr0"] > 0, "msa.lr0 must be positive")
-    _require(0 < raw["msa.lr_decay"] <= 1, "msa.lr_decay must lie in (0,1]")
-    _require(raw["msa.lr_period"] >= 1, "msa.lr_period must be >= 1")
+    _require(0 < raw["msa.step"] <= 1, f"msa.step must lie in (0,1], got {raw['msa.step']}")
     if raw["problem.preset"] is None:
         _require(raw["problem.y0_file"] is not None and raw["problem.yd_file"] is not None,
                  "custom problems need problem.y0_file and problem.yd_file "
@@ -193,10 +181,9 @@ def build_run(config):
     alm = AlmConfig(
         rho0=raw["alm.rho0"], mu0=raw["alm.mu0"], tau=raw["alm.tau"],
         gamma=raw["alm.gamma"], R_plus_0=raw["alm.r_plus0"], eps2=raw["alm.eps2"],
-        max_outer=raw["alm.max_outer"], failure_update=raw["alm.failure_update"],
+        max_outer=raw["alm.max_outer"],
         msa=MsaConfig(eps1=raw["msa.eps1"], max_inner=raw["msa.max_inner"],
-                      update_mode=raw["msa.update_mode"], lr0=raw["msa.lr0"],
-                      lr_decay=raw["msa.lr_decay"], lr_period=raw["msa.lr_period"]))
+                      step=raw["msa.step"]))
     return spec, alm
 
 

@@ -8,10 +8,15 @@ Hamiltonian densities
     H_sigma = beta/2 v^2 + p v
 
 are strictly convex quadratics in the controls, the pointwise minimizer over
-a box is the closed-form clamp -p/alpha (resp. -p/beta); that is the default
-update.  A projected-gradient update with a decaying learning rate is kept as
-an alternative mode.  Iteration stops when the sup-norm control gap falls
-below eps1.
+a box is the closed-form clamp -p/alpha (resp. -p/beta).  The update takes a
+damped step toward it (the extended-MSA view of Li, Chen, Tai & E, JMLR 18,
+2018):
+
+    u <- clip((1 - step) u - step (p / alpha), ua, ub)
+
+with one parameter step in (0, 1].  The full step is exactly the clamp; a
+shorter one is a projected-gradient step of length step/alpha on H_omega.
+Iteration stops when the sup-norm control gap falls below eps1.
 """
 
 from dataclasses import dataclass
@@ -36,24 +41,15 @@ class MsaDivergenceError(RuntimeError):
 class MsaConfig:
     eps1: float = 1e-4
     max_inner: int = 500
-    update_mode: str = "exact_argmin"
-    lr0: float = 1e-3
-    lr_decay: float = 0.9
-    lr_period: int = 100
+    step: float = 1.0
 
     def __post_init__(self):
         if self.eps1 <= 0:
             raise ValueError(f"eps1 must be positive, got {self.eps1}")
         if self.max_inner < 1:
             raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
-        if self.update_mode not in ("exact_argmin", "projected_gradient"):
-            raise ValueError(f"unknown update_mode {self.update_mode!r}")
-        if self.lr0 <= 0:
-            raise ValueError(f"lr0 must be positive, got {self.lr0}")
-        if not 0 < self.lr_decay <= 1:
-            raise ValueError(f"lr_decay must lie in (0, 1], got {self.lr_decay}")
-        if self.lr_period < 1:
-            raise ValueError(f"lr_period must be >= 1, got {self.lr_period}")
+        if not 0 < self.step <= 1:
+            raise ValueError(f"step must lie in (0, 1], got {self.step}")
 
 
 @dataclass
@@ -66,11 +62,6 @@ class MsaResult:
     inner_iters: int
     final_gap: float
     converged: bool
-
-
-def learning_rate(config, iteration):
-    """Step size at 1-based inner iteration: lr0 * decay^((i-1) // period)."""
-    return config.lr0 * config.lr_decay ** ((iteration - 1) // config.lr_period)
 
 
 def hamiltonian_omega(y, u, p, mu, rho, psi, alpha):
@@ -109,6 +100,17 @@ def grad_hamiltonian_v(v, p_boundary, beta):
     return BoundaryTimeField(v.mesh, beta * v.values + p_boundary.values)
 
 
+def _damped_clamp(x, p, weight, lo, hi, step):
+    """clip((1 - step) x - step (p / weight), lo, hi), a field like x.
+
+    At step = 1 this is bit for bit clip(-p / weight): 0 * x - p / weight
+    differs from -p / weight at most in the sign of a zero.  The equal-looking
+    x - step (x + p / weight) is not exact there.
+    """
+    return type(x)(x.mesh, np.clip((1.0 - step) * x.values - step * (p.values / weight),
+                                   lo.values, hi.values))
+
+
 def _sup_diff(a, b):
     return float(np.max(np.abs(a.values - b.values))) if a is not None else 0.0
 
@@ -143,21 +145,9 @@ def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None):
             p = solve_adjoint(mesh, op, mu_bar, y.values[-1] - spec.y_d)
         except ValueError as exc:
             raise MsaDivergenceError(i, str(exc)) from exc
-        if config.update_mode == "exact_argmin":
-            u_new = argmin_hamiltonian_u(p, spec.alpha, b)
-            v_new = argmin_hamiltonian_v(extract_boundary(p), spec.beta, b) if with_v else v
-        else:
-            lr = learning_rate(config, i)
-            u_new = project_interval(
-                TimeField(mesh, u.values - lr * grad_hamiltonian_u(u, p, spec.alpha).values),
-                b.ua, b.ub)
-            if with_v:
-                pb = extract_boundary(p)
-                v_new = project_interval(
-                    BoundaryTimeField(mesh, v.values - lr * grad_hamiltonian_v(v, pb, spec.beta).values),
-                    b.va, b.vb)
-            else:
-                v_new = v
+        u_new = _damped_clamp(u, p, spec.alpha, b.ua, b.ub, config.step)
+        v_new = (_damped_clamp(v, extract_boundary(p), spec.beta, b.va, b.vb, config.step)
+                 if with_v else v)
         gap = _sup_diff(u_new, u)
         if with_v:
             gap = max(gap, _sup_diff(v_new, v))

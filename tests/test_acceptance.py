@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the PASS/FAIL table.
 """
 
 import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -77,22 +78,32 @@ def test_criterion_3_adjoint_and_gradient_correctness():
     verdict(3, f"adjoint FD error {max(errs):.1e}, Hamiltonian grad FD error {rep.error:.1e}")
 
 
-def _oracle_match(rho, update_mode, msa_cfg):
+def _sec5_subproblem():
     mesh = build_mesh(5, 5, 4, 1.0, 1.0, 1.0)
-    spec = build_paper_example_sec5(mesh)
-    mu = TimeField.constant(mesh, 10.0)
-    res = msa_solve(spec, rho, mu, config=msa_cfg)
+    return build_paper_example_sec5(mesh), TimeField.constant(mesh, 10.0)
+
+
+@lru_cache(maxsize=None)
+def _dense_oracle(rho):
+    """The dense oracle's control and cost at penalty rho, computed once."""
+    spec, mu = _sec5_subproblem()
     u_o, _, cost_o = projected_gradient_oracle(spec, rho, mu, iters=100000, lr=1e-3)
-    diff = l2_norm_omega_t(TimeField(mesh, res.u.values - u_o.values))
+    return u_o.values, cost_o
+
+
+def _oracle_match(rho, msa_cfg):
+    spec, mu = _sec5_subproblem()
+    res = msa_solve(spec, rho, mu, config=msa_cfg)
+    u_o, cost_o = _dense_oracle(rho)
+    diff = l2_norm_omega_t(TimeField(spec.mesh, res.u.values - u_o))
     cost_m = subproblem_objective(spec, rho, mu, res.u, y=res.y)
-    return diff, cost_m, cost_o
+    return res, diff, cost_m, cost_o
 
 
 def test_criterion_4_oracle_equivalence_rho_1():
     """Pointwise-argmin inner solver agrees with the dense projected-gradient
     oracle at penalty 1."""
-    diff, cost_m, cost_o = _oracle_match(
-        1.0, "exact_argmin", MsaConfig(eps1=1e-9, max_inner=300))
+    _, diff, cost_m, cost_o = _oracle_match(1.0, MsaConfig(eps1=1e-9, max_inner=300))
     assert diff <= 1e-3
     assert cost_m <= cost_o + 1e-6
     verdict(4, f"rho=1 argmin-vs-oracle control gap {diff:.1e}, cost excess {cost_m - cost_o:.1e}")
@@ -103,12 +114,11 @@ def test_criterion_4_oracle_equivalence_rho_1():
     reason="the plain argmin fixed-point update is unstable at this penalty "
            "strength: its linearized loop gain on this instance is ~3.3 > 1 "
            "(measured; it scales like 0.4*rho), so the iterate two-cycles "
-           "instead of converging.  The projected-gradient update solves the "
+           "instead of converging.  The damped update (step 0.25) solves the "
            "same sub-problem; see the rho=8 companion test below.")
 def test_criterion_4_oracle_equivalence_rho_8_exact_argmin():
     """Literal criterion: pointwise-argmin inner solver at penalty 8."""
-    diff, cost_m, cost_o = _oracle_match(
-        8.0, "exact_argmin", MsaConfig(eps1=1e-9, max_inner=300))
+    _, diff, cost_m, cost_o = _oracle_match(8.0, MsaConfig(eps1=1e-9, max_inner=300))
     ok = diff <= 1e-3 and cost_m <= cost_o + 1e-6
     verdict(4, f"rho=8 argmin-vs-oracle control gap {diff:.1e}", ok)
     assert diff <= 1e-3
@@ -117,13 +127,15 @@ def test_criterion_4_oracle_equivalence_rho_8_exact_argmin():
 
 def test_criterion_4_oracle_equivalence_rho_8_projected_gradient():
     """Companion check: the sub-problem at penalty 8 is solved to oracle
-    agreement by the small-step projected-gradient update."""
-    cfg = MsaConfig(eps1=1e-12, max_inner=30000, update_mode="projected_gradient",
-                    lr0=1e-3, lr_decay=1.0)
-    diff, cost_m, cost_o = _oracle_match(8.0, "projected_gradient", cfg)
+    agreement by the damped update, a projected-gradient step of length
+    step/alpha."""
+    res, diff, cost_m, cost_o = _oracle_match(8.0, MsaConfig(eps1=1e-12, max_inner=300,
+                                                             step=0.25))
+    assert res.converged
     assert diff <= 1e-3
     assert cost_m <= cost_o + 1e-6
-    verdict(4, f"rho=8 projected-gradient-vs-oracle control gap {diff:.1e}")
+    verdict(4, f"rho=8 damped-step-vs-oracle control gap {diff:.1e} "
+               f"in {res.inner_iters} inner iterations")
 
 
 def test_criterion_5_branch_semantics():
@@ -183,12 +195,11 @@ def test_criterion_6_degenerate_correctness():
 
 
 def test_criterion_7_deterministic_traces(tmp_path):
-    """Identical config and seed give byte-identical trace files."""
+    """Identical configs give byte-identical trace files."""
     traces = []
     for tag in ("a", "b"):
         cfg = tmp_path / f"{tag}.cfg"
         cfg.write_text("problem.preset = paper_example_sec5\n"
-                       "run.seed = 42\n"
                        f"run.output_dir = {tmp_path / ('out_' + tag)}\n")
         assert main(["run", "--config", str(cfg)]) == 0
         traces.append((tmp_path / ("out_" + tag) / "trace.csv").read_bytes())

@@ -35,14 +35,6 @@ def test_failure_branch_scales_rho_and_keeps_mu(sec5_spec, unit_mesh):
     assert np.array_equal(new_state.mu.values, state.mu.values)
 
 
-def test_failure_branch_adopt_variant(sec5_spec, unit_mesh):
-    config = AlmConfig(mu0=10.0, R_plus_0=1e-9, failure_update="adopt")
-    state = AlmState.initial(unit_mesh, config)
-    result, R, success, new_state = alm_step(sec5_spec, state, (None, None), config)
-    assert not success
-    assert np.array_equal(new_state.mu.values, result.mu_bar.values)
-
-
 def test_success_adopts_multiplier(sec5_spec, unit_mesh):
     config = AlmConfig(mu0=10.0)
     state = AlmState.initial(unit_mesh, config)
@@ -157,8 +149,6 @@ def test_alm_config_validation():
         AlmConfig(rho0=0.0)
     with pytest.raises(ValueError, match="max_outer"):
         AlmConfig(max_outer=0)
-    with pytest.raises(ValueError, match="failure_update"):
-        AlmConfig(failure_update="reset")
 
 
 def test_run_factors_the_step_matrix_once(tmp_path, monkeypatch):

@@ -31,6 +31,7 @@ def test_minimal_preset_config_applies_defaults(sec5_config):
     spec, alm = build_run(config)
     assert spec.alpha == 1.0
     assert not spec.boundary_control_enabled
+    assert alm.msa.step == 1.0
 
 
 def test_tau_validation_message(tmp_path):
@@ -69,6 +70,22 @@ def test_max_outer_zero_rejected(tmp_path):
     ])
     with pytest.raises(ConfigError, match="max_outer"):
         parse_config(path)
+
+
+def test_msa_step_is_passed_on_and_range_checked(tmp_path):
+    path = write_config(tmp_path / "step.cfg", [
+        "problem.preset = paper_example_sec5",
+        "msa.step = 0.25",
+    ])
+    _, alm = build_run(parse_config(path))
+    assert alm.msa.step == 0.25
+    for bad in ("0", "1.5", "nan"):
+        path = write_config(tmp_path / "bad.cfg", [
+            "problem.preset = paper_example_sec5",
+            f"msa.step = {bad}",
+        ])
+        with pytest.raises(ConfigError, match=r"msa.step must lie in \(0,1\]"):
+            parse_config(path)
 
 
 def test_custom_problem_requires_field_files(tmp_path):

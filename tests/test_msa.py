@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from almpde.grid import build_mesh, TimeField, BoundaryTimeField, ControlBounds
-from almpde.msa import (MsaConfig, msa_solve, learning_rate,
+from almpde.grid import (build_mesh, TimeField, BoundaryTimeField, ControlBounds,
+                         extract_boundary)
+from almpde.msa import (MsaConfig, msa_solve,
                         hamiltonian_omega, hamiltonian_sigma,
                         argmin_hamiltonian_u, argmin_hamiltonian_v,
                         grad_hamiltonian_u, grad_hamiltonian_v)
-from almpde.cost import multiplier_candidate
-from almpde.presets import build_unconstrained_decay
+from almpde.cost import ProblemSpec, multiplier_candidate
+from almpde.solvers import solve_forward, solve_adjoint
+from almpde.presets import build_unconstrained_decay, build_boundary_control_demo
 
 
 def const(mesh, c):
@@ -190,20 +192,52 @@ def test_msa_nonconvergence_is_nonfatal(sec5_spec, unit_mesh):
 
 
 def test_msa_projected_gradient_mode(sec5_spec, unit_mesh):
+    # a short step is projected gradient on H_omega with step length step/alpha
     mu = TimeField.constant(unit_mesh, 10.0)
-    cfg = MsaConfig(eps1=1e-5, max_inner=5000, update_mode="projected_gradient",
-                    lr0=1e-2, lr_decay=1.0)
-    res = msa_solve(sec5_spec, 1.0, mu, config=cfg)
+    res = msa_solve(sec5_spec, 1.0, mu, config=MsaConfig(eps1=1e-5, max_inner=5000, step=1e-2))
     assert res.converged
     assert np.all(np.abs(res.u.values) <= 1.0)
 
 
-def test_learning_rate_schedule():
-    cfg = MsaConfig(lr0=1e-3, lr_decay=0.9, lr_period=100)
-    assert learning_rate(cfg, 1) == 1e-3
-    assert learning_rate(cfg, 100) == 1e-3
-    assert learning_rate(cfg, 101) == pytest.approx(9e-4)
-    assert learning_rate(cfg, 201) == pytest.approx(8.1e-4)
+def test_full_step_is_the_hamiltonian_clamp():
+    # boundary demo with both controls on and weights other than 1; the init
+    # is non-zero and in bounds, since from u = v = 0 every algebraically
+    # equal form of the damped step gives the clamp exactly
+    demo = build_boundary_control_demo(build_mesh(9, 9, 8, 1.0, 1.0, 0.5))
+    mesh, b = demo.mesh, demo.bounds
+    spec = ProblemSpec(mesh, demo.coeffs, demo.y0, demo.y_d, demo.psi,
+                       alpha=0.7, beta=0.3, bounds=b, boundary_control_enabled=True)
+    rng = np.random.default_rng(4)
+    u0 = TimeField(mesh, rng.uniform(-0.08, 0.08, (mesh.nt + 1, mesh.ny, mesh.nx)))
+    v0 = BoundaryTimeField(mesh, rng.uniform(-1.5, 1.5, (mesh.nt + 1, mesh.n_boundary)))
+    mu, rho = TimeField.zeros(mesh), 1.0
+
+    op = spec.operator()
+    y = solve_forward(mesh, op, u0, v0, spec.y0)
+    p = solve_adjoint(mesh, op, multiplier_candidate(y, spec.psi, mu, rho),
+                      y.values[-1] - spec.y_d)
+    pb = extract_boundary(p)
+
+    full = msa_solve(spec, rho, mu, init_u=u0, init_v=v0,
+                     config=MsaConfig(max_inner=1, step=1.0))
+    u_star = argmin_hamiltonian_u(p, spec.alpha, b).values
+    v_star = argmin_hamiltonian_v(pb, spec.beta, b).values
+    # some nodes of each control are interior, so the test is not only of clip
+    assert np.any((u_star > b.ua.values) & (u_star < b.ub.values))
+    assert np.any((v_star > b.va.values) & (v_star < b.vb.values))
+    assert np.all(full.u.values == u_star)
+    assert np.all(full.v.values == v_star)
+
+    theta = 0.3
+    damped = msa_solve(spec, rho, mu, init_u=u0, init_v=v0,
+                       config=MsaConfig(max_inner=1, step=theta))
+    u_pg = np.clip(u0.values - (theta / spec.alpha) * (spec.alpha * u0.values + p.values),
+                   b.ua.values, b.ub.values)
+    v_pg = np.clip(v0.values - (theta / spec.beta) * (spec.beta * v0.values + pb.values),
+                   b.va.values, b.vb.values)
+    assert np.abs(damped.u.values - u_pg).max() <= 1e-14
+    assert np.abs(damped.v.values - v_pg).max() <= 1e-14
+    assert np.abs(damped.u.values - u_star).max() > 1e-3
 
 
 def test_msa_config_validation():
@@ -211,7 +245,6 @@ def test_msa_config_validation():
         MsaConfig(eps1=0.0)
     with pytest.raises(ValueError):
         MsaConfig(max_inner=0)
-    with pytest.raises(ValueError):
-        MsaConfig(update_mode="newton")
-    with pytest.raises(ValueError):
-        MsaConfig(lr_decay=1.5)
+    for step in (0.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="step"):
+            MsaConfig(step=step)
