@@ -24,7 +24,7 @@ class AlmConfig:
     mu0: float = 0.0
     tau: float = 0.9
     gamma: float = 2.0
-    R_plus_0: float = 1e6
+    r_plus0: float = 1e6
     eps2: float = 1e-4
     max_outer: int = 200
     msa: MsaConfig = field(default_factory=MsaConfig)
@@ -32,12 +32,15 @@ class AlmConfig:
     def __post_init__(self):
         if self.rho0 <= 0:
             raise ValueError(f"rho0 must be positive, got {self.rho0}")
+        mu0_min = np.min(self.mu0.values) if isinstance(self.mu0, TimeField) else self.mu0
+        if mu0_min < 0:
+            raise ValueError(f"mu0 must be nonnegative, got {mu0_min}")
         if not 0 < self.tau < 1:
             raise ValueError(f"tau must lie in (0,1), got {self.tau}")
         if self.gamma <= 1:
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
-        if self.R_plus_0 <= 0:
-            raise ValueError(f"R_plus_0 must be positive, got {self.R_plus_0}")
+        if self.r_plus0 <= 0:
+            raise ValueError(f"r_plus0 must be positive, got {self.r_plus0}")
         if self.eps2 < 0:
             raise ValueError(f"eps2 must be nonnegative, got {self.eps2}")
         if self.max_outer < 1:
@@ -68,7 +71,7 @@ class AlmState:
                    R_plus_history=[], n=0, k=0)
 
     def last_R_plus(self, config):
-        return self.R_plus_history[-1] if self.R_plus_history else config.R_plus_0
+        return self.R_plus_history[-1] if self.R_plus_history else config.r_plus0
 
 
 @dataclass

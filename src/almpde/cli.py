@@ -135,7 +135,6 @@ def cmd_sweep(args):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     key = SWEEP_PARAMS[args.param]
-    parser = int if key in ("mesh.nx", "mesh.ny", "mesh.nt") else float
     outdir = _output_dir(config.raw["run.output_dir"] + "_sweep")
     summary = []
     for sval in values:
@@ -143,11 +142,7 @@ def cmd_sweep(args):
         subdir = os.path.join(outdir, tag.replace("=", "_"))
         os.makedirs(subdir, exist_ok=True)
         try:
-            val = parser(sval)
-            sub_raw = dict(config.raw)
-            sub_raw[key] = val
-            sub_config = type(config)(raw=sub_raw, path=config.path, base_dir=config.base_dir)
-            spec, alm_config = build_run(sub_config)
+            spec, alm_config = build_run(parse_config(args.config, [f"{key} = {sval}"]))
             trace = alm_run(spec, alm_config)
             trace.to_csv(os.path.join(subdir, "trace.csv"))
             last = trace.rows[-1]

@@ -2,12 +2,16 @@
 
 Unknown keys are rejected; omitted keys fall back to documented defaults
 (presets may install their own defaults, e.g. the multiplier seed of the
-built-in obstacle example).  Numeric constraints are validated here so the
-CLI can fail before any computation starts.
+built-in obstacle example).  The `alm.*` and `msa.*` keys are the fields of
+AlmConfig and MsaConfig: a key's parser is the type of its field's default,
+and its range check is the dataclass's own.  Every value is validated here,
+non-finite numbers included, so the CLI can fail before any computation
+starts.
 """
 
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .grid import build_mesh, TimeField, BoundaryTimeField, ControlBounds, \
     load_space_slice, load_time_field
@@ -30,6 +34,18 @@ def _parse_bool(s):
         return False
     raise ValueError(f"expected a boolean, got {s!r}")
 
+
+def _solver_fields(section, cls):
+    """(config key, field name, default) of each setting of a solver config.
+
+    The nested `AlmConfig.msa` is not a setting: MsaConfig has its own section.
+    """
+    return tuple((f"{section}.{f.name}", f.name, f.default)
+                 for f in fields(cls) if f.name != "msa")
+
+
+_ALM_FIELDS = _solver_fields("alm", AlmConfig)
+_MSA_FIELDS = _solver_fields("msa", MsaConfig)
 
 # key -> (parser, default); None default means "unset"
 _SCHEMA = {
@@ -55,16 +71,7 @@ _SCHEMA = {
     "problem.boundary_control": (_parse_bool, None),
     "problem.a11": (float, None),
     "problem.a22": (float, None),
-    "alm.rho0": (float, 1.0),
-    "alm.mu0": (float, 0.0),
-    "alm.tau": (float, 0.9),
-    "alm.gamma": (float, 2.0),
-    "alm.r_plus0": (float, 1e6),
-    "alm.eps2": (float, 1e-4),
-    "alm.max_outer": (int, 200),
-    "msa.eps1": (float, 1e-4),
-    "msa.max_inner": (int, 500),
-    "msa.step": (float, 1.0),
+    **{key: (type(default), default) for key, _, default in _ALM_FIELDS + _MSA_FIELDS},
     "run.output_dir": (str, "out"),
     "run.dump_fields": (_parse_bool, False),
 }
@@ -76,32 +83,36 @@ class RunConfig:
     path: str = ""
     base_dir: str = "."
 
-    def get(self, key):
-        return self.raw[key]
 
+def parse_config(path, extra_lines=()):
+    """Read and validate a config file; raises ConfigError with line info.
 
-def parse_config(path):
-    """Read and validate a config file; raises ConfigError with line info."""
+    `extra_lines` are read as further `key = value` lines after the file's
+    own, so they override its values and pass the same checks.
+    """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    values = {}
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line.strip()!r}")
-            key, _, val = stripped.partition("=")
-            key = key.strip()
-            val = val.strip()
-            if key not in _SCHEMA:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            parser, _ = _SCHEMA[key]
-            try:
-                values[key] = parser(val)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        lines = fh.readlines()
+    n_file = len(lines)
+    values = {}
+    for lineno, line in enumerate(lines + list(extra_lines), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        where = f"{path}:{lineno}" if lineno <= n_file else f"extra line {lineno - n_file}"
+        if "=" not in stripped:
+            raise ConfigError(f"{where}: expected 'key = value', got {line.strip()!r}")
+        key, _, val = stripped.partition("=")
+        key = key.strip()
+        val = val.strip()
+        if key not in _SCHEMA:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        parser, _ = _SCHEMA[key]
+        try:
+            values[key] = parser(val)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
 
     preset = values.get("problem.preset")
     if preset is not None and preset not in PRESETS:
@@ -141,26 +152,34 @@ def _validate(raw, path):
     _require(raw["mesh.nt"] >= 1, "mesh.nt must be >= 1")
     _require(raw["mesh.lx"] > 0 and raw["mesh.ly"] > 0 and raw["mesh.T"] > 0,
              "mesh extents must be positive")
-    _require(0 < raw["alm.tau"] < 1, f"alm.tau must lie in (0,1), got {raw['alm.tau']}")
-    _require(raw["alm.gamma"] > 1, f"alm.gamma must exceed 1, got {raw['alm.gamma']}")
-    _require(raw["alm.rho0"] > 0, f"alm.rho0 must be positive, got {raw['alm.rho0']}")
-    _require(raw["alm.mu0"] >= 0, f"alm.mu0 must be nonnegative, got {raw['alm.mu0']}")
-    _require(raw["alm.eps2"] >= 0, f"alm.eps2 must be nonnegative, got {raw['alm.eps2']}")
-    _require(raw["alm.max_outer"] >= 1, f"alm.max_outer must be >= 1, got {raw['alm.max_outer']}")
-    _require(raw["alm.r_plus0"] > 0, "alm.r_plus0 must be positive")
-    _require(raw["msa.eps1"] > 0, f"msa.eps1 must be positive, got {raw['msa.eps1']}")
-    _require(raw["msa.max_inner"] >= 1, "msa.max_inner must be >= 1")
-    _require(0 < raw["msa.step"] <= 1, f"msa.step must lie in (0,1], got {raw['msa.step']}")
+    _solver_config(raw)
     if raw["problem.preset"] is None:
         _require(raw["problem.y0_file"] is not None and raw["problem.yd_file"] is not None,
                  "custom problems need problem.y0_file and problem.yd_file "
                  "(or set problem.preset)")
-    for key in ("problem.alpha", "problem.beta"):
+    for key in ("problem.alpha", "problem.beta", "problem.a11", "problem.a22"):
         if raw[key] is not None:
             _require(raw[key] > 0, f"{key} must be positive, got {raw[key]}")
-    for key in ("problem.a11", "problem.a22"):
-        if raw[key] is not None:
-            _require(raw[key] > 0, f"{key} must be positive, got {raw[key]}")
+    for key, val in raw.items():
+        if type(val) is float and not math.isfinite(val):
+            raise ConfigError(f"{key} must be finite")
+
+
+def _solver_config(raw):
+    """AlmConfig, with its MsaConfig, from the alm.* and msa.* values of raw.
+
+    The dataclasses check their own ranges; a failed check is reported as a
+    ConfigError that starts with the key.
+    """
+    msa = _config_from_raw("msa", MsaConfig, _MSA_FIELDS, raw)
+    return _config_from_raw("alm", AlmConfig, _ALM_FIELDS, raw, msa=msa)
+
+
+def _config_from_raw(section, cls, settings, raw, **nested):
+    try:
+        return cls(**{name: raw[key] for key, name, _ in settings}, **nested)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from exc
 
 
 def _resolve_path(config, p):
@@ -174,47 +193,30 @@ def build_run(config):
                       raw["mesh.lx"], raw["mesh.ly"], raw["mesh.T"])
     preset = raw["problem.preset"]
     if preset is not None:
-        spec = build_problem(preset, mesh)
-        spec = _apply_overrides(spec, raw, mesh, config)
+        spec = _apply_overrides(build_problem(preset, mesh), raw, mesh, config)
     else:
         spec = _custom_spec(raw, mesh, config)
-    alm = AlmConfig(
-        rho0=raw["alm.rho0"], mu0=raw["alm.mu0"], tau=raw["alm.tau"],
-        gamma=raw["alm.gamma"], R_plus_0=raw["alm.r_plus0"], eps2=raw["alm.eps2"],
-        max_outer=raw["alm.max_outer"],
-        msa=MsaConfig(eps1=raw["msa.eps1"], max_inner=raw["msa.max_inner"],
-                      step=raw["msa.step"]))
-    return spec, alm
+    return spec, _solver_config(raw)
 
 
-def _bounds_from_raw(raw, mesh, config, fallback):
-    ua = raw["problem.ua"]
-    ub = raw["problem.ub"]
-    if raw["problem.ua_file"] is not None:
-        ua_f = load_time_field(_resolve_path(config, raw["problem.ua_file"]), mesh)
-    else:
-        ua_f = TimeField.constant(mesh, ua) if ua is not None else fallback.ua
-    if raw["problem.ub_file"] is not None:
-        ub_f = load_time_field(_resolve_path(config, raw["problem.ub_file"]), mesh)
-    else:
-        ub_f = TimeField.constant(mesh, ub) if ub is not None else fallback.ub
-    va = raw["problem.va"]
-    vb = raw["problem.vb"]
-    va_f = BoundaryTimeField.constant(mesh, va) if va is not None else fallback.va
-    vb_f = BoundaryTimeField.constant(mesh, vb) if vb is not None else fallback.vb
-    return ControlBounds(ua_f, ub_f, va_f, vb_f)
+def _field_override(raw, key, cls, mesh, config, fallback):
+    """The field loaded from `key_file`, else the constant `key`, else fallback."""
+    path = raw.get(key + "_file")
+    if path is not None:
+        return load_time_field(_resolve_path(config, path), mesh)
+    return cls.constant(mesh, raw[key]) if raw[key] is not None else fallback
 
 
 def _apply_overrides(spec, raw, mesh, config):
     alpha = raw["problem.alpha"] if raw["problem.alpha"] is not None else spec.alpha
     beta = raw["problem.beta"] if raw["problem.beta"] is not None else spec.beta
-    if raw["problem.psi_file"] is not None:
-        psi = load_time_field(_resolve_path(config, raw["problem.psi_file"]), mesh)
-    elif raw["problem.psi"] is not None:
-        psi = TimeField.constant(mesh, raw["problem.psi"])
-    else:
-        psi = spec.psi
-    bounds = _bounds_from_raw(raw, mesh, config, spec.bounds)
+    psi = _field_override(raw, "problem.psi", TimeField, mesh, config, spec.psi)
+    b = spec.bounds
+    bounds = ControlBounds(
+        _field_override(raw, "problem.ua", TimeField, mesh, config, b.ua),
+        _field_override(raw, "problem.ub", TimeField, mesh, config, b.ub),
+        _field_override(raw, "problem.va", BoundaryTimeField, mesh, config, b.va),
+        _field_override(raw, "problem.vb", BoundaryTimeField, mesh, config, b.vb))
     bc = raw["problem.boundary_control"]
     if bc is None:
         bc = spec.boundary_control_enabled
@@ -228,22 +230,19 @@ def _apply_overrides(spec, raw, mesh, config):
 
 
 def _custom_spec(raw, mesh, config):
-    y0 = load_space_slice(_resolve_path(config, raw["problem.y0_file"]), mesh)
-    y_d = load_space_slice(_resolve_path(config, raw["problem.yd_file"]), mesh)
-    if raw["problem.psi_file"] is not None:
-        psi = load_time_field(_resolve_path(config, raw["problem.psi_file"]), mesh)
-    else:
-        psi = TimeField.constant(mesh, raw["problem.psi"] if raw["problem.psi"] is not None else 1e6)
-    default_bounds = ControlBounds.constant(mesh, ua=-1.0, ub=1.0, va=-1.0, vb=1.0)
-    bounds = _bounds_from_raw(raw, mesh, config, default_bounds)
-    a11 = raw["problem.a11"] if raw["problem.a11"] is not None else 1.0
-    a22 = raw["problem.a22"] if raw["problem.a22"] is not None else 1.0
-    return ProblemSpec(
-        mesh, DiffusionCoefficients(mesh, a11, a22), y0, y_d, psi,
-        alpha=raw["problem.alpha"] if raw["problem.alpha"] is not None else 1.0,
-        beta=raw["problem.beta"] if raw["problem.beta"] is not None else 1.0,
-        bounds=bounds,
-        boundary_control_enabled=bool(raw["problem.boundary_control"]))
+    """A problem given by field files, with the same overrides as a preset.
+
+    y0 and y_d come from the files; the base it overrides has unit
+    coefficients, psi = 1e6, alpha = beta = 1, controls in [-1, 1] and no
+    boundary control.
+    """
+    base = ProblemSpec(
+        mesh, DiffusionCoefficients.unit(mesh),
+        load_space_slice(_resolve_path(config, raw["problem.y0_file"]), mesh),
+        load_space_slice(_resolve_path(config, raw["problem.yd_file"]), mesh),
+        TimeField.constant(mesh, 1e6), alpha=1.0, beta=1.0,
+        bounds=ControlBounds.constant(mesh, ua=-1.0, ub=1.0, va=-1.0, vb=1.0))
+    return _apply_overrides(base, raw, mesh, config)
 
 
 def describe_defaults():

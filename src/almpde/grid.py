@@ -78,35 +78,23 @@ class Mesh:
 
 
 def _boundary_walk(nx, ny):
-    """Counterclockwise boundary node indices, each node listed once."""
-    i = []
-    j = []
-    for k in range(nx):              # bottom edge, left to right
-        i.append(k)
-        j.append(0)
-    for k in range(1, ny):           # right edge, bottom to top
-        i.append(nx - 1)
-        j.append(k)
-    for k in range(nx - 2, -1, -1):  # top edge, right to left
-        i.append(k)
-        j.append(ny - 1)
-    for k in range(ny - 2, 0, -1):   # left edge, top to bottom
-        i.append(0)
-        j.append(k)
-    return np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+    """Counterclockwise boundary node indices, each node listed once.
+
+    Bottom edge left to right, right edge bottom to top, top edge right to
+    left, left edge top to bottom.
+    """
+    i = np.concatenate([np.arange(nx), np.full(ny - 1, nx - 1),
+                        np.arange(nx - 2, -1, -1), np.zeros(ny - 2, dtype=np.int64)])
+    j = np.concatenate([np.zeros(nx, dtype=np.int64), np.arange(1, ny),
+                        np.full(nx - 1, ny - 1), np.arange(ny - 2, 0, -1)])
+    return i, j
 
 
 def _boundary_arc_weights(bi, bj, hx, hy):
     """Trapezoidal weights along the closed boundary polyline."""
-    nb = bi.size
-    seg = np.empty(nb)  # seg[k]: length of edge from node k to node k+1 (cyclic)
-    for k in range(nb):
-        k2 = (k + 1) % nb
-        seg[k] = abs(bi[k2] - bi[k]) * hx + abs(bj[k2] - bj[k]) * hy
-    w = np.empty(nb)
-    for k in range(nb):
-        w[k] = 0.5 * (seg[k - 1] + seg[k])
-    return w
+    # seg[k]: length of the edge from node k to node k+1 (cyclic)
+    seg = np.abs(np.roll(bi, -1) - bi) * hx + np.abs(np.roll(bj, -1) - bj) * hy
+    return 0.5 * (np.roll(seg, 1) + seg)
 
 
 def build_mesh(nx, ny, nt, lx, ly, T):
@@ -120,31 +108,42 @@ def _freeze(values):
     return arr
 
 
-class TimeField:
-    """Scalar function sampled on every space-time node, shape (nt+1, ny, nx)."""
+class _Field:
+    """Immutable float64 samples on a mesh; a subclass gives `shape(mesh)`."""
 
     __slots__ = ("mesh", "values")
 
     def __init__(self, mesh, values):
         values = np.asarray(values, dtype=np.float64)
-        expected = (mesh.nt + 1, mesh.ny, mesh.nx)
+        expected = self.shape(mesh)
         if values.shape != expected:
-            raise ValueError(f"TimeField shape {values.shape} != {expected} for {mesh!r}")
+            raise ValueError(f"{type(self).__name__} shape {values.shape} != {expected} "
+                             f"for {mesh!r}")
         if not np.all(np.isfinite(values)):
-            raise ValueError("TimeField values must be finite")
+            raise ValueError(f"{type(self).__name__} values must be finite")
         object.__setattr__(self, "mesh", mesh)
         object.__setattr__(self, "values", _freeze(values))
 
     def __setattr__(self, name, value):
-        raise AttributeError("TimeField is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zeros(cls, mesh):
-        return cls(mesh, np.zeros((mesh.nt + 1, mesh.ny, mesh.nx)))
+        return cls(mesh, np.zeros(cls.shape(mesh)))
 
     @classmethod
     def constant(cls, mesh, c):
-        return cls(mesh, np.full((mesh.nt + 1, mesh.ny, mesh.nx), float(c)))
+        return cls(mesh, np.full(cls.shape(mesh), float(c)))
+
+
+class TimeField(_Field):
+    """Scalar function sampled on every space-time node, shape (nt+1, ny, nx)."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def shape(mesh):
+        return (mesh.nt + 1, mesh.ny, mesh.nx)
 
     @classmethod
     def from_function(cls, mesh, fn):
@@ -152,48 +151,18 @@ class TimeField:
         X = mesh.x[None, None, :]
         Y = mesh.y[None, :, None]
         Tm = mesh.t[:, None, None]
-        vals = np.broadcast_to(fn(X, Y, Tm), (mesh.nt + 1, mesh.ny, mesh.nx))
+        vals = np.broadcast_to(fn(X, Y, Tm), cls.shape(mesh))
         return cls(mesh, np.array(vals))
 
-    def terminal(self):
-        """The final-time slice as a (ny, nx) array."""
-        return self.values[-1]
 
-
-class BoundaryTimeField:
+class BoundaryTimeField(_Field):
     """Scalar function on boundary-node x time-level samples, shape (nt+1, nb)."""
 
-    __slots__ = ("mesh", "values")
+    __slots__ = ()
 
-    def __init__(self, mesh, values):
-        values = np.asarray(values, dtype=np.float64)
-        expected = (mesh.nt + 1, mesh.n_boundary)
-        if values.shape != expected:
-            raise ValueError(f"BoundaryTimeField shape {values.shape} != {expected}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("BoundaryTimeField values must be finite")
-        object.__setattr__(self, "mesh", mesh)
-        object.__setattr__(self, "values", _freeze(values))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BoundaryTimeField is immutable")
-
-    @classmethod
-    def zeros(cls, mesh):
-        return cls(mesh, np.zeros((mesh.nt + 1, mesh.n_boundary)))
-
-    @classmethod
-    def constant(cls, mesh, c):
-        return cls(mesh, np.full((mesh.nt + 1, mesh.n_boundary), float(c)))
-
-    @classmethod
-    def from_function(cls, mesh, fn):
-        """Sample fn(x, y, t) on the boundary walk."""
-        xb = mesh.x[mesh.boundary_i][None, :]
-        yb = mesh.y[mesh.boundary_j][None, :]
-        tb = mesh.t[:, None]
-        vals = np.broadcast_to(fn(xb, yb, tb), (mesh.nt + 1, mesh.n_boundary))
-        return cls(mesh, np.array(vals))
+    @staticmethod
+    def shape(mesh):
+        return (mesh.nt + 1, mesh.n_boundary)
 
 
 def space_slice_from_function(mesh, fn):

@@ -49,7 +49,7 @@ class MsaConfig:
         if self.max_inner < 1:
             raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
         if not 0 < self.step <= 1:
-            raise ValueError(f"step must lie in (0, 1], got {self.step}")
+            raise ValueError(f"step must lie in (0,1], got {self.step}")
 
 
 @dataclass

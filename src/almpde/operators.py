@@ -99,9 +99,8 @@ class DiscreteOperator:
     of M + dt A), and a CSR copy of A for whole-matrix checks.
     """
 
-    def __init__(self, mesh, coeffs, cx, cy):
+    def __init__(self, mesh, cx, cy):
         self.mesh = mesh
-        self.coeffs = coeffs
         self.cx = cx
         self.cy = cy
         self.mass = mesh.w_space
@@ -192,8 +191,6 @@ def assemble_operator(mesh, coeffs):
     """
     if not coeffs.mesh.compatible(mesh):
         raise ValueError("coefficient grid does not match mesh")
-    if coeffs.theta <= 0.0:
-        raise ValueError("coefficients are not elliptic")
     nx, ny, hx, hy = mesh.nx, mesh.ny, mesh.hx, mesh.hy
     wx = np.ones(nx)
     wx[0] = wx[-1] = 0.5
@@ -203,4 +200,4 @@ def assemble_operator(mesh, coeffs):
     a22_edge = 0.5 * (coeffs.a22[:-1, :] + coeffs.a22[1:, :])
     cx = a11_edge * (hy * wy[:, None]) / hx   # (ny, nx-1)
     cy = a22_edge * (hx * wx[None, :]) / hy   # (ny-1, nx)
-    return DiscreteOperator(mesh, coeffs, cx, cy)
+    return DiscreteOperator(mesh, cx, cy)

@@ -22,6 +22,8 @@ from .msa import (MsaConfig, msa_solve, hamiltonian_omega, hamiltonian_sigma,
 from .presets import build_paper_example_sec5
 
 ORACLE_GRID_LIMIT = (9, 9, 8)
+# largest control move of a projected-gradient oracle step that ends its descent
+ORACLE_STALL_STEP = 1e-13
 
 
 @dataclass
@@ -196,8 +198,9 @@ def projected_gradient_oracle(spec, rho, mu, iters=100000, lr=1e-3):
     Uses its own Cholesky-factorized dense solves of the CSR assembly and
     plain pointwise gradient steps u <- clip(u - lr (alpha u + p)), so it
     shares neither the banded step factor nor the fixed-point update with
-    msa_solve.  Restricted to small grids.  Returns (u, v, cost) with cost
-    the sub-problem objective.
+    msa_solve.  Stops after `iters` steps, or earlier once no control moves
+    by more than ORACLE_STALL_STEP in a step.  Restricted to small grids.
+    Returns (u, v, cost) with cost the sub-problem objective.
     """
     mesh = spec.mesh
     if (mesh.nx > ORACLE_GRID_LIMIT[0] or mesh.ny > ORACLE_GRID_LIMIT[1]
@@ -248,9 +251,13 @@ def projected_gradient_oracle(spec, rho, mu, iters=100000, lr=1e-3):
     for _ in range(iters):
         y = forward(u, v)
         p, _ = adjoint(y)
-        u = np.clip(u - lr * (spec.alpha * u + p), ua, ub)
+        u, u_old = np.clip(u - lr * (spec.alpha * u + p), ua, ub), u
+        move = np.max(np.abs(u - u_old))
         if with_v:
-            v = np.clip(v - lr * (spec.beta * v + p[:, bidx]), va, vb)
+            v, v_old = np.clip(v - lr * (spec.beta * v + p[:, bidx]), va, vb), v
+            move = max(move, np.max(np.abs(v - v_old)))
+        if move <= ORACLE_STALL_STEP:
+            break
 
     u_field = TimeField(mesh, u.reshape(mesh.nt + 1, mesh.ny, mesh.nx))
     v_field = BoundaryTimeField(mesh, v)

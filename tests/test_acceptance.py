@@ -40,7 +40,7 @@ def test_criterion_1_obstacle_example_converges():
     assert trace.termination == "tolerance_met"
     Rs = [r.R for r in trace.success_rows()]
     assert all(Rs[i + 1] < Rs[i] for i in range(len(Rs) - 1)), "success residuals not strictly decreasing"
-    assert all(Rs[n] <= config.tau ** (n + 1) * config.R_plus_0 for n in range(len(Rs)))
+    assert all(Rs[n] <= config.tau ** (n + 1) * config.r_plus0 for n in range(len(Rs)))
     last = trace.rows[-1]
     assert last.feas <= 1e-4
     assert last.compl <= 1e-4

@@ -26,7 +26,7 @@ def test_first_step_success_when_feasible():
 
 def test_failure_branch_scales_rho_and_keeps_mu(sec5_spec, unit_mesh):
     # a tiny R+_0 forces the first residual test to fail
-    config = AlmConfig(mu0=10.0, R_plus_0=1e-9, gamma=2.0)
+    config = AlmConfig(mu0=10.0, r_plus0=1e-9, gamma=2.0)
     state = AlmState.initial(unit_mesh, config)
     result, R, success, new_state = alm_step(sec5_spec, state, (None, None), config)
     assert not success
@@ -83,7 +83,7 @@ def test_run_terminates_on_tolerance(sec5_spec):
     Rs = [r.R for r in successes]
     assert Rs[-1] <= 1e-4
     assert all(Rs[i + 1] < Rs[i] for i in range(len(Rs) - 1))
-    assert all(Rs[i] <= config.tau ** (i + 1) * config.R_plus_0 for i in range(len(Rs)))
+    assert all(Rs[i] <= config.tau ** (i + 1) * config.r_plus0 for i in range(len(Rs)))
     # rho grows exactly by gamma on failures, stays otherwise
     for a, b in zip(trace.rows[:-1], trace.rows[1:]):
         assert b.rho == (a.rho if a.success else config.gamma * a.rho)
@@ -149,6 +149,12 @@ def test_alm_config_validation():
         AlmConfig(rho0=0.0)
     with pytest.raises(ValueError, match="max_outer"):
         AlmConfig(max_outer=0)
+    mesh = build_mesh(5, 5, 4, 1.0, 1.0, 1.0)
+    mu0 = np.full((5, 5, 5), 2.0)
+    mu0[2, 1, 3] = -0.5
+    for bad in (-1.0, TimeField(mesh, mu0)):
+        with pytest.raises(ValueError, match="mu0 must be nonnegative"):
+            AlmConfig(mu0=bad)
 
 
 def test_run_factors_the_step_matrix_once(tmp_path, monkeypatch):

@@ -1,9 +1,15 @@
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from almpde.alm import AlmConfig
 from almpde.cli import main
 from almpde.config import parse_config, build_run, ConfigError
-from almpde.grid import build_mesh, load_time_field, dump_space_slice
+from almpde.grid import (build_mesh, load_time_field, dump_space_slice,
+                         dump_time_field, TimeField)
+from almpde.msa import MsaConfig
 
 
 def write_config(path, lines):
@@ -88,6 +94,52 @@ def test_msa_step_is_passed_on_and_range_checked(tmp_path):
             parse_config(path)
 
 
+# key -> (config text, field value), each unlike the dataclass and preset defaults
+SOLVER_SETTINGS = {
+    "alm.rho0": ("2.5", 2.5),
+    "alm.mu0": ("3.5", 3.5),
+    "alm.tau": ("0.5", 0.5),
+    "alm.gamma": ("3", 3.0),
+    "alm.r_plus0": ("50", 50.0),
+    "alm.eps2": ("1e-6", 1e-6),
+    "alm.max_outer": ("7", 7),
+    "msa.eps1": ("1e-7", 1e-7),
+    "msa.max_inner": ("11", 11),
+    "msa.step": ("0.25", 0.25),
+}
+
+
+def test_solver_settings_are_the_config_dataclass_fields():
+    declared = ({f"alm.{f.name}" for f in fields(AlmConfig) if f.name != "msa"}
+                | {f"msa.{f.name}" for f in fields(MsaConfig)})
+    assert set(SOLVER_SETTINGS) == declared
+
+
+@pytest.mark.parametrize("key", sorted(SOLVER_SETTINGS))
+def test_solver_setting_reaches_its_field(tmp_path, key):
+    text, value = SOLVER_SETTINGS[key]
+    path = write_config(tmp_path / "s.cfg", [
+        "problem.preset = paper_example_sec5",
+        f"{key} = {text}",
+    ])
+    _, alm = build_run(parse_config(path))
+    section, _, name = key.partition(".")
+    owner, default = (alm, AlmConfig()) if section == "alm" else (alm.msa, MsaConfig())
+    assert getattr(owner, name) == value
+    assert type(getattr(owner, name)) is type(getattr(default, name))
+    assert getattr(default, name) != value
+
+
+@pytest.mark.parametrize("key", ["problem.alpha", "alm.rho0", "mesh.T", "problem.psi"])
+def test_nonfinite_value_rejected(tmp_path, key):
+    path = write_config(tmp_path / "bad.cfg", [
+        "problem.preset = paper_example_sec5",
+        f"{key} = inf",
+    ])
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be finite$"):
+        parse_config(path)
+
+
 def test_custom_problem_requires_field_files(tmp_path):
     path = write_config(tmp_path / "bad.cfg", [
         "mesh.nx = 5", "mesh.ny = 5", "mesh.nt = 4",
@@ -102,22 +154,60 @@ def test_custom_problem_from_field_files(tmp_path):
     rng = np.random.default_rng(0)
     y0 = rng.uniform(-0.5, 0.5, mesh.shape_space)
     yd = rng.uniform(-0.5, 0.5, mesh.shape_space)
+    psi = rng.uniform(0.5, 1.5, (mesh.nt + 1, mesh.ny, mesh.nx))
     dump_space_slice(y0, "y0", tmp_path / "y0.csv", mesh)
     dump_space_slice(yd, "yd", tmp_path / "yd.csv", mesh)
-    path = write_config(tmp_path / "custom.cfg", [
-        "mesh.nx = 5", "mesh.ny = 5", "mesh.nt = 4",
-        "mesh.lx = 1", "mesh.ly = 1", "mesh.T = 1",
-        "problem.y0_file = y0.csv",
-        "problem.yd_file = yd.csv",
+    dump_time_field(TimeField(mesh, psi), "psi", tmp_path / "psi.csv")
+
+    def build(name, lines):
+        return build_run(parse_config(write_config(tmp_path / name, [
+            "mesh.nx = 5", "mesh.ny = 5", "mesh.nt = 4",
+            "mesh.lx = 1", "mesh.ly = 1", "mesh.T = 1",
+            "problem.y0_file = y0.csv",
+            "problem.yd_file = yd.csv",
+        ] + lines)))
+
+    spec, alm = build("custom.cfg", [
         "problem.psi = 0.8",
         "problem.alpha = 2.0",
         "problem.ua = -0.5", "problem.ub = 0.5",
+        "problem.a11 = 0.6",
     ])
-    spec, alm = build_run(parse_config(path))
     assert np.array_equal(spec.y0, y0)
-    assert spec.alpha == 2.0
+    assert np.array_equal(spec.y_d, yd)
+    assert spec.alpha == 2.0 and spec.beta == 1.0
     assert np.all(spec.psi.values == 0.8)
+    assert np.all(spec.bounds.ua.values == -0.5)
     assert np.all(spec.bounds.ub.values == 0.5)
+    assert np.all(spec.coeffs.a11 == 0.6) and np.all(spec.coeffs.a22 == 1.0)
+    assert alm == AlmConfig()
+
+    # the base a custom problem starts from
+    spec, _ = build("bare.cfg", [])
+    assert np.all(spec.psi.values == 1e6)
+    assert spec.alpha == 1.0 and spec.beta == 1.0
+    b = spec.bounds
+    for bound, value in ((b.ua, -1.0), (b.ub, 1.0), (b.va, -1.0), (b.vb, 1.0)):
+        assert np.all(bound.values == value)
+    assert np.all(spec.coeffs.a11 == 1.0) and np.all(spec.coeffs.a22 == 1.0)
+    assert not spec.boundary_control_enabled
+
+    spec, _ = build("full.cfg", [
+        "problem.psi_file = psi.csv",
+        "problem.alpha = 2.5", "problem.beta = 0.4",
+        "problem.ua = -0.3", "problem.vb = 0.7",
+        "problem.ub_file = psi.csv",
+        "problem.a22 = 1.7",
+        "problem.boundary_control = true",
+    ])
+    assert np.array_equal(spec.psi.values, psi)
+    assert spec.alpha == 2.5 and spec.beta == 0.4
+    b = spec.bounds
+    assert np.array_equal(b.ub.values, psi)
+    for bound, value in ((b.ua, -0.3), (b.va, -1.0), (b.vb, 0.7)):
+        assert np.all(bound.values == value)
+    assert np.all(spec.coeffs.a11 == 1.0) and np.all(spec.coeffs.a22 == 1.7)
+    assert spec.boundary_control_enabled
 
 
 def test_preset_overrides(tmp_path):
@@ -264,6 +354,34 @@ def test_sweep_gamma_values_both_converge(tmp_path):
         fields = line.split(",")
         assert float(fields[2]) <= 1e-4        # final residual
         assert fields[4] == "tolerance_met"
+
+
+def test_sweep_rejects_nonfinite_value_in_its_own_row(tmp_path):
+    cfg = write_config(tmp_path / "c.cfg", [
+        "problem.preset = paper_example_sec5",
+        f"run.output_dir = {tmp_path / 'out'}",
+    ])
+    assert main(["sweep", "--config", cfg, "--param", "alpha", "--values", "inf,1"]) == 1
+    summary = (tmp_path / "out_sweep" / "summary.csv").read_text().strip().splitlines()
+    assert len(summary) == 3
+    assert summary[1] == "inf,0,nan,nan,error: problem.alpha must be finite"
+    assert summary[2].startswith("1,") and summary[2].endswith(",tolerance_met")
+
+
+def test_swept_value_is_checked_like_a_file_line(tmp_path, capsys):
+    bad = write_config(tmp_path / "bad.cfg", [
+        "problem.preset = paper_example_sec5",
+        "alm.tau = 1.5",
+    ])
+    with pytest.raises(ConfigError) as file_error:
+        parse_config(bad)
+    cfg = write_config(tmp_path / "c.cfg", [
+        "problem.preset = paper_example_sec5",
+        f"run.output_dir = {tmp_path / 'out'}",
+    ])
+    assert main(["sweep", "--config", cfg, "--param", "tau", "--values", "1.5"]) == 1
+    assert str(file_error.value) == "alm.tau must lie in (0,1), got 1.5"
+    assert f"tau=1.5: error: {file_error.value}" in capsys.readouterr().err
 
 
 def test_sweep_empty_values_rejected(tmp_path, capsys):

@@ -54,6 +54,22 @@ def test_boundary_walk_count_and_uniqueness():
     assert m.w_arc[corner] == pytest.approx(0.5 * (m.hx + m.hy))
 
 
+@pytest.mark.parametrize("dims", [(3, 3), (6, 4), (5, 9), (33, 33)])
+def test_boundary_geometry_matches_loop_reference(dims):
+    nx, ny = dims
+    m = build_mesh(nx, ny, 2, 1.3, 0.7, 1.0)
+    walk = ([(k, 0) for k in range(nx)] + [(nx - 1, k) for k in range(1, ny)]
+            + [(k, ny - 1) for k in range(nx - 2, -1, -1)]
+            + [(0, k) for k in range(ny - 2, 0, -1)])
+    assert m.boundary_i.tolist() == [i for i, _ in walk]
+    assert m.boundary_j.tolist() == [j for _, j in walk]
+    nb = len(walk)
+    seg = [abs(walk[(k + 1) % nb][0] - walk[k][0]) * m.hx
+           + abs(walk[(k + 1) % nb][1] - walk[k][1]) * m.hy for k in range(nb)]
+    w = [0.5 * (seg[k - 1] + seg[k]) for k in range(nb)]
+    assert m.w_arc.tolist() == w
+
+
 # ------------------------------------------------------------- integration
 
 def test_integrate_omega_t_constants(unit_mesh):
@@ -192,6 +208,10 @@ def test_field_rejects_nonfinite(unit_mesh):
     vals[1, 1, 1] = np.nan
     with pytest.raises(ValueError, match="finite"):
         TimeField(unit_mesh, vals)
+    bvals = np.zeros((unit_mesh.nt + 1, unit_mesh.n_boundary))
+    bvals[0, 2] = np.inf
+    with pytest.raises(ValueError, match="BoundaryTimeField values must be finite"):
+        BoundaryTimeField(unit_mesh, bvals)
 
 
 def test_control_bounds_validation(unit_mesh):
