@@ -2,20 +2,24 @@
 
 Each outer iteration solves the sub-problem at the current (rho, mu),
 computes the residual index R_k, and declares the step successful when
-R_k <= tau * R+_{n-1} (R+ being the sequence of residuals at successful
-steps, seeded with a large R+_0).  Success adopts the multiplier candidate
-and keeps rho; failure keeps the multiplier and grows rho by the factor
-gamma.  The loop stops at the first success with R+ <= eps2 or at the
-iteration cap.
+R_k <= tau * R+, R+ being the residual of the last successful step (before
+the first one, the large R+_0 = r_plus0).  Success adopts the multiplier
+candidate, takes R_k as the new R+ and keeps rho; failure keeps mu and R+
+and grows rho by the factor gamma.  The loop stops at the first success
+with R+ <= eps2 or at the iteration cap.
+
+Between iterations the loop carries only an AlmState (mu, rho, R+ and the
+success and iteration counts n, k).  Each iteration leaves one AlmTraceRow,
+whose fields are the columns of trace.csv.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .grid import TimeField
 from .cost import (cost_J, augmented_lagrangian, kkt_residuals, residual_index)
-from .msa import MsaConfig, msa_solve
+from .msa import MsaConfig, msa_solve, require_finite_fields
 
 
 @dataclass
@@ -32,9 +36,8 @@ class AlmConfig:
     def __post_init__(self):
         if self.rho0 <= 0:
             raise ValueError(f"rho0 must be positive, got {self.rho0}")
-        mu0_min = np.min(self.mu0.values) if isinstance(self.mu0, TimeField) else self.mu0
-        if mu0_min < 0:
-            raise ValueError(f"mu0 must be nonnegative, got {mu0_min}")
+        if self.mu0 < 0:
+            raise ValueError(f"mu0 must be nonnegative, got {self.mu0}")
         if not 0 < self.tau < 1:
             raise ValueError(f"tau must lie in (0,1), got {self.tau}")
         if self.gamma <= 1:
@@ -45,37 +48,36 @@ class AlmConfig:
             raise ValueError(f"eps2 must be nonnegative, got {self.eps2}")
         if self.max_outer < 1:
             raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
+        require_finite_fields(self)
 
 
+@dataclass(frozen=True)
 class AlmState:
-    """Multiplier, penalty, and bookkeeping carried between outer iterations."""
+    """Multiplier, penalty, last accepted residual R+, success count n and
+    iteration count k carried between outer iterations."""
 
-    def __init__(self, mu, rho, tau, gamma, R_plus_history, n, k):
-        if np.any(mu.values < 0):
+    mu: TimeField
+    rho: float
+    R_plus: float
+    n: int
+    k: int
+
+    def __post_init__(self):
+        if np.any(self.mu.values < 0):
             raise ValueError("multiplier must be nonnegative")
-        if rho <= 0:
+        if self.rho <= 0:
             raise ValueError("rho must be positive")
-        self.mu = mu
-        self.rho = float(rho)
-        self.tau = float(tau)
-        self.gamma = float(gamma)
-        self.R_plus_history = list(R_plus_history)
-        self.n = int(n)
-        self.k = int(k)
 
     @classmethod
     def initial(cls, mesh, config):
-        mu0 = config.mu0
-        mu = mu0 if isinstance(mu0, TimeField) else TimeField.constant(mesh, float(mu0))
-        return cls(mu=mu, rho=config.rho0, tau=config.tau, gamma=config.gamma,
-                   R_plus_history=[], n=0, k=0)
-
-    def last_R_plus(self, config):
-        return self.R_plus_history[-1] if self.R_plus_history else config.r_plus0
+        return cls(mu=TimeField.constant(mesh, float(config.mu0)), rho=float(config.rho0),
+                   R_plus=config.r_plus0, n=0, k=0)
 
 
 @dataclass
 class AlmTraceRow:
+    """One outer iteration; its fields, in order, are the columns of trace.csv."""
+
     k: int
     n: int
     rho: float
@@ -91,16 +93,14 @@ class AlmTraceRow:
     final_gap: float
 
 
-TRACE_COLUMNS = ("k,n,rho,R,success,J,L_rho,feas,compl,stat_u,stat_v,"
-                 "inner_iters,final_gap")
+# the text of a trace value, by the declared type of its field
+_TEXT = {bool: lambda x: str(int(x)), int: str, float: lambda x: f"{x:.17g}"}
+_ROW_TEXT = tuple((f.name, _TEXT[f.type]) for f in fields(AlmTraceRow))
+TRACE_COLUMNS = ",".join(name for name, _ in _ROW_TEXT)
 
 
-def format_trace_row(r):
-    return ",".join([
-        str(r.k), str(r.n), f"{r.rho:.17g}", f"{r.R:.17g}",
-        str(int(r.success)), f"{r.J:.17g}", f"{r.L_rho:.17g}",
-        f"{r.feas:.17g}", f"{r.compl:.17g}", f"{r.stat_u:.17g}",
-        f"{r.stat_v:.17g}", str(r.inner_iters), f"{r.final_gap:.17g}"])
+def format_trace_row(row):
+    return ",".join(text(getattr(row, name)) for name, text in _ROW_TEXT)
 
 
 @dataclass
@@ -112,12 +112,6 @@ class AlmTrace:
 
     def success_rows(self):
         return [r for r in self.rows if r.success]
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(TRACE_COLUMNS + "\n")
-            for r in self.rows:
-                fh.write(format_trace_row(r) + "\n")
 
 
 def alm_step(spec, state, warm_controls, config):
@@ -132,17 +126,11 @@ def alm_step(spec, state, warm_controls, config):
     R_k = residual_index(result.y, spec.psi, result.mu_bar)
     if not np.isfinite(R_k):
         raise RuntimeError(f"non-finite residual index at outer iteration {state.k + 1}")
-    success = R_k <= state.tau * state.last_R_plus(config)
+    success = R_k <= config.tau * state.R_plus
     if success:
-        new_state = AlmState(mu=result.mu_bar, rho=state.rho, tau=state.tau,
-                             gamma=state.gamma,
-                             R_plus_history=state.R_plus_history + [R_k],
-                             n=state.n + 1, k=state.k + 1)
+        new_state = replace(state, mu=result.mu_bar, R_plus=R_k, n=state.n + 1, k=state.k + 1)
     else:
-        new_state = AlmState(mu=state.mu, rho=state.gamma * state.rho, tau=state.tau,
-                             gamma=state.gamma,
-                             R_plus_history=state.R_plus_history,
-                             n=state.n, k=state.k + 1)
+        new_state = replace(state, rho=config.gamma * state.rho, k=state.k + 1)
     return result, R_k, success, new_state
 
 

@@ -14,6 +14,7 @@ relative output directory.
 """
 
 import argparse
+import csv
 import os
 import sys
 
@@ -37,6 +38,19 @@ def _fmt(v):
     return f"{v:.17g}"
 
 
+def _run_traced(spec, alm_config, path):
+    """alm_run that streams each trace row to the trace.csv at path, so a
+    failed run still leaves its partial trace behind."""
+    with open(path, "w") as fh:
+        fh.write(TRACE_COLUMNS + "\n")
+
+        def on_row(row):
+            fh.write(format_trace_row(row) + "\n")
+            fh.flush()
+
+        return alm_run(spec, alm_config, on_row=on_row)
+
+
 def cmd_run(args):
     try:
         config = parse_config(args.config)
@@ -45,23 +59,11 @@ def cmd_run(args):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     outdir = _output_dir(config.raw["run.output_dir"])
-    trace_path = os.path.join(outdir, "trace.csv")
-
-    # stream rows so a crash still leaves a partial trace behind
-    trace_fh = open(trace_path, "w")
-    trace_fh.write(TRACE_COLUMNS + "\n")
-
-    def on_row(row):
-        trace_fh.write(format_trace_row(row) + "\n")
-        trace_fh.flush()
-
     try:
-        trace = alm_run(spec, alm_config, on_row=on_row)
+        trace = _run_traced(spec, alm_config, os.path.join(outdir, "trace.csv"))
     except Exception as exc:
-        trace_fh.close()
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    trace_fh.close()
 
     res = trace.final_result
     last = trace.rows[-1]
@@ -143,18 +145,18 @@ def cmd_sweep(args):
         os.makedirs(subdir, exist_ok=True)
         try:
             spec, alm_config = build_run(parse_config(args.config, [f"{key} = {sval}"]))
-            trace = alm_run(spec, alm_config)
-            trace.to_csv(os.path.join(subdir, "trace.csv"))
+            trace = _run_traced(spec, alm_config, os.path.join(subdir, "trace.csv"))
             last = trace.rows[-1]
             summary.append((sval, len(trace.rows), last.R, last.J, trace.termination))
             print(f"{tag}: {trace.termination} k={last.k} R={last.R:.3e}")
         except Exception as exc:
             summary.append((sval, 0, float("nan"), float("nan"), f"error: {exc}"))
             print(f"{tag}: error: {exc}", file=sys.stderr)
-    with open(os.path.join(outdir, "summary.csv"), "w") as fh:
-        fh.write("value,outer_iters,final_R,final_J,status\n")
+    with open(os.path.join(outdir, "summary.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("value", "outer_iters", "final_R", "final_J", "status"))
         for sval, iters, R, J, status in summary:
-            fh.write(f"{sval},{iters},{_fmt(R)},{_fmt(J)},{status}\n")
+            writer.writerow((sval, iters, _fmt(R), _fmt(J), status))
     return 0 if all(not s[4].startswith("error") for s in summary) else 1
 
 

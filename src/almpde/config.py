@@ -80,7 +80,6 @@ _SCHEMA = {
 @dataclass
 class RunConfig:
     raw: dict
-    path: str = ""
     base_dir: str = "."
 
 
@@ -136,7 +135,7 @@ def parse_config(path, extra_lines=()):
                 raw[key] = val
 
     _validate(raw, path)
-    return RunConfig(raw=raw, path=path, base_dir=os.path.dirname(os.path.abspath(path)))
+    return RunConfig(raw=raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def _require(cond, message):

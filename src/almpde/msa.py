@@ -1,8 +1,10 @@
 """Successive-approximation solver for the penalized sub-problems.
 
-Each iteration alternates: forward state solve, multiplier candidate,
-backward adjoint solve, then a pointwise control update.  Because the
-Hamiltonian densities
+The forward state solve, the multiplier candidate and the backward adjoint
+solve are evaluated once at the initial controls and again after each
+pointwise control update, so every iteration starts from the adjoint of its
+controls and the returned (y, mu_bar, p) belong to the returned controls.
+Because the Hamiltonian densities
 
     H_omega = alpha/2 u^2 + 1/(2 rho) ((rho (y - psi) + mu)_+^2 - mu^2) + p u
     H_sigma = beta/2 v^2 + p v
@@ -19,7 +21,7 @@ shorter one is a projected-gradient step of length step/alpha on H_omega.
 Iteration stops when the sup-norm control gap falls below eps1.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,6 +52,15 @@ class MsaConfig:
             raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
         if not 0 < self.step <= 1:
             raise ValueError(f"step must lie in (0,1], got {self.step}")
+        require_finite_fields(self)
+
+
+def require_finite_fields(config):
+    """Reject a non-finite value in any numeric field of a solver config."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"{f.name} must be finite")
 
 
 @dataclass
@@ -112,7 +123,7 @@ def _damped_clamp(x, p, weight, lo, hi, step):
 
 
 def _sup_diff(a, b):
-    return float(np.max(np.abs(a.values - b.values))) if a is not None else 0.0
+    return float(np.max(np.abs(a.values - b.values)))
 
 
 def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None):
@@ -134,17 +145,22 @@ def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None):
     v = project_interval(init_v if init_v is not None else BoundaryTimeField.zeros(mesh),
                          b.va, b.vb)
 
-    gap = np.inf
-    converged = False
-    iters = 0
-    for i in range(1, config.max_inner + 1):
-        iters = i
+    y = mu_bar = p = None
+
+    def evaluate(iteration):
+        """Recompute (y, mu_bar, p) at the controls inner iteration `iteration`
+        updates.  Rebinding them, not returning new ones, frees each old field
+        as soon as its replacement exists: one field fewer held at peak."""
+        nonlocal y, mu_bar, p
         try:
             y = solve_forward(mesh, op, u, v if with_v else None, spec.y0)
             mu_bar = multiplier_candidate(y, spec.psi, mu, rho)
             p = solve_adjoint(mesh, op, mu_bar, y.values[-1] - spec.y_d)
         except ValueError as exc:
-            raise MsaDivergenceError(i, str(exc)) from exc
+            raise MsaDivergenceError(iteration, str(exc)) from exc
+
+    evaluate(1)
+    for i in range(1, config.max_inner + 1):
         u_new = _damped_clamp(u, p, spec.alpha, b.ua, b.ub, config.step)
         v_new = (_damped_clamp(v, extract_boundary(p), spec.beta, b.va, b.vb, config.step)
                  if with_v else v)
@@ -154,14 +170,8 @@ def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None):
         if not np.isfinite(gap):
             raise MsaDivergenceError(i, "non-finite control gap")
         u, v = u_new, v_new
+        evaluate(i + 1)
         if gap <= config.eps1:
-            converged = True
             break
-
-    # consistency pass so the returned state/adjoint/multiplier match the
-    # returned controls
-    y = solve_forward(mesh, op, u, v if with_v else None, spec.y0)
-    mu_bar = multiplier_candidate(y, spec.psi, mu, rho)
-    p = solve_adjoint(mesh, op, mu_bar, y.values[-1] - spec.y_d)
     return MsaResult(y=y, u=u, v=v, p=p, mu_bar=mu_bar,
-                     inner_iters=iters, final_gap=gap, converged=converged)
+                     inner_iters=i, final_gap=gap, converged=gap <= config.eps1)

@@ -104,8 +104,6 @@ class DiscreteOperator:
         self.cx = cx
         self.cy = cy
         self.mass = mesh.w_space
-        self.inv_mass = 1.0 / mesh.w_space
-        self.inv_mass.flags.writeable = False
         for arr in (self.cx, self.cy):
             arr.flags.writeable = False
         self._csr = None
@@ -121,10 +119,6 @@ class DiscreteOperator:
         out = np.empty(self.n)
         FluxStencil(self.cx, self.cy).apply(f.ravel(), out)
         return out.reshape(self.mesh.shape_space)
-
-    def normalized_apply(self, f):
-        """M^{-1} A f, the operator entering the implicit-Euler step."""
-        return self.inv_mass * self.apply(f)
 
     def step_kit(self):
         """(dt-scaled FluxStencil, lower banded Cholesky factor of M + dt A).

@@ -152,7 +152,7 @@ def test_criterion_5_branch_semantics():
         warm = (None, None)
         for _ in range(config.max_outer):
             rho_before, mu_before = state.rho, state.mu
-            R_plus_before = state.last_R_plus(config)
+            R_plus_before = state.R_plus
             result, R, success, state = alm_step(spec, state, warm, config)
             warm = (result.u, result.v)
             assert np.all(state.mu.values >= 0.0)

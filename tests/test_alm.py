@@ -1,4 +1,7 @@
+import ast
 import csv
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,8 @@ from almpde import operators
 from almpde.config import build_run, parse_config
 from almpde.grid import build_mesh, TimeField
 from almpde.msa import MsaConfig
-from almpde.alm import AlmConfig, AlmState, alm_step, alm_run, TRACE_COLUMNS
+from almpde.alm import (AlmConfig, AlmState, AlmTraceRow, alm_step, alm_run,
+                        TRACE_COLUMNS, format_trace_row)
 from almpde.presets import build_unconstrained_decay
 
 from conftest import make_random_spec
@@ -41,7 +45,7 @@ def test_success_adopts_multiplier(sec5_spec, unit_mesh):
     result, R, success, new_state = alm_step(sec5_spec, state, (None, None), config)
     assert success
     assert np.array_equal(new_state.mu.values, result.mu_bar.values)
-    assert new_state.R_plus_history == [R]
+    assert new_state.R_plus == R
 
 
 def test_branch_semantics_randomized():
@@ -59,7 +63,7 @@ def test_branch_semantics_randomized():
         for _ in range(config.max_outer):
             rho_before = state.rho
             mu_before = state.mu
-            R_plus_before = state.last_R_plus(config)
+            R_plus_before = state.R_plus
             result, R, success, state = alm_step(spec, state, warm, config)
             warm = (result.u, result.v)
             assert np.all(state.mu.values >= 0.0)
@@ -67,7 +71,7 @@ def test_branch_semantics_randomized():
                 total_success += 1
                 assert state.rho == rho_before
                 assert R <= config.tau * R_plus_before
-                assert state.R_plus_history[-1] == R
+                assert state.R_plus == R
             else:
                 total_failure += 1
                 assert state.rho == config.gamma * rho_before
@@ -117,7 +121,8 @@ def test_run_marks_best_iterate(sec5_spec):
 def test_trace_csv_format(tmp_path, sec5_spec):
     trace = alm_run(sec5_spec, AlmConfig(mu0=10.0, max_outer=3, eps2=1e-12))
     path = tmp_path / "trace.csv"
-    trace.to_csv(path)
+    path.write_text("".join(line + "\n" for line in
+                            [TRACE_COLUMNS] + [format_trace_row(r) for r in trace.rows]))
     with open(path) as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -131,15 +136,6 @@ def test_trace_csv_format(tmp_path, sec5_spec):
         assert int(parsed[4]) == int(row.success)
 
 
-def test_mu0_field_initialization(unit_mesh):
-    mu0 = TimeField.constant(unit_mesh, 2.5)
-    config = AlmConfig(mu0=mu0)
-    state = AlmState.initial(unit_mesh, config)
-    assert np.all(state.mu.values == 2.5)
-    with pytest.raises(ValueError, match="nonnegative"):
-        AlmState.initial(unit_mesh, AlmConfig(mu0=TimeField.constant(unit_mesh, -1.0)))
-
-
 def test_alm_config_validation():
     with pytest.raises(ValueError, match="tau"):
         AlmConfig(tau=1.5)
@@ -149,12 +145,59 @@ def test_alm_config_validation():
         AlmConfig(rho0=0.0)
     with pytest.raises(ValueError, match="max_outer"):
         AlmConfig(max_outer=0)
-    mesh = build_mesh(5, 5, 4, 1.0, 1.0, 1.0)
-    mu0 = np.full((5, 5, 5), 2.0)
-    mu0[2, 1, 3] = -0.5
-    for bad in (-1.0, TimeField(mesh, mu0)):
-        with pytest.raises(ValueError, match="mu0 must be nonnegative"):
-            AlmConfig(mu0=bad)
+    with pytest.raises(ValueError, match="mu0 must be nonnegative"):
+        AlmConfig(mu0=-1.0)
+    # nan fails the range check first and keeps its message
+    with pytest.raises(ValueError, match=r"^tau must lie in \(0,1\), got nan$"):
+        AlmConfig(tau=np.nan)
+
+
+@pytest.mark.parametrize("name", ["rho0", "mu0", "gamma", "r_plus0", "eps2"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_alm_config_rejects_nonfinite(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        AlmConfig(**{name: value})
+
+
+def test_state_holds_only_what_the_loop_carries(unit_mesh):
+    config = AlmConfig(rho0=2.0, mu0=3.0, r_plus0=5.0)
+    state = AlmState.initial(unit_mesh, config)
+    assert [f.name for f in fields(AlmState)] == ["mu", "rho", "R_plus", "n", "k"]
+    assert (state.rho, state.R_plus, state.n, state.k) == (2.0, 5.0, 0, 0)
+    assert np.all(state.mu.values == 3.0)
+    with pytest.raises(ValueError, match="multiplier must be nonnegative"):
+        AlmState(mu=TimeField.constant(unit_mesh, -1.0), rho=1.0,
+                 R_plus=1.0, n=0, k=0)
+    with pytest.raises(ValueError, match="rho must be positive"):
+        AlmState(mu=state.mu, rho=0.0, R_plus=1.0, n=0, k=0)
+
+
+def test_trace_columns_are_the_row_fields():
+    assert TRACE_COLUMNS == ("k,n,rho,R,success,J,L_rho,feas,compl,stat_u,stat_v,"
+                             "inner_iters,final_gap")
+    assert TRACE_COLUMNS.split(",") == [f.name for f in fields(AlmTraceRow)]
+
+
+def test_format_trace_row_text_by_field_type():
+    row = AlmTraceRow(k=12, n=7, rho=0.1, R=np.float64(1.0) / 3.0, success=True,
+                      J=np.inf, L_rho=-2.5, feas=0.0, compl=1e-300, stat_u=1e20,
+                      stat_v=np.float64(0.30000000000000004), inner_iters=500,
+                      final_gap=1.0)
+    assert format_trace_row(row) == (
+        "12,7,0.10000000000000001,0.33333333333333331,1,inf,-2.5,0,"
+        "1e-300,1e+20,0.30000000000000004,500,1")
+    assert format_trace_row(AlmTraceRow(1, 0, 2.0, 0.5, False, *[0.0] * 6, 3, 0.0)) == (
+        "1,0,2,0.5,0,0,0,0,0,0,0,3,0")
+
+
+def test_benchmark_row_fields_are_trace_row_fields():
+    # the benchmark fingerprints each row by getattr(row, name, None), so a
+    # renamed trace field would silently drop out of its determinism check
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "bench.py"
+    row_fields = next(ast.literal_eval(node.value) for node in ast.parse(source.read_text()).body
+                      if isinstance(node, ast.Assign)
+                      and [getattr(t, "id", None) for t in node.targets] == ["ROW_FIELDS"])
+    assert set(row_fields) <= {f.name for f in fields(AlmTraceRow)}
 
 
 def test_run_factors_the_step_matrix_once(tmp_path, monkeypatch):

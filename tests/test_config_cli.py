@@ -1,10 +1,12 @@
+import csv
 import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from almpde.alm import AlmConfig
+from almpde import alm
+from almpde.alm import AlmConfig, TRACE_COLUMNS
 from almpde.cli import main
 from almpde.config import parse_config, build_run, ConfigError
 from almpde.grid import (build_mesh, load_time_field, dump_space_slice,
@@ -382,6 +384,40 @@ def test_swept_value_is_checked_like_a_file_line(tmp_path, capsys):
     assert main(["sweep", "--config", cfg, "--param", "tau", "--values", "1.5"]) == 1
     assert str(file_error.value) == "alm.tau must lie in (0,1), got 1.5"
     assert f"tau=1.5: error: {file_error.value}" in capsys.readouterr().err
+
+
+def test_sweep_summary_quotes_an_error_with_a_comma(tmp_path):
+    cfg = write_config(tmp_path / "c.cfg", [
+        "problem.preset = paper_example_sec5",
+        f"run.output_dir = {tmp_path / 'out'}",
+    ])
+    assert main(["sweep", "--config", cfg, "--param", "tau", "--values", "1.5,0.9"]) == 1
+    with open(tmp_path / "out_sweep" / "summary.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(r) for r in rows] == [5, 5, 5]
+    assert rows[1] == ["1.5", "0", "nan", "nan", "error: alm.tau must lie in (0,1), got 1.5"]
+    assert rows[2][4] == "tolerance_met"
+
+
+def test_failed_sweep_job_leaves_its_partial_trace(tmp_path, monkeypatch):
+    calls = []
+    solve = alm.msa_solve
+
+    def failing_third_solve(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("solver failed")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(alm, "msa_solve", failing_third_solve)
+    cfg = write_config(tmp_path / "c.cfg", [
+        "problem.preset = paper_example_sec5",
+        f"run.output_dir = {tmp_path / 'out'}",
+    ])
+    assert main(["sweep", "--config", cfg, "--param", "tau", "--values", "0.9"]) == 1
+    lines = (tmp_path / "out_sweep" / "tau_0.9" / "trace.csv").read_text().splitlines()
+    assert lines[0] == TRACE_COLUMNS
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
 
 
 def test_sweep_empty_values_rejected(tmp_path, capsys):

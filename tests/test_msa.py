@@ -3,7 +3,8 @@ import pytest
 
 from almpde.grid import (build_mesh, TimeField, BoundaryTimeField, ControlBounds,
                          extract_boundary)
-from almpde.msa import (MsaConfig, msa_solve,
+from almpde import msa
+from almpde.msa import (MsaConfig, MsaDivergenceError, msa_solve,
                         hamiltonian_omega, hamiltonian_sigma,
                         argmin_hamiltonian_u, argmin_hamiltonian_v,
                         grad_hamiltonian_u, grad_hamiltonian_v)
@@ -248,3 +249,23 @@ def test_msa_config_validation():
     for step in (0.0, -0.5, 1.5, float("nan")):
         with pytest.raises(ValueError, match="step"):
             MsaConfig(step=step)
+    with pytest.raises(ValueError, match="^eps1 must be finite$"):
+        MsaConfig(eps1=np.inf)
+    # nan fails the range check first and keeps its message
+    with pytest.raises(ValueError, match=r"^step must lie in \(0,1\], got nan$"):
+        MsaConfig(step=np.nan)
+
+
+def test_final_evaluation_error_is_a_divergence(sec5_spec, unit_mesh, monkeypatch):
+    # max_inner = 1: the sweep after the only update is the second one
+    calls = []
+
+    def failing_forward(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise ValueError("bad sweep")
+        return solve_forward(*args)
+
+    monkeypatch.setattr(msa, "solve_forward", failing_forward)
+    with pytest.raises(MsaDivergenceError, match="iteration 2: bad sweep"):
+        msa_solve(sec5_spec, 1.0, TimeField.zeros(unit_mesh), config=MsaConfig(max_inner=1))
