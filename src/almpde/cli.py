@@ -142,9 +142,10 @@ def cmd_sweep(args):
     for sval in values:
         tag = f"{args.param}={sval}"
         subdir = os.path.join(outdir, tag.replace("=", "_"))
-        os.makedirs(subdir, exist_ok=True)
         try:
             spec, alm_config = build_run(parse_config(args.config, [f"{key} = {sval}"]))
+            # only a job whose settings passed their checks gets a directory
+            os.makedirs(subdir, exist_ok=True)
             trace = _run_traced(spec, alm_config, os.path.join(subdir, "trace.csv"))
             last = trace.rows[-1]
             summary.append((sval, len(trace.rows), last.R, last.J, trace.termination))

@@ -8,20 +8,22 @@ and the state constraint y <= psi enters through the smooth penalty
 
     L_rho(y, u, v, mu) = J + 1/(2 rho) * integral( (rho (y - psi) + mu)_+^2 - mu^2 ).
 
-Reported quantities (J, L_rho, the residual index R, KKT residuals) use the
-trapezoidal mesh quadrature.  The sub-problem objective that the inner
-solvers actually minimize uses the scheme-consistent quadrature of
-`subproblem_objective`, whose exact gradient is produced by the backward
-implicit-Euler sweep; the two agree up to O(dt).
+The discrete unknowns are the time slices m = 1..nt: the implicit-Euler
+step m couples y_m to u_m and v_m, while y_0 is the given initial state and
+u_0, v_0 enter nothing.  Every time integral here (control costs, penalty,
+residual index, KKT residuals) is therefore the right-endpoint rule
+dt * sum over m = 1..nt, the multiplier candidate is zero on m = 0, and the
+reported J and L_rho use the same quadrature as the sub-problem objective
+the inner solver minimizes.  y_0 <= psi(., 0) is a compatibility condition
+on the data (Casas, SIAM J. Control Optim. 35, 1997), checked when the
+problem is built rather than penalized.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (TimeField, integrate_omega_t, integrate_sigma_t,
-                   l2_norm_omega_t, l2_norm_sigma_t, positive_part,
-                   sup_norm, extract_boundary)
+from .grid import TimeField, extract_boundary
 from .solvers import solve_forward
 
 
@@ -40,6 +42,12 @@ class ProblemSpec:
             raise ValueError("y0 and y_d must be finite")
         if not psi.mesh.compatible(mesh):
             raise ValueError("psi lives on a different mesh")
+        if (y0 > psi.values[0]).any():
+            excess = y0 - psi.values[0]
+            j, i = np.unravel_index(np.argmax(excess), excess.shape)
+            raise ValueError(
+                f"y0 must not exceed psi(., 0): it does by {excess[j, i]:.6g} at worst, "
+                f"at node i={i}, j={j} (x={mesh.x[i]:.6g}, y={mesh.y[j]:.6g})")
         self.mesh = mesh
         self.coeffs = coeffs
         self.y0 = y0
@@ -58,14 +66,32 @@ class ProblemSpec:
         return self._op
 
 
+def _omega_sum(mesh, values):
+    """Right-endpoint space-time integral of values over m = 1..nt."""
+    return mesh.dt * float(np.einsum("mji,ji->", values[1:], mesh.w_space))
+
+
+def _sigma_sum(mesh, values):
+    """Right-endpoint boundary space-time integral of values over m = 1..nt."""
+    return mesh.dt * float(np.sum(values[1:] @ mesh.w_arc))
+
+
+def _control_cost(spec, u, v):
+    cost = 0.5 * spec.alpha * _omega_sum(spec.mesh, u.values * u.values)
+    if v is not None:
+        cost += 0.5 * spec.beta * _sigma_sum(spec.mesh, v.values * v.values)
+    return cost
+
+
+def _penalty(spec, y, mu, rho):
+    shifted = np.maximum(rho * (y.values - spec.psi.values) + mu.values, 0.0)
+    return _omega_sum(spec.mesh, shifted * shifted - mu.values * mu.values) / (2.0 * rho)
+
+
 def cost_J(spec, y, u, v=None):
     """Tracking objective; v=None counts as a zero boundary control."""
     e = y.values[-1] - spec.y_d
-    J = 0.5 * float(np.sum(spec.mesh.w_space * e * e))
-    J += 0.5 * spec.alpha * integrate_omega_t(u, u)
-    if v is not None:
-        J += 0.5 * spec.beta * integrate_sigma_t(v, v)
-    return J
+    return 0.5 * float(np.sum(spec.mesh.w_space * e * e)) + _control_cost(spec, u, v)
 
 
 def augmented_lagrangian(spec, y, u, v, mu, rho):
@@ -74,27 +100,38 @@ def augmented_lagrangian(spec, y, u, v, mu, rho):
         raise ValueError(f"penalty parameter must be positive, got rho={rho}")
     if np.any(mu.values < 0):
         raise ValueError("multiplier estimate must be nonnegative")
-    shifted = np.maximum(rho * (y.values - spec.psi.values) + mu.values, 0.0)
-    diff = TimeField(spec.mesh, shifted * shifted - mu.values * mu.values)
-    one = TimeField.constant(spec.mesh, 1.0)
-    return cost_J(spec, y, u, v) + integrate_omega_t(diff, one) / (2.0 * rho)
+    return cost_J(spec, y, u, v) + _penalty(spec, y, mu, rho)
 
 
 def multiplier_candidate(y, psi, mu, rho):
-    """(rho (y - psi) + mu)_+, the post-solve multiplier update."""
-    return TimeField(y.mesh, np.maximum(rho * (y.values - psi.values) + mu.values, 0.0))
+    """(rho (y - psi) + mu)_+ on m = 1..nt, the post-solve multiplier update.
+
+    It is zero on m = 0: the initial slice is data, not an unknown, so it
+    carries no multiplier.
+    """
+    values = np.maximum(rho * (y.values - psi.values) + mu.values, 0.0)
+    values[0] = 0.0
+    return TimeField(y.mesh, values)
+
+
+def _feasibility(y, psi):
+    """max over m = 1..nt of (y - psi)_+."""
+    return max(float(np.max(y.values[1:] - psi.values[1:])), 0.0)
+
+
+def _complementarity(y, psi, mu_bar):
+    """| integral mu_bar (psi - y) | over m = 1..nt."""
+    return abs(_omega_sum(y.mesh, mu_bar.values * (psi.values - y.values)))
 
 
 def residual_index(y, psi, mu_bar):
     """Feasibility sup norm plus the complementarity integral.
 
-    R = ||(y - psi)_+||_inf + | integral mu_bar (psi - y) |; zero exactly when
-    the grid state is feasible and complementary with mu_bar.
+    R = ||(y - psi)_+||_inf + | integral mu_bar (psi - y) | over m = 1..nt;
+    zero exactly when the grid state is feasible and complementary with
+    mu_bar.
     """
-    gap = TimeField(y.mesh, psi.values - y.values)
-    viol = sup_norm(positive_part(TimeField(y.mesh, -gap.values)))
-    compl = abs(integrate_omega_t(mu_bar, gap))
-    return viol + compl
+    return _feasibility(y, psi) + _complementarity(y, psi, mu_bar)
 
 
 @dataclass
@@ -108,51 +145,38 @@ class KktResiduals:
 def kkt_residuals(spec, y, u, v, p, mu_bar):
     """Residuals of the original first-order optimality system.
 
-    Stationarity is the L2 norm of the projection fixed-point residual
-    u - clip(-p / alpha); feasibility and complementarity restate the two
-    summands of the residual index.
+    Stationarity is the L2 norm over m = 1..nt of the projection fixed-point
+    residual u - clip(-p / alpha); feasibility and complementarity restate
+    the two summands of the residual index.
     """
-    b = spec.bounds
-    du = TimeField(spec.mesh,
-                   u.values - np.clip(-p.values / spec.alpha, b.ua.values, b.ub.values))
-    stat_u = l2_norm_omega_t(du)
+    mesh, b = spec.mesh, spec.bounds
+    du = u.values - np.clip(-p.values / spec.alpha, b.ua.values, b.ub.values)
+    stat_u = np.sqrt(_omega_sum(mesh, du * du))
     if spec.boundary_control_enabled and v is not None:
-        pb = extract_boundary(p)
-        dv = type(pb)(spec.mesh,
-                      v.values - np.clip(-pb.values / spec.beta, b.va.values, b.vb.values))
-        stat_v = l2_norm_sigma_t(dv)
+        pb = extract_boundary(p).values
+        dv = v.values - np.clip(-pb / spec.beta, b.va.values, b.vb.values)
+        stat_v = np.sqrt(_sigma_sum(mesh, dv * dv))
     else:
         stat_v = 0.0
-    feas = sup_norm(positive_part(TimeField(spec.mesh, y.values - spec.psi.values)))
-    gap = TimeField(spec.mesh, spec.psi.values - y.values)
-    compl = abs(integrate_omega_t(mu_bar, gap))
-    return KktResiduals(stat_u, stat_v, feas, compl)
+    return KktResiduals(stat_u, stat_v, _feasibility(y, spec.psi),
+                        _complementarity(y, spec.psi, mu_bar))
 
 
 def subproblem_objective(spec, rho, mu, u, v=None, y=None):
     """The discrete functional minimized by the inner solvers.
 
-    Uses the right-endpoint rule in time for the control costs, the
-    left-endpoint rule for the penalty, and measures the terminal mismatch e
-    in the (M + dt A) inner product.  With these choices the backward sweep
-    of `solve_adjoint` (terminal slice assigned to e, source mu_bar) yields
-    the exact gradient dt * M (alpha u_m + p_m) for m = 1..nt, which is what
-    makes the pointwise clamp -p/alpha an exact stationarity condition.
+    It is L_rho, with its right-endpoint rule over m = 1..nt for the control
+    costs and the penalty, but with the terminal mismatch e measured in the
+    (M + dt A) inner product instead of M.  With these choices the backward
+    sweep of `solve_adjoint` (terminal slice e + dt K^{-1} M mu_bar_nt,
+    source mu_bar) yields the exact gradient dt * M (alpha u_m + p_m) for
+    m = 1..nt, which is what makes the pointwise clamp -p/alpha an exact
+    stationarity condition.
     """
-    mesh = spec.mesh
     op = spec.operator()
     if y is None:
-        y = solve_forward(mesh, op, u, v, spec.y0)
-    dt = mesh.dt
-    w = mesh.w_space
+        y = solve_forward(spec.mesh, op, u, v, spec.y0)
     e = y.values[-1] - spec.y_d
-    val = 0.5 * float(np.sum(w * e * e)) + 0.5 * dt * float(np.sum(e * op.apply(e)))
-    uu = u.values[1:]
-    val += 0.5 * spec.alpha * dt * float(np.einsum("mji,ji->", uu * uu, w))
-    if v is not None:
-        vv = v.values[1:]
-        val += 0.5 * spec.beta * dt * float(np.sum((vv * vv) @ mesh.w_arc))
-    shifted = np.maximum(rho * (y.values[:-1] - spec.psi.values[:-1]) + mu.values[:-1], 0.0)
-    pen = shifted * shifted - mu.values[:-1] * mu.values[:-1]
-    val += dt / (2.0 * rho) * float(np.einsum("mji,ji->", pen, w))
-    return val
+    val = 0.5 * float(np.sum(spec.mesh.w_space * e * e)) + 0.5 * spec.mesh.dt * float(
+        np.sum(e * op.apply(e)))
+    return val + _control_cost(spec, u, v) + _penalty(spec, y, mu, rho)

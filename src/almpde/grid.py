@@ -207,10 +207,6 @@ def l2_norm_omega_t(f):
     return np.sqrt(max(integrate_omega_t(f, f), 0.0))
 
 
-def l2_norm_sigma_t(f):
-    return np.sqrt(max(integrate_sigma_t(f, f), 0.0))
-
-
 def sup_norm(f):
     """Max of |f| over all nodes (discrete sup norm on the closed cylinder)."""
     return float(np.max(np.abs(f.values)))

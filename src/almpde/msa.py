@@ -19,6 +19,10 @@ damped step toward it (the extended-MSA view of Li, Chen, Tai & E, JMLR 18,
 with one parameter step in (0, 1].  The full step is exactly the clamp; a
 shorter one is a projected-gradient step of length step/alpha on H_omega.
 Iteration stops when the sup-norm control gap falls below eps1.
+
+Only the slices m = 1..nt of the controls are unknowns: the implicit-Euler
+step m uses u_m and v_m, and nothing uses u_0, v_0.  They are set once to
+the projection of 0 onto their box and no update changes them.
 """
 
 from dataclasses import dataclass, fields
@@ -111,15 +115,26 @@ def grad_hamiltonian_v(v, p_boundary, beta):
     return BoundaryTimeField(v.mesh, beta * v.values + p_boundary.values)
 
 
+def _initial_control(init, zero, lo, hi):
+    """init (zero when None) projected into [lo, hi], with slice 0 at the
+    projection of 0."""
+    values = np.array(project_interval(init if init is not None else zero, lo, hi).values)
+    values[0] = np.clip(0.0, lo.values[0], hi.values[0])
+    return type(zero)(zero.mesh, values)
+
+
 def _damped_clamp(x, p, weight, lo, hi, step):
-    """clip((1 - step) x - step (p / weight), lo, hi), a field like x.
+    """clip((1 - step) x - step (p / weight), lo, hi) on m = 1..nt, and x's
+    slice 0; a field like x.
 
     At step = 1 this is bit for bit clip(-p / weight): 0 * x - p / weight
     differs from -p / weight at most in the sign of a zero.  The equal-looking
     x - step (x + p / weight) is not exact there.
     """
-    return type(x)(x.mesh, np.clip((1.0 - step) * x.values - step * (p.values / weight),
-                                   lo.values, hi.values))
+    values = np.clip((1.0 - step) * x.values - step * (p.values / weight),
+                     lo.values, hi.values)
+    values[0] = x.values[0]
+    return type(x)(x.mesh, values)
 
 
 def _sup_diff(a, b):
@@ -130,8 +145,9 @@ def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None):
     """Solve the sub-problem at (rho, mu) by successive approximations.
 
     Controls start from init_u/init_v (projected into the admissible box;
-    zero when omitted).  Non-convergence within max_inner is reported through
-    the converged flag, not an exception.
+    zero when omitted) on m = 1..nt and from the projection of 0 on m = 0.
+    Non-convergence within max_inner is reported through the converged flag,
+    not an exception.
     """
     if config is None:
         config = MsaConfig()
@@ -140,10 +156,8 @@ def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None):
     b = spec.bounds
     with_v = spec.boundary_control_enabled
 
-    u = project_interval(init_u if init_u is not None else TimeField.zeros(mesh),
-                         b.ua, b.ub)
-    v = project_interval(init_v if init_v is not None else BoundaryTimeField.zeros(mesh),
-                         b.va, b.vb)
+    u = _initial_control(init_u, TimeField.zeros(mesh), b.ua, b.ub)
+    v = _initial_control(init_v, BoundaryTimeField.zeros(mesh), b.va, b.vb)
 
     y = mu_bar = p = None
 

@@ -9,10 +9,16 @@ scatters the boundary control with arc-length weights (the natural flux
 load of the finite-volume closure).  The backward sweep transposes the same
 propagator:
 
-    p_nt = terminal,   (M + dt A) p_m = M p_{m+1} + dt M mu_m,  m = nt-1..0.
+    p_nt = e + dt K^{-1} M mu_nt,   K p_m = M p_{m+1} + dt M mu_m,  m = nt-1..0,
 
-Both sweeps run one march loop.  With K = M + dt A, every step is taken in
-defect form from the neighbouring time slice x:
+with K = M + dt A and e = y_nt - y_d the terminal mismatch.  p_nt is the
+gradient of the sub-problem objective in y_nt pulled back through K: the
+mismatch term plus the penalty of the last slice, which the right-endpoint
+penalty charges (see `cost.subproblem_objective`).  That correction is one
+extra solve, skipped when mu_nt is zero because it is then exactly zero.
+
+Both sweeps run one march loop.  Every step is taken in defect form from the
+neighbouring time slice x:
 
     x_next = x + K^{-1} (s_next - dt A x),
 
@@ -38,6 +44,14 @@ from .grid import TimeField
 _pbtrs = get_lapack_funcs("pbtrs", dtype=np.float64)
 
 
+def _solve(factor, rhs):
+    """K^{-1} rhs with the banded Cholesky factor; rhs is overwritten."""
+    x, info = _pbtrs(factor, rhs, lower=1, overwrite_b=1)
+    if info != 0:
+        raise RuntimeError(f"LAPACK pbtrs failed with info = {info}")
+    return x
+
+
 def _march(op, x0, sources):
     """Implicit-Euler steps from the slice x0, one per row of sources.
 
@@ -51,10 +65,7 @@ def _march(op, x0, sources):
     for m, s in enumerate(sources, start=1):
         stencil.apply(x[m - 1], out=defect)
         np.subtract(s, defect, out=defect)
-        dx, info = _pbtrs(factor, defect, lower=1, overwrite_b=1)
-        if info != 0:
-            raise RuntimeError(f"LAPACK pbtrs failed with info = {info}")
-        np.add(x[m - 1], dx, out=x[m])
+        np.add(x[m - 1], _solve(factor, defect), out=x[m])
     return x
 
 
@@ -83,12 +94,16 @@ def solve_forward(mesh, op, u, v, y0):
 
 
 def solve_adjoint(mesh, op, mu, terminal):
-    """March the adjoint equation backward from the assigned terminal slice.
+    """March the adjoint equation backward from the corrected terminal slice.
 
-    mu is the TimeField source (the multiplier candidate) and terminal a
-    (ny, nx) array; the boundary closure is homogeneous.
+    mu is the TimeField source (the multiplier candidate) and terminal the
+    (ny, nx) terminal mismatch y_nt - y_d; the slice p_nt starts from is
+    terminal + dt K^{-1} M mu_nt.  The boundary closure is homogeneous.
     """
     terminal = _check(mesh, op, terminal, "terminal")
     sources = (mesh.dt * (mesh.w_space * mu.values)).reshape(mesh.nt + 1, -1)
+    if np.any(sources[-1]):
+        _, factor = op.step_kit()
+        terminal = terminal + _solve(factor, sources[-1].copy()).reshape(terminal.shape)
     p = _march(op, terminal, sources[-2::-1])
     return TimeField(mesh, p[::-1].reshape(mesh.nt + 1, mesh.ny, mesh.nx))

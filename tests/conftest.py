@@ -28,8 +28,9 @@ def make_random_spec(rng, nx=5, ny=4, nt=3, T=0.8, psi_level=None):
         mesh, lambda x, y: rng.uniform(-0.3, 0.3) * np.cos(np.pi * x) + 0.0 * y)
     if psi_level is None:
         psi_level = rng.uniform(0.3, 0.9)
+    # the bump is cut off at the obstacle, so y0 <= psi(., 0) holds
     return ProblemSpec(
-        mesh, DiffusionCoefficients.unit(mesh), y0, y_d,
+        mesh, DiffusionCoefficients.unit(mesh), np.minimum(y0, psi_level), y_d,
         TimeField.constant(mesh, psi_level),
         alpha=rng.uniform(0.5, 2.0), beta=1.0,
         bounds=ControlBounds.constant(mesh, -1.0, 1.0),

@@ -95,6 +95,15 @@ def test_run_terminates_on_tolerance(sec5_spec):
     assert last.feas <= config.eps2 and last.compl <= config.eps2
 
 
+def test_initial_slice_does_not_drive_the_outer_loop(sec5_spec):
+    # y0 touches psi at the centre; the initial slice carries no multiplier,
+    # so mu0 = 10 there cannot hold the residual up and force rho increases
+    trace = alm_run(sec5_spec, AlmConfig(mu0=10.0))
+    assert trace.termination == "tolerance_met"
+    assert all(row.rho == 1.0 for row in trace.rows)
+    assert np.all(trace.final_result.mu_bar.values[0] == 0.0)
+
+
 def test_run_unconstrained_single_success():
     mesh = build_mesh(5, 5, 4, 1.0, 1.0, 1.0)
     spec = build_unconstrained_decay(mesh)

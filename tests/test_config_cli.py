@@ -281,6 +281,19 @@ def test_run_command_exit_1_on_bad_config(tmp_path, capsys):
     assert "max_outer" in capsys.readouterr().err
 
 
+def test_run_rejects_initial_state_above_obstacle(tmp_path, capsys):
+    # the sec5 initial bump reaches 1 at the centre, above psi = 0.5
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.cfg", [
+        "problem.preset = paper_example_sec5",
+        "problem.psi = 0.5",
+        f"run.output_dir = {out}",
+    ])
+    assert main(["run", "--config", cfg]) == 1
+    assert "y0 must not exceed psi(., 0)" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
 def test_run_command_exit_1_on_missing_config():
     assert main(["run", "--config", "/no/such/file.cfg"]) == 1
 
@@ -397,6 +410,20 @@ def test_sweep_summary_quotes_an_error_with_a_comma(tmp_path):
     assert [len(r) for r in rows] == [5, 5, 5]
     assert rows[1] == ["1.5", "0", "nan", "nan", "error: alm.tau must lie in (0,1), got 1.5"]
     assert rows[2][4] == "tolerance_met"
+
+
+def test_rejected_sweep_value_gets_no_job_directory(tmp_path):
+    cfg = write_config(tmp_path / "c.cfg", [
+        "problem.preset = paper_example_sec5",
+        f"run.output_dir = {tmp_path / 'out'}",
+    ])
+    assert main(["sweep", "--config", cfg, "--param", "tau", "--values", "0.5,1.5"]) == 1
+    outdir = tmp_path / "out_sweep"
+    assert sorted(p.name for p in outdir.iterdir()) == ["summary.csv", "tau_0.5"]
+    assert (outdir / "tau_0.5" / "trace.csv").exists()
+    with open(outdir / "summary.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[2] == ["1.5", "0", "nan", "nan", "error: alm.tau must lie in (0,1), got 1.5"]
 
 
 def test_failed_sweep_job_leaves_its_partial_trace(tmp_path, monkeypatch):

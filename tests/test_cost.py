@@ -108,7 +108,8 @@ def test_lagrangian_at_zero_multiplier_dominates_cost(unit_mesh):
         L = augmented_lagrangian(spec, y, u, None, mu0, 2.0)
         J = cost_J(spec, y, u)
         assert L >= J - 1e-12
-        feasible = np.all(y.values <= spec.psi.values)
+        # the penalty charges the slices m = 1..nt
+        feasible = np.all(y.values[1:] <= spec.psi.values[1:])
         assert (abs(L - J) <= 1e-12) == feasible
 
 
@@ -126,7 +127,10 @@ def test_multiplier_candidate_hand_value(unit_mesh):
     psi = TimeField.zeros(unit_mesh)
     y = TimeField.constant(unit_mesh, -1.0)
     mu = TimeField.constant(unit_mesh, 10.0)
-    assert np.all(multiplier_candidate(y, psi, mu, 2.0).values == 8.0)
+    out = multiplier_candidate(y, psi, mu, 2.0).values
+    assert np.all(out[1:] == 8.0)
+    # the initial slice is data and carries no multiplier
+    assert np.all(out[0] == 0.0)
 
 
 def test_multiplier_candidate_fixed_point_on_contact(unit_mesh):
@@ -134,7 +138,8 @@ def test_multiplier_candidate_fixed_point_on_contact(unit_mesh):
     y = TimeField.constant(unit_mesh, 0.7)
     mu = TimeField.constant(unit_mesh, 10.0)
     for rho in (0.1, 1.0, 50.0):
-        assert np.all(multiplier_candidate(y, psi, mu, rho).values == 10.0)
+        out = multiplier_candidate(y, psi, mu, rho).values
+        assert np.all(out[1:] == 10.0) and np.all(out[0] == 0.0)
 
 
 def test_multiplier_candidate_nonnegative_random(unit_mesh):
@@ -201,15 +206,16 @@ def test_kkt_matches_bruteforce_recomputation(unit_mesh):
     mu_bar = TimeField(unit_mesh, np.abs(rng.standard_normal(shape)))
     res = kkt_residuals(spec, y, u, None, p, mu_bar)
 
-    # independent recomputation with explicit node loops
+    # independent recomputation with explicit node loops over the unknown
+    # slices m = 1..nt, right-endpoint rule in time
     m = unit_mesh
     stat2 = 0.0
     compl2 = 0.0
     feas2 = 0.0
-    for k in range(m.nt + 1):
+    for k in range(1, m.nt + 1):
         for j in range(m.ny):
             for i in range(m.nx):
-                w = m.w_time[k] * m.w_space[j, i]
+                w = m.dt * m.w_space[j, i]
                 target = min(max(-p.values[k, j, i] / spec.alpha, -1.0), 1.0)
                 stat2 += w * (u.values[k, j, i] - target) ** 2
                 compl2 += w * mu_bar.values[k, j, i] * (spec.psi.values[k, j, i] - y.values[k, j, i])
@@ -233,11 +239,11 @@ def test_kkt_boundary_stationarity_matches_bruteforce(unit_mesh):
     res = kkt_residuals(spec, TimeField.zeros(m), TimeField.zeros(m), v, p,
                         TimeField.zeros(m))
     stat2 = 0.0
-    for k in range(m.nt + 1):
+    for k in range(1, m.nt + 1):
         for b in range(m.n_boundary):
             pb = p.values[k, m.boundary_j[b], m.boundary_i[b]]
             target = min(max(-pb / spec.beta, -0.5), 0.5)
-            stat2 += m.w_time[k] * m.w_arc[b] * (v.values[k, b] - target) ** 2
+            stat2 += m.dt * m.w_arc[b] * (v.values[k, b] - target) ** 2
     assert res.stationarity_v == pytest.approx(np.sqrt(stat2), rel=1e-12)
 
 
@@ -267,3 +273,23 @@ def test_problem_spec_validation(unit_mesh):
                     np.zeros((2, 2)), np.zeros(unit_mesh.shape_space),
                     TimeField.constant(unit_mesh, 1.0), 1.0, 1.0,
                     ControlBounds.constant(unit_mesh, -1.0, 1.0))
+
+
+def test_problem_spec_rejects_initial_state_above_obstacle(unit_mesh):
+    # y0 = 1 + bump, worst at the centre node (i, j) = (2, 2); psi(., 0) = 1
+    bump = np.zeros(unit_mesh.shape_space)
+    bump[2, 2] = 0.5
+    bump[1, 2] = 0.25
+    with pytest.raises(ValueError, match=r"y0 must not exceed psi\(\., 0\): it does by "
+                                         r"0\.5 at worst, at node i=2, j=2 \(x=0\.5, y=0\.5\)"):
+        ProblemSpec(unit_mesh, DiffusionCoefficients.unit(unit_mesh), 1.0 + bump,
+                    np.zeros(unit_mesh.shape_space), TimeField.constant(unit_mesh, 1.0),
+                    1.0, 1.0, ControlBounds.constant(unit_mesh, -1.0, 1.0))
+    # only psi(., 0) constrains y0: a later dip below it is the solver's business
+    psi = np.full((unit_mesh.nt + 1,) + unit_mesh.shape_space, 1.0)
+    psi[1:] = -1.0
+    spec = ProblemSpec(unit_mesh, DiffusionCoefficients.unit(unit_mesh),
+                       np.ones(unit_mesh.shape_space), np.zeros(unit_mesh.shape_space),
+                       TimeField(unit_mesh, psi), 1.0, 1.0,
+                       ControlBounds.constant(unit_mesh, -1.0, 1.0))
+    assert np.all(spec.y0 == 1.0)

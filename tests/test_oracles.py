@@ -77,13 +77,16 @@ def test_adjoint_identity_closed_form_control_term():
 
 
 def test_adjoint_identity_fully_active_penalty():
-    # y far above the obstacle everywhere keeps the penalty on its smooth
-    # quadratic branch; the finite-difference agreement must survive
+    # y far above the obstacle on every penalized slice (m = 1..nt) keeps the
+    # penalty on its smooth quadratic branch; the finite-difference agreement
+    # must survive.  psi(., 0) = 1 keeps the initial state compatible.
     from almpde.cost import ProblemSpec
     mesh = build_mesh(6, 5, 5, 1.0, 1.0, 0.5)
     base = build_unconstrained_decay(mesh)
+    psi = np.full((mesh.nt + 1,) + mesh.shape_space, -10.0)
+    psi[0] = 1.0
     spec = ProblemSpec(mesh, base.coeffs, base.y0, base.y_d,
-                       TimeField.constant(mesh, -10.0), alpha=1.0, beta=1.0,
+                       TimeField(mesh, psi), alpha=1.0, beta=1.0,
                        bounds=base.bounds)
     rep = adjoint_identity_check(spec=spec, seed=5)
     assert rep.passed and rep.error <= 1e-6

@@ -125,8 +125,9 @@ def test_adjoint_constant_source_ramps_backward(unit_mesh):
     op = unit_op(unit_mesh)
     p = solve_adjoint(unit_mesh, op, TimeField.constant(unit_mesh, 1.5),
                       np.zeros(unit_mesh.shape_space))
+    # the terminal correction dt K^{-1} M mu_nt adds one step's source
     for m in range(unit_mesh.nt + 1):
-        assert np.abs(p.values[m] - 1.5 * (unit_mesh.nt - m) * unit_mesh.dt).max() <= 1e-12
+        assert np.abs(p.values[m] - 1.5 * (unit_mesh.nt - m + 1) * unit_mesh.dt).max() <= 1e-12
 
 
 def test_adjoint_terminal_assignment(unit_mesh):
@@ -138,9 +139,9 @@ def test_adjoint_terminal_assignment(unit_mesh):
 
 
 def test_discrete_adjoint_transpose_identity():
-    # <q, du>_dtM over steps equals <w, dy>_dtM over interior slices plus the
-    # terminal pairing in the (M + dt A) inner product; both sides evaluated
-    # with independent loops
+    # <q, du>_dtM over steps equals <w, dy>_dtM over the slices m = 1..nt plus
+    # the terminal pairing in the (M + dt A) inner product; both sides
+    # evaluated with independent loops
     rng = np.random.default_rng(7)
     m = build_mesh(7, 6, 5, 1.3, 0.9, 0.7)
     op = assemble_operator(m, DiffusionCoefficients(m, 1.5, 0.8))
@@ -152,7 +153,7 @@ def test_discrete_adjoint_transpose_identity():
     lhs = m.dt * sum(np.sum(m.w_space * q.values[k] * du.values[k])
                      for k in range(1, m.nt + 1))
     rhs = m.dt * sum(np.sum(m.w_space * w.values[k] * dy.values[k])
-                     for k in range(1, m.nt))
+                     for k in range(1, m.nt + 1))
     rhs += np.sum(terminal * (m.w_space * dy.values[-1] + m.dt * op.apply(dy.values[-1])))
     assert abs(lhs - rhs) / max(abs(lhs), 1e-30) <= 1e-8
 
