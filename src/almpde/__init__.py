@@ -3,9 +3,10 @@
 The state equation y_t + A y = u with flux boundary control is discretized
 by implicit Euler on a uniform rectangle grid; the pointwise constraint
 y <= psi enters through a smooth quadratic penalty whose multiplier is
-updated only on outer iterations that sufficiently reduce the combined
-feasibility/complementarity residual.  Sub-problems are solved by successive
-approximations with pointwise Hamiltonian minimization.
+updated only on outer iterations whose sub-problem solve converged and
+sufficiently reduced the combined feasibility/complementarity residual.
+Sub-problems are solved by damped steps toward the pointwise Hamiltonian
+minimizer, with a Barzilai-Borwein step and Armijo backtracking.
 """
 
 from .grid import (Mesh, TimeField, BoundaryTimeField, ControlBounds,

@@ -1,12 +1,19 @@
 """Outer augmented Lagrangian loop with success-gated multiplier updates.
 
 Each outer iteration solves the sub-problem at the current (rho, mu),
-computes the residual index R_k, and declares the step successful when
-R_k <= tau * R+, R+ being the residual of the last successful step (before
-the first one, the large R+_0 = r_plus0).  Success adopts the multiplier
-candidate, takes R_k as the new R+ and keeps rho; failure keeps mu and R+
-and grows rho by the factor gamma.  The loop stops at the first success
-with R+ <= eps2 or at the iteration cap.
+computes the residual index R_k, and declares the step successful when the
+inner solve converged and R_k <= tau * R+, R+ being the residual of the last
+successful step (before the first one, the large R+_0 = r_plus0).  Success
+adopts the multiplier candidate, takes R_k as the new R+ and keeps rho;
+failure keeps mu and R+ and grows rho by the factor gamma.  The loop stops
+at the first success with R+ <= eps2 or at the iteration cap.
+
+So "tolerance_met" certifies the whole discrete KKT system: feasibility and
+complementarity through R <= eps2, and stationarity through the converged
+inner solve.  That solve stops on the sup norm of u - clip(-p/alpha) over
+m = 1..nt, at most msa.eps1, so the L2 residuals `kkt_residuals` reports
+obey stat_u <= eps1 sqrt(|Omega| T) and, with boundary control,
+stat_v <= eps1 sqrt(|boundary| T), |boundary| the perimeter.
 
 Between iterations the loop carries only an AlmState (mu, rho, R+ and the
 success and iteration counts n, k).  Each iteration leaves one AlmTraceRow,
@@ -126,7 +133,7 @@ def alm_step(spec, state, warm_controls, config):
     R_k = residual_index(result.y, spec.psi, result.mu_bar)
     if not np.isfinite(R_k):
         raise RuntimeError(f"non-finite residual index at outer iteration {state.k + 1}")
-    success = R_k <= config.tau * state.R_plus
+    success = result.converged and R_k <= config.tau * state.R_plus
     if success:
         new_state = replace(state, mu=result.mu_bar, R_plus=R_k, n=state.n + 1, k=state.k + 1)
     else:

@@ -66,26 +66,30 @@ class ProblemSpec:
         return self._op
 
 
-def _omega_sum(mesh, values):
-    """Right-endpoint space-time integral of values over m = 1..nt."""
-    return mesh.dt * float(np.einsum("mji,ji->", values[1:], mesh.w_space))
+def omega_inner(mesh, a, b):
+    """Right-endpoint space-time integral of a * b over m = 1..nt, for value
+    arrays of TimeFields; the product is never formed as a field."""
+    return mesh.dt * float(np.einsum("mji,mji,ji->", a[1:], b[1:], mesh.w_space))
 
 
-def _sigma_sum(mesh, values):
-    """Right-endpoint boundary space-time integral of values over m = 1..nt."""
-    return mesh.dt * float(np.sum(values[1:] @ mesh.w_arc))
+def sigma_inner(mesh, a, b):
+    """Right-endpoint boundary space-time integral of a * b over m = 1..nt,
+    for value arrays of BoundaryTimeFields."""
+    return mesh.dt * float(np.einsum("mk,mk,k->", a[1:], b[1:], mesh.w_arc))
 
 
 def _control_cost(spec, u, v):
-    cost = 0.5 * spec.alpha * _omega_sum(spec.mesh, u.values * u.values)
+    cost = 0.5 * spec.alpha * omega_inner(spec.mesh, u.values, u.values)
     if v is not None:
-        cost += 0.5 * spec.beta * _sigma_sum(spec.mesh, v.values * v.values)
+        cost += 0.5 * spec.beta * sigma_inner(spec.mesh, v.values, v.values)
     return cost
 
 
-def _penalty(spec, y, mu, rho):
-    shifted = np.maximum(rho * (y.values - spec.psi.values) + mu.values, 0.0)
-    return _omega_sum(spec.mesh, shifted * shifted - mu.values * mu.values) / (2.0 * rho)
+def _penalty(spec, mu_bar, mu, rho):
+    """1/(2 rho) integral((rho (y - psi) + mu)_+^2 - mu^2), from the
+    multiplier candidate mu_bar of y."""
+    return (omega_inner(spec.mesh, mu_bar.values, mu_bar.values)
+            - omega_inner(spec.mesh, mu.values, mu.values)) / (2.0 * rho)
 
 
 def cost_J(spec, y, u, v=None):
@@ -100,7 +104,8 @@ def augmented_lagrangian(spec, y, u, v, mu, rho):
         raise ValueError(f"penalty parameter must be positive, got rho={rho}")
     if np.any(mu.values < 0):
         raise ValueError("multiplier estimate must be nonnegative")
-    return cost_J(spec, y, u, v) + _penalty(spec, y, mu, rho)
+    return cost_J(spec, y, u, v) + _penalty(spec, multiplier_candidate(y, spec.psi, mu, rho),
+                                            mu, rho)
 
 
 def multiplier_candidate(y, psi, mu, rho):
@@ -121,7 +126,7 @@ def _feasibility(y, psi):
 
 def _complementarity(y, psi, mu_bar):
     """| integral mu_bar (psi - y) | over m = 1..nt."""
-    return abs(_omega_sum(y.mesh, mu_bar.values * (psi.values - y.values)))
+    return abs(omega_inner(y.mesh, mu_bar.values, psi.values - y.values))
 
 
 def residual_index(y, psi, mu_bar):
@@ -151,18 +156,18 @@ def kkt_residuals(spec, y, u, v, p, mu_bar):
     """
     mesh, b = spec.mesh, spec.bounds
     du = u.values - np.clip(-p.values / spec.alpha, b.ua.values, b.ub.values)
-    stat_u = np.sqrt(_omega_sum(mesh, du * du))
+    stat_u = np.sqrt(omega_inner(mesh, du, du))
     if spec.boundary_control_enabled and v is not None:
         pb = extract_boundary(p).values
         dv = v.values - np.clip(-pb / spec.beta, b.va.values, b.vb.values)
-        stat_v = np.sqrt(_sigma_sum(mesh, dv * dv))
+        stat_v = np.sqrt(sigma_inner(mesh, dv, dv))
     else:
         stat_v = 0.0
     return KktResiduals(stat_u, stat_v, _feasibility(y, spec.psi),
                         _complementarity(y, spec.psi, mu_bar))
 
 
-def subproblem_objective(spec, rho, mu, u, v=None, y=None):
+def subproblem_objective(spec, rho, mu, u, v=None, y=None, mu_bar=None):
     """The discrete functional minimized by the inner solvers.
 
     It is L_rho, with its right-endpoint rule over m = 1..nt for the control
@@ -171,12 +176,15 @@ def subproblem_objective(spec, rho, mu, u, v=None, y=None):
     sweep of `solve_adjoint` (terminal slice e + dt K^{-1} M mu_bar_nt,
     source mu_bar) yields the exact gradient dt * M (alpha u_m + p_m) for
     m = 1..nt, which is what makes the pointwise clamp -p/alpha an exact
-    stationarity condition.
+    stationarity condition.  y and mu_bar, the state and multiplier
+    candidate of the controls, are computed when not given.
     """
     op = spec.operator()
     if y is None:
         y = solve_forward(spec.mesh, op, u, v, spec.y0)
+    if mu_bar is None:
+        mu_bar = multiplier_candidate(y, spec.psi, mu, rho)
     e = y.values[-1] - spec.y_d
     val = 0.5 * float(np.sum(spec.mesh.w_space * e * e)) + 0.5 * spec.mesh.dt * float(
         np.sum(e * op.apply(e)))
-    return val + _control_cost(spec, u, v) + _penalty(spec, y, mu, rho)
+    return val + _control_cost(spec, u, v) + _penalty(spec, mu_bar, mu, rho)

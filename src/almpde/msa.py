@@ -1,24 +1,51 @@
-"""Successive-approximation solver for the penalized sub-problems.
+"""Spectral projected-gradient solver for the penalized sub-problems.
 
-The forward state solve, the multiplier candidate and the backward adjoint
-solve are evaluated once at the initial controls and again after each
-pointwise control update, so every iteration starts from the adjoint of its
-controls and the returned (y, mu_bar, p) belong to the returned controls.
-Because the Hamiltonian densities
+The sub-problem at (rho, mu) minimizes Phi = `cost.subproblem_objective`
+over the controls in their box.  The adjoint p of the controls gives its
+exact gradient, dt M (alpha u + p) on the slices m = 1..nt and
+dt W (beta v + p) on the boundary (W the arc-length weights).  Because the
+Hamiltonian densities
 
     H_omega = alpha/2 u^2 + 1/(2 rho) ((rho (y - psi) + mu)_+^2 - mu^2) + p u
     H_sigma = beta/2 v^2 + p v
 
 are strictly convex quadratics in the controls, the pointwise minimizer over
-a box is the closed-form clamp -p/alpha (resp. -p/beta).  The update takes a
-damped step toward it (the extended-MSA view of Li, Chen, Tai & E, JMLR 18,
+a box is the closed-form clamp -p/alpha (resp. -p/beta).  Each update takes
+a damped step toward it (the extended-MSA view of Li, Chen, Tai & E, JMLR 18,
 2018):
 
-    u <- clip((1 - step) u - step (p / alpha), ua, ub)
+    u(theta) = clip((1 - theta) u - theta (p / alpha), ua, ub)
 
-with one parameter step in (0, 1].  The full step is exactly the clamp; a
-shorter one is a projected-gradient step of length step/alpha on H_omega.
-Iteration stops when the sup-norm control gap falls below eps1.
+and likewise v with beta, one theta for both.  theta = 1 is exactly the
+clamp; a shorter step is a projected-gradient step of length theta/alpha
+(theta/beta for v), so u(theta) is the projection arc along the gradient
+preconditioned by alpha dt M (beta dt W).  theta is chosen in every
+iteration, as in
+the spectral projected-gradient method of Birgin, Martinez & Raydan (SIAM J.
+Optim. 10, 2000):
+
+- The first trial is the Barzilai-Borwein ratio <s, s> / <s, change of
+  gradient> of the last accepted step s, in that scaled metric, kept in
+  [THETA_MIN, 1]; the first iteration tries 1.  Phi is convex, so the ratio
+  does not exceed 1 but by rounding.
+- A trial is accepted when it passes the Armijo test
+  Phi(u(theta)) <= Phi(u) + SIGMA <grad Phi, u(theta) - u>; otherwise theta
+  is halved (BACKTRACK).  Each trial costs one forward sweep, and only the
+  accepted one is followed by an adjoint sweep.
+
+Iteration stops when the stationarity residual
+
+    sup over m = 1..nt of |u - clip(-p/alpha, ua, ub)|, and the same for v,
+
+is at most eps1.  It is tested with the adjoint of the current controls
+before each update, so a stationary start costs one forward and one adjoint
+sweep.  The loop also stops, unconverged and without raising, after
+max_inner accepted updates or when no theta >= THETA_MIN passes the Armijo
+test.
+
+In the MsaResult, (y, mu_bar, p) belong to the returned controls,
+inner_iters counts the accepted updates, final_gap is the stationarity
+residual of the returned controls and converged is final_gap <= eps1.
 
 Only the slices m = 1..nt of the controls are unknowns: the implicit-Euler
 step m uses u_m and v_m, and nothing uses u_0, v_0.  They are set once to
@@ -31,31 +58,39 @@ import numpy as np
 
 from .grid import (TimeField, BoundaryTimeField, extract_boundary,
                    project_interval)
-from .cost import multiplier_candidate
+from .cost import multiplier_candidate, omega_inner, sigma_inner, subproblem_objective
 from .solvers import solve_forward, solve_adjoint
 
 
 class MsaDivergenceError(RuntimeError):
-    """Inner iteration produced non-finite values."""
+    """A sweep of the inner iteration produced non-finite values.
+
+    `iteration` k names the sweeps at the controls after k - 1 accepted
+    updates: 1 for the initial controls, k + 1 for the trials of update k.
+    """
 
     def __init__(self, iteration, message):
         self.iteration = iteration
         super().__init__(f"inner solver diverged at iteration {iteration}: {message}")
 
 
+# Armijo fraction of the predicted decrease, smallest step tried, and the
+# factor a rejected step is cut by.
+SIGMA = 1e-4
+THETA_MIN = 1e-10
+BACKTRACK = 0.5
+
+
 @dataclass
 class MsaConfig:
     eps1: float = 1e-4
     max_inner: int = 500
-    step: float = 1.0
 
     def __post_init__(self):
         if self.eps1 <= 0:
             raise ValueError(f"eps1 must be positive, got {self.eps1}")
         if self.max_inner < 1:
             raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
-        if not 0 < self.step <= 1:
-            raise ValueError(f"step must lie in (0,1], got {self.step}")
         require_finite_fields(self)
 
 
@@ -123,31 +158,45 @@ def _initial_control(init, zero, lo, hi):
     return type(zero)(zero.mesh, values)
 
 
-def _damped_clamp(x, p, weight, lo, hi, step):
-    """clip((1 - step) x - step (p / weight), lo, hi) on m = 1..nt, and x's
+def _damped_clamp(x, p, weight, lo, hi, theta):
+    """clip((1 - theta) x - theta (p / weight), lo, hi) on m = 1..nt, and x's
     slice 0; a field like x.
 
-    At step = 1 this is bit for bit clip(-p / weight): 0 * x - p / weight
+    At theta = 1 this is bit for bit clip(-p / weight): 0 * x - p / weight
     differs from -p / weight at most in the sign of a zero.  The equal-looking
-    x - step (x + p / weight) is not exact there.
+    x - theta (x + p / weight) is not exact there.
     """
-    values = np.clip((1.0 - step) * x.values - step * (p.values / weight),
+    values = np.clip((1.0 - theta) * x.values - theta * (p.values / weight),
                      lo.values, hi.values)
     values[0] = x.values[0]
     return type(x)(x.mesh, values)
 
 
-def _sup_diff(a, b):
-    return float(np.max(np.abs(a.values - b.values)))
+def _stationarity(x, p, weight, lo, hi):
+    """sup over m = 1..nt of |x - clip(-p / weight, lo, hi)|."""
+    r = np.clip(-p.values[1:] / weight, lo.values[1:], hi.values[1:])
+    r -= x.values[1:]
+    return float(np.max(np.abs(r, out=r)))
+
+
+def _step_products(inner, x, x_new, p, weight):
+    """(weight <s, s>, <weight x + p, s>, <p, s>) for the step s = x_new - x,
+    <,> being the control's integral `inner`: the step's squared length in
+    the scaled metric, the derivative of Phi along it, and the part of that
+    derivative the next adjoint changes."""
+    s = x_new.values - x.values
+    ps = inner(x.mesh, p.values, s)
+    return np.array([weight * inner(x.mesh, s, s),
+                     weight * inner(x.mesh, x.values, s) + ps, ps])
 
 
 def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None):
-    """Solve the sub-problem at (rho, mu) by successive approximations.
+    """Solve the sub-problem at (rho, mu) by spectral projected gradient.
 
     Controls start from init_u/init_v (projected into the admissible box;
     zero when omitted) on m = 1..nt and from the projection of 0 on m = 0.
-    Non-convergence within max_inner is reported through the converged flag,
-    not an exception.
+    Non-convergence, at max_inner or in the line search, is reported
+    through the converged flag, not an exception.
     """
     if config is None:
         config = MsaConfig()
@@ -159,33 +208,62 @@ def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None):
     u = _initial_control(init_u, TimeField.zeros(mesh), b.ua, b.ub)
     v = _initial_control(init_v, BoundaryTimeField.zeros(mesh), b.va, b.vb)
 
-    y = mu_bar = p = None
-
-    def evaluate(iteration):
-        """Recompute (y, mu_bar, p) at the controls inner iteration `iteration`
-        updates.  Rebinding them, not returning new ones, frees each old field
-        as soon as its replacement exists: one field fewer held at peak."""
-        nonlocal y, mu_bar, p
+    def state(u, v, iteration):
+        """(y, mu_bar, Phi) at the controls (u, v)."""
         try:
             y = solve_forward(mesh, op, u, v if with_v else None, spec.y0)
             mu_bar = multiplier_candidate(y, spec.psi, mu, rho)
-            p = solve_adjoint(mesh, op, mu_bar, y.values[-1] - spec.y_d)
+        except ValueError as exc:
+            raise MsaDivergenceError(iteration, str(exc)) from exc
+        return y, mu_bar, subproblem_objective(spec, rho, mu, u, v if with_v else None,
+                                               y=y, mu_bar=mu_bar)
+
+    def adjoint(y, mu_bar, iteration):
+        try:
+            return solve_adjoint(mesh, op, mu_bar, y.values[-1] - spec.y_d)
         except ValueError as exc:
             raise MsaDivergenceError(iteration, str(exc)) from exc
 
-    evaluate(1)
-    for i in range(1, config.max_inner + 1):
-        u_new = _damped_clamp(u, p, spec.alpha, b.ua, b.ub, config.step)
-        v_new = (_damped_clamp(v, extract_boundary(p), spec.beta, b.va, b.vb, config.step)
-                 if with_v else v)
-        gap = _sup_diff(u_new, u)
+    y, mu_bar, phi = state(u, v, 1)
+    p = adjoint(y, mu_bar, 1)
+    theta, updates = 1.0, 0
+    while True:
+        pb = extract_boundary(p) if with_v else None
+        gap = _stationarity(u, p, spec.alpha, b.ua, b.ub)
         if with_v:
-            gap = max(gap, _sup_diff(v_new, v))
-        if not np.isfinite(gap):
-            raise MsaDivergenceError(i, "non-finite control gap")
-        u, v = u_new, v_new
-        evaluate(i + 1)
-        if gap <= config.eps1:
+            gap = max(gap, _stationarity(v, pb, spec.beta, b.va, b.vb))
+        if gap <= config.eps1 or updates == config.max_inner:
             break
+        # The trials need the room of the current state and multiplier (the
+        # last accepted trial's, under their other names); they are
+        # recomputed if no trial is accepted.
+        y = mu_bar = y_new = mu_bar_new = None
+        while theta >= THETA_MIN:
+            u_new = _damped_clamp(u, p, spec.alpha, b.ua, b.ub, theta)
+            step = _step_products(omega_inner, u, u_new, p, spec.alpha)
+            v_new = v
+            if with_v:
+                v_new = _damped_clamp(v, pb, spec.beta, b.va, b.vb, theta)
+                step += _step_products(sigma_inner, v, v_new, pb, spec.beta)
+            ss, slope, sp = step
+            y_new, mu_bar_new, phi_new = state(u_new, v_new, updates + 2)
+            if phi_new <= phi + SIGMA * slope:
+                break
+            y_new = mu_bar_new = None
+            theta *= BACKTRACK
+        else:
+            y, mu_bar, phi = state(u, v, updates + 1)
+            break
+        y, mu_bar, phi = y_new, mu_bar_new, phi_new
+        p = pb = None                   # freed before the adjoint sweep
+        p = adjoint(y, mu_bar, updates + 2)
+        # <s, change of gradient> in the scaled metric; <s, p> of the old p
+        # was taken while it was alive
+        sy = ss - sp + omega_inner(mesh, p.values, u_new.values - u.values)
+        if with_v:
+            sy += sigma_inner(mesh, extract_boundary(p).values, v_new.values - v.values)
+        u, v = u_new, v_new
+        updates += 1
+        theta = min(1.0, max(THETA_MIN, ss / sy)) if sy > 0 else 1.0
     return MsaResult(y=y, u=u, v=v, p=p, mu_bar=mu_bar,
-                     inner_iters=i, final_gap=gap, converged=gap <= config.eps1)
+                     inner_iters=updates, final_gap=gap, converged=gap <= config.eps1)

@@ -200,7 +200,7 @@ def projected_gradient_oracle(spec, rho, mu, iters=100000, lr=1e-3):
 
     Uses its own Cholesky-factorized dense solves of the CSR assembly and
     plain pointwise gradient steps u <- clip(u - lr (alpha u + p)), so it
-    shares neither the banded step factor nor the fixed-point update with
+    shares neither the banded step factor nor the update rule with
     msa_solve.  The problem is written out here again: the unknowns are the
     controls on m = 1..nt (u_0 and v_0 stay at the projection of 0), the
     penalty charges the states y_1..y_nt with the right-endpoint rule, and

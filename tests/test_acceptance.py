@@ -7,7 +7,6 @@ import time
 from functools import lru_cache
 
 import numpy as np
-import pytest
 
 from almpde.grid import build_mesh, TimeField
 from almpde.operators import DiffusionCoefficients, assemble_operator
@@ -30,7 +29,8 @@ def verdict(num, label, ok=True):
 
 def test_criterion_1_obstacle_example_converges():
     """Built-in obstacle example on the h = dt = 0.25 grid reaches the
-    stopping tolerance with a contracting success subsequence."""
+    stopping tolerance with a contracting success subsequence, at a
+    stationary point with the optimal cost."""
     t0 = time.time()
     mesh = build_mesh(5, 5, 4, 1.0, 1.0, 1.0)
     spec = build_paper_example_sec5(mesh)
@@ -45,8 +45,11 @@ def test_criterion_1_obstacle_example_converges():
     last = trace.rows[-1]
     assert last.feas <= 1e-4
     assert last.compl <= 1e-4
+    assert last.stat_u <= 1e-4
+    assert abs(last.J - 0.033051) <= 1e-4
     assert elapsed <= 60.0
-    verdict(1, f"obstacle example: R+ -> {Rs[-1]:.1e} in k={last.k} ({elapsed:.1f}s)")
+    verdict(1, f"obstacle example: R+ -> {Rs[-1]:.1e} in k={last.k}, stat_u {last.stat_u:.1e}, "
+               f"J {last.J:.6f} ({elapsed:.1f}s)")
 
 
 def test_criterion_2_solver_validated_against_cosine_modes():
@@ -111,44 +114,30 @@ def test_criterion_4_oracle_equivalence_rho_1():
     verdict(4, f"rho=1 argmin-vs-oracle control gap {diff:.1e}, cost excess {cost_m - cost_o:.1e}")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the plain argmin fixed-point update is unstable at this penalty "
-           "strength: its linearized loop gain on this instance is ~3.3 > 1 "
-           "(measured; it scales like 0.4*rho), so the iterate two-cycles "
-           "instead of converging.  The damped update (step 0.25) solves the "
-           "same sub-problem; see the rho=8 companion test below.")
 def test_criterion_4_oracle_equivalence_rho_8_exact_argmin():
-    """Literal criterion: pointwise-argmin inner solver at penalty 8."""
-    _, diff, cost_m, cost_o = _oracle_match(8.0, MsaConfig(eps1=1e-9, max_inner=300))
-    ok = diff <= 1e-3 and cost_m <= cost_o + 1e-6
-    verdict(4, f"rho=8 argmin-vs-oracle control gap {diff:.1e}", ok)
-    assert diff <= 1e-3
-    assert cost_m <= cost_o + 1e-6
-
-
-def test_criterion_4_oracle_equivalence_rho_8_projected_gradient():
-    """Companion check: the sub-problem at penalty 8 is solved to oracle
-    agreement by the damped update, a projected-gradient step of length
-    step/alpha."""
-    res, diff, cost_m, cost_o = _oracle_match(8.0, MsaConfig(eps1=1e-12, max_inner=300,
-                                                             step=0.25))
+    """The inner solver agrees with the dense oracle at penalty 8, where the
+    plain pointwise-argmin update two-cycles (its linearized loop gain on
+    this instance is ~3.3 > 1): the line search, started from the argmin,
+    shortens the steps the clamp would overshoot with."""
+    res, diff, cost_m, cost_o = _oracle_match(8.0, MsaConfig(eps1=1e-9, max_inner=300))
+    ok = res.converged and diff <= 1e-3 and cost_m <= cost_o + 1e-6
+    verdict(4, f"rho=8 argmin-vs-oracle control gap {diff:.1e} "
+               f"in {res.inner_iters} inner iterations", ok)
     assert res.converged
     assert diff <= 1e-3
     assert cost_m <= cost_o + 1e-6
-    verdict(4, f"rho=8 damped-step-vs-oracle control gap {diff:.1e} "
-               f"in {res.inner_iters} inner iterations")
 
 
 def test_criterion_5_branch_semantics():
     """Penalty scaling, multiplier sign, and success contraction hold exactly
-    on randomized runs."""
+    on randomized runs.  The inner solves converge, so a failure takes a
+    demanding contraction factor: tau is drawn from (0.05, 0.3)."""
     total_success = total_failure = 0
     for seed in range(6):
         rng = np.random.default_rng(seed)
         spec = make_random_spec(rng)
         config = AlmConfig(rho0=rng.uniform(0.5, 2.0), mu0=rng.uniform(0.0, 5.0),
-                           tau=rng.uniform(0.5, 0.95), gamma=rng.uniform(1.5, 3.0),
+                           tau=rng.uniform(0.05, 0.3), gamma=rng.uniform(1.5, 3.0),
                            eps2=1e-8, max_outer=10, msa=MsaConfig(max_inner=60))
         state = AlmState.initial(spec.mesh, config)
         warm = (None, None)

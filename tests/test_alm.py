@@ -39,6 +39,26 @@ def test_failure_branch_scales_rho_and_keeps_mu(sec5_spec, unit_mesh):
     assert np.array_equal(new_state.mu.values, state.mu.values)
 
 
+def test_unconverged_subproblem_takes_the_failure_branch(sec5_spec, unit_mesh):
+    # one inner update cannot meet eps1 = 1e-12, so the residual test passes
+    # but the step fails: rho grows, mu is kept, and no run of such steps
+    # reports tolerance_met
+    config = AlmConfig(mu0=1.0, gamma=2.0, max_outer=4,
+                       msa=MsaConfig(eps1=1e-12, max_inner=1))
+    state = AlmState.initial(unit_mesh, config)
+    result, R, success, new_state = alm_step(sec5_spec, state, (None, None), config)
+    assert not result.converged
+    assert R <= config.tau * state.R_plus
+    assert not success
+    assert new_state.rho == 2.0 * state.rho
+    assert new_state.n == 0
+    assert np.array_equal(new_state.mu.values, state.mu.values)
+    trace = alm_run(sec5_spec, config)
+    assert trace.termination == "max_outer"
+    assert [row.rho for row in trace.rows] == [1.0, 2.0, 4.0, 8.0]
+    assert not any(row.success for row in trace.rows)
+
+
 def test_success_adopts_multiplier(sec5_spec, unit_mesh):
     config = AlmConfig(mu0=10.0)
     state = AlmState.initial(unit_mesh, config)
@@ -50,13 +70,14 @@ def test_success_adopts_multiplier(sec5_spec, unit_mesh):
 
 def test_branch_semantics_randomized():
     # penalty scaling, multiplier sign, and success contraction on random
-    # problems; both branches must occur across the seeds
+    # problems; both branches must occur across the seeds.  The inner solves
+    # converge, so failures come from the demanding tau in (0.05, 0.3).
     total_success = total_failure = 0
     for seed in range(6):
         rng = np.random.default_rng(seed)
         spec = make_random_spec(rng)
         config = AlmConfig(rho0=rng.uniform(0.5, 2.0), mu0=rng.uniform(0.0, 5.0),
-                           tau=rng.uniform(0.5, 0.95), gamma=rng.uniform(1.5, 3.0),
+                           tau=rng.uniform(0.05, 0.3), gamma=rng.uniform(1.5, 3.0),
                            eps2=1e-8, max_outer=10, msa=MsaConfig(max_inner=60))
         state = AlmState.initial(spec.mesh, config)
         warm = (None, None)
@@ -102,6 +123,33 @@ def test_initial_slice_does_not_drive_the_outer_loop(sec5_spec):
     assert trace.termination == "tolerance_met"
     assert all(row.rho == 1.0 for row in trace.rows)
     assert np.all(trace.final_result.mu_bar.values[0] == 0.0)
+
+
+def run_config(tmp_path, lines):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(line + "\n" for line in lines))
+    return alm_run(*build_run(parse_config(str(cfg))))
+
+
+def test_boundary_demo_with_costly_interior_control_is_stationary(tmp_path):
+    # with alpha = 3 and beta = 0.3 the plain clamp sent v back and forth
+    # between its bounds; the inner solve now converges and the run ends
+    # stationary
+    trace = run_config(tmp_path, ["problem.preset = boundary_control_demo",
+                                  "problem.alpha = 3", "problem.beta = 0.3"])
+    assert trace.termination == "tolerance_met"
+    last = trace.rows[-1]
+    assert last.stat_u <= 1e-4 and last.stat_v <= 1e-4
+
+
+def test_paper_preset_from_a_small_multiplier_keeps_rho(tmp_path):
+    # from mu0 = 1 the plain clamp never converged, so rho doubled on every
+    # outer iteration; converged inner solves are accepted at rho = 1
+    trace = run_config(tmp_path, ["problem.preset = paper_example_sec5", "alm.mu0 = 1"])
+    assert trace.termination == "tolerance_met"
+    assert len(trace.rows) <= 5
+    assert all(row.rho == 1.0 for row in trace.rows)
+    assert trace.rows[-1].stat_u <= 1e-4
 
 
 def test_run_unconstrained_single_success():

@@ -39,7 +39,7 @@ def test_minimal_preset_config_applies_defaults(sec5_config):
     spec, alm = build_run(config)
     assert spec.alpha == 1.0
     assert not spec.boundary_control_enabled
-    assert alm.msa.step == 1.0
+    assert alm.msa == MsaConfig()
 
 
 def test_tau_validation_message(tmp_path):
@@ -80,20 +80,14 @@ def test_max_outer_zero_rejected(tmp_path):
         parse_config(path)
 
 
-def test_msa_step_is_passed_on_and_range_checked(tmp_path):
+def test_msa_step_is_an_unknown_key(tmp_path):
+    # the inner solver chooses its own step
     path = write_config(tmp_path / "step.cfg", [
         "problem.preset = paper_example_sec5",
         "msa.step = 0.25",
     ])
-    _, alm = build_run(parse_config(path))
-    assert alm.msa.step == 0.25
-    for bad in ("0", "1.5", "nan"):
-        path = write_config(tmp_path / "bad.cfg", [
-            "problem.preset = paper_example_sec5",
-            f"msa.step = {bad}",
-        ])
-        with pytest.raises(ConfigError, match=r"msa.step must lie in \(0,1\]"):
-            parse_config(path)
+    with pytest.raises(ConfigError, match=r":2: unknown key 'msa.step'"):
+        parse_config(path)
 
 
 # key -> (config text, field value), each unlike the dataclass and preset defaults
@@ -107,7 +101,6 @@ SOLVER_SETTINGS = {
     "alm.max_outer": ("7", 7),
     "msa.eps1": ("1e-7", 1e-7),
     "msa.max_inner": ("11", 11),
-    "msa.step": ("0.25", 0.25),
 }
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from almpde.msa import (MsaConfig, MsaDivergenceError, msa_solve,
                         hamiltonian_omega, hamiltonian_sigma,
                         argmin_hamiltonian_u, argmin_hamiltonian_v,
                         grad_hamiltonian_u, grad_hamiltonian_v)
-from almpde.cost import ProblemSpec, multiplier_candidate
+from almpde.cost import ProblemSpec, multiplier_candidate, subproblem_objective
 from almpde.solvers import solve_forward, solve_adjoint
 from almpde.operators import DiffusionCoefficients
 from almpde.presets import (build_unconstrained_decay, build_boundary_control_demo,
@@ -139,21 +140,43 @@ def test_grad_u_matches_finite_differences(unit_mesh):
 
 # ------------------------------------------------------------- msa_solve
 
+def count_sweeps(monkeypatch):
+    """Route msa's sweeps through recorders; returns the list of
+    ("forward", u, v) and ("adjoint", None, None) entries, in call order."""
+    calls = []
+
+    def forward(mesh, op, u, v, y0):
+        calls.append(("forward", u, v))
+        return solve_forward(mesh, op, u, v, y0)
+
+    def adjoint(*args):
+        calls.append(("adjoint", None, None))
+        return solve_adjoint(*args)
+
+    monkeypatch.setattr(msa, "solve_forward", forward)
+    monkeypatch.setattr(msa, "solve_adjoint", adjoint)
+    return calls
+
+
 def test_msa_inactive_obstacle_converges_immediately():
     mesh = build_mesh(5, 5, 4, 1.0, 1.0, 1.0)
     spec = build_unconstrained_decay(mesh)
     res = msa_solve(spec, 1.0, TimeField.zeros(mesh))
-    # y_d is the free-decay terminal, so p = 0 and u = 0 is a fixed point
-    assert res.converged and res.inner_iters == 1 and res.final_gap == 0.0
+    # y_d is the free-decay terminal, so p = 0 and u = 0 is stationary: the
+    # residual test passes before any update
+    assert res.converged and res.inner_iters == 0 and res.final_gap == 0.0
     assert np.all(res.u.values == 0.0)
 
 
-def test_msa_fixed_point_init_terminates_one_iteration():
+def test_msa_fixed_point_init_terminates_one_iteration(monkeypatch):
+    # a stationary start costs one forward and one adjoint sweep
     mesh = build_mesh(5, 5, 4, 1.0, 1.0, 1.0)
     spec = build_unconstrained_decay(mesh)
+    calls = count_sweeps(monkeypatch)
     res = msa_solve(spec, 1.0, TimeField.zeros(mesh),
                     init_u=TimeField.zeros(mesh))
-    assert res.converged and res.inner_iters == 1 and res.final_gap == 0.0
+    assert res.converged and res.inner_iters == 0 and res.final_gap == 0.0
+    assert [name for name, _, _ in calls] == ["forward", "adjoint"]
 
 
 def test_msa_converges_from_nonstationary_init():
@@ -186,28 +209,65 @@ def test_msa_projects_out_of_bounds_init(sec5_spec, unit_mesh):
 
 
 def test_msa_nonconvergence_is_nonfatal(sec5_spec, unit_mesh):
-    # the plain argmin update two-cycles at this penalty strength; the result
-    # must still be finite, in bounds, and flagged unconverged
+    # at this penalty strength the solve needs about 13 updates to reach
+    # eps1 = 1e-6; stopped at max_inner = 5 the result must still be finite,
+    # in bounds, and flagged unconverged
     mu = TimeField.constant(unit_mesh, 10.0)
-    res = msa_solve(sec5_spec, 8.0, mu, config=MsaConfig(eps1=1e-6, max_inner=50))
+    res = msa_solve(sec5_spec, 8.0, mu, config=MsaConfig(eps1=1e-6, max_inner=5))
     assert not res.converged
-    assert res.inner_iters == 50
+    assert res.inner_iters == 5
     assert np.isfinite(res.final_gap)
     assert np.all(np.abs(res.u.values) <= 1.0)
 
 
-def test_msa_projected_gradient_mode(sec5_spec, unit_mesh):
-    # a short step is projected gradient on H_omega with step length step/alpha
+def test_line_search_failure_is_nonfatal(sec5_spec, unit_mesh, monkeypatch):
+    # no step lowers a constant objective: every trial fails the Armijo test,
+    # theta is halved from 1 down to THETA_MIN, and the solve stops where it
+    # started, unconverged, with the state of the controls it returns
+    monkeypatch.setattr(msa, "subproblem_objective", lambda *args, **kwargs: 0.0)
+    calls = count_sweeps(monkeypatch)
     mu = TimeField.constant(unit_mesh, 10.0)
-    res = msa_solve(sec5_spec, 1.0, mu, config=MsaConfig(eps1=1e-5, max_inner=5000, step=1e-2))
+    res = msa_solve(sec5_spec, 8.0, mu)
+    trials = int(np.floor(np.log2(1.0 / msa.THETA_MIN))) + 1
+    assert [name for name, _, _ in calls] == ["forward", "adjoint"] + ["forward"] * (trials + 1)
+    assert not res.converged and res.inner_iters == 0 and res.final_gap > 1e-4
+    assert np.all(res.u.values == 0.0)
+    y = solve_forward(unit_mesh, sec5_spec.operator(), res.u, None, sec5_spec.y0)
+    assert np.array_equal(res.y.values, y.values)
+    assert np.array_equal(res.mu_bar.values,
+                          multiplier_candidate(y, sec5_spec.psi, mu, 8.0).values)
+
+
+def test_msa_projected_gradient_mode(sec5_spec, unit_mesh, monkeypatch):
+    # at rho = 8 the plain clamp two-cycles.  The loop starts from the clamp,
+    # and every update it accepts (the trial followed by an adjoint sweep)
+    # lowers the sub-problem objective: it is a descent method on Phi.
+    mu, rho = TimeField.constant(unit_mesh, 10.0), 8.0
+    op = sec5_spec.operator()
+    y = solve_forward(unit_mesh, op, TimeField.zeros(unit_mesh), None, sec5_spec.y0)
+    p = solve_adjoint(unit_mesh, op, multiplier_candidate(y, sec5_spec.psi, mu, rho),
+                      y.values[-1] - sec5_spec.y_d)
+    calls = count_sweeps(monkeypatch)
+    res = msa_solve(sec5_spec, rho, mu, config=MsaConfig(eps1=1e-5))
     assert res.converged
     assert np.all(np.abs(res.u.values) <= 1.0)
 
+    first_trial = calls[2][1].values
+    clamp = argmin_hamiltonian_u(p, sec5_spec.alpha, sec5_spec.bounds).values
+    assert np.all(first_trial[1:] == clamp[1:])
+    accepted = [u for (name, u, _), (after, _, _) in zip(calls, calls[1:])
+                if name == "forward" and after == "adjoint"]
+    assert len(accepted) == res.inner_iters + 1
+    assert np.array_equal(accepted[-1].values, res.u.values)
+    phi = [subproblem_objective(sec5_spec, rho, mu, u) for u in accepted]
+    assert all(b < a for a, b in zip(phi, phi[1:]))
 
-def test_full_step_is_the_hamiltonian_clamp():
+
+def test_full_step_is_the_hamiltonian_clamp(monkeypatch):
     # boundary demo with both controls on and weights other than 1; the init
     # is non-zero and in bounds, since from u = v = 0 every algebraically
-    # equal form of the damped step gives the clamp exactly
+    # equal form of the damped step gives the clamp exactly.  The first
+    # trial of the loop is the full step.
     demo = build_boundary_control_demo(build_mesh(9, 9, 8, 1.0, 1.0, 0.5))
     mesh, b = demo.mesh, demo.bounds
     spec = ProblemSpec(mesh, demo.coeffs, demo.y0, demo.y_d, demo.psi,
@@ -223,8 +283,9 @@ def test_full_step_is_the_hamiltonian_clamp():
                       y.values[-1] - spec.y_d)
     pb = extract_boundary(p)
 
-    full = msa_solve(spec, rho, mu, init_u=u0, init_v=v0,
-                     config=MsaConfig(max_inner=1, step=1.0))
+    calls = count_sweeps(monkeypatch)
+    msa_solve(spec, rho, mu, init_u=u0, init_v=v0, config=MsaConfig(max_inner=1))
+    _, full_u, full_v = calls[2]
     u_star = argmin_hamiltonian_u(p, spec.alpha, b).values
     v_star = argmin_hamiltonian_v(pb, spec.beta, b).values
     # some nodes of each control are interior, so the test is not only of clip
@@ -232,28 +293,28 @@ def test_full_step_is_the_hamiltonian_clamp():
     assert np.any((v_star > b.va.values) & (v_star < b.vb.values))
     # the update covers the unknown slices m = 1..nt; slice 0 stays at the
     # projection of 0
-    assert np.all(full.u.values[1:] == u_star[1:])
-    assert np.all(full.v.values[1:] == v_star[1:])
-    assert np.all(full.u.values[0] == 0.0) and np.all(full.v.values[0] == 0.0)
+    assert np.all(full_u.values[1:] == u_star[1:])
+    assert np.all(full_v.values[1:] == v_star[1:])
+    assert np.all(full_u.values[0] == 0.0) and np.all(full_v.values[0] == 0.0)
 
+    # a shorter trial step is a projected-gradient step of length theta / alpha
     theta = 0.3
-    damped = msa_solve(spec, rho, mu, init_u=u0, init_v=v0,
-                       config=MsaConfig(max_inner=1, step=theta))
+    damped_u = msa._damped_clamp(u0, p, spec.alpha, b.ua, b.ub, theta)
+    damped_v = msa._damped_clamp(v0, pb, spec.beta, b.va, b.vb, theta)
     u_pg = np.clip(u0.values - (theta / spec.alpha) * (spec.alpha * u0.values + p.values),
                    b.ua.values, b.ub.values)
     v_pg = np.clip(v0.values - (theta / spec.beta) * (spec.beta * v0.values + pb.values),
                    b.va.values, b.vb.values)
-    assert np.abs(damped.u.values[1:] - u_pg[1:]).max() <= 1e-14
-    assert np.abs(damped.v.values[1:] - v_pg[1:]).max() <= 1e-14
-    assert np.abs(damped.u.values[1:] - u_star[1:]).max() > 1e-3
+    assert np.abs(damped_u.values[1:] - u_pg[1:]).max() <= 1e-14
+    assert np.abs(damped_v.values[1:] - v_pg[1:]).max() <= 1e-14
+    assert np.abs(damped_u.values[1:] - u_star[1:]).max() > 1e-3
 
 
 def test_terminal_slice_penalty_lowers_the_terminal_violation():
     # an instance active at t = T: from rest the target sin(pi x) sin(pi y)
     # lies above psi = 0.3, and the cheap controls overshoot psi only on the
     # last slices.  The penalty charges y_nt, so raising rho pulls it down.
-    # (Without a penalty on y_nt the violation fell by 3% from rho = 1 to 16;
-    # the step 0.1 two-cycles at rho = 16, so the step is 0.05.)
+    # (Without a penalty on y_nt the violation fell by 3% from rho = 1 to 16.)
     mesh = build_mesh(9, 9, 8, 1.0, 1.0, 1.0)
     spec = ProblemSpec(mesh, DiffusionCoefficients.unit(mesh), np.zeros(mesh.shape_space),
                        space_slice_from_function(
@@ -262,7 +323,7 @@ def test_terminal_slice_penalty_lowers_the_terminal_violation():
                        bounds=ControlBounds.constant(mesh, -10.0, 10.0))
     violation = []
     for rho in (1.0, 4.0, 16.0):
-        res = msa_solve(spec, rho, TimeField.zeros(mesh), config=MsaConfig(step=0.05))
+        res = msa_solve(spec, rho, TimeField.zeros(mesh), config=MsaConfig())
         assert res.converged
         violation.append(float(np.max(np.maximum(res.y.values[-1] - 0.3, 0.0))))
     assert violation[0] > violation[1] > violation[2]
@@ -270,9 +331,10 @@ def test_terminal_slice_penalty_lowers_the_terminal_violation():
 
 
 def test_msa_solve_holds_no_extra_field_at_peak():
-    # one space-time field at 65 x 65 x 64 is 2.1 MiB; an inner iteration
-    # peaks at about 8.06 of them (16.89 MiB), so one more field held at peak
-    # would show as 18.99 MiB
+    # one space-time field at 65 x 65 x 64 is 2.1 MiB and the bound is about
+    # 8 of them.  The loop peaks at about 7.1 (14.83 MiB): during a trial's
+    # forward sweep it holds u, p and the trial u, not the current y and
+    # mu_bar, and during the adjoint sweep it holds no old p.
     mesh = build_mesh(65, 65, 64, 1.0, 1.0, 1.0)
     spec = build_paper_example_sec5(mesh)
     spec.operator()
@@ -292,14 +354,13 @@ def test_msa_config_validation():
         MsaConfig(eps1=0.0)
     with pytest.raises(ValueError):
         MsaConfig(max_inner=0)
-    for step in (0.0, -0.5, 1.5, float("nan")):
-        with pytest.raises(ValueError, match="step"):
-            MsaConfig(step=step)
     with pytest.raises(ValueError, match="^eps1 must be finite$"):
         MsaConfig(eps1=np.inf)
-    # nan fails the range check first and keeps its message
-    with pytest.raises(ValueError, match=r"^step must lie in \(0,1\], got nan$"):
-        MsaConfig(step=np.nan)
+    # nan passes the range check and fails the finiteness check
+    with pytest.raises(ValueError, match="^eps1 must be finite$"):
+        MsaConfig(eps1=np.nan)
+    # the step is chosen by the solver, not configured
+    assert [f.name for f in fields(MsaConfig)] == ["eps1", "max_inner"]
 
 
 def test_final_evaluation_error_is_a_divergence(sec5_spec, unit_mesh, monkeypatch):
