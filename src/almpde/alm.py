@@ -15,9 +15,12 @@ m = 1..nt, at most msa.eps1, so the L2 residuals `kkt_residuals` reports
 obey stat_u <= eps1 sqrt(|Omega| T) and, with boundary control,
 stat_v <= eps1 sqrt(|boundary| T), |boundary| the perimeter.
 
-Between iterations the loop carries only an AlmState (mu, rho, R+ and the
-success and iteration counts n, k).  Each iteration leaves one AlmTraceRow,
-whose fields are the columns of trace.csv.
+Between iterations the loop carries an AlmState (mu, rho, R+ and the
+success and iteration counts n, k) and the last MsaResult, which starts the
+next sub-problem: its controls are the warm start and its y is their state,
+so every outer iteration after the first saves one forward sweep.  Each
+iteration leaves one AlmTraceRow, whose fields are the columns of
+trace.csv; its L_rho takes the multiplier candidate from the result.
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -121,15 +124,15 @@ class AlmTrace:
         return [r for r in self.rows if r.success]
 
 
-def alm_step(spec, state, warm_controls, config):
+def alm_step(spec, state, warm, config):
     """One outer iteration: sub-problem solve, residual test, update.
 
-    Returns (MsaResult, R_k, success, new AlmState).  The input state is not
-    modified.
+    warm is the MsaResult of the previous outer iteration, or None for the
+    first: its controls start the sub-problem, and its state y is theirs,
+    so the solve skips its first forward sweep.  Returns (MsaResult, R_k,
+    success, new AlmState).  The input state is not modified.
     """
-    warm_u, warm_v = warm_controls
-    result = msa_solve(spec, state.rho, state.mu, init_u=warm_u, init_v=warm_v,
-                       config=config.msa)
+    result = msa_solve(spec, state.rho, state.mu, config=config.msa, warm=warm)
     R_k = residual_index(result.y, spec.psi, result.mu_bar)
     if not np.isfinite(R_k):
         raise RuntimeError(f"non-finite residual index at outer iteration {state.k + 1}")
@@ -148,21 +151,19 @@ def alm_run(spec, config, on_row=None):
     (used by the CLI to flush partial traces).
     """
     state = AlmState.initial(spec.mesh, config)
-    warm = (None, None)
     rows = []
     final_result = None
     termination = "max_outer"
     for _ in range(config.max_outer):
         rho_k, mu_k = state.rho, state.mu
-        result, R_k, success, state = alm_step(spec, state, warm, config)
+        result, R_k, success, state = alm_step(spec, state, final_result, config)
         kkt = kkt_residuals(spec, result.y, result.u, result.v, result.p, result.mu_bar)
+        v = result.v if spec.boundary_control_enabled else None
         row = AlmTraceRow(
             k=state.k, n=state.n, rho=rho_k, R=R_k, success=success,
-            J=cost_J(spec, result.y, result.u,
-                     result.v if spec.boundary_control_enabled else None),
-            L_rho=augmented_lagrangian(spec, result.y, result.u,
-                                       result.v if spec.boundary_control_enabled else None,
-                                       mu_k, rho_k),
+            J=cost_J(spec, result.y, result.u, v),
+            L_rho=augmented_lagrangian(spec, result.y, result.u, v, mu_k, rho_k,
+                                       mu_bar=result.mu_bar),
             feas=kkt.feasibility, compl=kkt.complementarity,
             stat_u=kkt.stationarity_u, stat_v=kkt.stationarity_v,
             inner_iters=result.inner_iters, final_gap=result.final_gap)
@@ -170,7 +171,6 @@ def alm_run(spec, config, on_row=None):
         if on_row is not None:
             on_row(row)
         final_result = result
-        warm = (result.u, result.v)
         if success and R_k <= config.eps2:
             termination = "tolerance_met"
             break

@@ -60,22 +60,34 @@ class ProblemSpec:
         self._op = None
 
     def operator(self):
-        from .operators import assemble_operator
+        """The operator of the coefficients (`DiffusionCoefficients.operator`):
+        problems built on one coefficients object share it and its factor."""
         if self._op is None:
-            self._op = assemble_operator(self.mesh, self.coeffs)
+            self._op = self.coeffs.operator(self.mesh)
         return self._op
+
+
+def _dot(a, b):
+    """The sum of a * b over all entries of two arrays of one shape.
+
+    A BLAS dot would be faster on the smallest grids, but the first BLAS call
+    of a process adds about 0.15 MB to its resident set; numpy's own
+    reduction does not.
+    """
+    return float(np.add.reduce(np.multiply(a, b), axis=None))
 
 
 def omega_inner(mesh, a, b):
     """Right-endpoint space-time integral of a * b over m = 1..nt, for value
-    arrays of TimeFields; the product is never formed as a field."""
-    return mesh.dt * float(np.einsum("mji,mji,ji->", a[1:], b[1:], mesh.w_space))
+    arrays of TimeFields: the weighted dot product of the space weights with
+    the time sums of a * b, so the product is never formed as a field."""
+    return mesh.dt * _dot(mesh.w_space, np.einsum("mji,mji->ji", a[1:], b[1:]))
 
 
 def sigma_inner(mesh, a, b):
     """Right-endpoint boundary space-time integral of a * b over m = 1..nt,
     for value arrays of BoundaryTimeFields."""
-    return mesh.dt * float(np.einsum("mk,mk,k->", a[1:], b[1:], mesh.w_arc))
+    return mesh.dt * _dot(mesh.w_arc, np.einsum("mk,mk->k", a[1:], b[1:]))
 
 
 def _control_cost(spec, u, v):
@@ -85,11 +97,15 @@ def _control_cost(spec, u, v):
     return cost
 
 
-def _penalty(spec, mu_bar, mu, rho):
+def multiplier_square(mesh, mu):
+    """integral mu^2 over m = 1..nt, the penalty's constant part."""
+    return omega_inner(mesh, mu.values, mu.values)
+
+
+def _penalty(mesh, mu_bar, mu_sq, rho):
     """1/(2 rho) integral((rho (y - psi) + mu)_+^2 - mu^2), from the
-    multiplier candidate mu_bar of y."""
-    return (omega_inner(spec.mesh, mu_bar.values, mu_bar.values)
-            - omega_inner(spec.mesh, mu.values, mu.values)) / (2.0 * rho)
+    multiplier candidate mu_bar of y and mu_sq = `multiplier_square(mu)`."""
+    return (omega_inner(mesh, mu_bar.values, mu_bar.values) - mu_sq) / (2.0 * rho)
 
 
 def cost_J(spec, y, u, v=None):
@@ -98,14 +114,20 @@ def cost_J(spec, y, u, v=None):
     return 0.5 * float(np.sum(spec.mesh.w_space * e * e)) + _control_cost(spec, u, v)
 
 
-def augmented_lagrangian(spec, y, u, v, mu, rho):
-    """J plus the quadratic state-constraint penalty at multiplier mu."""
+def augmented_lagrangian(spec, y, u, v, mu, rho, mu_bar=None):
+    """J plus the quadratic state-constraint penalty at multiplier mu.
+
+    mu_bar, the multiplier candidate of y at (rho, mu), is computed when not
+    given.
+    """
     if rho <= 0:
         raise ValueError(f"penalty parameter must be positive, got rho={rho}")
     if np.any(mu.values < 0):
         raise ValueError("multiplier estimate must be nonnegative")
-    return cost_J(spec, y, u, v) + _penalty(spec, multiplier_candidate(y, spec.psi, mu, rho),
-                                            mu, rho)
+    if mu_bar is None:
+        mu_bar = multiplier_candidate(y, spec.psi, mu, rho)
+    return cost_J(spec, y, u, v) + _penalty(spec.mesh, mu_bar,
+                                            multiplier_square(spec.mesh, mu), rho)
 
 
 def multiplier_candidate(y, psi, mu, rho):
@@ -114,9 +136,12 @@ def multiplier_candidate(y, psi, mu, rho):
     It is zero on m = 0: the initial slice is data, not an unknown, so it
     carries no multiplier.
     """
-    values = np.maximum(rho * (y.values - psi.values) + mu.values, 0.0)
+    values = y.values - psi.values
+    values *= rho
+    values += mu.values
+    np.maximum(values, 0.0, out=values)
     values[0] = 0.0
-    return TimeField(y.mesh, values)
+    return TimeField._wrap(y.mesh, values)
 
 
 def _feasibility(y, psi):
@@ -147,6 +172,13 @@ class KktResiduals:
     complementarity: float
 
 
+def _projection_residual(x, p, weight, lo, hi):
+    """x - clip(-p / weight, lo, hi), built in one array."""
+    r = p / -weight
+    np.clip(r, lo, hi, out=r)
+    return np.subtract(x, r, out=r)
+
+
 def kkt_residuals(spec, y, u, v, p, mu_bar):
     """Residuals of the original first-order optimality system.
 
@@ -155,11 +187,11 @@ def kkt_residuals(spec, y, u, v, p, mu_bar):
     the two summands of the residual index.
     """
     mesh, b = spec.mesh, spec.bounds
-    du = u.values - np.clip(-p.values / spec.alpha, b.ua.values, b.ub.values)
+    du = _projection_residual(u.values, p.values, spec.alpha, b.ua.values, b.ub.values)
     stat_u = np.sqrt(omega_inner(mesh, du, du))
     if spec.boundary_control_enabled and v is not None:
-        pb = extract_boundary(p).values
-        dv = v.values - np.clip(-pb / spec.beta, b.va.values, b.vb.values)
+        dv = _projection_residual(v.values, extract_boundary(p).values, spec.beta,
+                                  b.va.values, b.vb.values)
         stat_v = np.sqrt(sigma_inner(mesh, dv, dv))
     else:
         stat_v = 0.0
@@ -167,7 +199,7 @@ def kkt_residuals(spec, y, u, v, p, mu_bar):
                         _complementarity(y, spec.psi, mu_bar))
 
 
-def subproblem_objective(spec, rho, mu, u, v=None, y=None, mu_bar=None):
+def subproblem_objective(spec, rho, mu, u, v=None, y=None, mu_bar=None, mu_sq=None):
     """The discrete functional minimized by the inner solvers.
 
     It is L_rho, with its right-endpoint rule over m = 1..nt for the control
@@ -177,14 +209,19 @@ def subproblem_objective(spec, rho, mu, u, v=None, y=None, mu_bar=None):
     source mu_bar) yields the exact gradient dt * M (alpha u_m + p_m) for
     m = 1..nt, which is what makes the pointwise clamp -p/alpha an exact
     stationarity condition.  y and mu_bar, the state and multiplier
-    candidate of the controls, are computed when not given.
+    candidate of the controls, and mu_sq = `multiplier_square(mu)` are
+    computed when not given; the inner solver passes all three, so that one
+    evaluation costs no sweep and mu_sq is taken once per sub-problem.
     """
-    op = spec.operator()
+    mesh, op = spec.mesh, spec.operator()
     if y is None:
-        y = solve_forward(spec.mesh, op, u, v, spec.y0)
+        y = solve_forward(mesh, op, u, v, spec.y0)
     if mu_bar is None:
         mu_bar = multiplier_candidate(y, spec.psi, mu, rho)
+    if mu_sq is None:
+        mu_sq = multiplier_square(mesh, mu)
     e = y.values[-1] - spec.y_d
-    val = 0.5 * float(np.sum(spec.mesh.w_space * e * e)) + 0.5 * spec.mesh.dt * float(
-        np.sum(e * op.apply(e)))
-    return val + _control_cost(spec, u, v) + _penalty(spec, mu_bar, mu, rho)
+    # K e = (M + dt A) e, dt A e from the stencil the sweeps step with
+    k_e = op.step_kit().stencil.apply(e.ravel(), np.empty(e.size)).reshape(e.shape)
+    k_e += mesh.w_space * e
+    return 0.5 * _dot(e, k_e) + _control_cost(spec, u, v) + _penalty(mesh, mu_bar, mu_sq, rho)

@@ -102,27 +102,36 @@ def build_mesh(nx, ny, nt, lx, ly, T):
     return Mesh(nx, ny, nt, lx, ly, T)
 
 
-def _freeze(values):
-    arr = np.array(values, dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
-
-
 class _Field:
-    """Immutable float64 samples on a mesh; a subclass gives `shape(mesh)`."""
+    """Immutable float64 samples on a mesh; a subclass gives `shape(mesh)`.
+
+    The constructor copies the values it is given.  `_wrap` is the library's
+    own constructor for a float64 array it has just built and keeps no other
+    reference to: it makes the same checks and freezes that array in place,
+    without the copy.
+    """
 
     __slots__ = ("mesh", "values")
 
     def __init__(self, mesh, values):
-        values = np.asarray(values, dtype=np.float64)
+        self._adopt(mesh, np.array(values, dtype=np.float64))
+
+    @classmethod
+    def _wrap(cls, mesh, values):
+        field = cls.__new__(cls)
+        field._adopt(mesh, values)
+        return field
+
+    def _adopt(self, mesh, values):
         expected = self.shape(mesh)
         if values.shape != expected:
             raise ValueError(f"{type(self).__name__} shape {values.shape} != {expected} "
                              f"for {mesh!r}")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError(f"{type(self).__name__} values must be finite")
+        values.flags.writeable = False
         object.__setattr__(self, "mesh", mesh)
-        object.__setattr__(self, "values", _freeze(values))
+        object.__setattr__(self, "values", values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -175,7 +184,7 @@ def space_slice_from_function(mesh, fn):
 def extract_boundary(f):
     """Restrict a TimeField to the boundary walk."""
     vals = f.values[:, f.mesh.boundary_j, f.mesh.boundary_i]
-    return BoundaryTimeField(f.mesh, vals)
+    return BoundaryTimeField._wrap(f.mesh, vals)
 
 
 def _check_same_mesh(f, g):

@@ -29,8 +29,11 @@ Optim. 10, 2000):
   [THETA_MIN, 1]; the first iteration tries 1.  Phi is convex, so the ratio
   does not exceed 1 but by rounding.
 - A trial is accepted when it passes the Armijo test
-  Phi(u(theta)) <= Phi(u) + SIGMA <grad Phi, u(theta) - u>; otherwise theta
-  is halved (BACKTRACK).  Each trial costs one forward sweep, and only the
+  Phi(u(theta)) <= Phi(u) + SIGMA <grad Phi, u(theta) - u> + ROUNDING |Phi(u)|;
+  otherwise theta is halved (BACKTRACK).  The last term is a few units of
+  rounding of Phi: near the solution the predicted decrease falls below
+  the rounding of Phi itself, and without it the test would reject steps
+  by rounding alone.  Each trial costs one forward sweep, and only the
   accepted one is followed by an adjoint sweep.
 
 Iteration stops when the stationarity residual
@@ -46,6 +49,14 @@ test.
 In the MsaResult, (y, mu_bar, p) belong to the returned controls,
 inner_iters counts the accepted updates, final_gap is the stationarity
 residual of the returned controls and converged is final_gap <= eps1.
+Handed back as `warm`, a result starts the next sub-problem from its
+controls and its state y, so that start costs no forward sweep.
+
+Each quantity is computed once: the target -p/alpha once per adjoint, for
+both the stationarity test and the trials; the three products a trial's
+Armijo test and step length need from one dt-weighted step; integral mu^2
+once per sub-problem.  Phi takes the state and multiplier candidate the loop
+already has, so an evaluation costs no sweep.
 
 Only the slices m = 1..nt of the controls are unknowns: the implicit-Euler
 step m uses u_m and v_m, and nothing uses u_0, v_0.  They are set once to
@@ -58,7 +69,7 @@ import numpy as np
 
 from .grid import (TimeField, BoundaryTimeField, extract_boundary,
                    project_interval)
-from .cost import multiplier_candidate, omega_inner, sigma_inner, subproblem_objective
+from .cost import multiplier_candidate, multiplier_square, subproblem_objective
 from .solvers import solve_forward, solve_adjoint
 
 
@@ -74,11 +85,13 @@ class MsaDivergenceError(RuntimeError):
         super().__init__(f"inner solver diverged at iteration {iteration}: {message}")
 
 
-# Armijo fraction of the predicted decrease, smallest step tried, and the
-# factor a rejected step is cut by.
+# Armijo fraction of the predicted decrease, smallest step tried, the
+# factor a rejected step is cut by, and the rounding allowance of the
+# Armijo test relative to |Phi|.
 SIGMA = 1e-4
 THETA_MIN = 1e-10
 BACKTRACK = 0.5
+ROUNDING = 8.0 * np.finfo(np.float64).eps
 
 
 @dataclass
@@ -158,45 +171,65 @@ def _initial_control(init, zero, lo, hi):
     return type(zero)(zero.mesh, values)
 
 
-def _damped_clamp(x, p, weight, lo, hi, theta):
-    """clip((1 - theta) x - theta (p / weight), lo, hi) on m = 1..nt, and x's
-    slice 0; a field like x.
+def _damped_clamp(x, target, lo, hi, theta):
+    """clip((1 - theta) x + theta target, lo, hi) on m = 1..nt, and x's slice
+    0; a field like x.  target is the value array of -p / weight.
 
-    At theta = 1 this is bit for bit clip(-p / weight): 0 * x - p / weight
-    differs from -p / weight at most in the sign of a zero.  The equal-looking
-    x - theta (x + p / weight) is not exact there.
+    At theta = 1 this is bit for bit clip(target): 0 * x + target differs
+    from target at most in the sign of a zero.  The equal-looking
+    x + theta (target - x) is not exact there.
     """
-    values = np.clip((1.0 - theta) * x.values - theta * (p.values / weight),
-                     lo.values, hi.values)
+    values = (1.0 - theta) * x.values
+    values += theta * target
+    np.clip(values, lo.values, hi.values, out=values)
     values[0] = x.values[0]
-    return type(x)(x.mesh, values)
+    return type(x)._wrap(x.mesh, values)
 
 
-def _stationarity(x, p, weight, lo, hi):
-    """sup over m = 1..nt of |x - clip(-p / weight, lo, hi)|."""
-    r = np.clip(-p.values[1:] / weight, lo.values[1:], hi.values[1:])
+def _stationarity(x, target, lo, hi):
+    """sup over m = 1..nt of |x - clip(target, lo, hi)|, target = -p / weight."""
+    r = np.clip(target[1:], lo.values[1:], hi.values[1:])
     r -= x.values[1:]
     return float(np.max(np.abs(r, out=r)))
 
 
-def _step_products(inner, x, x_new, p, weight):
+def _step_products(x, x_new, weights, weight, p):
     """(weight <s, s>, <weight x + p, s>, <p, s>) for the step s = x_new - x,
-    <,> being the control's integral `inner`: the step's squared length in
-    the scaled metric, the derivative of Phi along it, and the part of that
-    derivative the next adjoint changes."""
+    <,> being the control's integral with the quadrature weights `weights`:
+    the step's squared length in the scaled metric, the derivative of Phi
+    along it, and the part of that derivative the next adjoint changes.
+
+    All three come from one weighted step w s.  The step leaves slice 0
+    alone, so the sums over all slices are sums over m = 1..nt.  Each
+    product is formed in the room of s once s is no longer needed.
+    """
     s = x_new.values - x.values
-    ps = inner(x.mesh, p.values, s)
-    return np.array([weight * inner(x.mesh, s, s),
-                     weight * inner(x.mesh, x.values, s) + ps, ps])
+    ws = s * weights
+    ss = float(np.multiply(ws, s, out=s).sum())
+    xs = float(np.multiply(ws, x.values, out=s).sum())
+    ps = float(np.multiply(ws, p.values, out=s).sum())
+    return np.array([weight * ss, weight * xs + ps, ps])
 
 
-def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None):
+def _step_dot(x, x_new, weights, p):
+    """<p, x_new - x> with the quadrature weights `weights`, formed in the
+    room of the step (the new adjoint's part of the Barzilai-Borwein
+    denominator)."""
+    ws = x_new.values - x.values
+    ws *= weights
+    return float(np.multiply(ws, p.values, out=ws).sum())
+
+
+def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None, warm=None):
     """Solve the sub-problem at (rho, mu) by spectral projected gradient.
 
     Controls start from init_u/init_v (projected into the admissible box;
     zero when omitted) on m = 1..nt and from the projection of 0 on m = 0.
-    Non-convergence, at max_inner or in the line search, is reported
-    through the converged flag, not an exception.
+    warm, an MsaResult of an earlier solve on the same spec, starts instead
+    from its controls and takes its y as their state, which saves the first
+    forward sweep; it excludes init_u/init_v.  Non-convergence, at max_inner
+    or in the line search, is reported through the converged flag, not an
+    exception.
     """
     if config is None:
         config = MsaConfig()
@@ -204,19 +237,31 @@ def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None):
     op = spec.operator()
     b = spec.bounds
     with_v = spec.boundary_control_enabled
+    mu_sq = multiplier_square(mesh, mu)
+    # the dt-weighted quadrature weights of the control integrals
+    kit = op.step_kit()
+    w_u, w_v = kit.mass, kit.arc
 
-    u = _initial_control(init_u, TimeField.zeros(mesh), b.ua, b.ub)
-    v = _initial_control(init_v, BoundaryTimeField.zeros(mesh), b.va, b.vb)
+    if warm is None:
+        u = _initial_control(init_u, TimeField.zeros(mesh), b.ua, b.ub)
+        v = _initial_control(init_v, BoundaryTimeField.zeros(mesh), b.va, b.vb)
+        y = None
+    elif init_u is not None or init_v is not None:
+        raise ValueError("a warm start excludes init_u and init_v")
+    else:
+        u, v, y = warm.u, warm.v, warm.y
 
-    def state(u, v, iteration):
-        """(y, mu_bar, Phi) at the controls (u, v)."""
+    def state(u, v, iteration, y=None):
+        """(y, mu_bar, Phi) at the controls (u, v); y, when given, is their
+        state."""
         try:
-            y = solve_forward(mesh, op, u, v if with_v else None, spec.y0)
+            if y is None:
+                y = solve_forward(mesh, op, u, v if with_v else None, spec.y0)
             mu_bar = multiplier_candidate(y, spec.psi, mu, rho)
         except ValueError as exc:
             raise MsaDivergenceError(iteration, str(exc)) from exc
         return y, mu_bar, subproblem_objective(spec, rho, mu, u, v if with_v else None,
-                                               y=y, mu_bar=mu_bar)
+                                               y=y, mu_bar=mu_bar, mu_sq=mu_sq)
 
     def adjoint(y, mu_bar, iteration):
         try:
@@ -224,14 +269,16 @@ def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None):
         except ValueError as exc:
             raise MsaDivergenceError(iteration, str(exc)) from exc
 
-    y, mu_bar, phi = state(u, v, 1)
+    y, mu_bar, phi = state(u, v, 1, y)
     p = adjoint(y, mu_bar, 1)
     theta, updates = 1.0, 0
     while True:
         pb = extract_boundary(p) if with_v else None
-        gap = _stationarity(u, p, spec.alpha, b.ua, b.ub)
+        q = p.values / -spec.alpha
+        gap = _stationarity(u, q, b.ua, b.ub)
         if with_v:
-            gap = max(gap, _stationarity(v, pb, spec.beta, b.va, b.vb))
+            qb = pb.values / -spec.beta
+            gap = max(gap, _stationarity(v, qb, b.va, b.vb))
         if gap <= config.eps1 or updates == config.max_inner:
             break
         # The trials need the room of the current state and multiplier (the
@@ -239,15 +286,15 @@ def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None):
         # recomputed if no trial is accepted.
         y = mu_bar = y_new = mu_bar_new = None
         while theta >= THETA_MIN:
-            u_new = _damped_clamp(u, p, spec.alpha, b.ua, b.ub, theta)
-            step = _step_products(omega_inner, u, u_new, p, spec.alpha)
+            u_new = _damped_clamp(u, q, b.ua, b.ub, theta)
+            step = _step_products(u, u_new, w_u, spec.alpha, p)
             v_new = v
             if with_v:
-                v_new = _damped_clamp(v, pb, spec.beta, b.va, b.vb, theta)
-                step += _step_products(sigma_inner, v, v_new, pb, spec.beta)
+                v_new = _damped_clamp(v, qb, b.va, b.vb, theta)
+                step += _step_products(v, v_new, w_v, spec.beta, pb)
             ss, slope, sp = step
             y_new, mu_bar_new, phi_new = state(u_new, v_new, updates + 2)
-            if phi_new <= phi + SIGMA * slope:
+            if phi_new <= phi + SIGMA * slope + ROUNDING * abs(phi):
                 break
             y_new = mu_bar_new = None
             theta *= BACKTRACK
@@ -255,13 +302,13 @@ def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None):
             y, mu_bar, phi = state(u, v, updates + 1)
             break
         y, mu_bar, phi = y_new, mu_bar_new, phi_new
-        p = pb = None                   # freed before the adjoint sweep
+        p = pb = q = qb = None          # freed before the adjoint sweep
         p = adjoint(y, mu_bar, updates + 2)
         # <s, change of gradient> in the scaled metric; <s, p> of the old p
         # was taken while it was alive
-        sy = ss - sp + omega_inner(mesh, p.values, u_new.values - u.values)
+        sy = ss - sp + _step_dot(u, u_new, w_u, p)
         if with_v:
-            sy += sigma_inner(mesh, extract_boundary(p).values, v_new.values - v.values)
+            sy += _step_dot(v, v_new, w_v, extract_boundary(p))
         u, v = u_new, v_new
         updates += 1
         theta = min(1.0, max(THETA_MIN, ss / sy)) if sy > 0 else 1.0

@@ -16,9 +16,17 @@ leaves rounding of about 1e-15 on such a slice.
 Every implicit-Euler step solves with the same SPD matrix M + dt A.  In
 row-major node order its nonzeros lie on the diagonal, one row below it
 (x-coupling) and nx rows below it (y-coupling), so it is held as a banded
-Cholesky factor.  The factor and the dt-scaled stencil with its work buffers
-are built together on the first sweep and reused for every later one.
+Cholesky factor.  The factor, the dt-scaled stencil with its work buffers
+and the dt-weighted mass and arc weights the sweeps form their loads with
+are built together on the first sweep (`StepKit`) and reused for every
+later one.
+
+An operator depends only on the mesh and the coefficients, so each
+DiffusionCoefficients object assembles it once (`operator`): every problem
+built on that object shares the operator, its factor included.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,11 +48,22 @@ class DiffusionCoefficients:
         self.theta = float(theta)
         self.a11.flags.writeable = False
         self.a22.flags.writeable = False
+        self._operator = None
 
     @classmethod
     def unit(cls, mesh):
         """Constant-Laplacian preset a11 = a22 = 1."""
         return cls(mesh, 1.0, 1.0)
+
+    def operator(self, mesh):
+        """The DiscreteOperator of these coefficients on `mesh`.
+
+        It is assembled on the first call and returned by every later one.
+        """
+        _check_grid(mesh, self)
+        if self._operator is None:
+            self._operator = assemble_operator(mesh, self)
+        return self._operator
 
 
 class FluxStencil:
@@ -90,13 +109,28 @@ class FluxStencil:
         return out
 
 
+class StepKit(NamedTuple):
+    """What the implicit-Euler sweeps take every step with.
+
+    `stencil` is the dt-scaled FluxStencil with its buffers, `factor` the
+    lower banded Cholesky factor of M + dt A, and `mass` (ny, nx) and `arc`
+    (n_boundary,) the dt-weighted mass and arc-length weights that turn a
+    control into its load.
+    """
+
+    stencil: FluxStencil
+    factor: np.ndarray
+    mass: np.ndarray
+    arc: np.ndarray
+
+
 class DiscreteOperator:
     """5-point flux stencil with Neumann closure.
 
     Holds the edge conductances of the stencil, the diagonal mass weights,
-    and two lazily built companions: the implicit-Euler step kit (the
-    dt-scaled `FluxStencil` with its buffers and the banded Cholesky factor
-    of M + dt A), and a CSR copy of A for whole-matrix checks.
+    and three lazily built companions: the unscaled `FluxStencil` that
+    `apply` uses, the implicit-Euler `StepKit`, and a CSR copy of A for
+    whole-matrix checks.
     """
 
     def __init__(self, mesh, cx, cy):
@@ -107,6 +141,7 @@ class DiscreteOperator:
         for arr in (self.cx, self.cy):
             arr.flags.writeable = False
         self._csr = None
+        self._stencil = None
         self._step_kit = None
 
     @property
@@ -115,20 +150,20 @@ class DiscreteOperator:
 
     def apply(self, f):
         """A f for one spatial slice f of shape (ny, nx)."""
-        f = np.asarray(f, dtype=np.float64)
+        if self._stencil is None:
+            self._stencil = FluxStencil(self.cx, self.cy)
         out = np.empty(self.n)
-        FluxStencil(self.cx, self.cy).apply(f.ravel(), out)
+        self._stencil.apply(np.asarray(f, dtype=np.float64).ravel(), out)
         return out.reshape(self.mesh.shape_space)
 
     def step_kit(self):
-        """(dt-scaled FluxStencil, lower banded Cholesky factor of M + dt A).
-
-        Both are built on the first call and kept; the sweeps take every
-        step with them.
-        """
+        """The StepKit, built on the first call and kept; the sweeps take
+        every step with it."""
         if self._step_kit is None:
-            self._step_kit = (FluxStencil(self.cx, self.cy, self.mesh.dt),
-                              cholesky_banded(self._step_band(), lower=True))
+            dt = self.mesh.dt
+            self._step_kit = StepKit(FluxStencil(self.cx, self.cy, dt),
+                                     cholesky_banded(self._step_band(), lower=True),
+                                     dt * self.mass, dt * self.mesh.w_arc)
         return self._step_kit
 
     def _step_band(self):
@@ -183,8 +218,7 @@ def assemble_operator(mesh, coeffs):
     with the transverse dual-cell width (halved along the boundary rows and
     columns), divided by the edge length.
     """
-    if not coeffs.mesh.compatible(mesh):
-        raise ValueError("coefficient grid does not match mesh")
+    _check_grid(mesh, coeffs)
     nx, ny, hx, hy = mesh.nx, mesh.ny, mesh.hx, mesh.hy
     wx = np.ones(nx)
     wx[0] = wx[-1] = 0.5
@@ -195,3 +229,8 @@ def assemble_operator(mesh, coeffs):
     cx = a11_edge * (hy * wy[:, None]) / hx   # (ny, nx-1)
     cy = a22_edge * (hx * wx[None, :]) / hy   # (ny-1, nx)
     return DiscreteOperator(mesh, cx, cy)
+
+
+def _check_grid(mesh, coeffs):
+    if not coeffs.mesh.compatible(mesh):
+        raise ValueError("coefficient grid does not match mesh")

@@ -43,12 +43,12 @@ def build_unconstrained_decay(mesh):
     """Inactive obstacle (psi = 1e6) with the free-decay terminal as target.
 
     The optimal control is u = 0, so the outer loop finishes in one success
-    with a zero residual.
+    with a zero residual.  The target's sweep and the problem share one
+    operator and its factor.
     """
     coeffs = DiffusionCoefficients.unit(mesh)
-    from .operators import assemble_operator
-    op = assemble_operator(mesh, coeffs)
-    y_free = solve_forward(mesh, op, TimeField.zeros(mesh), None, _sine_bump(mesh))
+    y_free = solve_forward(mesh, coeffs.operator(mesh), TimeField.zeros(mesh), None,
+                           _sine_bump(mesh))
     return ProblemSpec(
         mesh=mesh,
         coeffs=coeffs,

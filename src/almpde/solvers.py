@@ -23,15 +23,21 @@ neighbouring time slice x:
     x_next = x + K^{-1} (s_next - dt A x),
 
 with the sources s = dt (M u + B v) forward and s = dt M mu backward, built
-for all time levels at once.  This is the defect rhs - K x of the equations
+for all time levels at once from the dt-weighted mass and arc weights of the
+operator's `StepKit`.  This is the defect rhs - K x of the equations
 above with the M x terms, which cancel, left out.  dt A x is evaluated in
 difference form (`FluxStencil`), so a constant slice has an exactly zero
 defect and constant states are preserved bit-exactly for any coefficients;
 a plain K^{-1} rhs, or a matrix-form product for dt A x, leaves them off by
 rounding (about 1e-15).  K^{-1} is a solve with the operator's banded
-Cholesky factor.  The stencil, its buffers and the factor are built on the
-operator's first sweep.  The sweeps take dt from the operator, so it must
-have been assembled on the sweep's mesh.
+Cholesky factor.  The step kit (stencil, buffers, factor and weights) is
+built on the operator's first sweep.  The sweeps take dt from the operator,
+so it must have been assembled on the sweep's mesh.
+
+Each sweep writes its slices straight into the array of the field it
+returns (the backward one in reverse time order), and the field takes that
+array over without a copy.  Its finiteness check stays: a sweep that
+overflows raises ValueError.
 """
 
 import numpy as np
@@ -52,21 +58,19 @@ def _solve(factor, rhs):
     return x
 
 
-def _march(op, x0, sources):
+def _march(kit, x0, sources, x):
     """Implicit-Euler steps from the slice x0, one per row of sources.
 
-    sources is (steps, n), in marching order.  Returns the (steps + 1, n)
-    array of x0 and the slices after each step.
+    sources is (steps, n), in marching order; row 0 of the (steps + 1, n)
+    output x gets x0 and row m the slice after step m.
     """
-    stencil, factor = op.step_kit()
-    x = np.empty((len(sources) + 1, stencil.n))
+    stencil, factor = kit.stencil, kit.factor
     x[0] = x0.ravel()
     defect = np.empty(stencil.n)
     for m, s in enumerate(sources, start=1):
         stencil.apply(x[m - 1], out=defect)
         np.subtract(s, defect, out=defect)
         np.add(x[m - 1], _solve(factor, defect), out=x[m])
-    return x
 
 
 def _check(mesh, op, slice_, name):
@@ -85,12 +89,13 @@ def solve_forward(mesh, op, u, v, y0):
     homogeneous Neumann), y0 a (ny, nx) array.  Returns the state TimeField.
     """
     y0 = _check(mesh, op, y0, "initial")
-    load = mesh.w_space * u.values
+    kit = op.step_kit()
+    load = kit.mass * u.values
     if v is not None:
-        load[:, mesh.boundary_j, mesh.boundary_i] += mesh.w_arc * v.values
-    sources = (mesh.dt * load).reshape(mesh.nt + 1, -1)
-    y = _march(op, y0, sources[1:])
-    return TimeField(mesh, y.reshape(mesh.nt + 1, mesh.ny, mesh.nx))
+        load[:, mesh.boundary_j, mesh.boundary_i] += kit.arc * v.values
+    y = np.empty((mesh.nt + 1, mesh.ny * mesh.nx))
+    _march(kit, y0, load.reshape(mesh.nt + 1, -1)[1:], y)
+    return TimeField._wrap(mesh, y.reshape(mesh.nt + 1, mesh.ny, mesh.nx))
 
 
 def solve_adjoint(mesh, op, mu, terminal):
@@ -101,9 +106,10 @@ def solve_adjoint(mesh, op, mu, terminal):
     terminal + dt K^{-1} M mu_nt.  The boundary closure is homogeneous.
     """
     terminal = _check(mesh, op, terminal, "terminal")
-    sources = (mesh.dt * (mesh.w_space * mu.values)).reshape(mesh.nt + 1, -1)
+    kit = op.step_kit()
+    sources = (kit.mass * mu.values).reshape(mesh.nt + 1, -1)
     if np.any(sources[-1]):
-        _, factor = op.step_kit()
-        terminal = terminal + _solve(factor, sources[-1].copy()).reshape(terminal.shape)
-    p = _march(op, terminal, sources[-2::-1])
-    return TimeField(mesh, p[::-1].reshape(mesh.nt + 1, mesh.ny, mesh.nx))
+        terminal = terminal + _solve(kit.factor, sources[-1].copy()).reshape(terminal.shape)
+    p = np.empty_like(sources)
+    _march(kit, terminal, sources[-2::-1], p[::-1])
+    return TimeField._wrap(mesh, p.reshape(mesh.nt + 1, mesh.ny, mesh.nx))

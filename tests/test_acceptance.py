@@ -82,24 +82,24 @@ def test_criterion_3_adjoint_and_gradient_correctness():
     verdict(3, f"adjoint FD error {max(errs):.1e}, Hamiltonian grad FD error {rep.error:.1e}")
 
 
-def _sec5_subproblem():
+def _sec5_subproblem(mu_level=10.0):
     mesh = build_mesh(5, 5, 4, 1.0, 1.0, 1.0)
-    return build_paper_example_sec5(mesh), TimeField.constant(mesh, 10.0)
+    return build_paper_example_sec5(mesh), TimeField.constant(mesh, mu_level)
 
 
 @lru_cache(maxsize=None)
-def _dense_oracle(rho):
+def _dense_oracle(rho, mu_level=10.0):
     """The dense oracle's control and cost at penalty rho, computed once."""
-    spec, mu = _sec5_subproblem()
+    spec, mu = _sec5_subproblem(mu_level)
     u_o, _, cost_o = projected_gradient_oracle(spec, rho, mu, iters=100000, lr=1e-3)
     return u_o, cost_o
 
 
-def _oracle_match(rho, msa_cfg):
+def _oracle_match(rho, msa_cfg, mu_level=10.0):
     """Controls compared on the unknown slices m = 1..nt."""
-    spec, mu = _sec5_subproblem()
+    spec, mu = _sec5_subproblem(mu_level)
     res = msa_solve(spec, rho, mu, config=msa_cfg)
-    u_o, cost_o = _dense_oracle(rho)
+    u_o, cost_o = _dense_oracle(rho, mu_level)
     diff = control_distance(spec.mesh, res.u, u_o)
     cost_m = subproblem_objective(spec, rho, mu, res.u, y=res.y)
     return res, diff, cost_m, cost_o
@@ -112,6 +112,23 @@ def test_criterion_4_oracle_equivalence_rho_1():
     assert diff <= 1e-3
     assert cost_m <= cost_o + 1e-6
     verdict(4, f"rho=1 argmin-vs-oracle control gap {diff:.1e}, cost excess {cost_m - cost_o:.1e}")
+
+
+def test_criterion_4_oracle_equivalence_rho_1_interior_controls():
+    """The same comparison at penalty 1 from the multiplier 1, where the
+    optimal controls lie inside their bounds: at mu = 10 every control on
+    m = 1..nt sits at the bound -1, so that leg compares no interior value."""
+    res, diff, cost_m, cost_o = _oracle_match(1.0, MsaConfig(eps1=1e-9, max_inner=300),
+                                              mu_level=1.0)
+    interior = np.abs(res.u.values[1:]) < 1.0
+    ok = res.converged and interior.any() and diff <= 1e-3 and cost_m <= cost_o + 1e-6
+    verdict(4, f"rho=1 mu=1 argmin-vs-oracle control gap {diff:.1e} with "
+               f"{int(interior.sum())} of {interior.size} controls interior, "
+               f"{res.inner_iters} inner iterations", ok)
+    assert res.converged
+    assert interior.any()
+    assert diff <= 1e-3
+    assert cost_m <= cost_o + 1e-6
 
 
 def test_criterion_4_oracle_equivalence_rho_8_exact_argmin():
@@ -140,12 +157,12 @@ def test_criterion_5_branch_semantics():
                            tau=rng.uniform(0.05, 0.3), gamma=rng.uniform(1.5, 3.0),
                            eps2=1e-8, max_outer=10, msa=MsaConfig(max_inner=60))
         state = AlmState.initial(spec.mesh, config)
-        warm = (None, None)
+        warm = None
         for _ in range(config.max_outer):
             rho_before, mu_before = state.rho, state.mu
             R_plus_before = state.R_plus
             result, R, success, state = alm_step(spec, state, warm, config)
-            warm = (result.u, result.v)
+            warm = result
             assert np.all(state.mu.values >= 0.0)
             if success:
                 total_success += 1

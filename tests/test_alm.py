@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from almpde import operators
+from almpde import msa, operators
 from almpde.config import build_run, parse_config
 from almpde.grid import build_mesh, TimeField
 from almpde.msa import MsaConfig
@@ -22,7 +22,7 @@ def test_first_step_success_when_feasible():
     spec = build_unconstrained_decay(mesh)
     config = AlmConfig(mu0=0.0)
     state = AlmState.initial(mesh, config)
-    result, R, success, new_state = alm_step(spec, state, (None, None), config)
+    result, R, success, new_state = alm_step(spec, state, None, config)
     assert success and R == 0.0
     assert new_state.rho == state.rho
     assert new_state.n == 1 and new_state.k == 1
@@ -32,7 +32,7 @@ def test_failure_branch_scales_rho_and_keeps_mu(sec5_spec, unit_mesh):
     # a tiny R+_0 forces the first residual test to fail
     config = AlmConfig(mu0=10.0, r_plus0=1e-9, gamma=2.0)
     state = AlmState.initial(unit_mesh, config)
-    result, R, success, new_state = alm_step(sec5_spec, state, (None, None), config)
+    result, R, success, new_state = alm_step(sec5_spec, state, None, config)
     assert not success
     assert new_state.rho == 2.0 * state.rho
     assert new_state.n == 0
@@ -46,7 +46,7 @@ def test_unconverged_subproblem_takes_the_failure_branch(sec5_spec, unit_mesh):
     config = AlmConfig(mu0=1.0, gamma=2.0, max_outer=4,
                        msa=MsaConfig(eps1=1e-12, max_inner=1))
     state = AlmState.initial(unit_mesh, config)
-    result, R, success, new_state = alm_step(sec5_spec, state, (None, None), config)
+    result, R, success, new_state = alm_step(sec5_spec, state, None, config)
     assert not result.converged
     assert R <= config.tau * state.R_plus
     assert not success
@@ -62,7 +62,7 @@ def test_unconverged_subproblem_takes_the_failure_branch(sec5_spec, unit_mesh):
 def test_success_adopts_multiplier(sec5_spec, unit_mesh):
     config = AlmConfig(mu0=10.0)
     state = AlmState.initial(unit_mesh, config)
-    result, R, success, new_state = alm_step(sec5_spec, state, (None, None), config)
+    result, R, success, new_state = alm_step(sec5_spec, state, None, config)
     assert success
     assert np.array_equal(new_state.mu.values, result.mu_bar.values)
     assert new_state.R_plus == R
@@ -80,13 +80,13 @@ def test_branch_semantics_randomized():
                            tau=rng.uniform(0.05, 0.3), gamma=rng.uniform(1.5, 3.0),
                            eps2=1e-8, max_outer=10, msa=MsaConfig(max_inner=60))
         state = AlmState.initial(spec.mesh, config)
-        warm = (None, None)
+        warm = None
         for _ in range(config.max_outer):
             rho_before = state.rho
             mu_before = state.mu
             R_plus_before = state.R_plus
             result, R, success, state = alm_step(spec, state, warm, config)
-            warm = (result.u, result.v)
+            warm = result
             assert np.all(state.mu.values >= 0.0)
             if success:
                 total_success += 1
@@ -274,3 +274,27 @@ def test_run_factors_the_step_matrix_once(tmp_path, monkeypatch):
     assert calls == []
     alm_run(spec, config)
     assert len(calls) == 1
+
+
+def test_run_sweeps_once_per_update_and_reuses_the_warm_state(tmp_path, monkeypatch):
+    # every outer iteration after the first starts from the previous result's
+    # controls and state: Σinner + 1 forward sweeps and Σinner + outer adjoint
+    # sweeps in all, because no trial is rejected on this problem
+    calls = {"forward": 0, "adjoint": 0}
+
+    def counted(name, sweep):
+        def run(*args):
+            calls[name] += 1
+            return sweep(*args)
+        return run
+
+    monkeypatch.setattr(msa, "solve_forward", counted("forward", msa.solve_forward))
+    monkeypatch.setattr(msa, "solve_adjoint", counted("adjoint", msa.solve_adjoint))
+    cfg = tmp_path / "sec5.cfg"
+    cfg.write_text("problem.preset = paper_example_sec5\n")
+    trace = alm_run(*build_run(parse_config(str(cfg))))
+    inner = sum(row.inner_iters for row in trace.rows)
+    assert (len(trace.rows), inner) == (14, 53)
+    assert calls == {"forward": inner + 1, "adjoint": inner + len(trace.rows)}
+    assert calls == {"forward": 54, "adjoint": 67}
+

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from almpde.grid import TimeField, BoundaryTimeField, ControlBounds
+from almpde import operators
+from almpde.grid import build_mesh, TimeField, BoundaryTimeField, ControlBounds
 from almpde.operators import DiffusionCoefficients
+from almpde.solvers import solve_forward
+from almpde.alm import AlmConfig, alm_run
 from almpde.cost import (ProblemSpec, cost_J, augmented_lagrangian,
-                         multiplier_candidate, residual_index, kkt_residuals)
+                         multiplier_candidate, multiplier_square, residual_index,
+                         kkt_residuals, subproblem_objective)
+from almpde.presets import build_unconstrained_decay
 
 
 def make_spec(mesh, psi_level=1.0, alpha=1.0, beta=1.0, y_d=None):
@@ -293,3 +298,53 @@ def test_problem_spec_rejects_initial_state_above_obstacle(unit_mesh):
                        TimeField(unit_mesh, psi), 1.0, 1.0,
                        ControlBounds.constant(unit_mesh, -1.0, 1.0))
     assert np.all(spec.y0 == 1.0)
+
+
+def test_given_state_and_candidate_give_the_same_values(sec5_spec, unit_mesh):
+    # the loop hands over what it already has; the result must not depend
+    # on whether the function computes it itself
+    rng = np.random.default_rng(5)
+    u = TimeField(unit_mesh, rng.uniform(-1, 1, (unit_mesh.nt + 1, unit_mesh.ny, unit_mesh.nx)))
+    mu, rho = TimeField.constant(unit_mesh, 0.5), 3.0
+    y = solve_forward(unit_mesh, sec5_spec.operator(), u, None, sec5_spec.y0)
+    mu_bar = multiplier_candidate(y, sec5_spec.psi, mu, rho)
+    assert (augmented_lagrangian(sec5_spec, y, u, None, mu, rho, mu_bar=mu_bar)
+            == augmented_lagrangian(sec5_spec, y, u, None, mu, rho))
+    assert (subproblem_objective(sec5_spec, rho, mu, u, y=y, mu_bar=mu_bar,
+                                 mu_sq=multiplier_square(unit_mesh, mu))
+            == subproblem_objective(sec5_spec, rho, mu, u))
+
+
+def count_assemblies(monkeypatch):
+    calls = []
+    assemble = operators.assemble_operator
+
+    def counting(*args):
+        calls.append(1)
+        return assemble(*args)
+
+    monkeypatch.setattr(operators, "assemble_operator", counting)
+    return calls
+
+
+def test_specs_on_one_coefficients_object_share_one_operator(unit_mesh, monkeypatch):
+    calls = count_assemblies(monkeypatch)
+    coeffs = DiffusionCoefficients.unit(unit_mesh)
+    a, b = (ProblemSpec(unit_mesh, coeffs, np.zeros(unit_mesh.shape_space),
+                        np.full(unit_mesh.shape_space, level), TimeField.constant(unit_mesh, 1.0),
+                        1.0, 1.0, ControlBounds.constant(unit_mesh, -1.0, 1.0))
+            for level in (0.0, 0.5))
+    assert a.operator() is b.operator()
+    assert a.operator().step_kit() is b.operator().step_kit()
+    assert len(calls) == 1
+    other = DiffusionCoefficients.unit(build_mesh(5, 5, 3, 1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="does not match"):
+        other.operator(unit_mesh)
+
+
+def test_free_decay_preset_assembles_once(unit_mesh, monkeypatch):
+    # its target comes from a sweep on the problem's own coefficients
+    calls = count_assemblies(monkeypatch)
+    spec = build_unconstrained_decay(unit_mesh)
+    alm_run(spec, AlmConfig())
+    assert len(calls) == 1

@@ -268,3 +268,19 @@ def test_load_rejects_wrong_dims(tmp_path, unit_mesh):
     other = build_mesh(5, 5, 3, 1, 1, 1)
     with pytest.raises(ValueError, match="do not match"):
         load_time_field(path, other)
+
+
+def test_constructor_copies_and_wrap_freezes_in_place(unit_mesh):
+    # the public constructor copies what it is given and leaves it writable;
+    # the library's no-copy constructor freezes the array it has built
+    vals = np.ones((unit_mesh.nt + 1, unit_mesh.ny, unit_mesh.nx))
+    f = TimeField(unit_mesh, vals)
+    assert not np.shares_memory(f.values, vals) and vals.flags.writeable
+    g = TimeField._wrap(unit_mesh, vals)
+    assert g.values is vals and not vals.flags.writeable
+    bad = np.ones((unit_mesh.nt + 1, unit_mesh.n_boundary))
+    bad[1, 0] = np.inf
+    with pytest.raises(ValueError, match="BoundaryTimeField values must be finite"):
+        BoundaryTimeField._wrap(unit_mesh, bad)
+    with pytest.raises(ValueError, match="shape"):
+        TimeField._wrap(unit_mesh, np.ones((2, 2)))

@@ -299,8 +299,8 @@ def test_full_step_is_the_hamiltonian_clamp(monkeypatch):
 
     # a shorter trial step is a projected-gradient step of length theta / alpha
     theta = 0.3
-    damped_u = msa._damped_clamp(u0, p, spec.alpha, b.ua, b.ub, theta)
-    damped_v = msa._damped_clamp(v0, pb, spec.beta, b.va, b.vb, theta)
+    damped_u = msa._damped_clamp(u0, -p.values / spec.alpha, b.ua, b.ub, theta)
+    damped_v = msa._damped_clamp(v0, -pb.values / spec.beta, b.va, b.vb, theta)
     u_pg = np.clip(u0.values - (theta / spec.alpha) * (spec.alpha * u0.values + p.values),
                    b.ua.values, b.ub.values)
     v_pg = np.clip(v0.values - (theta / spec.beta) * (spec.beta * v0.values + pb.values),
@@ -332,9 +332,11 @@ def test_terminal_slice_penalty_lowers_the_terminal_violation():
 
 def test_msa_solve_holds_no_extra_field_at_peak():
     # one space-time field at 65 x 65 x 64 is 2.1 MiB and the bound is about
-    # 8 of them.  The loop peaks at about 7.1 (14.83 MiB): during a trial's
-    # forward sweep it holds u, p and the trial u, not the current y and
-    # mu_bar, and during the adjoint sweep it holds no old p.
+    # 8 of them.  The loop peaks at about 6.2 (13.0 MiB): during a trial it
+    # holds u, p, -p/alpha and the trial u, not the current y and mu_bar;
+    # the sweeps build their fields without a copy; the step products take
+    # no field beyond the step and the weighted step; and during the adjoint
+    # sweep it holds no old p.
     mesh = build_mesh(65, 65, 64, 1.0, 1.0, 1.0)
     spec = build_paper_example_sec5(mesh)
     spec.operator()
@@ -376,3 +378,74 @@ def test_final_evaluation_error_is_a_divergence(sec5_spec, unit_mesh, monkeypatc
     monkeypatch.setattr(msa, "solve_forward", failing_forward)
     with pytest.raises(MsaDivergenceError, match="iteration 2: bad sweep"):
         msa_solve(sec5_spec, 1.0, TimeField.zeros(unit_mesh), config=MsaConfig(max_inner=1))
+
+
+def test_line_search_allows_for_the_rounding_of_phi(sec5_spec, unit_mesh):
+    # at rho = 1, mu = 0 the predicted decreases near the solution fall below
+    # the rounding of Phi; an Armijo test without an allowance for it
+    # rejected good steps and cycled theta between about 1 and 1e-4 for all
+    # 300 updates, ending unconverged at a gap of 1.2e-8
+    res = msa_solve(sec5_spec, 1.0, TimeField.zeros(unit_mesh),
+                    config=MsaConfig(eps1=1e-9, max_inner=300))
+    assert res.converged and res.final_gap <= 1e-9
+    assert res.inner_iters <= 10
+
+
+def test_warm_start_reuses_the_state_of_its_controls(sec5_spec, unit_mesh, monkeypatch):
+    # a warm start from an earlier result is bit for bit the cold start from
+    # its controls, without the first forward sweep
+    first = msa_solve(sec5_spec, 1.0, TimeField.constant(unit_mesh, 10.0))
+    mu = TimeField.constant(unit_mesh, 2.0)
+    calls = count_sweeps(monkeypatch)
+    cold = msa_solve(sec5_spec, 4.0, mu, init_u=first.u, init_v=first.v)
+    cold_calls = [name for name, _, _ in calls]
+    calls.clear()
+    warm = msa_solve(sec5_spec, 4.0, mu, warm=first)
+    assert [name for name, _, _ in calls] == cold_calls[1:]
+    assert warm.inner_iters == cold.inner_iters > 0
+    for name in ("y", "u", "v", "p", "mu_bar"):
+        assert np.array_equal(getattr(warm, name).values, getattr(cold, name).values)
+    with pytest.raises(ValueError, match="warm start"):
+        msa_solve(sec5_spec, 4.0, mu, init_u=first.u, warm=first)
+
+
+def test_library_built_fields_are_read_only_and_own_their_values(sec5_spec, unit_mesh):
+    # sweeps, the multiplier candidate, the damped clamp and the boundary
+    # restriction hand over arrays they built themselves, without a copy
+    mesh, b = unit_mesh, sec5_spec.bounds
+    op = sec5_spec.operator()
+    u = TimeField.constant(mesh, 0.5)
+    v = BoundaryTimeField.constant(mesh, 0.25)
+    mu = TimeField.constant(mesh, 3.0)
+    y = solve_forward(mesh, op, u, v, sec5_spec.y0)
+    terminal = y.values[-1] - sec5_spec.y_d
+    p = solve_adjoint(mesh, op, mu, terminal)
+    target = -p.values
+    built = {
+        "y": (y, (u.values, v.values, sec5_spec.y0)),
+        "p": (p, (mu.values, terminal)),
+        "mu_bar": (multiplier_candidate(y, sec5_spec.psi, mu, 2.0),
+                   (y.values, sec5_spec.psi.values, mu.values)),
+        "clamp": (msa._damped_clamp(u, target, b.ua, b.ub, 0.5),
+                  (u.values, target, b.ua.values, b.ub.values)),
+        "boundary": (extract_boundary(p), (p.values,)),
+    }
+    for name, (field, inputs) in built.items():
+        assert not field.values.flags.writeable, name
+        assert not any(np.shares_memory(field.values, a) for a in inputs), name
+        with pytest.raises(ValueError):
+            field.values.flat[0] = 1.0
+
+
+def test_nonfinite_sweep_is_a_divergence(unit_mesh):
+    # states near the largest double: the first forward sweep overflows, and
+    # the state it builds fails its finiteness check
+    huge = 1e308
+    spec = ProblemSpec(unit_mesh, DiffusionCoefficients.unit(unit_mesh),
+                       np.full(unit_mesh.shape_space, huge), np.zeros(unit_mesh.shape_space),
+                       TimeField.constant(unit_mesh, huge), alpha=1.0, beta=1.0,
+                       bounds=ControlBounds.constant(unit_mesh, -huge, huge))
+    with np.errstate(over="ignore"), pytest.raises(
+            MsaDivergenceError, match="iteration 1: TimeField values must be finite"):
+        msa_solve(spec, 1.0, TimeField.zeros(unit_mesh),
+                  init_u=TimeField.constant(unit_mesh, huge))
