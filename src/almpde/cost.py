@@ -102,9 +102,10 @@ def multiplier_square(mesh, mu):
     return omega_inner(mesh, mu.values, mu.values)
 
 
-def _penalty(mesh, mu_bar, mu_sq, rho):
-    """1/(2 rho) integral((rho (y - psi) + mu)_+^2 - mu^2), from the
-    multiplier candidate mu_bar of y and mu_sq = `multiplier_square(mu)`."""
+def penalty(mesh, mu_bar, mu_sq, rho):
+    """1/(2 rho) integral((rho (y - psi) + mu)_+^2 - mu^2), the state
+    constraint's term of L_rho, from the multiplier candidate mu_bar of y and
+    mu_sq = `multiplier_square(mu)`."""
     return (omega_inner(mesh, mu_bar.values, mu_bar.values) - mu_sq) / (2.0 * rho)
 
 
@@ -114,20 +115,15 @@ def cost_J(spec, y, u, v=None):
     return 0.5 * float(np.sum(spec.mesh.w_space * e * e)) + _control_cost(spec, u, v)
 
 
-def augmented_lagrangian(spec, y, u, v, mu, rho, mu_bar=None):
-    """J plus the quadratic state-constraint penalty at multiplier mu.
-
-    mu_bar, the multiplier candidate of y at (rho, mu), is computed when not
-    given.
-    """
+def augmented_lagrangian(spec, y, u, v, mu, rho):
+    """J plus the quadratic state-constraint penalty at multiplier mu."""
     if rho <= 0:
         raise ValueError(f"penalty parameter must be positive, got rho={rho}")
     if np.any(mu.values < 0):
         raise ValueError("multiplier estimate must be nonnegative")
-    if mu_bar is None:
-        mu_bar = multiplier_candidate(y, spec.psi, mu, rho)
-    return cost_J(spec, y, u, v) + _penalty(spec.mesh, mu_bar,
-                                            multiplier_square(spec.mesh, mu), rho)
+    mu_bar = multiplier_candidate(y, spec.psi, mu, rho)
+    return cost_J(spec, y, u, v) + penalty(spec.mesh, mu_bar,
+                                           multiplier_square(spec.mesh, mu), rho)
 
 
 def multiplier_candidate(y, psi, mu, rho):
@@ -224,4 +220,4 @@ def subproblem_objective(spec, rho, mu, u, v=None, y=None, mu_bar=None, mu_sq=No
     # K e = (M + dt A) e, dt A e from the stencil the sweeps step with
     k_e = op.step_kit().stencil.apply(e.ravel(), np.empty(e.size)).reshape(e.shape)
     k_e += mesh.w_space * e
-    return 0.5 * _dot(e, k_e) + _control_cost(spec, u, v) + _penalty(mesh, mu_bar, mu_sq, rho)
+    return 0.5 * _dot(e, k_e) + _control_cost(spec, u, v) + penalty(mesh, mu_bar, mu_sq, rho)

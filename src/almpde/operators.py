@@ -16,10 +16,12 @@ leaves rounding of about 1e-15 on such a slice.
 Every implicit-Euler step solves with the same SPD matrix M + dt A.  In
 row-major node order its nonzeros lie on the diagonal, one row below it
 (x-coupling) and nx rows below it (y-coupling), so it is held as a banded
-Cholesky factor.  The factor, the dt-scaled stencil with its work buffers
-and the dt-weighted mass and arc weights the sweeps form their loads with
-are built together on the first sweep (`StepKit`) and reused for every
-later one.
+Cholesky factor.  A sweep applies dt A once, to its starting slice, and
+takes every step with the factor and the mass M alone (see `solvers`).  The
+factor, the dt-scaled stencil, the dt-weighted mass and arc weights the
+sweeps form their loads with and the flat mass M their steps carry the
+deviation with are built together on the first sweep (`StepKit`) and reused
+for every later one.
 
 An operator depends only on the mesh and the coefficients, so each
 DiffusionCoefficients object assembles it once (`operator`): every problem
@@ -84,7 +86,7 @@ class FluxStencil:
     def __init__(self, cx, cy, scale=1.0):
         ny, nx = cy.shape[0] + 1, cy.shape[1]
         n = nx * ny
-        self.nx, self.n = nx, n
+        self.nx = nx
         gx = np.zeros((ny, nx))
         gx[:, :-1] = scale * cx
         self.gx = gx.ravel()[:-1]
@@ -110,18 +112,21 @@ class FluxStencil:
 
 
 class StepKit(NamedTuple):
-    """What the implicit-Euler sweeps take every step with.
+    """What the implicit-Euler sweeps are taken with.
 
-    `stencil` is the dt-scaled FluxStencil with its buffers, `factor` the
-    lower banded Cholesky factor of M + dt A, and `mass` (ny, nx) and `arc`
-    (n_boundary,) the dt-weighted mass and arc-length weights that turn a
-    control into its load.
+    `stencil` is the dt-scaled FluxStencil, applied once per sweep to its
+    starting slice; `factor` the lower banded Cholesky factor of M + dt A;
+    `mass` (ny, nx) and `arc` (n_boundary,) the dt-weighted mass and
+    arc-length weights that turn a control into its load; and `flat_mass`
+    (n,) the unscaled mass M in node order, which each step multiplies the
+    previous deviation from the starting slice by.
     """
 
     stencil: FluxStencil
     factor: np.ndarray
     mass: np.ndarray
     arc: np.ndarray
+    flat_mass: np.ndarray
 
 
 class DiscreteOperator:
@@ -163,7 +168,8 @@ class DiscreteOperator:
             dt = self.mesh.dt
             self._step_kit = StepKit(FluxStencil(self.cx, self.cy, dt),
                                      cholesky_banded(self._step_band(), lower=True),
-                                     dt * self.mass, dt * self.mesh.w_arc)
+                                     dt * self.mass, dt * self.mesh.w_arc,
+                                     self.mass.ravel())
         return self._step_kit
 
     def _step_band(self):

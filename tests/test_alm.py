@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from almpde import msa, operators
+from almpde import alm, cost, msa, operators
 from almpde.config import build_run, parse_config
+from almpde.cost import augmented_lagrangian
 from almpde.grid import build_mesh, TimeField
 from almpde.msa import MsaConfig
 from almpde.alm import (AlmConfig, AlmState, AlmTraceRow, alm_step, alm_run,
@@ -298,3 +299,44 @@ def test_run_sweeps_once_per_update_and_reuses_the_warm_state(tmp_path, monkeypa
     assert calls == {"forward": inner + 1, "adjoint": inner + len(trace.rows)}
     assert calls == {"forward": 54, "adjoint": 67}
 
+
+
+def test_run_applies_the_stencil_once_per_sweep_and_objective(tmp_path, monkeypatch):
+    # 54 forward and 67 adjoint sweeps take dt A of their starting slice once
+    # each, and the 67 sub-problem objectives take it of the terminal mismatch
+    calls = []
+    apply = operators.FluxStencil.apply
+
+    def counted(self, x, out):
+        calls.append(1)
+        return apply(self, x, out)
+
+    monkeypatch.setattr(operators.FluxStencil, "apply", counted)
+    cfg = tmp_path / "sec5.cfg"
+    cfg.write_text("problem.preset = paper_example_sec5\n")
+    alm_run(*build_run(parse_config(str(cfg))))
+    assert len(calls) == 54 + 67 + 67
+
+
+def test_row_objective_is_evaluated_once_and_l_rho_matches(sec5_spec, monkeypatch):
+    # L_rho is the row's J plus the penalty, bit for bit the value of
+    # augmented_lagrangian at the iteration's (mu, rho)
+    steps, objectives = [], []
+    step, cost_j = alm.alm_step, alm.cost_J
+
+    def recorded_step(spec, state, warm, config):
+        out = step(spec, state, warm, config)
+        steps.append((state.mu, state.rho, out[0]))
+        return out
+
+    def counted_cost_j(*args):
+        objectives.append(1)
+        return cost_j(*args)
+
+    monkeypatch.setattr(alm, "alm_step", recorded_step)
+    monkeypatch.setattr(alm, "cost_J", counted_cost_j)
+    monkeypatch.setattr(cost, "cost_J", counted_cost_j)
+    trace = alm_run(sec5_spec, AlmConfig(mu0=10.0, max_outer=6))
+    assert len(objectives) == len(trace.rows) == len(steps)
+    for row, (mu, rho, result) in zip(trace.rows, steps):
+        assert row.L_rho == augmented_lagrangian(sec5_spec, result.y, result.u, None, mu, rho)

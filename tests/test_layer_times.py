@@ -1,0 +1,34 @@
+"""tools/layer_times.py at the smallest size."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_ROOT = Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location("layer_times", _ROOT / "tools" / "layer_times.py")
+layer_times = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(layer_times)
+
+
+def test_parse_sizes():
+    assert layer_times.parse_sizes("5x4, 17X16") == [(5, 4), (17, 16)]
+    for bad in ("5", "1x4", "5x0", "5x4x3"):
+        with pytest.raises(ValueError):
+            layer_times.parse_sizes(bad)
+
+
+def test_one_tree_writes_every_layer_per_round(tmp_path, capsys):
+    out = tmp_path / "times.json"
+    assert layer_times.main(["--tree", str(_ROOT), "--sizes", "5x4", "--rounds", "2",
+                             "--repeat", "1", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    layers = record["results"]["tree0"]["5x4"]
+    assert set(layers) == set(layer_times.LAYERS)
+    assert all(len(values) == 2 and min(values) > 0 for values in layers.values())
+    # step_us is the two sweeps' time per implicit step
+    for forward, adjoint, step in zip(layers["forward_us"], layers["adjoint_us"],
+                                      layers["step_us"]):
+        assert step == pytest.approx((forward + adjoint) / 8)
+    assert "tree0  5x4" in capsys.readouterr().out

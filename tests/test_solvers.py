@@ -3,7 +3,7 @@ import pytest
 
 from almpde.grid import (build_mesh, TimeField, BoundaryTimeField,
                          space_slice_from_function, l2_norm_omega_t)
-from almpde.operators import DiffusionCoefficients, assemble_operator
+from almpde.operators import DiffusionCoefficients, FluxStencil, assemble_operator
 from almpde.solvers import solve_forward, solve_adjoint
 
 
@@ -200,6 +200,75 @@ def test_factored_steps_match_dense_solve():
     p = solve_adjoint(m, op, mu, rng.standard_normal(m.shape_space))
     for k in range(m.nt):
         assert rel_err(p.values[k], dense_step(p.values[k + 1], mu.values[k])) <= 1e-12
+
+
+def _smooth_field(m, rng, nslices=None):
+    """A seeded smooth slice, or nslices of them growing linearly in time."""
+    a, b, c = rng.uniform(0.5, 2.0, 3)
+    x, y = np.meshgrid(m.x, m.y)
+    slice_ = np.cos(np.pi * a * x) * np.sin(np.pi * b * y + c)
+    if nslices is None:
+        return slice_
+    return slice_ * (1.0 + np.linspace(0.0, 1.0, nslices))[:, None, None]
+
+
+@pytest.mark.parametrize("nx, nt", [(9, 512), (33, 128)])
+@pytest.mark.parametrize("data", ["rough", "smooth"])
+def test_long_sweeps_match_dense_solve(nx, nt, data):
+    # every step of a long sweep against a dense solve from the slice the
+    # sweep computed before it; the error is measured against the sweep's
+    # largest value, since each step is solved as a deviation from the
+    # sweep's starting slice
+    rng = np.random.default_rng(23)
+    m = build_mesh(nx, nx, nt, 1.0, 1.0, 1.0)
+    op = varcoef_op(m, 29)
+    K = np.diag(m.w_space.ravel()) + m.dt * op.as_csr().toarray()
+    mass = m.w_space.ravel()
+    if data == "rough":
+        field, slice_ = (lambda: rng.standard_normal((nt + 1,) + m.shape_space),
+                         lambda: rng.standard_normal(m.shape_space))
+    else:
+        field, slice_ = lambda: _smooth_field(m, rng, nt + 1), lambda: _smooth_field(m, rng)
+
+    def max_err(x, prev, sources):
+        ref = np.linalg.solve(K, (mass * (prev + m.dt * sources)).T).T
+        return np.abs(x - ref).max() / np.abs(x).max()
+
+    u = TimeField(m, field())
+    y = solve_forward(m, op, u, None, slice_()).values.reshape(nt + 1, -1)
+    assert max_err(y[1:], y[:-1], u.values.reshape(nt + 1, -1)[1:]) <= 1e-13
+
+    mu = TimeField(m, field())
+    p = solve_adjoint(m, op, mu, slice_()).values.reshape(nt + 1, -1)
+    assert max_err(p[:-1], p[1:], mu.values.reshape(nt + 1, -1)[:-1]) <= 1e-13
+
+
+def test_each_sweep_applies_the_stencil_once(monkeypatch):
+    # dt A is applied to the starting slice only; every step after it is a
+    # mass multiply-add and a banded solve
+    rng = np.random.default_rng(31)
+    m = build_mesh(7, 4, 6, 1.3, 0.7, 0.9)
+    op = varcoef_op(m, 37)
+    calls = []
+    apply = FluxStencil.apply
+
+    def counted(self, x, out):
+        calls.append(1)
+        return apply(self, x, out)
+
+    monkeypatch.setattr(FluxStencil, "apply", counted)
+    shape = (m.nt + 1,) + m.shape_space
+    u = TimeField(m, rng.standard_normal(shape))
+    y0 = rng.standard_normal(m.shape_space)
+    for flux in (None, BoundaryTimeField(m, rng.standard_normal((m.nt + 1, m.n_boundary)))):
+        calls.clear()
+        solve_forward(m, op, u, flux, y0)
+        assert len(calls) == 1
+    mu = TimeField(m, rng.uniform(0.5, 1.0, shape))
+    assert np.all(mu.values[-1] != 0.0)
+    calls.clear()
+    solve_adjoint(m, op, mu, rng.standard_normal(m.shape_space))
+    assert len(calls) == 1
 
 
 def test_sweeps_reject_operator_of_another_mesh(unit_mesh):

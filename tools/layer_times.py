@@ -1,0 +1,187 @@
+"""Sweep-level timings of the implicit-Euler layer, for one or two source trees.
+
+    python3 tools/layer_times.py --tree <root> [--tree <root>] \
+        [--sizes 5x4,17x16,33x32,65x64] [--rounds 3] [--repeat 7] \
+        [--out layer_times.json]
+
+For each size n x nt (an n x n grid on the unit square, nt steps to T = 0.5,
+variable coefficients and data drawn from a fixed seed) it times four layers:
+
+- ``factor_ms``: operator factorization, the first `step_kit()` of a freshly
+  assembled operator (assembly not included);
+- ``forward_us``: one forward sweep, `solve_forward` with a seeded control
+  and initial slice and no boundary flux;
+- ``adjoint_us``: one adjoint sweep, `solve_adjoint` with a seeded nonzero
+  multiplier (so its terminal correction is taken) and terminal slice;
+- ``step_us``: the two sweeps' time per implicit step, (forward + adjoint)
+  / (2 nt), the measure of perfbench's ``solvers.step_us``.
+
+Each value is the minimum over --repeat repeats of a loop long enough to
+read (about 20 ms).  Every round runs one subprocess per tree with the
+tree's ``src`` first on the import path; with two trees the order alternates
+between rounds (the first tree first in even rounds), so a drift of the
+host's speed does not favour one side.  A table of the per-tree medians over
+the rounds is printed, and the rounds themselves go to --out as JSON.
+
+Only the standard library and numpy are used; no file under either tree is
+written.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+
+LAYERS = ("factor_ms", "forward_us", "adjoint_us", "step_us")
+DEFAULT_SIZES = "5x4,17x16,33x32,65x64"
+LOOP_S = 0.02
+SEED = 0
+
+
+def parse_sizes(text):
+    """[(n, nt), ...] from "5x4,17x16"."""
+    sizes = []
+    for item in text.split(","):
+        n, nt = (int(part) for part in item.strip().lower().split("x"))
+        if n < 2 or nt < 1:
+            raise ValueError(f"size {item!r}: need n >= 2 and nt >= 1")
+        sizes.append((n, nt))
+    return sizes
+
+
+def _best(fn, repeat):
+    """Minimum over `repeat` repeats of the seconds per call of fn, each
+    repeat a loop of about LOOP_S."""
+    start = time.perf_counter()
+    fn()
+    once = time.perf_counter() - start
+    number = max(1, int(LOOP_S / max(once, 1e-9)))
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        for _ in range(number):
+            fn()
+        best = min(best, (time.perf_counter() - start) / number)
+    return best
+
+
+def measure(n, nt, repeat):
+    """The four layer times at one size, for the almpde on the import path."""
+    import numpy as np
+    from almpde.grid import TimeField, build_mesh
+    from almpde.operators import DiffusionCoefficients, assemble_operator
+    from almpde.solvers import solve_adjoint, solve_forward
+
+    rng = np.random.default_rng(SEED)
+    mesh = build_mesh(n, n, nt, 1.0, 1.0, 0.5)
+    coeffs = DiffusionCoefficients(mesh, rng.uniform(0.5, 2.0, mesh.shape_space),
+                                   rng.uniform(0.5, 2.0, mesh.shape_space))
+    shape = (nt + 1,) + mesh.shape_space
+    u = TimeField(mesh, rng.standard_normal(shape))
+    mu = TimeField(mesh, rng.uniform(0.0, 1.0, shape))
+    y0 = rng.standard_normal(mesh.shape_space)
+    terminal = rng.standard_normal(mesh.shape_space)
+
+    factor_s = float("inf")
+    for _ in range(max(repeat, 3)):
+        op = assemble_operator(mesh, coeffs)
+        start = time.perf_counter()
+        op.step_kit()
+        factor_s = min(factor_s, time.perf_counter() - start)
+    forward_s = _best(lambda: solve_forward(mesh, op, u, None, y0), repeat)
+    adjoint_s = _best(lambda: solve_adjoint(mesh, op, mu, terminal), repeat)
+    return {"factor_ms": 1e3 * factor_s, "forward_us": 1e6 * forward_s,
+            "adjoint_us": 1e6 * adjoint_s,
+            "step_us": 1e6 * (forward_s + adjoint_s) / (2 * nt)}
+
+
+def worker(sizes, repeat):
+    """One round in this process: {"n x nt": layer times} for every size."""
+    return {f"{n}x{nt}": measure(n, nt, repeat) for n, nt in sizes}
+
+
+def run_worker(tree, args):
+    """One round in a subprocess with the tree's src first on the path."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.abspath(tree), "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    cmd = [sys.executable, os.path.abspath(__file__), "--worker", "--sizes", args.sizes,
+           "--repeat", str(args.repeat)]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"layer timing in {tree} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def collect(args):
+    """{"tree i": {"n x nt": {layer: [one value per round]}}}."""
+    labels = [f"tree{i}" for i in range(len(args.tree))]
+    rounds = {label: [] for label in labels}
+    for r in range(args.rounds):
+        order = list(zip(labels, args.tree))
+        if r % 2:
+            order.reverse()
+        for label, tree in order:
+            rounds[label].append(run_worker(tree, args))
+    return {label: {size: {layer: [rnd[size][layer] for rnd in rounds[label]]
+                           for layer in LAYERS}
+                    for size in rounds[label][0]}
+            for label in labels}
+
+
+def table(record):
+    """Text lines: per tree and size, the median of each layer over the rounds."""
+    lines = [f"{label} = {tree}" for label, tree in record["trees"].items()]
+    lines.append("tree   size      " + "".join(f"{layer:>12}" for layer in LAYERS))
+    for label, sizes in record["results"].items():
+        for size, layers in sizes.items():
+            lines.append(f"{label:<6} {size:<9} " + "".join(
+                f"{statistics.median(layers[layer]):>12.4g}" for layer in LAYERS))
+    return lines
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tree", action="append", default=[],
+                        help="root of a source tree (give one or two)")
+    parser.add_argument("--sizes", default=DEFAULT_SIZES)
+    parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--repeat", type=int, default=7)
+    parser.add_argument("--out", default="layer_times.json")
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    try:
+        parse_sizes(args.sizes)
+    except ValueError as exc:
+        parser.error(f"--sizes: {exc}")
+    if args.rounds < 1 or args.repeat < 1:
+        parser.error("--rounds and --repeat must be at least 1")
+    if not args.worker and len(args.tree) not in (1, 2):
+        parser.error("give one or two --tree")
+    return args
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    if args.worker:
+        print(json.dumps(worker(parse_sizes(args.sizes), args.repeat)))
+        return 0
+    import numpy as np
+    record = {"trees": {f"tree{i}": os.path.abspath(t) for i, t in enumerate(args.tree)},
+              "sizes": args.sizes, "rounds": args.rounds, "repeat": args.repeat,
+              "seed": SEED,
+              "environment": {"nproc": os.cpu_count(), "python": sys.version.split()[0],
+                              "numpy": np.__version__},
+              "results": collect(args)}
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    print("\n".join(table(record)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
