@@ -10,17 +10,13 @@ minimizer, with a Barzilai-Borwein step and Armijo backtracking.
 """
 
 from .grid import (Mesh, TimeField, BoundaryTimeField, ControlBounds,
-                   build_mesh, integrate_omega_t, integrate_sigma_t,
-                   sup_norm, positive_part, project_interval, extract_boundary,
+                   build_mesh, integrate_omega_t, project_interval, extract_boundary,
                    space_slice_from_function)
 from .operators import DiffusionCoefficients, DiscreteOperator, assemble_operator
 from .solvers import solve_forward, solve_adjoint
-from .cost import (ProblemSpec, cost_J, augmented_lagrangian,
-                   multiplier_candidate, residual_index, kkt_residuals,
-                   subproblem_objective)
-from .msa import (MsaConfig, MsaResult, msa_solve, hamiltonian_omega,
-                  hamiltonian_sigma, argmin_hamiltonian_u, argmin_hamiltonian_v,
-                  grad_hamiltonian_u, grad_hamiltonian_v)
+from .cost import (ProblemSpec, cost_J, multiplier_candidate, residual_index,
+                   kkt_residuals, subproblem_objective)
+from .msa import MsaConfig, MsaResult, msa_solve
 from .alm import AlmConfig, AlmState, AlmTrace, alm_step, alm_run
 from .presets import PRESETS, build_problem
 from .oracles import (OracleReport, analytic_decay_oracle, adjoint_identity_check,

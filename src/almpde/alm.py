@@ -21,8 +21,7 @@ next sub-problem: its controls are the warm start and its y is their state,
 so every outer iteration after the first saves one forward sweep.  Each
 iteration leaves one AlmTraceRow, whose fields are the columns of
 trace.csv.  Its J is evaluated once and its L_rho is that J plus the penalty
-of the result's multiplier candidate, the same sum `augmented_lagrangian`
-forms.
+of the result's multiplier candidate.
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -121,9 +120,6 @@ class AlmTrace:
     final_result: object
     termination: str          # "tolerance_met" or "max_outer"
     best_k: int               # row index (1-based k) with the lowest R
-
-    def success_rows(self):
-        return [r for r in self.rows if r.success]
 
 
 def alm_step(spec, state, warm, config):

@@ -1,4 +1,4 @@
-"""Objective, augmented Lagrangian, multiplier update, and optimality residuals.
+"""Objective, penalty, multiplier update, and optimality residuals.
 
 The tracking objective is
 
@@ -113,17 +113,6 @@ def cost_J(spec, y, u, v=None):
     """Tracking objective; v=None counts as a zero boundary control."""
     e = y.values[-1] - spec.y_d
     return 0.5 * float(np.sum(spec.mesh.w_space * e * e)) + _control_cost(spec, u, v)
-
-
-def augmented_lagrangian(spec, y, u, v, mu, rho):
-    """J plus the quadratic state-constraint penalty at multiplier mu."""
-    if rho <= 0:
-        raise ValueError(f"penalty parameter must be positive, got rho={rho}")
-    if np.any(mu.values < 0):
-        raise ValueError("multiplier estimate must be nonnegative")
-    mu_bar = multiplier_candidate(y, spec.psi, mu, rho)
-    return cost_J(spec, y, u, v) + penalty(spec.mesh, mu_bar,
-                                           multiplier_square(spec.mesh, mu), rho)
 
 
 def multiplier_candidate(y, psi, mu, rho):

@@ -195,7 +195,12 @@ def _check_same_mesh(f, g):
 
 
 def integrate_omega_t(f, g):
-    """Space-time inner product over the cylinder, trapezoidal in all variables."""
+    """Space-time inner product over the cylinder, trapezoidal in all variables.
+
+    It serves only `l2_norm_omega_t`, the error norm of the decay oracle.
+    The solver's integrals use the right-endpoint rule over m = 1..nt
+    (`cost.omega_inner`) instead.
+    """
     _check_same_mesh(f, g)
     if not isinstance(f, TimeField):
         raise TypeError("integrate_omega_t expects TimeFields")
@@ -203,27 +208,8 @@ def integrate_omega_t(f, g):
     return float(np.dot(f.mesh.w_time, slice_sums))
 
 
-def integrate_sigma_t(f, g):
-    """Boundary space-time inner product with arc-length trapezoidal weights."""
-    _check_same_mesh(f, g)
-    if not isinstance(f, BoundaryTimeField):
-        raise TypeError("integrate_sigma_t expects BoundaryTimeFields")
-    slice_sums = (f.values * g.values) @ f.mesh.w_arc
-    return float(np.dot(f.mesh.w_time, slice_sums))
-
-
 def l2_norm_omega_t(f):
     return np.sqrt(max(integrate_omega_t(f, f), 0.0))
-
-
-def sup_norm(f):
-    """Max of |f| over all nodes (discrete sup norm on the closed cylinder)."""
-    return float(np.max(np.abs(f.values)))
-
-
-def positive_part(f):
-    """Elementwise max(f, 0); idempotent."""
-    return type(f)(f.mesh, np.maximum(f.values, 0.0))
 
 
 def project_interval(f, lo, hi):

@@ -127,42 +127,6 @@ class MsaResult:
     converged: bool
 
 
-def hamiltonian_omega(y, u, p, mu, rho, psi, alpha):
-    shifted = np.maximum(rho * (y.values - psi.values) + mu.values, 0.0)
-    vals = (0.5 * alpha * u.values ** 2
-            + (shifted ** 2 - mu.values ** 2) / (2.0 * rho)
-            + p.values * u.values)
-    return TimeField(y.mesh, vals)
-
-
-def hamiltonian_sigma(v, p_boundary, beta):
-    return BoundaryTimeField(v.mesh, 0.5 * beta * v.values ** 2 + p_boundary.values * v.values)
-
-
-def argmin_hamiltonian_u(p, alpha, bounds):
-    """Exact pointwise minimizer of H_omega over [ua, ub]: clamp(-p/alpha)."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return TimeField(p.mesh, np.clip(-p.values / alpha, bounds.ua.values, bounds.ub.values))
-
-
-def argmin_hamiltonian_v(p_boundary, beta, bounds):
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    return BoundaryTimeField(p_boundary.mesh,
-                             np.clip(-p_boundary.values / beta,
-                                     bounds.va.values, bounds.vb.values))
-
-
-def grad_hamiltonian_u(u, p, alpha):
-    """alpha u + p; the penalty term of H_omega does not depend on u."""
-    return TimeField(u.mesh, alpha * u.values + p.values)
-
-
-def grad_hamiltonian_v(v, p_boundary, beta):
-    return BoundaryTimeField(v.mesh, beta * v.values + p_boundary.values)
-
-
 def _initial_control(init, zero, lo, hi):
     """init (zero when None) projected into [lo, hi], with slice 0 at the
     projection of 0."""

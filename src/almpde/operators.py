@@ -36,7 +36,7 @@ from scipy.linalg import cholesky_banded
 
 
 class DiffusionCoefficients:
-    """Nodal diagonal diffusion tensor with a stored ellipticity constant."""
+    """Nodal diagonal diffusion tensor, checked to be uniformly elliptic."""
 
     def __init__(self, mesh, a11, a22):
         self.mesh = mesh
@@ -47,7 +47,6 @@ class DiffusionCoefficients:
         theta = min(self.a11.min(), self.a22.min())
         if not np.isfinite(theta) or theta <= 0.0:
             raise ValueError(f"coefficients must be uniformly elliptic, min = {theta}")
-        self.theta = float(theta)
         self.a11.flags.writeable = False
         self.a22.flags.writeable = False
         self._operator = None
@@ -133,9 +132,8 @@ class DiscreteOperator:
     """5-point flux stencil with Neumann closure.
 
     Holds the edge conductances of the stencil, the diagonal mass weights,
-    and three lazily built companions: the unscaled `FluxStencil` that
-    `apply` uses, the implicit-Euler `StepKit`, and a CSR copy of A for
-    whole-matrix checks.
+    and two lazily built companions: the implicit-Euler `StepKit` and a CSR
+    copy of A for whole-matrix checks.
     """
 
     def __init__(self, mesh, cx, cy):
@@ -146,20 +144,7 @@ class DiscreteOperator:
         for arr in (self.cx, self.cy):
             arr.flags.writeable = False
         self._csr = None
-        self._stencil = None
         self._step_kit = None
-
-    @property
-    def n(self):
-        return self.mesh.nx * self.mesh.ny
-
-    def apply(self, f):
-        """A f for one spatial slice f of shape (ny, nx)."""
-        if self._stencil is None:
-            self._stencil = FluxStencil(self.cx, self.cy)
-        out = np.empty(self.n)
-        self._stencil.apply(np.asarray(f, dtype=np.float64).ravel(), out)
-        return out.reshape(self.mesh.shape_space)
 
     def step_kit(self):
         """The StepKit, built on the first call and kept; the sweeps take

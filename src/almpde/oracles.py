@@ -4,7 +4,8 @@ These checks anchor the main build against routes that do not share its
 numerics: separation-of-variables decay solutions for the time stepper,
 central finite differences for the adjoint gradient, dense
 Cholesky-factorized projected gradient descent for the sub-problem solver,
-and brute-force interval search for the pointwise Hamiltonian argmin.
+and brute-force interval search for the pointwise Hamiltonian argmin that
+the inner solver's clamp computes.
 """
 
 from dataclasses import dataclass, field
@@ -17,8 +18,7 @@ from .grid import (TimeField, BoundaryTimeField, ControlBounds,
 from .operators import DiffusionCoefficients, assemble_operator
 from .cost import ProblemSpec, multiplier_candidate, subproblem_objective
 from .solvers import solve_forward, solve_adjoint
-from .msa import (MsaConfig, msa_solve, hamiltonian_omega, hamiltonian_sigma,
-                  grad_hamiltonian_u, grad_hamiltonian_v)
+from .msa import MsaConfig, msa_solve, _damped_clamp
 from .presets import build_paper_example_sec5
 
 ORACLE_GRID_LIMIT = (9, 9, 8)
@@ -153,44 +153,6 @@ def adjoint_identity_sweep(n_seeds=20, seed0=0):
                         tolerance=1e-6, context={"seeds": n_seeds, "seed0": seed0})
 
 
-def hamiltonian_gradient_check(n_tuples=100, seed=0, fd_step=1e-6):
-    """grad H against central finite differences on random whole fields."""
-    rng = np.random.default_rng(seed)
-    mesh = build_mesh(4, 4, 3, 1.0, 1.0, 1.0)
-    worst = 0.0
-    for _ in range(n_tuples):
-        shape = (mesh.nt + 1, mesh.ny, mesh.nx)
-        y = TimeField(mesh, rng.uniform(-1, 1, shape))
-        u = TimeField(mesh, rng.uniform(-1, 1, shape))
-        p = TimeField(mesh, rng.uniform(-2, 2, shape))
-        mu = TimeField(mesh, rng.uniform(0, 2, shape))
-        psi = TimeField(mesh, rng.uniform(-0.5, 0.5, shape))
-        rho = rng.uniform(0.5, 4.0)
-        alpha = rng.uniform(0.2, 5.0)
-        beta = rng.uniform(0.2, 5.0)
-
-        def h_u(s):
-            us = TimeField(mesh, u.values + s)
-            return hamiltonian_omega(y, us, p, mu, rho, psi, alpha).values
-
-        fd = (h_u(fd_step) - h_u(-fd_step)) / (2.0 * fd_step)
-        g = grad_hamiltonian_u(u, p, alpha).values
-        worst = max(worst, float(np.max(np.abs(fd - g) / np.maximum(np.abs(g), 1.0))))
-
-        v = BoundaryTimeField(mesh, rng.uniform(-1, 1, (mesh.nt + 1, mesh.n_boundary)))
-        pb = BoundaryTimeField(mesh, rng.uniform(-2, 2, (mesh.nt + 1, mesh.n_boundary)))
-
-        def h_v(s):
-            vs = BoundaryTimeField(mesh, v.values + s)
-            return hamiltonian_sigma(vs, pb, beta).values
-
-        fdv = (h_v(fd_step) - h_v(-fd_step)) / (2.0 * fd_step)
-        gv = grad_hamiltonian_v(v, pb, beta).values
-        worst = max(worst, float(np.max(np.abs(fdv - gv) / np.maximum(np.abs(gv), 1.0))))
-    return OracleReport(name="hamiltonian_gradients", error=worst, tolerance=1e-6,
-                        context={"tuples": n_tuples, "seed": seed})
-
-
 # --------------------------------------------------------------------------
 # dense projected-gradient solver for the sub-problem
 # --------------------------------------------------------------------------
@@ -313,21 +275,28 @@ def msa_vs_gradient_oracle(rho=1.0, mu_const=10.0, iters=100000, lr=1e-3):
 # --------------------------------------------------------------------------
 
 def argmin_bruteforce_check(seed=0, n_tuples=1000, resolution=1e-4):
-    """Grid-search the scalar Hamiltonian over the control interval and
-    compare with the closed-form clamp."""
+    """Grid-search the scalar Hamiltonian alpha/2 u^2 + p u over the control
+    interval and compare with the clamp the inner solver steps with,
+    `msa._damped_clamp` at theta = 1.  Tuple k fills the column i = k of
+    the slice m = 1 of a one-step mesh."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_tuples):
+    draws = np.empty((4, n_tuples))
+    u_brute = np.empty(n_tuples)
+    for k in range(n_tuples):
         p = rng.uniform(-3.0, 3.0)
         alpha = rng.uniform(0.1, 10.0)
         lo = rng.uniform(-2.0, -0.01)
         hi = rng.uniform(0.01, 2.0)
+        draws[:, k] = p, alpha, lo, hi
         npts = int(round((hi - lo) / resolution)) + 1
         grid = np.linspace(lo, hi, npts)
         H = 0.5 * alpha * grid * grid + p * grid
-        u_brute = grid[int(np.argmin(H))]
-        u_clamp = min(max(-p / alpha, lo), hi)
-        worst = max(worst, abs(u_brute - u_clamp))
+        u_brute[k] = grid[int(np.argmin(H))]
+    mesh = build_mesh(n_tuples, 3, 1, 1.0, 1.0, 1.0)
+    p, alpha, lo, hi = (np.broadcast_to(d, TimeField.shape(mesh)) for d in draws)
+    u_clamp = _damped_clamp(TimeField.zeros(mesh), p / -alpha, TimeField(mesh, lo),
+                            TimeField(mesh, hi), theta=1.0)
+    worst = float(np.max(np.abs(u_brute - u_clamp.values[1, 0])))
     return OracleReport(name="argmin_bruteforce", error=worst, tolerance=1e-4,
                         context={"tuples": n_tuples, "seed": seed})
 
@@ -341,7 +310,6 @@ ORACLE_CHECKS = {
     "decay_x_refinement": decay_refinement_oracle,
     "decay_xy": lambda: analytic_decay_oracle(build_mesh(33, 33, 64, 1.0, 1.0, 0.1), mode="xy"),
     "adjoint_identity": adjoint_identity_sweep,
-    "hamiltonian_gradients": hamiltonian_gradient_check,
     "argmin_bruteforce": argmin_bruteforce_check,
     "msa_vs_gradient_oracle": msa_vs_gradient_oracle,
 }

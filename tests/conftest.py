@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from almpde.grid import build_mesh, TimeField, ControlBounds, space_slice_from_function
-from almpde.operators import DiffusionCoefficients
+from almpde.operators import DiffusionCoefficients, FluxStencil
 from almpde.cost import ProblemSpec
 from almpde.presets import build_paper_example_sec5
 
@@ -35,3 +35,9 @@ def make_random_spec(rng, nx=5, ny=4, nt=3, T=0.8, psi_level=None):
         alpha=rng.uniform(0.5, 2.0), beta=1.0,
         bounds=ControlBounds.constant(mesh, -1.0, 1.0),
         boundary_control_enabled=False)
+
+
+def apply_a(op, f):
+    """A f for one spatial slice f of shape (ny, nx), by the unscaled flux
+    stencil of the operator."""
+    return FluxStencil(op.cx, op.cy).apply(f.ravel(), np.empty(f.size)).reshape(f.shape)

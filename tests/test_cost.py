@@ -6,9 +6,9 @@ from almpde.grid import build_mesh, TimeField, BoundaryTimeField, ControlBounds
 from almpde.operators import DiffusionCoefficients
 from almpde.solvers import solve_forward
 from almpde.alm import AlmConfig, alm_run
-from almpde.cost import (ProblemSpec, cost_J, augmented_lagrangian,
-                         multiplier_candidate, multiplier_square, residual_index,
-                         kkt_residuals, subproblem_objective)
+from almpde.cost import (ProblemSpec, cost_J, penalty, multiplier_candidate,
+                         multiplier_square, residual_index, kkt_residuals,
+                         subproblem_objective)
 from almpde.presets import build_unconstrained_decay
 
 
@@ -48,14 +48,21 @@ def test_cost_boundary_term(unit_mesh):
         == pytest.approx(4.0, rel=1e-13)
 
 
-# ------------------------------------------------------ augmented Lagrangian
+# ---------------------------------------------------------------- penalty
+
+def l_rho(spec, y, u, mu, rho):
+    """J plus the penalty at multiplier mu: the sum `alm_run` reports as
+    L_rho."""
+    mu_bar = multiplier_candidate(y, spec.psi, mu, rho)
+    return cost_J(spec, y, u) + penalty(spec.mesh, mu_bar, multiplier_square(spec.mesh, mu), rho)
+
 
 def test_penalty_vanishes_when_feasible(unit_mesh):
     spec = make_spec(unit_mesh, psi_level=0.5)
     y = TimeField.constant(unit_mesh, -1.0)
     u = TimeField.constant(unit_mesh, 0.3)
     J = cost_J(spec, y, u)
-    L = augmented_lagrangian(spec, y, u, None, TimeField.zeros(unit_mesh), 3.0)
+    L = l_rho(spec, y, u, TimeField.zeros(unit_mesh), 3.0)
     assert L == pytest.approx(J, rel=1e-13)
 
 
@@ -65,7 +72,7 @@ def test_penalty_hand_value_violation(unit_mesh):
     y = TimeField.constant(unit_mesh, 0.5)
     u = TimeField.zeros(unit_mesh)
     J = cost_J(spec, y, u)
-    L = augmented_lagrangian(spec, y, u, None, TimeField.zeros(unit_mesh), 2.0)
+    L = l_rho(spec, y, u, TimeField.zeros(unit_mesh), 2.0)
     assert L - J == pytest.approx(0.25, rel=1e-12)
 
 
@@ -75,18 +82,8 @@ def test_penalty_hand_value_with_multiplier(unit_mesh):
     y = TimeField.constant(unit_mesh, -1.0)
     u = TimeField.zeros(unit_mesh)
     J = cost_J(spec, y, u)
-    L = augmented_lagrangian(spec, y, u, None, TimeField.constant(unit_mesh, 10.0), 2.0)
+    L = l_rho(spec, y, u, TimeField.constant(unit_mesh, 10.0), 2.0)
     assert L - J == pytest.approx(-9.0, rel=1e-12)
-
-
-def test_augmented_lagrangian_validation(unit_mesh):
-    spec = make_spec(unit_mesh)
-    y = TimeField.zeros(unit_mesh)
-    u = TimeField.zeros(unit_mesh)
-    with pytest.raises(ValueError, match="positive"):
-        augmented_lagrangian(spec, y, u, None, TimeField.zeros(unit_mesh), 0.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        augmented_lagrangian(spec, y, u, None, TimeField.constant(unit_mesh, -1.0), 1.0)
 
 
 def test_penalty_monotone_in_rho(unit_mesh):
@@ -97,7 +94,7 @@ def test_penalty_monotone_in_rho(unit_mesh):
     for _ in range(20):
         y = TimeField(unit_mesh,
                       rng.standard_normal((unit_mesh.nt + 1, unit_mesh.ny, unit_mesh.nx)))
-        vals = [augmented_lagrangian(spec, y, u, None, mu0, rho)
+        vals = [l_rho(spec, y, u, mu0, rho)
                 for rho in (0.5, 1.0, 2.0, 4.0)]
         assert all(vals[i + 1] >= vals[i] - 1e-12 for i in range(3))
 
@@ -110,7 +107,7 @@ def test_lagrangian_at_zero_multiplier_dominates_cost(unit_mesh):
     for _ in range(10):
         y = TimeField(unit_mesh,
                       rng.standard_normal((unit_mesh.nt + 1, unit_mesh.ny, unit_mesh.nx)))
-        L = augmented_lagrangian(spec, y, u, None, mu0, 2.0)
+        L = l_rho(spec, y, u, mu0, 2.0)
         J = cost_J(spec, y, u)
         assert L >= J - 1e-12
         # the penalty charges the slices m = 1..nt

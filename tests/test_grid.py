@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from almpde.grid import (TimeField, BoundaryTimeField, ControlBounds,
-                         build_mesh, integrate_omega_t, integrate_sigma_t,
-                         sup_norm, positive_part, project_interval,
+                         build_mesh, integrate_omega_t, project_interval,
                          extract_boundary,
                          dump_time_field, load_time_field,
                          dump_boundary_field, load_boundary_field,
@@ -118,50 +117,7 @@ def test_integrate_mesh_mismatch():
         integrate_omega_t(a, b)
 
 
-def test_integrate_sigma_t_constants(unit_mesh):
-    one = BoundaryTimeField.constant(unit_mesh, 1.0)
-    zero = BoundaryTimeField.zeros(unit_mesh)
-    assert integrate_sigma_t(one, one) == pytest.approx(4.0, rel=1e-14)
-    assert integrate_sigma_t(one, zero) == 0.0
-
-
-def test_integrate_sigma_t_single_edge(unit_mesh):
-    m = unit_mesh
-    vals = np.zeros((m.nt + 1, m.n_boundary))
-    vals[:, m.boundary_j == 0] = 1.0  # bottom edge including its two corners
-    ind = BoundaryTimeField(m, vals)
-    val = integrate_sigma_t(ind, ind)
-    # corners contribute half an hy segment each beyond the edge length
-    assert val == pytest.approx((m.lx + m.hy) * m.T, rel=1e-13)
-    assert abs(val - m.lx * m.T) <= m.hx + m.hy
-
-
 # ------------------------------------------------------- pointwise helpers
-
-def test_sup_norm(unit_mesh):
-    assert sup_norm(TimeField.zeros(unit_mesh)) == 0.0
-    assert sup_norm(TimeField.constant(unit_mesh, -2.0)) == 2.0
-    vals = np.zeros((unit_mesh.nt + 1, unit_mesh.ny, unit_mesh.nx))
-    vals[2, 1, 3] = 3.5
-    assert sup_norm(TimeField(unit_mesh, vals)) == 3.5
-
-
-def test_positive_part(unit_mesh):
-    assert np.all(positive_part(TimeField.constant(unit_mesh, -3.0)).values == 0.0)
-    assert np.all(positive_part(TimeField.constant(unit_mesh, 2.5)).values == 2.5)
-    f = TimeField.from_function(unit_mesh, lambda x, y, t: t - 0.5 + 0 * x + 0 * y)
-    out = positive_part(f)
-    expected = np.maximum(f.values, 0.0)
-    assert np.array_equal(out.values, expected)
-
-
-def test_positive_part_idempotent():
-    rng = np.random.default_rng(1)
-    m = build_mesh(4, 4, 2, 1, 1, 1)
-    f = TimeField(m, rng.standard_normal((m.nt + 1, m.ny, m.nx)))
-    once = positive_part(f)
-    assert np.array_equal(positive_part(once).values, once.values)
-
 
 def test_project_interval_values(unit_mesh):
     lo = TimeField.constant(unit_mesh, -1.0)
@@ -189,9 +145,9 @@ def test_project_interval_nonexpansive():
     for _ in range(50):
         f = TimeField(m, 2 * rng.standard_normal((m.nt + 1, m.ny, m.nx)))
         g = TimeField(m, 2 * rng.standard_normal((m.nt + 1, m.ny, m.nx)))
-        d_proj = sup_norm(TimeField(m, project_interval(f, lo, hi).values
-                                    - project_interval(g, lo, hi).values))
-        d_raw = sup_norm(TimeField(m, f.values - g.values))
+        d_proj = np.max(np.abs(project_interval(f, lo, hi).values
+                               - project_interval(g, lo, hi).values))
+        d_raw = np.max(np.abs(f.values - g.values))
         assert d_proj <= d_raw + 1e-15
 
 

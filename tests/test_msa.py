@@ -7,10 +7,7 @@ import pytest
 from almpde.grid import (build_mesh, TimeField, BoundaryTimeField, ControlBounds,
                          extract_boundary, space_slice_from_function)
 from almpde import msa
-from almpde.msa import (MsaConfig, MsaDivergenceError, msa_solve,
-                        hamiltonian_omega, hamiltonian_sigma,
-                        argmin_hamiltonian_u, argmin_hamiltonian_v,
-                        grad_hamiltonian_u, grad_hamiltonian_v)
+from almpde.msa import MsaConfig, MsaDivergenceError, msa_solve
 from almpde.cost import ProblemSpec, multiplier_candidate, subproblem_objective
 from almpde.solvers import solve_forward, solve_adjoint
 from almpde.operators import DiffusionCoefficients
@@ -26,116 +23,115 @@ def bconst(mesh, c):
     return BoundaryTimeField.constant(mesh, c)
 
 
-# ------------------------------------------------------------- Hamiltonians
+# -------------------------------------------------- the solver's full step
 
-def test_hamiltonian_omega_zero(unit_mesh):
-    psi = const(unit_mesh, 1.0)
-    H = hamiltonian_omega(const(unit_mesh, 0.0), const(unit_mesh, 0.0),
-                          const(unit_mesh, 0.0), const(unit_mesh, 0.0),
-                          2.0, psi, 1.0)
-    assert np.all(H.values == 0.0)
+def full_step(x, p, weight, lo, hi):
+    """The solver's damped step at theta = 1 on m = 1..nt: the pointwise
+    argmin clip(-p / weight, lo, hi) of the control Hamiltonian."""
+    return msa._damped_clamp(x, p.values / -weight, lo, hi, 1.0).values[1:]
 
-
-def test_hamiltonian_omega_control_terms(unit_mesh):
-    # alpha=1, u=1, p=2, no penalty: 0.5 + 2 = 2.5
-    psi = const(unit_mesh, 10.0)
-    H = hamiltonian_omega(const(unit_mesh, 0.0), const(unit_mesh, 1.0),
-                          const(unit_mesh, 2.0), const(unit_mesh, 0.0),
-                          1.0, psi, 1.0)
-    assert np.all(H.values == pytest.approx(2.5))
-
-
-def test_hamiltonian_omega_penalty_term(unit_mesh):
-    # y - psi = -1, mu = 10, rho = 2, u = p = 0: (1/4)(64 - 100) = -9
-    H = hamiltonian_omega(const(unit_mesh, -1.0), const(unit_mesh, 0.0),
-                          const(unit_mesh, 0.0), const(unit_mesh, 10.0),
-                          2.0, const(unit_mesh, 0.0), 1.0)
-    assert np.all(H.values == pytest.approx(-9.0))
-
-
-def test_hamiltonian_sigma_values(unit_mesh):
-    assert np.all(hamiltonian_sigma(bconst(unit_mesh, 0.0), bconst(unit_mesh, 3.0), 1.0).values == 0.0)
-    assert np.all(hamiltonian_sigma(bconst(unit_mesh, 1.0), bconst(unit_mesh, -1.0), 1.0).values
-                  == pytest.approx(-0.5))
-    assert np.all(hamiltonian_sigma(bconst(unit_mesh, -1.0), bconst(unit_mesh, 0.0), 2.0).values
-                  == pytest.approx(1.0))
-
-
-# ------------------------------------------------------------------ argmin
 
 def test_argmin_u_values(unit_mesh):
     bounds = ControlBounds.constant(unit_mesh, -1.0, 1.0)
-    assert np.all(argmin_hamiltonian_u(const(unit_mesh, 0.0), 1.0, bounds).values == 0.0)
-    assert np.all(argmin_hamiltonian_u(const(unit_mesh, 2.0), 1.0, bounds).values == -1.0)
-    assert np.all(argmin_hamiltonian_u(const(unit_mesh, 0.5), 1.0, bounds).values == -0.5)
+    u = const(unit_mesh, 0.7)   # the full step does not depend on the current u
+    assert np.all(full_step(u, const(unit_mesh, 0.0), 1.0, bounds.ua, bounds.ub) == 0.0)
+    assert np.all(full_step(u, const(unit_mesh, 2.0), 1.0, bounds.ua, bounds.ub) == -1.0)
+    assert np.all(full_step(u, const(unit_mesh, 0.5), 1.0, bounds.ua, bounds.ub) == -0.5)
 
 
 def test_argmin_v_values(unit_mesh):
     bounds = ControlBounds.constant(unit_mesh, -1.0, 1.0, va=-1.0, vb=1.0)
-    assert np.all(argmin_hamiltonian_v(bconst(unit_mesh, 0.0), 1.0, bounds).values == 0.0)
-    assert np.all(argmin_hamiltonian_v(bconst(unit_mesh, 1.0), 1.0, bounds).values == -1.0)
-    assert np.all(argmin_hamiltonian_v(bconst(unit_mesh, -0.4), 2.0, bounds).values
+    v = bconst(unit_mesh, 0.3)
+    assert np.all(full_step(v, bconst(unit_mesh, 0.0), 1.0, bounds.va, bounds.vb) == 0.0)
+    assert np.all(full_step(v, bconst(unit_mesh, 1.0), 1.0, bounds.va, bounds.vb) == -1.0)
+    assert np.all(full_step(v, bconst(unit_mesh, -0.4), 2.0, bounds.va, bounds.vb)
                   == pytest.approx(0.2))
 
 
 def test_argmin_requires_positive_weight(unit_mesh):
-    bounds = ControlBounds.constant(unit_mesh, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        argmin_hamiltonian_u(const(unit_mesh, 0.0), 0.0, bounds)
+    # the full step divides by alpha (beta for v), so a problem is built
+    # only with positive weights
+    base = build_unconstrained_decay(unit_mesh)
+    for alpha, beta in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)):
+        with pytest.raises(ValueError, match="cost weights must be positive"):
+            ProblemSpec(unit_mesh, base.coeffs, base.y0, base.y_d, base.psi,
+                        alpha, beta, base.bounds)
 
 
 def test_argmin_beats_random_perturbations(unit_mesh):
-    # exact pointwise minimality of the clamp over the admissible box
+    # exact pointwise minimality of the full step over the admissible box,
+    # for the control Hamiltonian alpha/2 u^2 + p u
     rng = np.random.default_rng(0)
-    shape = (unit_mesh.nt + 1, unit_mesh.ny, unit_mesh.nx)
-    psi = const(unit_mesh, 10.0)
+    shape = TimeField.shape(unit_mesh)
     for _ in range(5):
         p = TimeField(unit_mesh, 3 * rng.standard_normal(shape))
         alpha = rng.uniform(0.2, 5.0)
         lo = rng.uniform(-2.0, -0.1)
         hi = rng.uniform(0.1, 2.0)
         bounds = ControlBounds.constant(unit_mesh, lo, hi)
-        u_star = argmin_hamiltonian_u(p, alpha, bounds)
-        H_star = hamiltonian_omega(const(unit_mesh, 0.0), u_star, p,
-                                   const(unit_mesh, 0.0), 1.0, psi, alpha)
+        u_star = full_step(const(unit_mesh, 0.0), p, alpha, bounds.ua, bounds.ub)
+
+        def hamiltonian(u):
+            return 0.5 * alpha * u * u + p.values[1:] * u
+
         for _ in range(100):
-            u_try = TimeField(unit_mesh, rng.uniform(lo, hi, shape))
-            H_try = hamiltonian_omega(const(unit_mesh, 0.0), u_try, p,
-                                      const(unit_mesh, 0.0), 1.0, psi, alpha)
-            assert np.all(H_star.values <= H_try.values + 1e-12)
+            u_try = rng.uniform(lo, hi, u_star.shape)
+            assert np.all(hamiltonian(u_star) <= hamiltonian(u_try) + 1e-12)
 
 
 # --------------------------------------------------------------- gradients
 
+def shifted(x):
+    """x moved by 1 on m = 1..nt; slice 0, which no step changes, kept."""
+    values = np.array(x.values)
+    values[1:] += 1.0
+    return type(x)(x.mesh, values)
+
+
 def test_grad_u_values(unit_mesh):
-    assert np.all(grad_hamiltonian_u(const(unit_mesh, 0.0), const(unit_mesh, 0.0), 1.0).values == 0.0)
-    assert np.all(grad_hamiltonian_u(const(unit_mesh, 1.0), const(unit_mesh, 2.0), 1.0).values == 3.0)
-    assert np.all(grad_hamiltonian_u(const(unit_mesh, -1.0), const(unit_mesh, 0.5), 2.0).values == -1.5)
+    # the step products of s = 1 on m = 1..nt (|Omega| = T = 1): weight,
+    # the Armijo slope <dt M (alpha u + p), s> = alpha u + p, and p
+    w = unit_mesh.dt * unit_mesh.w_space
+    for u, p, alpha, grad in ((0.0, 0.0, 1.0, 0.0), (1.0, 2.0, 1.0, 3.0),
+                              (-1.0, 0.5, 2.0, -1.5)):
+        x = const(unit_mesh, u)
+        products = msa._step_products(x, shifted(x), w, alpha, const(unit_mesh, p))
+        assert tuple(products) == pytest.approx((alpha, grad, p), rel=1e-14, abs=1e-15)
 
 
 def test_grad_v_values(unit_mesh):
-    assert np.all(grad_hamiltonian_v(bconst(unit_mesh, 0.0), bconst(unit_mesh, 0.0), 1.0).values == 0.0)
-    assert np.all(grad_hamiltonian_v(bconst(unit_mesh, 1.0), bconst(unit_mesh, 1.0), 1.0).values == 2.0)
-    assert np.all(grad_hamiltonian_v(bconst(unit_mesh, 0.5), bconst(unit_mesh, -1.0), 2.0).values == 0.0)
+    # the same with the arc-length weights, which sum to the perimeter 4
+    w = unit_mesh.dt * unit_mesh.w_arc
+    for v, p, beta, grad in ((0.0, 0.0, 1.0, 0.0), (1.0, 1.0, 1.0, 2.0),
+                             (0.5, -1.0, 2.0, 0.0)):
+        x = bconst(unit_mesh, v)
+        products = msa._step_products(x, shifted(x), w, beta, bconst(unit_mesh, p))
+        assert tuple(products) == pytest.approx((4.0 * beta, 4.0 * grad, 4.0 * p),
+                                                rel=1e-14, abs=1e-15)
 
 
-def test_grad_u_matches_finite_differences(unit_mesh):
+def test_grad_u_matches_finite_differences(sec5_spec, unit_mesh):
+    # the Armijo slope, with p the adjoint of u, is the derivative of Phi
+    # along the step.  mu = 10 keeps the penalty on its quadratic branch, so
+    # Phi is quadratic along the step and central differences are exact but
+    # for rounding.
     rng = np.random.default_rng(1)
-    shape = (unit_mesh.nt + 1, unit_mesh.ny, unit_mesh.nx)
-    h = 1e-6
+    spec, mu, rho = sec5_spec, const(unit_mesh, 10.0), 1.0
+    op = spec.operator()
+    shape = TimeField.shape(unit_mesh)
+    h = 1e-3
     for _ in range(10):
-        y = TimeField(unit_mesh, rng.standard_normal(shape))
-        u = TimeField(unit_mesh, rng.standard_normal(shape))
-        p = TimeField(unit_mesh, rng.standard_normal(shape))
-        mu = TimeField(unit_mesh, np.abs(rng.standard_normal(shape)))
-        psi = TimeField(unit_mesh, rng.standard_normal(shape))
-        rho, alpha = rng.uniform(0.5, 4.0), rng.uniform(0.2, 5.0)
-        up = TimeField(unit_mesh, u.values + h)
-        um = TimeField(unit_mesh, u.values - h)
-        fd = (hamiltonian_omega(y, up, p, mu, rho, psi, alpha).values
-              - hamiltonian_omega(y, um, p, mu, rho, psi, alpha).values) / (2 * h)
-        g = grad_hamiltonian_u(u, p, alpha).values
-        assert np.abs(fd - g).max() / max(np.abs(g).max(), 1.0) <= 1e-6
+        u = TimeField(unit_mesh, rng.uniform(-1.0, 1.0, shape))
+        s = rng.standard_normal(shape)
+        s[0] = 0.0
+        y = solve_forward(unit_mesh, op, u, None, spec.y0)
+        p = solve_adjoint(unit_mesh, op, multiplier_candidate(y, spec.psi, mu, rho),
+                          y.values[-1] - spec.y_d)
+        _, slope, _ = msa._step_products(u, TimeField(unit_mesh, u.values + s),
+                                         op.step_kit().mass, spec.alpha, p)
+        fd = (subproblem_objective(spec, rho, mu, TimeField(unit_mesh, u.values + h * s))
+              - subproblem_objective(spec, rho, mu, TimeField(unit_mesh, u.values - h * s))) / (2 * h)
+        assert abs(fd - slope) <= 1e-6 * max(abs(slope), 1.0)
 
 
 # ------------------------------------------------------------- msa_solve
@@ -253,7 +249,8 @@ def test_msa_projected_gradient_mode(sec5_spec, unit_mesh, monkeypatch):
     assert np.all(np.abs(res.u.values) <= 1.0)
 
     first_trial = calls[2][1].values
-    clamp = argmin_hamiltonian_u(p, sec5_spec.alpha, sec5_spec.bounds).values
+    bounds = sec5_spec.bounds
+    clamp = np.clip(-p.values / sec5_spec.alpha, bounds.ua.values, bounds.ub.values)
     assert np.all(first_trial[1:] == clamp[1:])
     accepted = [u for (name, u, _), (after, _, _) in zip(calls, calls[1:])
                 if name == "forward" and after == "adjoint"]
@@ -286,8 +283,8 @@ def test_full_step_is_the_hamiltonian_clamp(monkeypatch):
     calls = count_sweeps(monkeypatch)
     msa_solve(spec, rho, mu, init_u=u0, init_v=v0, config=MsaConfig(max_inner=1))
     _, full_u, full_v = calls[2]
-    u_star = argmin_hamiltonian_u(p, spec.alpha, b).values
-    v_star = argmin_hamiltonian_v(pb, spec.beta, b).values
+    u_star = np.clip(-p.values / spec.alpha, b.ua.values, b.ub.values)
+    v_star = np.clip(-pb.values / spec.beta, b.va.values, b.vb.values)
     # some nodes of each control are interior, so the test is not only of clip
     assert np.any((u_star > b.ua.values) & (u_star < b.ub.values))
     assert np.any((v_star > b.va.values) & (v_star < b.vb.values))

@@ -5,7 +5,6 @@ from almpde.grid import build_mesh, TimeField, ControlBounds, l2_norm_omega_t
 from almpde.cost import ProblemSpec
 from almpde.oracles import (OracleReport, analytic_decay_oracle,
                             decay_refinement_oracle, adjoint_identity_check,
-                            hamiltonian_gradient_check,
                             projected_gradient_oracle, argmin_bruteforce_check,
                             run_checks, ORACLE_CHECKS)
 from almpde.presets import build_unconstrained_decay
@@ -92,11 +91,6 @@ def test_adjoint_identity_fully_active_penalty():
     assert rep.passed and rep.error <= 1e-6
 
 
-def test_hamiltonian_gradient_sweep():
-    rep = hamiltonian_gradient_check(n_tuples=30, seed=1)
-    assert rep.passed and rep.error <= 1e-6
-
-
 def test_argmin_bruteforce():
     rep = argmin_bruteforce_check(seed=0, n_tuples=300)
     assert rep.passed and rep.error <= 1e-4
@@ -138,5 +132,5 @@ def test_run_checks_selection_and_override():
 
 def test_registry_names_are_stable():
     assert {"decay_x", "decay_x_refinement", "decay_xy", "adjoint_identity",
-            "hamiltonian_gradients", "argmin_bruteforce",
+            "argmin_bruteforce",
             "msa_vs_gradient_oracle"} == set(ORACLE_CHECKS)
