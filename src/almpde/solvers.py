@@ -28,11 +28,12 @@ the sweep's starting slice x_0 (y0 forward, the corrected p_nt backward):
 and returns x_m = x_0 + z_m.  dt A x_0 is the sweep's only stencil
 application, subtracted from all sources in one vectorised operation; each
 step is then one diagonal multiply-add and one in-place solve with the
-operator's banded Cholesky factor of K.  dt A x_0 is evaluated in difference
-form (`FluxStencil`), so for a constant starting slice it is exactly zero:
-with zero sources every z_m is then exactly zero, and constant states are
-preserved bit-exactly for any coefficients.  A plain K^{-1} (M x + s), or a
-matrix-form product for dt A x, leaves them off by rounding (about 1e-15).
+operator's banded Cholesky factor of K, stored as U (K = U^T U) in the upper
+band layout.  dt A x_0 is evaluated in difference form (`FluxStencil`), so
+for a constant starting slice it is exactly zero: with zero sources every
+z_m is then exactly zero, and constant states are preserved bit-exactly for
+any coefficients.  A plain K^{-1} (M x + s), or a matrix-form product for
+dt A x, leaves them off by rounding (about 1e-15).
 Each step's rounding is relative to the size of z and x_0, so a slice is
 accurate to a few 1e-15 of the sweep's largest value (checked against dense
 solves over 512 steps), not of its own size when it has decayed far below
@@ -59,8 +60,12 @@ _pbtrs = get_lapack_funcs("pbtrs", dtype=np.float64)
 def _solve(factor, rhs):
     """K^{-1} rhs with the banded Cholesky factor, in place: rhs, a
     contiguous 1-D float64 array, is overwritten with the solution, which is
-    also returned."""
-    x, info = _pbtrs(factor, rhs, lower=1, overwrite_b=1)
+    also returned.
+
+    factor is U (K = U^T U) in LAPACK's upper band layout (see `StepKit`),
+    so the solve takes the two fast triangular variants, U^T then U; it
+    must be Fortran-ordered, or the wrapper copies it on every call."""
+    x, info = _pbtrs(factor, rhs, lower=0, overwrite_b=1)
     if info != 0:
         raise RuntimeError(f"LAPACK pbtrs failed with info = {info}")
     return x

@@ -98,3 +98,26 @@ def test_rejects_mesh_mismatch(unit_mesh):
     with pytest.raises(ValueError, match="does not match"):
         assemble_operator(unit_mesh, co)
 
+
+
+def test_step_factor_is_upper_band_of_the_step_matrix():
+    # variable coefficients on a rectangle (nx != ny), so a coupling stored
+    # at the wrong band offset cannot go unnoticed
+    rng = np.random.default_rng(5)
+    m = build_mesh(7, 4, 3, 1.2, 0.7, 0.6)
+    co = DiffusionCoefficients(m, rng.uniform(0.5, 2.0, m.shape_space),
+                               rng.uniform(0.5, 2.0, m.shape_space))
+    op = assemble_operator(m, co)
+    band = op.step_kit().factor
+    u, n = m.nx, m.nx * m.ny
+    assert band.shape == (u + 1, n)
+    # upper layout: band[u - d, j] = U[j - d, j]
+    U = np.zeros((n, n))
+    for d in range(u + 1):
+        U[np.arange(n - d), np.arange(d, n)] = band[u - d, d:]
+        assert not band[u - d, :d].any()
+    K = np.diag(m.w_space.ravel()) + m.dt * op.as_csr().toarray()
+    assert np.abs(U.T @ U - K).max() <= 1e-14 * np.abs(K).max()
+    # a C-ordered band is copied by the LAPACK wrapper on every solve: 44 us
+    # against 26 us per solve at 33x33, 367 us against 136 us at 65x65
+    assert band.flags.f_contiguous

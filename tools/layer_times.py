@@ -5,10 +5,14 @@
         [--out layer_times.json]
 
 For each size n x nt (an n x n grid on the unit square, nt steps to T = 0.5,
-variable coefficients and data drawn from a fixed seed) it times four layers:
+variable coefficients and data drawn from a fixed seed) it times five layers:
 
 - ``factor_ms``: operator factorization, the first `step_kit()` of a freshly
-  assembled operator (assembly not included);
+  assembled operator (assembly not included); it includes the copy of the
+  factor into the layout the solves take it in;
+- ``solve_us``: one banded solve, `solvers._solve` with the step factor on a
+  seeded vector, copied into the solve's buffer before each call (the copy
+  is included; under 1 us at 65x65);
 - ``forward_us``: one forward sweep, `solve_forward` with a seeded control
   and initial slice and no boundary flux;
 - ``adjoint_us``: one adjoint sweep, `solve_adjoint` with a seeded nonzero
@@ -35,7 +39,7 @@ import subprocess
 import sys
 import time
 
-LAYERS = ("factor_ms", "forward_us", "adjoint_us", "step_us")
+LAYERS = ("factor_ms", "solve_us", "forward_us", "adjoint_us", "step_us")
 DEFAULT_SIZES = "5x4,17x16,33x32,65x64"
 LOOP_S = 0.02
 SEED = 0
@@ -69,11 +73,11 @@ def _best(fn, repeat):
 
 
 def measure(n, nt, repeat):
-    """The four layer times at one size, for the almpde on the import path."""
+    """The five layer times at one size, for the almpde on the import path."""
     import numpy as np
     from almpde.grid import TimeField, build_mesh
     from almpde.operators import DiffusionCoefficients, assemble_operator
-    from almpde.solvers import solve_adjoint, solve_forward
+    from almpde.solvers import _solve, solve_adjoint, solve_forward
 
     rng = np.random.default_rng(SEED)
     mesh = build_mesh(n, n, nt, 1.0, 1.0, 0.5)
@@ -84,6 +88,8 @@ def measure(n, nt, repeat):
     mu = TimeField(mesh, rng.uniform(0.0, 1.0, shape))
     y0 = rng.standard_normal(mesh.shape_space)
     terminal = rng.standard_normal(mesh.shape_space)
+    rhs = rng.standard_normal(mesh.ny * mesh.nx)
+    buf = np.empty_like(rhs)
 
     factor_s = float("inf")
     for _ in range(max(repeat, 3)):
@@ -91,10 +97,19 @@ def measure(n, nt, repeat):
         start = time.perf_counter()
         op.step_kit()
         factor_s = min(factor_s, time.perf_counter() - start)
+    factor = op.step_kit().factor
+
+    def solve():
+        # the solve overwrites its vector, and solving in place again and
+        # again would grow it to overflow, so each call starts from rhs
+        buf[:] = rhs
+        _solve(factor, buf)
+
+    solve_s = _best(solve, repeat)
     forward_s = _best(lambda: solve_forward(mesh, op, u, None, y0), repeat)
     adjoint_s = _best(lambda: solve_adjoint(mesh, op, mu, terminal), repeat)
-    return {"factor_ms": 1e3 * factor_s, "forward_us": 1e6 * forward_s,
-            "adjoint_us": 1e6 * adjoint_s,
+    return {"factor_ms": 1e3 * factor_s, "solve_us": 1e6 * solve_s,
+            "forward_us": 1e6 * forward_s, "adjoint_us": 1e6 * adjoint_s,
             "step_us": 1e6 * (forward_s + adjoint_s) / (2 * nt)}
 
 
