@@ -74,7 +74,7 @@ class AlmState:
     k: int
 
     def __post_init__(self):
-        if np.any(self.mu.values < 0):
+        if (self.mu.values < 0).any():
             raise ValueError("multiplier must be nonnegative")
         if self.rho <= 0:
             raise ValueError("rho must be positive")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import TimeField, extract_boundary
+from .grid import TimeField, clamp, extract_boundary
 from .solvers import solve_forward
 
 
@@ -112,7 +112,7 @@ def penalty(mesh, mu_bar, mu_sq, rho):
 def cost_J(spec, y, u, v=None):
     """Tracking objective; v=None counts as a zero boundary control."""
     e = y.values[-1] - spec.y_d
-    return 0.5 * float(np.sum(spec.mesh.w_space * e * e)) + _control_cost(spec, u, v)
+    return 0.5 * float((spec.mesh.w_space * e * e).sum()) + _control_cost(spec, u, v)
 
 
 def multiplier_candidate(y, psi, mu, rho):
@@ -131,7 +131,7 @@ def multiplier_candidate(y, psi, mu, rho):
 
 def _feasibility(y, psi):
     """max over m = 1..nt of (y - psi)_+."""
-    return max(float(np.max(y.values[1:] - psi.values[1:])), 0.0)
+    return max(float((y.values[1:] - psi.values[1:]).max()), 0.0)
 
 
 def _complementarity(y, psi, mu_bar):
@@ -160,7 +160,7 @@ class KktResiduals:
 def _projection_residual(x, p, weight, lo, hi):
     """x - clip(-p / weight, lo, hi), built in one array."""
     r = p / -weight
-    np.clip(r, lo, hi, out=r)
+    clamp(r, lo, hi, out=r)
     return np.subtract(x, r, out=r)
 
 

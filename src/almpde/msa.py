@@ -67,7 +67,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grid import (TimeField, BoundaryTimeField, extract_boundary,
+from .grid import (TimeField, BoundaryTimeField, clamp, extract_boundary,
                    project_interval)
 from .cost import multiplier_candidate, multiplier_square, subproblem_objective
 from .solvers import solve_forward, solve_adjoint
@@ -129,10 +129,17 @@ class MsaResult:
 
 def _initial_control(init, zero, lo, hi):
     """init (zero when None) projected into [lo, hi], with slice 0 at the
-    projection of 0."""
-    values = np.array(project_interval(init if init is not None else zero, lo, hi).values)
-    values[0] = np.clip(0.0, lo.values[0], hi.values[0])
-    return type(zero)(zero.mesh, values)
+    projection of 0.
+
+    Slice 0 is set to 0 before the projection, so the projection's array is
+    the result: without init that is the only array built, with it there is
+    one copy of init besides.
+    """
+    if init is None:
+        return project_interval(zero, lo, hi)
+    values = init.values.copy()
+    values[0] = 0.0
+    return project_interval(type(init)._wrap(init.mesh, values), lo, hi)
 
 
 def _damped_clamp(x, target, lo, hi, theta):
@@ -145,16 +152,16 @@ def _damped_clamp(x, target, lo, hi, theta):
     """
     values = (1.0 - theta) * x.values
     values += theta * target
-    np.clip(values, lo.values, hi.values, out=values)
+    clamp(values, lo.values, hi.values, out=values)
     values[0] = x.values[0]
     return type(x)._wrap(x.mesh, values)
 
 
 def _stationarity(x, target, lo, hi):
     """sup over m = 1..nt of |x - clip(target, lo, hi)|, target = -p / weight."""
-    r = np.clip(target[1:], lo.values[1:], hi.values[1:])
+    r = clamp(target[1:], lo.values[1:], hi.values[1:])
     r -= x.values[1:]
-    return float(np.max(np.abs(r, out=r)))
+    return float(np.abs(r, out=r).max())
 
 
 def _step_products(x, x_new, weights, weight, p):

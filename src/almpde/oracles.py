@@ -195,6 +195,8 @@ def projected_gradient_oracle(spec, rho, mu, iters=100000, lr=1e-3):
     y0 = spec.y0.ravel()
     yd = spec.y_d.ravel()
 
+    # np.clip, not the solver's grid.clamp, on purpose: the oracle projects
+    # by an implementation of its own
     u = np.clip(np.zeros((mesh.nt + 1, n)), ua, ub)
     v = np.clip(np.zeros((mesh.nt + 1, mesh.n_boundary)), va, vb)
 

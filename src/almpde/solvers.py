@@ -127,7 +127,7 @@ def solve_adjoint(mesh, op, mu, terminal):
     terminal = _check(mesh, op, terminal, "terminal")
     kit = op.step_kit()
     sources = (kit.mass * mu.values).reshape(mesh.nt + 1, -1)
-    if np.any(sources[-1]):
+    if sources[-1].any():
         terminal = terminal + _solve(kit.factor, sources[-1].copy()).reshape(terminal.shape)
     p = np.empty_like(sources)
     _march(kit, terminal, sources[-2::-1], p[::-1])

@@ -6,14 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from almpde import alm, cost, msa, operators
+from almpde import alm, cost, grid, msa, operators
 from almpde.config import build_run, parse_config
 from almpde.cost import cost_J, multiplier_candidate, multiplier_square, penalty
-from almpde.grid import build_mesh, TimeField
+from almpde.grid import build_mesh, ControlBounds, TimeField, space_slice_from_function
 from almpde.msa import MsaConfig
 from almpde.alm import (AlmConfig, AlmState, AlmTraceRow, alm_step, alm_run,
                         TRACE_COLUMNS, format_trace_row)
-from almpde.presets import build_unconstrained_decay
+from almpde.presets import build_paper_example_sec5, build_unconstrained_decay
 
 from conftest import make_random_spec
 
@@ -343,3 +343,43 @@ def test_row_objective_is_evaluated_once_and_l_rho_matches(sec5_spec, monkeypatc
         assert row.L_rho == (cost_J(sec5_spec, result.y, result.u)
                              + penalty(sec5_spec.mesh, mu_bar,
                                        multiplier_square(sec5_spec.mesh, mu), rho))
+
+
+def _varcoef_boundary_spec(mesh):
+    """A 9x9 problem with seeded variable coefficients, boundary control and
+    an obstacle the initial bump touches."""
+    rng = np.random.default_rng(9)
+    coeffs = operators.DiffusionCoefficients(mesh, rng.uniform(0.5, 2.0, mesh.shape_space),
+                                             rng.uniform(0.5, 2.0, mesh.shape_space))
+    y0 = space_slice_from_function(mesh, lambda x, y: 0.5 * np.sin(np.pi * x) * np.sin(np.pi * y))
+    y_d = space_slice_from_function(mesh, lambda x, y: 0.3 * (x - 0.5) + 0.0 * y)
+    return cost.ProblemSpec(mesh, coeffs, y0, y_d, TimeField.constant(mesh, 0.5),
+                            alpha=0.5, beta=1.0,
+                            bounds=ControlBounds.constant(mesh, -0.2, 0.2, -1.0, 1.0),
+                            boundary_control_enabled=True)
+
+
+@pytest.mark.parametrize("build, dims, mu0", [
+    (build_paper_example_sec5, (5, 5, 4, 1.0, 1.0, 1.0), 10.0),
+    (_varcoef_boundary_spec, (9, 9, 8, 1.0, 1.0, 0.5), 1.0),
+])
+def test_constant_field_storage_does_not_change_results(build, dims, mu0, monkeypatch):
+    # once with every constant field (bounds, psi, mu0 and the zero starts)
+    # a zero-stride view of one number, once materialised with np.full: the
+    # trace rows and the final fields must agree bit for bit
+    def run():
+        spec = build(build_mesh(*dims))
+        return spec, alm_run(spec, AlmConfig(mu0=mu0))
+
+    spec, views = run()
+    assert spec.psi.values.strides == (0, 0, 0)
+    monkeypatch.setattr(grid._Field, "constant", classmethod(
+        lambda cls, mesh, c: cls(mesh, np.full(cls.shape(mesh), float(c)))))
+    spec, full = run()
+    assert spec.psi.values.flags.c_contiguous and spec.bounds.vb.values.flags.c_contiguous
+    assert len(views.rows) > 1 and views.termination == "tolerance_met"
+    assert ([format_trace_row(r) for r in views.rows]
+            == [format_trace_row(r) for r in full.rows])
+    for name in ("y", "u", "v", "p", "mu_bar"):
+        assert (getattr(views.final_result, name).values.tobytes()
+                == getattr(full.final_result, name).values.tobytes()), name

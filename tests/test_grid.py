@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from almpde.cost import omega_inner, sigma_inner
 from almpde.grid import (TimeField, BoundaryTimeField, ControlBounds,
-                         build_mesh, integrate_omega_t, project_interval,
+                         build_mesh, clamp, integrate_omega_t, project_interval,
                          extract_boundary,
                          dump_time_field, load_time_field,
                          dump_boundary_field, load_boundary_field,
@@ -240,3 +243,120 @@ def test_constructor_copies_and_wrap_freezes_in_place(unit_mesh):
         BoundaryTimeField._wrap(unit_mesh, bad)
     with pytest.raises(ValueError, match="shape"):
         TimeField._wrap(unit_mesh, np.ones((2, 2)))
+
+
+# ------------------------------------------------------- constant storage
+
+# constants whose squares and sums round, so a change of summation order shows
+AWKWARD = (0.1, 1.0 / 3.0, -0.7, 10.0, 1e6, 0.0, -0.0)
+KINDS = (TimeField, BoundaryTimeField)
+
+
+def _materialised(kind, mesh, c):
+    return kind(mesh, np.full(kind.shape(mesh), c))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_constant_fields_are_read_only_zero_stride_views_of_one_number(kind, unit_mesh):
+    for f, c in [(kind.constant(unit_mesh, c), c) for c in AWKWARD] + [
+            (kind.zeros(unit_mesh), 0.0)]:
+        assert f.values.shape == kind.shape(unit_mesh)
+        assert f.values.strides == (0,) * f.values.ndim
+        assert not f.values.flags.writeable
+        assert f.values.tobytes() == np.full(kind.shape(unit_mesh), c).tobytes()
+        with pytest.raises(ValueError):
+            f.values[(1,) * f.values.ndim] = 2.0
+    with pytest.raises(ValueError, match="finite"):
+        kind.constant(unit_mesh, np.inf)
+
+
+@pytest.mark.parametrize("dims", [(5, 5, 4), (9, 7, 8), (33, 33, 32), (4, 3, 100)])
+def test_constant_views_compute_like_materialised_arrays(dims):
+    nx, ny, nt = dims
+    mesh = build_mesh(nx, ny, nt, 1.0, 1.0, 1.0)
+    rng = np.random.default_rng(nx * nt)
+    for kind, inner in ((TimeField, omega_inner), (BoundaryTimeField, sigma_inner)):
+        r = rng.standard_normal(kind.shape(mesh))
+        for c in AWKWARD:
+            view, full = kind.constant(mesh, c).values, _materialised(kind, mesh, c).values
+            for fn in (lambda a: (r - a) * 2.0 + a,
+                       lambda a: np.maximum(r * 3.0 + a, 0.0),
+                       lambda a: np.abs(a[1:] - r[1:]),
+                       lambda a: np.any(a > r),
+                       lambda a: inner(mesh, a, a),
+                       lambda a: inner(mesh, a, r),
+                       lambda a: inner(mesh, r, a),
+                       lambda a: clamp(r, a, a + 0.5),
+                       lambda a: clamp(r, -abs(a) - 0.5, abs(a)),
+                       lambda a: clamp(a, -r * r, r * r)):
+                assert np.asarray(fn(view)).tobytes() == np.asarray(fn(full)).tobytes(), c
+            lo, hi = kind.constant(mesh, c - 0.25), kind.constant(mesh, c + 0.25)
+            f = kind(mesh, r)
+            assert (project_interval(f, lo, hi).values.tobytes()
+                    == project_interval(f, _materialised(kind, mesh, c - 0.25),
+                                        _materialised(kind, mesh, c + 0.25)).values.tobytes())
+
+
+def test_constant_field_copies_are_contiguous(unit_mesh):
+    for kind in KINDS:
+        c = kind.constant(unit_mesh, 0.3)
+        for values in (kind(unit_mesh, c.values).values, c.values.copy(),
+                       project_interval(c, kind.zeros(unit_mesh),
+                                        kind.constant(unit_mesh, 1.0)).values):
+            assert values.flags.c_contiguous
+            assert values.tobytes() == c.values.tobytes()
+
+
+def test_constant_field_csv_roundtrip(tmp_path, unit_mesh):
+    for kind, dump, load in ((TimeField, dump_time_field, load_time_field),
+                             (BoundaryTimeField, dump_boundary_field, load_boundary_field)):
+        for c in AWKWARD:
+            path = tmp_path / f"{kind.__name__}.csv"
+            dump(kind.constant(unit_mesh, c), "c", path)
+            g = load(path, unit_mesh)
+            assert g.values.flags.c_contiguous
+            assert g.values.tobytes() == np.full(kind.shape(unit_mesh), c).tobytes()
+
+
+# ------------------------------------------------------------------- clamp
+
+SIGNED = (-0.0, 0.0, -1.0, 1.0, 0.5)
+
+
+def _clamp_cases(rng, n):
+    """(x, lo, hi) with lo <= hi: random triples, values on the bounds and
+    degenerate intervals (lo == hi)."""
+    x = 2.0 * rng.standard_normal(n)
+    lo = rng.standard_normal(n)
+    hi = lo + np.abs(rng.standard_normal(n))
+    hi[::5] = lo[::5]
+    x[1::7] = lo[1::7]
+    x[2::7] = hi[2::7]
+    return x, lo, hi
+
+
+@pytest.mark.parametrize("n", [1, 3, 17, 1000, 100_003])
+def test_clamp_matches_clip_bit_for_bit(n):
+    x, lo, hi = _clamp_cases(np.random.default_rng(n), n)
+    expected = np.clip(x, lo, hi).tobytes()
+    assert clamp(x, lo, hi).tobytes() == expected
+    out = x.copy()
+    assert clamp(out, lo, hi, out=out) is out
+    assert out.tobytes() == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 100])
+def test_clamp_matches_clip_on_signed_zeros_for_any_bound_storage(n):
+    # np.clip with materialised bounds is the reference; clamp must give its
+    # bits with the bounds as arrays, as constant views or with x a view
+    def view(c):
+        return np.ndarray((n,), np.float64, np.array([c]), 0, (0,))
+
+    for x, lo, hi in itertools.product(SIGNED, repeat=3):
+        if lo > hi:
+            continue
+        expected = np.clip(np.full(n, x), np.full(n, lo), np.full(n, hi)).tobytes()
+        for xs in (np.full(n, x), view(x)):
+            for los in (np.full(n, lo), view(lo)):
+                for his in (np.full(n, hi), view(hi)):
+                    assert clamp(xs, los, his).tobytes() == expected, (x, lo, hi)

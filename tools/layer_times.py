@@ -5,7 +5,7 @@
         [--out layer_times.json]
 
 For each size n x nt (an n x n grid on the unit square, nt steps to T = 0.5,
-variable coefficients and data drawn from a fixed seed) it times five layers:
+variable coefficients and data drawn from a fixed seed) it times seven layers:
 
 - ``factor_ms``: operator factorization, the first `step_kit()` of a freshly
   assembled operator (assembly not included); it includes the copy of the
@@ -18,7 +18,16 @@ variable coefficients and data drawn from a fixed seed) it times five layers:
 - ``adjoint_us``: one adjoint sweep, `solve_adjoint` with a seeded nonzero
   multiplier (so its terminal correction is taken) and terminal slice;
 - ``step_us``: the two sweeps' time per implicit step, (forward + adjoint)
-  / (2 nt), the measure of perfbench's ``solvers.step_us``.
+  / (2 nt), the measure of perfbench's ``solvers.step_us``;
+- ``objective_us``: one `subproblem_objective`, with the state, multiplier
+  candidate and integral of mu^2 given, as the inner solver calls it;
+- ``kkt_us``: one `kkt_residuals`, as the outer loop calls it once per
+  iteration.
+
+The last two evaluate a problem with boundary control, a constant obstacle
+psi (the largest value of the initial slice) and constant control bounds,
+at seeded controls, with the state and adjoint of those controls; both read
+psi and the bounds.
 
 Each value is the minimum over --repeat repeats of a loop long enough to
 read (about 20 ms).  Every round runs one subprocess per tree with the
@@ -39,7 +48,8 @@ import subprocess
 import sys
 import time
 
-LAYERS = ("factor_ms", "solve_us", "forward_us", "adjoint_us", "step_us")
+LAYERS = ("factor_ms", "solve_us", "forward_us", "adjoint_us", "step_us", "objective_us",
+          "kkt_us")
 DEFAULT_SIZES = "5x4,17x16,33x32,65x64"
 LOOP_S = 0.02
 SEED = 0
@@ -73,9 +83,11 @@ def _best(fn, repeat):
 
 
 def measure(n, nt, repeat):
-    """The five layer times at one size, for the almpde on the import path."""
+    """The seven layer times at one size, for the almpde on the import path."""
     import numpy as np
-    from almpde.grid import TimeField, build_mesh
+    from almpde.cost import (ProblemSpec, kkt_residuals, multiplier_candidate,
+                             multiplier_square, subproblem_objective)
+    from almpde.grid import BoundaryTimeField, ControlBounds, TimeField, build_mesh
     from almpde.operators import DiffusionCoefficients, assemble_operator
     from almpde.solvers import _solve, solve_adjoint, solve_forward
 
@@ -90,6 +102,7 @@ def measure(n, nt, repeat):
     terminal = rng.standard_normal(mesh.shape_space)
     rhs = rng.standard_normal(mesh.ny * mesh.nx)
     buf = np.empty_like(rhs)
+    v = BoundaryTimeField(mesh, rng.standard_normal((nt + 1, mesh.n_boundary)))
 
     factor_s = float("inf")
     for _ in range(max(repeat, 3)):
@@ -108,9 +121,22 @@ def measure(n, nt, repeat):
     solve_s = _best(solve, repeat)
     forward_s = _best(lambda: solve_forward(mesh, op, u, None, y0), repeat)
     adjoint_s = _best(lambda: solve_adjoint(mesh, op, mu, terminal), repeat)
+
+    rho = 1.0
+    spec = ProblemSpec(mesh, coeffs, y0, terminal, TimeField.constant(mesh, y0.max()),
+                       alpha=1.0, beta=1.0, bounds=ControlBounds.constant(mesh, -1.0, 1.0),
+                       boundary_control_enabled=True)
+    y = solve_forward(mesh, spec.operator(), u, v, y0)
+    mu_bar = multiplier_candidate(y, spec.psi, mu, rho)
+    mu_sq = multiplier_square(mesh, mu)
+    p = solve_adjoint(mesh, spec.operator(), mu_bar, y.values[-1] - terminal)
+    objective_s = _best(lambda: subproblem_objective(spec, rho, mu, u, v, y=y, mu_bar=mu_bar,
+                                                     mu_sq=mu_sq), repeat)
+    kkt_s = _best(lambda: kkt_residuals(spec, y, u, v, p, mu_bar), repeat)
     return {"factor_ms": 1e3 * factor_s, "solve_us": 1e6 * solve_s,
             "forward_us": 1e6 * forward_s, "adjoint_us": 1e6 * adjoint_s,
-            "step_us": 1e6 * (forward_s + adjoint_s) / (2 * nt)}
+            "step_us": 1e6 * (forward_s + adjoint_s) / (2 * nt),
+            "objective_us": 1e6 * objective_s, "kkt_us": 1e6 * kkt_s}
 
 
 def worker(sizes, repeat):
@@ -150,11 +176,11 @@ def collect(args):
 def table(record):
     """Text lines: per tree and size, the median of each layer over the rounds."""
     lines = [f"{label} = {tree}" for label, tree in record["trees"].items()]
-    lines.append("tree   size      " + "".join(f"{layer:>12}" for layer in LAYERS))
+    lines.append("tree   size      " + "".join(f"{layer:>13}" for layer in LAYERS))
     for label, sizes in record["results"].items():
         for size, layers in sizes.items():
             lines.append(f"{label:<6} {size:<9} " + "".join(
-                f"{statistics.median(layers[layer]):>12.4g}" for layer in LAYERS))
+                f"{statistics.median(layers[layer]):>13.4g}" for layer in LAYERS))
     return lines
 
 
