@@ -21,7 +21,9 @@ next sub-problem: its controls are the warm start and its y is their state,
 so every outer iteration after the first saves one forward sweep.  Each
 iteration leaves one AlmTraceRow, whose fields are the columns of
 trace.csv.  Its J is evaluated once and its L_rho is that J plus the penalty
-of the result's multiplier candidate.
+of the result's multiplier candidate, with the integral of mu^2 the
+sub-problem took (`MsaResult.mu_sq`), so that integral is taken once per
+outer iteration.
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .grid import TimeField
-from .cost import (cost_J, kkt_residuals, multiplier_square, penalty, residual_index)
+from .cost import cost_J, kkt_residuals, penalty, residual_index
 from .msa import MsaConfig, msa_solve, require_finite_fields
 
 
@@ -153,15 +155,14 @@ def alm_run(spec, config, on_row=None):
     final_result = None
     termination = "max_outer"
     for _ in range(config.max_outer):
-        rho_k, mu_k = state.rho, state.mu
+        rho_k = state.rho
         result, R_k, success, state = alm_step(spec, state, final_result, config)
         kkt = kkt_residuals(spec, result.y, result.u, result.v, result.p, result.mu_bar)
         v = result.v if spec.boundary_control_enabled else None
         J = cost_J(spec, result.y, result.u, v)
         row = AlmTraceRow(
             k=state.k, n=state.n, rho=rho_k, R=R_k, success=success, J=J,
-            L_rho=J + penalty(spec.mesh, result.mu_bar,
-                              multiplier_square(spec.mesh, mu_k), rho_k),
+            L_rho=J + penalty(spec.mesh, result.mu_bar, result.mu_sq, rho_k),
             feas=kkt.feasibility, compl=kkt.complementarity,
             stat_u=kkt.stationarity_u, stat_v=kkt.stationarity_v,
             inner_iters=result.inner_iters, final_gap=result.final_gap)

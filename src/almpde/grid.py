@@ -12,12 +12,16 @@ and every operation returns a new field, so instances are safe to share.
 A constant field (`constant`, `zeros`) stores one number: its values are a
 read-only view of a single float64 with every stride zero, so a bound, psi
 or starting multiplier costs 8 bytes at any size instead of
-8 (nt + 1) ny nx.  It reads like any array of its shape.
+8 (nt + 1) ny nx.  It reads like any array of its shape; the solver's
+elementwise arithmetic reads it through `operand`, as a 0-d array, which
+keeps numpy on its contiguous loops.
 
 The clamps into a box all go through `clamp`, min(max(x, lo), hi), which
 gives the same bits whether a bound is a materialised array or a constant
 view; `np.clip` does not (see `clamp`).
 """
+
+import math
 
 import numpy as np
 
@@ -68,17 +72,15 @@ class Mesh:
         for arr in (self.x, self.y, self.t, self.w_space, self.w_time,
                     self.boundary_i, self.boundary_j, self.w_arc):
             arr.flags.writeable = False
+        self.key = (nx, ny, nt, self.lx, self.ly, self.T)
 
     @property
     def shape_space(self):
         return (self.ny, self.nx)
 
-    @property
-    def key(self):
-        return (self.nx, self.ny, self.nt, self.lx, self.ly, self.T)
-
     def compatible(self, other):
-        return isinstance(other, Mesh) and self.key == other.key
+        """Whether other is a Mesh with the same dims and extents (`key`)."""
+        return other is self or (isinstance(other, Mesh) and self.key == other.key)
 
     def __repr__(self):
         return (f"Mesh(nx={self.nx}, ny={self.ny}, nt={self.nt}, "
@@ -118,11 +120,21 @@ class _Field:
     built and keeps no other reference to: it makes the same checks and
     freezes that array in place, without the copy.
 
-    `constant` and `zeros` wrap a zero-stride view of one float64, built
-    with the ndarray constructor: `np.broadcast_to` costs about five times
-    as much per call on the small grids (6.6 against 1.5 us at 5x5x5).  Arithmetic, einsum and `clamp`
+    The finiteness check first takes the sum of squares of a contiguous
+    array, one BLAS dot (1.0 us with the contiguity test, against 1.75 us
+    for `np.isfinite(a).all()` at 5x5x5): it is finite only if every entry is, since a square is never
+    negative and an inf or NaN entry makes the sum inf or NaN.  Only when it
+    is not finite, or the array is not contiguous (the dot would copy it),
+    does the exact test decide, so a finite field whose squares overflow is
+    accepted.  BLAS raises no floating-point warning on the overflow.
+
+    `constant` and `zeros` wrap a zero-stride view of a read-only 0-d
+    float64, which is the view's `base`, built with the ndarray constructor:
+    `np.broadcast_to` costs about five times as much per call on the small
+    grids (6.6 against 1.5 us at 5x5x5).  Arithmetic, einsum and `clamp`
     read it with the same bits as the materialised array; `np.array` or
-    `.copy()` of its values gives a contiguous one.
+    `.copy()` of its values gives a contiguous one, and `operand` gives the
+    0-d array itself.
     """
 
     __slots__ = ("mesh", "values")
@@ -132,7 +144,7 @@ class _Field:
 
     @classmethod
     def _wrap(cls, mesh, values):
-        field = cls.__new__(cls)
+        field = object.__new__(cls)
         field._adopt(mesh, values)
         return field
 
@@ -141,9 +153,10 @@ class _Field:
         if values.shape != expected:
             raise ValueError(f"{type(self).__name__} shape {values.shape} != {expected} "
                              f"for {mesh!r}")
-        if not np.isfinite(values).all():
+        if not (values.flags.c_contiguous and math.isfinite(np.vdot(values, values))) \
+                and not np.isfinite(values).all():
             raise ValueError(f"{type(self).__name__} values must be finite")
-        values.flags.writeable = False
+        values.setflags(write=False)
         object.__setattr__(self, "mesh", mesh)
         object.__setattr__(self, "values", values)
 
@@ -157,8 +170,9 @@ class _Field:
     @classmethod
     def constant(cls, mesh, c):
         shape = cls.shape(mesh)
-        values = np.ndarray(shape, np.float64, np.array([float(c)]), 0, (0,) * len(shape))
-        return cls._wrap(mesh, values)
+        one = np.array(float(c))
+        one.flags.writeable = False
+        return cls._wrap(mesh, np.ndarray(shape, np.float64, one, 0, (0,) * len(shape)))
 
 
 class TimeField(_Field):
@@ -228,14 +242,34 @@ def l2_norm_omega_t(f):
     return np.sqrt(max(integrate_omega_t(f, f), 0.0))
 
 
+def operand(f):
+    """The values of field f as an operand of elementwise arithmetic with
+    full arrays: a constant field's one number as a 0-d array, any other
+    field's own array.
+
+    numpy runs a 0-d operand through its contiguous loops, as it does a
+    scalar, and a zero-stride view through its general ones: a subtraction
+    or maximum at 5x5x5 takes about 0.45 against 0.95 us, at 33^3 about 5%
+    less time and at 65^3, where memory traffic dominates, 1-4% less.  Every
+    element of a field is the same number exactly when all its strides are
+    zero (each axis has at least two entries), and then the 0-d array is
+    its base (see `_Field`).  The result reads with the same bits either
+    way; a 0-d operand cannot be sliced, so callers take the time slices
+    m = 1..nt from the result instead.
+    """
+    values = f.values
+    return values if any(values.strides) else values.base
+
+
 def clamp(x, lo, hi, out=None):
     """min(max(x, lo), hi) elementwise, into out when given (it may be x).
 
     For lo <= hi it is bit for bit np.clip(x, lo, hi) with materialised
-    bounds, signed zeros included, and it gives the same bits for a
-    constant-view bound.  np.clip does not: with zero-stride or scalar
-    bounds it takes another loop, which can return a zero of the other
-    sign, and costs about 1 us more per call on the small grids.
+    bounds, signed zeros included, and it gives the same bits for bounds
+    that are constant views, 0-d arrays (`operand`) or scalars.  np.clip
+    does not: with zero-stride or scalar bounds it takes another loop,
+    which can return a zero of the other sign, and costs about 1 us more
+    per call on the small grids.
     """
     out = np.maximum(x, lo, out=out)
     return np.minimum(out, hi, out=out)
@@ -252,7 +286,7 @@ def project_interval(f, lo, hi):
     _check_same_mesh(f, hi)
     if (lo.values > hi.values).any():
         raise ValueError("invalid bounds: lower bound exceeds upper bound somewhere")
-    return type(f)._wrap(f.mesh, clamp(f.values, lo.values, hi.values))
+    return type(f)._wrap(f.mesh, clamp(f.values, operand(lo), operand(hi)))
 
 
 class ControlBounds:

@@ -48,7 +48,9 @@ test.
 
 In the MsaResult, (y, mu_bar, p) belong to the returned controls,
 inner_iters counts the accepted updates, final_gap is the stationarity
-residual of the returned controls and converged is final_gap <= eps1.
+residual of the returned controls, converged is final_gap <= eps1 and
+mu_sq is integral mu^2 of the sub-problem's mu, which the outer loop's
+L_rho takes over.
 Handed back as `warm`, a result starts the next sub-problem from its
 controls and its state y, so that start costs no forward sweep.
 
@@ -67,7 +69,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grid import (TimeField, BoundaryTimeField, clamp, extract_boundary,
+from .grid import (TimeField, BoundaryTimeField, clamp, extract_boundary, operand,
                    project_interval)
 from .cost import multiplier_candidate, multiplier_square, subproblem_objective
 from .solvers import solve_forward, solve_adjoint
@@ -125,6 +127,7 @@ class MsaResult:
     inner_iters: int
     final_gap: float
     converged: bool
+    mu_sq: float
 
 
 def _initial_control(init, zero, lo, hi):
@@ -144,7 +147,8 @@ def _initial_control(init, zero, lo, hi):
 
 def _damped_clamp(x, target, lo, hi, theta):
     """clip((1 - theta) x + theta target, lo, hi) on m = 1..nt, and x's slice
-    0; a field like x.  target is the value array of -p / weight.
+    0; a field like x.  target is the value array of -p / weight; constant
+    bounds are read as 0-d arrays (`operand`).
 
     At theta = 1 this is bit for bit clip(target): 0 * x + target differs
     from target at most in the sign of a zero.  The equal-looking
@@ -152,16 +156,21 @@ def _damped_clamp(x, target, lo, hi, theta):
     """
     values = (1.0 - theta) * x.values
     values += theta * target
-    clamp(values, lo.values, hi.values, out=values)
+    clamp(values, operand(lo), operand(hi), out=values)
     values[0] = x.values[0]
     return type(x)._wrap(x.mesh, values)
 
 
 def _stationarity(x, target, lo, hi):
-    """sup over m = 1..nt of |x - clip(target, lo, hi)|, target = -p / weight."""
-    r = clamp(target[1:], lo.values[1:], hi.values[1:])
-    r -= x.values[1:]
-    return float(np.abs(r, out=r).max())
+    """sup over m = 1..nt of |x - clip(target, lo, hi)|, target = -p / weight.
+
+    The difference is formed on every slice, so that a constant bound is
+    read as a 0-d array (`operand`) that needs no slicing, and the sup is
+    taken over m = 1..nt."""
+    r = clamp(target, operand(lo), operand(hi))
+    r -= x.values
+    tail = np.abs(r[1:], out=r[1:])
+    return float(np.maximum.reduce(tail, axis=None))
 
 
 def _step_products(x, x_new, weights, weight, p):
@@ -176,10 +185,11 @@ def _step_products(x, x_new, weights, weight, p):
     """
     s = x_new.values - x.values
     ws = s * weights
-    ss = float(np.multiply(ws, s, out=s).sum())
-    xs = float(np.multiply(ws, x.values, out=s).sum())
-    ps = float(np.multiply(ws, p.values, out=s).sum())
-    return np.array([weight * ss, weight * xs + ps, ps])
+    total = np.add.reduce
+    ss = float(total(np.multiply(ws, s, out=s), axis=None))
+    xs = float(total(np.multiply(ws, x.values, out=s), axis=None))
+    ps = float(total(np.multiply(ws, p.values, out=s), axis=None))
+    return weight * ss, weight * xs + ps, ps
 
 
 def _step_dot(x, x_new, weights, p):
@@ -188,7 +198,7 @@ def _step_dot(x, x_new, weights, p):
     denominator)."""
     ws = x_new.values - x.values
     ws *= weights
-    return float(np.multiply(ws, p.values, out=ws).sum())
+    return float(np.add.reduce(np.multiply(ws, p.values, out=ws), axis=None))
 
 
 def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None, warm=None):
@@ -258,12 +268,12 @@ def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None, warm=None):
         y = mu_bar = y_new = mu_bar_new = None
         while theta >= THETA_MIN:
             u_new = _damped_clamp(u, q, b.ua, b.ub, theta)
-            step = _step_products(u, u_new, w_u, spec.alpha, p)
+            ss, slope, sp = _step_products(u, u_new, w_u, spec.alpha, p)
             v_new = v
             if with_v:
                 v_new = _damped_clamp(v, qb, b.va, b.vb, theta)
-                step += _step_products(v, v_new, w_v, spec.beta, pb)
-            ss, slope, sp = step
+                ss_v, slope_v, sp_v = _step_products(v, v_new, w_v, spec.beta, pb)
+                ss, slope, sp = ss + ss_v, slope + slope_v, sp + sp_v
             y_new, mu_bar_new, phi_new = state(u_new, v_new, updates + 2)
             if phi_new <= phi + SIGMA * slope + ROUNDING * abs(phi):
                 break
@@ -283,5 +293,5 @@ def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None, warm=None):
         u, v = u_new, v_new
         updates += 1
         theta = min(1.0, max(THETA_MIN, ss / sy)) if sy > 0 else 1.0
-    return MsaResult(y=y, u=u, v=v, p=p, mu_bar=mu_bar,
-                     inner_iters=updates, final_gap=gap, converged=gap <= config.eps1)
+    return MsaResult(y=y, u=u, v=v, p=p, mu_bar=mu_bar, inner_iters=updates,
+                     final_gap=gap, converged=gap <= config.eps1, mu_sq=mu_sq)

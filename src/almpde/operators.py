@@ -43,7 +43,6 @@ built on that object shares the operator, its factor included.
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import cholesky_banded
 
 
@@ -200,6 +199,11 @@ class DiscreteOperator:
         return self._csr
 
     def _assemble_csr(self):
+        # imported here: only the dense oracle and the tests take A whole,
+        # and importing scipy.sparse adds about 1.5 MB to a process that
+        # only solves
+        import scipy.sparse as sp
+
         nx, ny = self.mesh.nx, self.mesh.ny
         idx = np.arange(nx * ny).reshape(ny, nx)
         rows, cols, vals = [], [], []

@@ -20,7 +20,8 @@ extra solve, skipped when mu_nt is zero because it is then exactly zero.
 Both sweeps run one march loop, over the systems K x_m = M x_{m-1} + s_m
 with the sources s = dt (M u + B v) forward and s = dt M mu backward, built
 for all time levels at once from the dt-weighted mass and arc weights of the
-operator's `StepKit`.  The loop marches the deviation z_m = x_m - x_0 from
+operator's `StepKit`, in the slices of the array the sweep returns.  The
+loop marches the deviation z_m = x_m - x_0 from
 the sweep's starting slice x_0 (y0 forward, the corrected p_nt backward):
 
     K z_m = M z_{m-1} + (s_m - dt A x_0),    z_0 = 0,
@@ -45,6 +46,12 @@ Each sweep writes its slices straight into the array of the field it
 returns (the backward one in reverse time order), and the field takes that
 array over without a copy.  Its finiteness check stays: a sweep that
 overflows raises ValueError.
+
+On the small grids a sweep costs its calls more than its arithmetic: at
+5x5x4 each of the four banded solves takes about 1 us, and so does each
+numpy operation around them.  So the sweeps form their sources in place,
+call LAPACK without a Python wrapper in the loop and test mu_nt with
+`np.count_nonzero`, about a quarter of the cost of `ndarray.any` at 5x5.
 """
 
 import numpy as np
@@ -53,7 +60,10 @@ from scipy.linalg import get_lapack_funcs
 from .grid import TimeField
 
 # LAPACK's banded triangular solve, fetched once: scipy's cho_solve_banded
-# wrapper costs about ten times the solve itself on the small grids.
+# wrapper costs about ten times the solve itself on the small grids.  It is
+# called with positional arguments (factor, rhs, lower = 0, ldab,
+# overwrite_b = 1), which the f2py wrapper parses about 0.3 us faster than
+# keywords: a whole solve takes about 0.8 us at 5x5.
 _pbtrs = get_lapack_funcs("pbtrs", dtype=np.float64)
 
 
@@ -65,31 +75,37 @@ def _solve(factor, rhs):
     factor is U (K = U^T U) in LAPACK's upper band layout (see `StepKit`),
     so the solve takes the two fast triangular variants, U^T then U; it
     must be Fortran-ordered, or the wrapper copies it on every call."""
-    x, info = _pbtrs(factor, rhs, lower=0, overwrite_b=1)
+    x, info = _pbtrs(factor, rhs, 0, factor.shape[0], 1)
     if info != 0:
         raise RuntimeError(f"LAPACK pbtrs failed with info = {info}")
     return x
 
 
-def _march(kit, x0, sources, x):
-    """Implicit-Euler steps from the slice x0, one per row of sources.
+def _march(kit, x):
+    """Implicit-Euler steps over the rows of x, (steps + 1, n) in marching
+    order.
 
-    sources is (steps, n), in marching order; row 0 of the (steps + 1, n)
-    output x gets x0 and row m the slice after step m.  The rows after x0
-    first hold the deviations z_m = x_m - x0, solved in place.
+    On entry row 0 holds the starting slice x0 and row m >= 1 the source of
+    step m; on exit row m holds the slice after step m.  The rows after x0
+    first hold the deviations z_m = x_m - x0, solved in place.  The steps
+    call LAPACK directly, with `_solve`'s check of its status, which saves
+    the wrapper's call (about 0.13 us of a 0.8 us solve at 5x5).
     """
-    x0 = x0.ravel()
-    z = x[1:]
-    np.subtract(sources, kit.stencil.apply(x0, np.empty(x0.size)), out=z)
+    x0, z = x[0], x[1:]
+    z -= kit.stencil.apply(x0, np.empty(x0.size))
     mass, factor = kit.flat_mass, kit.factor
+    ldab = factor.shape[0]
     carry = np.empty(x0.size)
-    _solve(factor, z[0])
-    for prev, row in zip(z[:-1], z[1:]):
-        np.multiply(mass, prev, out=carry)
-        row += carry
-        _solve(factor, row)
+    prev = None
+    for row in z:
+        if prev is not None:
+            np.multiply(mass, prev, out=carry)
+            row += carry
+        info = _pbtrs(factor, row, 0, ldab, 1)[1]
+        if info != 0:
+            raise RuntimeError(f"LAPACK pbtrs failed with info = {info}")
+        prev = row
     z += x0
-    x[0] = x0
 
 
 def _check(mesh, op, slice_, name):
@@ -106,15 +122,18 @@ def solve_forward(mesh, op, u, v, y0):
 
     u is a TimeField source, v an optional BoundaryTimeField flux (None means
     homogeneous Neumann), y0 a (ny, nx) array.  Returns the state TimeField.
+    The loads of steps 1..nt are formed in the slices they are marched in.
     """
     y0 = _check(mesh, op, y0, "initial")
     kit = op.step_kit()
-    load = kit.mass * u.values
+    y = np.empty(TimeField.shape(mesh))
+    load = y[1:]
+    np.multiply(kit.mass, u.values[1:], out=load)
     if v is not None:
-        load[:, mesh.boundary_j, mesh.boundary_i] += kit.arc * v.values
-    y = np.empty((mesh.nt + 1, mesh.ny * mesh.nx))
-    _march(kit, y0, load.reshape(mesh.nt + 1, -1)[1:], y)
-    return TimeField._wrap(mesh, y.reshape(mesh.nt + 1, mesh.ny, mesh.nx))
+        load[:, mesh.boundary_j, mesh.boundary_i] += kit.arc * v.values[1:]
+    y[0] = y0
+    _march(kit, y.reshape(mesh.nt + 1, -1))
+    return TimeField._wrap(mesh, y)
 
 
 def solve_adjoint(mesh, op, mu, terminal):
@@ -123,12 +142,18 @@ def solve_adjoint(mesh, op, mu, terminal):
     mu is the TimeField source (the multiplier candidate) and terminal the
     (ny, nx) terminal mismatch y_nt - y_d; the slice p_nt starts from is
     terminal + dt K^{-1} M mu_nt.  The boundary closure is homogeneous.
+    The sources are formed in the slices of p, in time order, and the march
+    runs over p reversed; the correction is solved in place in p_nt.
     """
     terminal = _check(mesh, op, terminal, "terminal")
     kit = op.step_kit()
-    sources = (kit.mass * mu.values).reshape(mesh.nt + 1, -1)
-    if sources[-1].any():
-        terminal = terminal + _solve(kit.factor, sources[-1].copy()).reshape(terminal.shape)
-    p = np.empty_like(sources)
-    _march(kit, terminal, sources[-2::-1], p[::-1])
-    return TimeField._wrap(mesh, p.reshape(mesh.nt + 1, mesh.ny, mesh.nx))
+    p = np.empty(TimeField.shape(mesh))
+    np.multiply(kit.mass, mu.values, out=p)
+    last = p[-1]
+    if np.count_nonzero(last):
+        _solve(kit.factor, last.reshape(-1))
+        last += terminal
+    else:
+        last[...] = terminal
+    _march(kit, p.reshape(mesh.nt + 1, -1)[::-1])
+    return TimeField._wrap(mesh, p)

@@ -1,5 +1,8 @@
 import ast
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -315,6 +318,44 @@ def test_run_applies_the_stencil_once_per_sweep_and_objective(tmp_path, monkeypa
     cfg.write_text("problem.preset = paper_example_sec5\n")
     alm_run(*build_run(parse_config(str(cfg))))
     assert len(calls) == 54 + 67 + 67
+
+
+def test_run_takes_the_integral_of_mu_squared_once_per_outer_iteration(tmp_path, monkeypatch):
+    # msa_solve takes integral mu^2 of its sub-problem once, and the row's
+    # L_rho reuses it from the result: 14 outer iterations, 14 integrals
+    calls = []
+    square = cost.multiplier_square
+
+    def counted(mesh, mu):
+        calls.append(1)
+        return square(mesh, mu)
+
+    monkeypatch.setattr(cost, "multiplier_square", counted)
+    monkeypatch.setattr(msa, "multiplier_square", counted)
+    cfg = tmp_path / "sec5.cfg"
+    cfg.write_text("problem.preset = paper_example_sec5\n")
+    trace = alm_run(*build_run(parse_config(str(cfg))))
+    assert len(trace.rows) == 14
+    assert len(calls) == 14
+
+
+def test_a_solving_process_does_not_import_scipy_sparse(tmp_path):
+    # only the dense oracle and the tests take the stiffness matrix whole
+    # (`DiscreteOperator.as_csr`), so a run of the paper preset leaves
+    # scipy.sparse unimported, and the resident set without it
+    cfg = tmp_path / "sec5.cfg"
+    cfg.write_text("problem.preset = paper_example_sec5\n")
+    code = ("import sys\n"
+            "from almpde.alm import alm_run\n"
+            "from almpde.config import build_run, parse_config\n"
+            f"trace = alm_run(*build_run(parse_config({str(cfg)!r})))\n"
+            "assert trace.termination == 'tolerance_met'\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_row_objective_is_evaluated_once_and_l_rho_matches(sec5_spec, monkeypatch):

@@ -1,11 +1,12 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from almpde.cost import omega_inner, sigma_inner
 from almpde.grid import (TimeField, BoundaryTimeField, ControlBounds,
-                         build_mesh, clamp, integrate_omega_t, project_interval,
+                         build_mesh, clamp, integrate_omega_t, operand, project_interval,
                          extract_boundary,
                          dump_time_field, load_time_field,
                          dump_boundary_field, load_boundary_field,
@@ -245,6 +246,41 @@ def test_constructor_copies_and_wrap_freezes_in_place(unit_mesh):
         TimeField._wrap(unit_mesh, np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_every_constructor_rejects_each_nonfinite_value(unit_mesh, bad):
+    # the fast test (a sum of squares) and the exact one (non-contiguous
+    # arrays, or a sum that is not finite) must both reject NaN, +inf and -inf
+    for kind in (TimeField, BoundaryTimeField):
+        for at in (0, 7, -1):
+            vals = np.zeros(kind.shape(unit_mesh))
+            vals.flat[at] = bad
+            for build in (lambda: kind(unit_mesh, vals),
+                          lambda: kind._wrap(unit_mesh, vals.copy()),
+                          lambda: kind._wrap(unit_mesh, np.asfortranarray(vals))):
+                with pytest.raises(ValueError, match=f"{kind.__name__} values must be finite"):
+                    build()
+        with pytest.raises(ValueError, match="finite"):
+            kind.constant(unit_mesh, bad)
+
+
+def test_finite_field_whose_squares_overflow_is_accepted_without_a_warning(unit_mesh):
+    # two entries of 1e308: their sum and their squares overflow, so the fast
+    # test is not finite and the exact test must accept the field; no
+    # floating-point warning may be left behind, for it or a later ufunc
+    for kind in (TimeField, BoundaryTimeField):
+        vals = np.zeros(kind.shape(unit_mesh))
+        vals.flat[0] = vals.flat[1] = 1e308
+        vals.flat[2] = -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = kind._wrap(unit_mesh, vals.copy())
+            g = kind(unit_mesh, vals)
+            h = kind._wrap(unit_mesh, np.asfortranarray(vals))
+            np.add(np.ones(3), 1.0)
+        for field in (f, g, h):
+            assert field.values.tobytes() == vals.tobytes()
+
+
 # ------------------------------------------------------- constant storage
 
 # constants whose squares and sums round, so a change of summation order shows
@@ -295,6 +331,37 @@ def test_constant_views_compute_like_materialised_arrays(dims):
             assert (project_interval(f, lo, hi).values.tobytes()
                     == project_interval(f, _materialised(kind, mesh, c - 0.25),
                                         _materialised(kind, mesh, c + 0.25)).values.tobytes())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_operand_is_the_one_number_of_a_constant_field(kind, unit_mesh):
+    for c in AWKWARD:
+        a = operand(kind.constant(unit_mesh, c))
+        assert a.shape == () and not a.flags.writeable
+        assert a.tobytes() == np.float64(c).tobytes()
+    full = _materialised(kind, unit_mesh, 0.5)
+    assert operand(full) is full.values
+
+
+@pytest.mark.parametrize("dims", [(5, 5, 4), (33, 33, 32)])
+def test_constant_operands_compute_like_materialised_arrays(dims):
+    # the 0-d operand of a constant field gives the materialised array's bits
+    # in every elementwise operation the solver makes with it
+    nx, ny, nt = dims
+    mesh = build_mesh(nx, ny, nt, 1.0, 1.0, 1.0)
+    rng = np.random.default_rng(nx * nt)
+    for kind in KINDS:
+        r = rng.standard_normal(kind.shape(mesh))
+        for c in AWKWARD:
+            scalar = operand(kind.constant(mesh, c))
+            full = _materialised(kind, mesh, c).values
+            for fn in (lambda a: r - a,
+                       lambda a: a - r,
+                       lambda a: (r - a) * 2.0 + a,
+                       lambda a: np.maximum(r * 3.0 + a, 0.0),
+                       lambda a: clamp(r, a, a + 0.5),
+                       lambda a: clamp(r, -abs(a) - 0.5, abs(a))):
+                assert fn(scalar).tobytes() == fn(full).tobytes(), c
 
 
 def test_constant_field_copies_are_contiguous(unit_mesh):
@@ -348,15 +415,36 @@ def test_clamp_matches_clip_bit_for_bit(n):
 @pytest.mark.parametrize("n", [1, 2, 17, 100])
 def test_clamp_matches_clip_on_signed_zeros_for_any_bound_storage(n):
     # np.clip with materialised bounds is the reference; clamp must give its
-    # bits with the bounds as arrays, as constant views or with x a view
+    # bits with the bounds as arrays, constant views, 0-d arrays or scalars,
+    # and with x a view
     def view(c):
         return np.ndarray((n,), np.float64, np.array([c]), 0, (0,))
+
+    def storages(c):
+        # materialised, a constant view, a 0-d array (`operand`) and a scalar
+        return np.full(n, c), view(c), np.array(c), c
 
     for x, lo, hi in itertools.product(SIGNED, repeat=3):
         if lo > hi:
             continue
         expected = np.clip(np.full(n, x), np.full(n, lo), np.full(n, hi)).tobytes()
         for xs in (np.full(n, x), view(x)):
-            for los in (np.full(n, lo), view(lo)):
-                for his in (np.full(n, hi), view(hi)):
+            for los in storages(lo):
+                for his in storages(hi):
                     assert clamp(xs, los, his).tobytes() == expected, (x, lo, hi)
+
+
+@pytest.mark.parametrize("n", [1, 3, 17, 1000, 100_003])
+def test_clamp_with_scalar_bounds_matches_clip_with_materialised_ones(n):
+    # random x with values on the bounds, for box and degenerate intervals
+    rng = np.random.default_rng(n)
+    for lo, hi in ((-0.5, 0.75), (0.25, 0.25), (-1.0, 0.0), (0.0, 1.0)):
+        x = 2.0 * rng.standard_normal(n)
+        x[1::7] = lo
+        x[2::7] = hi
+        x[3::11] = -0.0
+        expected = np.clip(x, np.full(n, lo), np.full(n, hi)).tobytes()
+        for los, his in ((lo, hi), (np.array(lo), np.array(hi))):
+            assert clamp(x, los, his).tobytes() == expected
+            out = x.copy()
+            assert clamp(out, los, his, out=out).tobytes() == expected

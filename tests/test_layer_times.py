@@ -26,10 +26,15 @@ def test_one_tree_writes_every_layer_per_round(tmp_path, capsys):
     record = json.loads(out.read_text())
     layers = record["results"]["tree0"]["5x4"]
     assert set(layers) == set(layer_times.LAYERS)
-    assert {"solve_us", "objective_us", "kkt_us"} <= set(layers)
+    assert {"solve_us", "objective_us", "kkt_us", "update_us"} <= set(layers)
     assert all(len(values) == 2 and min(values) > 0 for values in layers.values())
     # step_us is the two sweeps' time per implicit step
     for forward, adjoint, step in zip(layers["forward_us"], layers["adjoint_us"],
                                       layers["step_us"]):
         assert step == pytest.approx((forward + adjoint) / 8)
+    # one inner iteration takes two adjoint sweeps and at least one forward
+    # sweep besides its objectives: it is timed longer than any one sweep
+    for forward, adjoint, update in zip(layers["forward_us"], layers["adjoint_us"],
+                                        layers["update_us"]):
+        assert update > max(forward, adjoint)
     assert "tree0  5x4" in capsys.readouterr().out

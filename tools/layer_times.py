@@ -5,7 +5,7 @@
         [--out layer_times.json]
 
 For each size n x nt (an n x n grid on the unit square, nt steps to T = 0.5,
-variable coefficients and data drawn from a fixed seed) it times seven layers:
+variable coefficients and data drawn from a fixed seed) it times eight layers:
 
 - ``factor_ms``: operator factorization, the first `step_kit()` of a freshly
   assembled operator (assembly not included); it includes the copy of the
@@ -22,11 +22,18 @@ variable coefficients and data drawn from a fixed seed) it times seven layers:
 - ``objective_us``: one `subproblem_objective`, with the state, multiplier
   candidate and integral of mu^2 given, as the inner solver calls it;
 - ``kkt_us``: one `kkt_residuals`, as the outer loop calls it once per
-  iteration.
+  iteration;
+- ``update_us``: one inner iteration, a `msa_solve` capped at
+  ``max_inner = 1`` (with ``eps1 = 1e-12``, so it always takes its update)
+  and warm-started from the result of a first such solve.  It re-evaluates
+  the start (multiplier candidate, objective and adjoint sweep), takes the
+  update (one trial's clamp, forward sweep, candidate and objective, and
+  more when a trial is rejected) and the new adjoint sweep and stationarity
+  test, as each outer iteration's inner solve does.
 
-The last two evaluate a problem with boundary control, a constant obstacle
+The last three evaluate a problem with boundary control, a constant obstacle
 psi (the largest value of the initial slice) and constant control bounds,
-at seeded controls, with the state and adjoint of those controls; both read
+at seeded controls, with the state and adjoint of those controls; all read
 psi and the bounds.
 
 Each value is the minimum over --repeat repeats of a loop long enough to
@@ -49,7 +56,7 @@ import sys
 import time
 
 LAYERS = ("factor_ms", "solve_us", "forward_us", "adjoint_us", "step_us", "objective_us",
-          "kkt_us")
+          "kkt_us", "update_us")
 DEFAULT_SIZES = "5x4,17x16,33x32,65x64"
 LOOP_S = 0.02
 SEED = 0
@@ -83,11 +90,12 @@ def _best(fn, repeat):
 
 
 def measure(n, nt, repeat):
-    """The seven layer times at one size, for the almpde on the import path."""
+    """The eight layer times at one size, for the almpde on the import path."""
     import numpy as np
     from almpde.cost import (ProblemSpec, kkt_residuals, multiplier_candidate,
                              multiplier_square, subproblem_objective)
     from almpde.grid import BoundaryTimeField, ControlBounds, TimeField, build_mesh
+    from almpde.msa import MsaConfig, msa_solve
     from almpde.operators import DiffusionCoefficients, assemble_operator
     from almpde.solvers import _solve, solve_adjoint, solve_forward
 
@@ -133,10 +141,14 @@ def measure(n, nt, repeat):
     objective_s = _best(lambda: subproblem_objective(spec, rho, mu, u, v, y=y, mu_bar=mu_bar,
                                                      mu_sq=mu_sq), repeat)
     kkt_s = _best(lambda: kkt_residuals(spec, y, u, v, p, mu_bar), repeat)
+    one = MsaConfig(eps1=1e-12, max_inner=1)
+    warm = msa_solve(spec, rho, mu, config=one)
+    update_s = _best(lambda: msa_solve(spec, rho, mu, config=one, warm=warm), repeat)
     return {"factor_ms": 1e3 * factor_s, "solve_us": 1e6 * solve_s,
             "forward_us": 1e6 * forward_s, "adjoint_us": 1e6 * adjoint_s,
             "step_us": 1e6 * (forward_s + adjoint_s) / (2 * nt),
-            "objective_us": 1e6 * objective_s, "kkt_us": 1e6 * kkt_s}
+            "objective_us": 1e6 * objective_s, "kkt_us": 1e6 * kkt_s,
+            "update_us": 1e6 * update_s}
 
 
 def worker(sizes, repeat):
