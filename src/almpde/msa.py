@@ -54,10 +54,12 @@ L_rho takes over.
 Handed back as `warm`, a result starts the next sub-problem from its
 controls and its state y, so that start costs no forward sweep.
 
-Each quantity is computed once: the target -p/alpha once per adjoint, for
-both the stationarity test and the trials; the three products a trial's
-Armijo test and step length need from one dt-weighted step; integral mu^2
-once per sub-problem.  Phi takes the state and multiplier candidate the loop
+Each quantity is computed once: the target -p/alpha and p's boundary trace
+once per adjoint, for both the stationarity test and the trials; the three
+products a trial's Armijo test and step length need, as BLAS dots with one
+dt-weighted step; integral mu^2 and dt A y0, the stencil term every forward
+sweep from y0 subtracts, once per sub-problem (the latter on its first
+forward sweep).  Phi takes the state and multiplier candidate the loop
 already has, so an evaluation costs no sweep.
 
 Only the slices m = 1..nt of the controls are unknowns: the implicit-Euler
@@ -71,8 +73,8 @@ import numpy as np
 
 from .grid import (TimeField, BoundaryTimeField, clamp, extract_boundary, operand,
                    project_interval)
-from .cost import multiplier_candidate, multiplier_square, subproblem_objective
-from .solvers import solve_forward, solve_adjoint
+from .cost import _dot, multiplier_candidate, multiplier_square, subproblem_objective
+from .solvers import solve_forward, solve_adjoint, start_term
 
 
 class MsaDivergenceError(RuntimeError):
@@ -166,11 +168,13 @@ def _stationarity(x, target, lo, hi):
 
     The difference is formed on every slice, so that a constant bound is
     read as a 0-d array (`operand`) that needs no slicing, and the sup is
-    taken over m = 1..nt."""
+    taken over m = 1..nt, as max(max r, -min r) with no pass for |r|; abs
+    only gives a zero sup its positive sign."""
     r = clamp(target, operand(lo), operand(hi))
     r -= x.values
-    tail = np.abs(r[1:], out=r[1:])
-    return float(np.maximum.reduce(tail, axis=None))
+    tail = r[1:]
+    return abs(max(float(np.maximum.reduce(tail, axis=None)),
+                   -float(np.minimum.reduce(tail, axis=None))))
 
 
 def _step_products(x, x_new, weights, weight, p):
@@ -179,26 +183,24 @@ def _step_products(x, x_new, weights, weight, p):
     the step's squared length in the scaled metric, the derivative of Phi
     along it, and the part of that derivative the next adjoint changes.
 
-    All three come from one weighted step w s.  The step leaves slice 0
-    alone, so the sums over all slices are sums over m = 1..nt.  Each
-    product is formed in the room of s once s is no longer needed.
+    All three are BLAS dots (`cost._dot`) with one weighted step w s.  The
+    step leaves slice 0 alone, so the sums over all slices are sums over
+    m = 1..nt.
     """
     s = x_new.values - x.values
     ws = s * weights
-    total = np.add.reduce
-    ss = float(total(np.multiply(ws, s, out=s), axis=None))
-    xs = float(total(np.multiply(ws, x.values, out=s), axis=None))
-    ps = float(total(np.multiply(ws, p.values, out=s), axis=None))
-    return weight * ss, weight * xs + ps, ps
+    ss = _dot(ws, s)
+    ps = _dot(ws, p.values)
+    return weight * ss, weight * _dot(ws, x.values) + ps, ps
 
 
 def _step_dot(x, x_new, weights, p):
-    """<p, x_new - x> with the quadrature weights `weights`, formed in the
-    room of the step (the new adjoint's part of the Barzilai-Borwein
+    """<p, x_new - x> with the quadrature weights `weights`, a BLAS dot
+    with the weighted step (the new adjoint's part of the Barzilai-Borwein
     denominator)."""
     ws = x_new.values - x.values
     ws *= weights
-    return float(np.add.reduce(np.multiply(ws, p.values, out=ws), axis=None))
+    return _dot(ws, p.values)
 
 
 def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None, warm=None):
@@ -232,12 +234,18 @@ def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None, warm=None):
     else:
         u, v, y = warm.u, warm.v, warm.y
 
+    a_y0 = None
+
     def state(u, v, iteration, y=None):
         """(y, mu_bar, Phi) at the controls (u, v); y, when given, is their
-        state."""
+        state.  Every forward sweep starts from y0: the first one takes its
+        dt A y0 (`start_term`), and the later ones reuse it."""
+        nonlocal a_y0
         try:
             if y is None:
-                y = solve_forward(mesh, op, u, v if with_v else None, spec.y0)
+                if a_y0 is None:
+                    a_y0 = start_term(op, spec.y0)
+                y = solve_forward(mesh, op, u, v if with_v else None, spec.y0, a_y0)
             mu_bar = multiplier_candidate(y, spec.psi, mu, rho)
         except ValueError as exc:
             raise MsaDivergenceError(iteration, str(exc)) from exc
@@ -245,16 +253,18 @@ def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None, warm=None):
                                                y=y, mu_bar=mu_bar, mu_sq=mu_sq)
 
     def adjoint(y, mu_bar, iteration):
+        """The adjoint p of (y, mu_bar) and, with boundary control, its
+        boundary trace."""
         try:
-            return solve_adjoint(mesh, op, mu_bar, y.values[-1] - spec.y_d)
+            p = solve_adjoint(mesh, op, mu_bar, y.values[-1] - spec.y_d)
         except ValueError as exc:
             raise MsaDivergenceError(iteration, str(exc)) from exc
+        return p, extract_boundary(p) if with_v else None
 
     y, mu_bar, phi = state(u, v, 1, y)
-    p = adjoint(y, mu_bar, 1)
+    p, pb = adjoint(y, mu_bar, 1)
     theta, updates = 1.0, 0
     while True:
-        pb = extract_boundary(p) if with_v else None
         q = p.values / -spec.alpha
         gap = _stationarity(u, q, b.ua, b.ub)
         if with_v:
@@ -284,12 +294,12 @@ def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None, warm=None):
             break
         y, mu_bar, phi = y_new, mu_bar_new, phi_new
         p = pb = q = qb = None          # freed before the adjoint sweep
-        p = adjoint(y, mu_bar, updates + 2)
+        p, pb = adjoint(y, mu_bar, updates + 2)
         # <s, change of gradient> in the scaled metric; <s, p> of the old p
         # was taken while it was alive
         sy = ss - sp + _step_dot(u, u_new, w_u, p)
         if with_v:
-            sy += _step_dot(v, v_new, w_v, extract_boundary(p))
+            sy += _step_dot(v, v_new, w_v, pb)
         u, v = u_new, v_new
         updates += 1
         theta = min(1.0, max(THETA_MIN, ss / sy)) if sy > 0 else 1.0

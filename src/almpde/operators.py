@@ -55,8 +55,10 @@ class DiffusionCoefficients:
                                             mesh.shape_space))
         self.a22 = np.array(np.broadcast_to(np.asarray(a22, dtype=np.float64),
                                             mesh.shape_space))
+        if not (np.isfinite(self.a11).all() and np.isfinite(self.a22).all()):
+            raise ValueError("coefficients must be finite")
         theta = min(self.a11.min(), self.a22.min())
-        if not np.isfinite(theta) or theta <= 0.0:
+        if theta <= 0.0:
             raise ValueError(f"coefficients must be uniformly elliptic, min = {theta}")
         self.a11.flags.writeable = False
         self.a22.flags.writeable = False
@@ -125,7 +127,8 @@ class StepKit(NamedTuple):
     """What the implicit-Euler sweeps are taken with.
 
     `stencil` is the dt-scaled FluxStencil, applied once per sweep to its
-    starting slice; `factor` the Cholesky factor U (M + dt A = U^T U) in
+    starting slice (or once per inner solve to y0, `solvers.start_term`);
+    `factor` the Cholesky factor U (M + dt A = U^T U) in
     LAPACK's upper band layout, Fortran-ordered: row nx - d holds the
     entries d places above the diagonal, so column j holds U[j - nx : j + 1, j];
     `mass` (ny, nx) and `arc` (n_boundary,) the dt-weighted mass and

@@ -304,8 +304,11 @@ def test_run_sweeps_once_per_update_and_reuses_the_warm_state(tmp_path, monkeypa
 
 
 def test_run_applies_the_stencil_once_per_sweep_and_objective(tmp_path, monkeypatch):
-    # 54 forward and 67 adjoint sweeps take dt A of their starting slice once
-    # each, and the 67 sub-problem objectives take it of the terminal mismatch
+    # dt A y0 is taken once per sub-problem that sweeps forward: 13 of the 14,
+    # since the second one starts stationary from the first one's state and
+    # takes no update.  The 67 adjoint sweeps take dt A of their starting
+    # slice once each, and the 67 sub-problem objectives of the terminal
+    # mismatch
     calls = []
     apply = operators.FluxStencil.apply
 
@@ -316,8 +319,9 @@ def test_run_applies_the_stencil_once_per_sweep_and_objective(tmp_path, monkeypa
     monkeypatch.setattr(operators.FluxStencil, "apply", counted)
     cfg = tmp_path / "sec5.cfg"
     cfg.write_text("problem.preset = paper_example_sec5\n")
-    alm_run(*build_run(parse_config(str(cfg))))
-    assert len(calls) == 54 + 67 + 67
+    trace = alm_run(*build_run(parse_config(str(cfg))))
+    assert [row.inner_iters for row in trace.rows][:2] == [1, 0]
+    assert len(calls) == 13 + 67 + 67
 
 
 def test_run_takes_the_integral_of_mu_squared_once_per_outer_iteration(tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from almpde import operators
+from almpde import cost, operators
 from almpde.grid import build_mesh, TimeField, BoundaryTimeField, ControlBounds
 from almpde.operators import DiffusionCoefficients
 from almpde.solvers import solve_forward
@@ -295,6 +295,37 @@ def test_problem_spec_rejects_initial_state_above_obstacle(unit_mesh):
                        TimeField(unit_mesh, psi), 1.0, 1.0,
                        ControlBounds.constant(unit_mesh, -1.0, 1.0))
     assert np.all(spec.y0 == 1.0)
+
+
+def test_problem_spec_keeps_read_only_copies_of_its_slices(unit_mesh):
+    # changing the caller's arrays afterwards changes neither the problem nor
+    # gets round the check of y0 against psi(., 0) = 1
+    y0 = np.zeros(unit_mesh.shape_space)
+    y_d = np.ones(unit_mesh.shape_space)
+    spec = ProblemSpec(unit_mesh, DiffusionCoefficients.unit(unit_mesh), y0, y_d,
+                       TimeField.constant(unit_mesh, 1.0), 1.0, 1.0,
+                       ControlBounds.constant(unit_mesh, -1.0, 1.0))
+    y0[...] = 5.0
+    y_d[...] = -2.0
+    assert np.all(spec.y0 == 0.0) and np.all(spec.y_d == 1.0)
+    for values in (spec.y0, spec.y_d):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (5, 5, 4), (33, 33, 33)])
+def test_dot_matches_multiply_then_reduce(shape):
+    # the BLAS dot sums in another order than numpy's pairwise reduction:
+    # the two agree within n eps of the sum of |a b|, also for an operand
+    # that is not contiguous (copied first) or a constant view
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal(shape)
+    n, eps = a.size, np.finfo(np.float64).eps
+    for b in (rng.uniform(0.1, 2.0, shape), rng.standard_normal(shape[::-1]).T,
+              np.broadcast_to(np.float64(0.7), shape)):
+        reference = float(np.add.reduce(np.multiply(a, b), axis=None))
+        assert abs(cost._dot(a, b) - reference) <= n * eps * float(np.abs(a * b).sum())
 
 
 def test_given_state_and_candidate_give_the_same_values(sec5_spec, unit_mesh):

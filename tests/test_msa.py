@@ -110,6 +110,22 @@ def test_grad_v_values(unit_mesh):
                                                 rel=1e-14, abs=1e-15)
 
 
+def test_stationarity_is_the_sup_of_the_absolute_residual(unit_mesh):
+    # max(max r, -min r) over m = 1..nt gives the bits of max |r|; slice 0
+    # does not count, and a zero sup is +0 also when every r is -0
+    rng = np.random.default_rng(41)
+    shape = TimeField.shape(unit_mesh)
+    lo, hi = const(unit_mesh, -0.5), const(unit_mesh, 0.5)
+    for _ in range(20):
+        x = TimeField(unit_mesh, rng.uniform(-0.5, 0.5, shape))
+        target = rng.standard_normal(shape)
+        target[0] = 1e3
+        reference = np.abs(x.values - np.clip(target, -0.5, 0.5))[1:].max()
+        assert msa._stationarity(x, target, lo, hi) == reference
+    gap = msa._stationarity(TimeField.zeros(unit_mesh), np.full(shape, -0.0), lo, hi)
+    assert gap == 0.0 and np.copysign(1.0, gap) == 1.0
+
+
 def test_grad_u_matches_finite_differences(sec5_spec, unit_mesh):
     # the Armijo slope, with p the adjoint of u, is the derivative of Phi
     # along the step.  mu = 10 keeps the penalty on its quadratic branch, so
@@ -141,9 +157,9 @@ def count_sweeps(monkeypatch):
     ("forward", u, v) and ("adjoint", None, None) entries, in call order."""
     calls = []
 
-    def forward(mesh, op, u, v, y0):
+    def forward(mesh, op, u, v, y0, a_y0):
         calls.append(("forward", u, v))
-        return solve_forward(mesh, op, u, v, y0)
+        return solve_forward(mesh, op, u, v, y0, a_y0)
 
     def adjoint(*args):
         calls.append(("adjoint", None, None))

@@ -92,6 +92,18 @@ def test_rejects_nonelliptic_coefficients(unit_mesh):
         DiffusionCoefficients(unit_mesh, a, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_rejects_non_finite_coefficients(unit_mesh, bad):
+    # a min-based ellipticity check passes +inf, and NaN in a22 when the two
+    # minima are combined with Python's min; both are rejected before any
+    # assembly
+    a = np.ones(unit_mesh.shape_space)
+    a[3, 1] = bad
+    for a11, a22 in ((a, 1.0), (1.0, a), (bad, 1.0), (1.0, bad)):
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            DiffusionCoefficients(unit_mesh, a11, a22)
+
+
 def test_rejects_mesh_mismatch(unit_mesh):
     other = build_mesh(5, 5, 3, 1.0, 1.0, 1.0)
     co = DiffusionCoefficients(other, 1.0, 1.0)

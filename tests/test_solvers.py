@@ -4,7 +4,7 @@ import pytest
 from almpde.grid import (build_mesh, TimeField, BoundaryTimeField,
                          space_slice_from_function, l2_norm_omega_t)
 from almpde.operators import DiffusionCoefficients, FluxStencil, assemble_operator
-from almpde.solvers import solve_forward, solve_adjoint
+from almpde.solvers import solve_forward, solve_adjoint, start_term
 
 from conftest import apply_a
 
@@ -262,15 +262,39 @@ def test_each_sweep_applies_the_stencil_once(monkeypatch):
     shape = (m.nt + 1,) + m.shape_space
     u = TimeField(m, rng.standard_normal(shape))
     y0 = rng.standard_normal(m.shape_space)
+    a_y0 = start_term(op, y0)
     for flux in (None, BoundaryTimeField(m, rng.standard_normal((m.nt + 1, m.n_boundary)))):
         calls.clear()
         solve_forward(m, op, u, flux, y0)
         assert len(calls) == 1
+        # given dt A y0, a forward sweep applies no stencil
+        calls.clear()
+        solve_forward(m, op, u, flux, y0, a_y0)
+        assert calls == []
     mu = TimeField(m, rng.uniform(0.5, 1.0, shape))
     assert np.all(mu.values[-1] != 0.0)
     calls.clear()
     solve_adjoint(m, op, mu, rng.standard_normal(m.shape_space))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("case", CONSTANT_STATE_CASES)
+def test_forward_sweep_with_start_term_is_bit_identical(case):
+    # dt A y0 taken once and handed to the sweep gives the bits of the sweep
+    # that applies the stencil itself, with and without a boundary flux
+    op = CONSTANT_STATE_CASES[case]()
+    m = op.mesh
+    rng = np.random.default_rng(29)
+    u = TimeField(m, rng.standard_normal((m.nt + 1,) + m.shape_space))
+    y0 = rng.standard_normal(m.shape_space)
+    a_y0 = start_term(op, y0)
+    assert a_y0.shape == (m.nx * m.ny,)
+    # the stencil's conductances are scaled by dt before the differences
+    reference = m.dt * apply_a(op, y0).ravel()
+    assert np.abs(a_y0 - reference).max() <= 1e-14 * np.abs(reference).max()
+    for flux in (None, BoundaryTimeField(m, rng.standard_normal((m.nt + 1, m.n_boundary)))):
+        plain = solve_forward(m, op, u, flux, y0)
+        assert np.array_equal(solve_forward(m, op, u, flux, y0, a_y0).values, plain.values)
 
 
 def test_sweeps_reject_operator_of_another_mesh(unit_mesh):
