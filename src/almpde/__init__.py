@@ -14,8 +14,8 @@ from .grid import (Mesh, TimeField, BoundaryTimeField, ControlBounds,
                    space_slice_from_function)
 from .operators import DiffusionCoefficients, DiscreteOperator, assemble_operator
 from .solvers import solve_forward, solve_adjoint
-from .cost import (ProblemSpec, cost_J, multiplier_candidate, residual_index,
-                   kkt_residuals, subproblem_objective)
+from .cost import (ProblemSpec, cost_J, multiplier_candidate, kkt_residuals,
+                   subproblem_objective)
 from .msa import MsaConfig, MsaResult, msa_solve
 from .alm import AlmConfig, AlmState, AlmTrace, alm_step, alm_run
 from .presets import PRESETS, build_problem

@@ -1,12 +1,14 @@
 """Outer augmented Lagrangian loop with success-gated multiplier updates.
 
 Each outer iteration solves the sub-problem at the current (rho, mu),
-computes the residual index R_k, and declares the step successful when the
-inner solve converged and R_k <= tau * R+, R+ being the residual of the last
-successful step (before the first one, the large R+_0 = r_plus0).  Success
-adopts the multiplier candidate, takes R_k as the new R+ and keeps rho;
-failure keeps mu and R+ and grows rho by the factor gamma.  The loop stops
-at the first success with R+ <= eps2 or at the iteration cap.
+takes the KKT residuals of its result once (`kkt_residuals`), and declares
+the step successful when the inner solve converged and the residual index
+R_k = feasibility + complementarity is at most tau * R+, R+ being the
+residual of the last successful step (before the first one, the large
+R+_0 = r_plus0).  Success adopts the multiplier candidate, takes R_k as
+the new R+ and keeps rho; failure keeps mu and R+ and grows rho by the
+factor gamma.  The loop stops at the first success with R+ <= eps2 or at
+the iteration cap.
 
 So "tolerance_met" certifies the whole discrete KKT system: feasibility and
 complementarity through R <= eps2, and stationarity through the converged
@@ -20,10 +22,10 @@ success and iteration counts n, k) and the last MsaResult, which starts the
 next sub-problem: its controls are the warm start and its y is their state,
 so every outer iteration after the first saves one forward sweep.  Each
 iteration leaves one AlmTraceRow, whose fields are the columns of
-trace.csv.  Its J is evaluated once and its L_rho is that J plus the penalty
-of the result's multiplier candidate, with the integral of mu^2 the
-sub-problem took (`MsaResult.mu_sq`), so that integral is taken once per
-outer iteration.
+trace.csv.  Its R and KKT columns come from those residuals, its J is
+evaluated once and its L_rho is that J plus the penalty of the result's
+multiplier candidate, with the integral of mu^2 the sub-problem took
+(`MsaResult.mu_sq`), so that integral is taken once per outer iteration.
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .grid import TimeField
-from .cost import cost_J, kkt_residuals, penalty, residual_index
+from .cost import cost_J, kkt_residuals, penalty
 from .msa import MsaConfig, msa_solve, require_finite_fields
 
 
@@ -130,10 +132,12 @@ def alm_step(spec, state, warm, config):
     warm is the MsaResult of the previous outer iteration, or None for the
     first: its controls start the sub-problem, and its state y is theirs,
     so the solve skips its first forward sweep.  Returns (MsaResult, R_k,
-    success, new AlmState).  The input state is not modified.
+    success, new AlmState, KktResiduals of the result).  The input state is
+    not modified.
     """
     result = msa_solve(spec, state.rho, state.mu, config=config.msa, warm=warm)
-    R_k = residual_index(result.y, spec.psi, result.mu_bar)
+    kkt = kkt_residuals(spec, result.y, result.u, result.v, result.p, result.mu_bar)
+    R_k = kkt.feasibility + kkt.complementarity
     if not np.isfinite(R_k):
         raise RuntimeError(f"non-finite residual index at outer iteration {state.k + 1}")
     success = result.converged and R_k <= config.tau * state.R_plus
@@ -141,7 +145,7 @@ def alm_step(spec, state, warm, config):
         new_state = replace(state, mu=result.mu_bar, R_plus=R_k, n=state.n + 1, k=state.k + 1)
     else:
         new_state = replace(state, rho=config.gamma * state.rho, k=state.k + 1)
-    return result, R_k, success, new_state
+    return result, R_k, success, new_state, kkt
 
 
 def alm_run(spec, config, on_row=None):
@@ -156,8 +160,7 @@ def alm_run(spec, config, on_row=None):
     termination = "max_outer"
     for _ in range(config.max_outer):
         rho_k = state.rho
-        result, R_k, success, state = alm_step(spec, state, final_result, config)
-        kkt = kkt_residuals(spec, result.y, result.u, result.v, result.p, result.mu_bar)
+        result, R_k, success, state, kkt = alm_step(spec, state, final_result, config)
         v = result.v if spec.boundary_control_enabled else None
         J = cost_J(spec, result.y, result.u, v)
         row = AlmTraceRow(

@@ -28,8 +28,9 @@ from .grid import TimeField, clamp, extract_boundary, operand
 from .solvers import solve_forward
 
 try:
-    # einsum's C entry point: numpy's Python wrapper around it costs about
-    # 1.6 us of the 3.9 us of one call at 5x5x4
+    # einsum's C entry point: numpy's wrapper instead raised paper_sec5's
+    # solve_ref 0.319 -> 0.335 (+5.0%, higher in 10 of 10 pairs,
+    # BENCH_ablation.json)
     from numpy._core.multiarray import c_einsum
 except ImportError:  # numpy < 2
     from numpy.core.multiarray import c_einsum
@@ -46,8 +47,9 @@ class ProblemSpec:
 
     def __init__(self, mesh, coeffs, y0, y_d, psi, alpha, beta, bounds,
                  boundary_control_enabled=False):
-        if alpha <= 0 or beta <= 0:
-            raise ValueError(f"cost weights must be positive, got alpha={alpha}, beta={beta}")
+        if not (0 < alpha < math.inf and 0 < beta < math.inf):
+            raise ValueError(f"cost weights must be positive and finite, "
+                             f"got alpha={alpha}, beta={beta}")
         y0 = np.array(y0, dtype=np.float64)
         y_d = np.array(y_d, dtype=np.float64)
         y0.flags.writeable = False
@@ -162,16 +164,6 @@ def _complementarity(y, psi, mu_bar):
     return abs(omega_inner(y.mesh, mu_bar.values, operand(psi) - y.values))
 
 
-def residual_index(y, psi, mu_bar):
-    """Feasibility sup norm plus the complementarity integral.
-
-    R = ||(y - psi)_+||_inf + | integral mu_bar (psi - y) | over m = 1..nt;
-    zero exactly when the grid state is feasible and complementary with
-    mu_bar.
-    """
-    return _feasibility(y, psi) + _complementarity(y, psi, mu_bar)
-
-
 @dataclass
 class KktResiduals:
     stationarity_u: float
@@ -191,8 +183,10 @@ def kkt_residuals(spec, y, u, v, p, mu_bar):
     """Residuals of the original first-order optimality system.
 
     Stationarity is the L2 norm over m = 1..nt of the projection fixed-point
-    residual u - clip(-p / alpha); feasibility and complementarity restate
-    the two summands of the residual index.  Constant bounds are read as 0-d
+    residual u - clip(-p / alpha).  Feasibility is max over m = 1..nt of
+    (y - psi)_+ and complementarity | integral mu_bar (psi - y) |; their sum
+    is the outer loop's residual index, zero exactly when the grid state is
+    feasible and complementary with mu_bar.  Constant bounds are read as 0-d
     arrays (`operand`).
     """
     mesh, b = spec.mesh, spec.bounds

@@ -41,8 +41,9 @@ class Mesh:
             raise ValueError(f"need at least 3 nodes per spatial axis, got nx={nx}, ny={ny}")
         if nt < 1:
             raise ValueError(f"need at least 1 time step, got nt={nt}")
-        if lx <= 0 or ly <= 0 or T <= 0:
-            raise ValueError(f"domain extents must be positive, got lx={lx}, ly={ly}, T={T}")
+        if not all(0 < extent < math.inf for extent in (lx, ly, T)):
+            raise ValueError(f"domain extents must be positive and finite, "
+                             f"got lx={lx}, ly={ly}, T={T}")
         self.nx, self.ny, self.nt = nx, ny, nt
         self.lx, self.ly, self.T = float(lx), float(ly), float(T)
         self.hx = self.lx / (nx - 1)
@@ -121,12 +122,13 @@ class _Field:
     freezes that array in place, without the copy.
 
     The finiteness check first takes the sum of squares of a contiguous
-    array, one BLAS dot (1.0 us with the contiguity test, against 1.75 us
-    for `np.isfinite(a).all()` at 5x5x5): it is finite only if every entry is, since a square is never
-    negative and an inf or NaN entry makes the sum inf or NaN.  Only when it
-    is not finite, or the array is not contiguous (the dot would copy it),
-    does the exact test decide, so a finite field whose squares overflow is
-    accepted.  BLAS raises no floating-point warning on the overflow.
+    array, one BLAS dot: it is finite only if every entry is, since a square
+    is never negative and an inf or NaN entry makes the sum inf or NaN.
+    Only when it is not finite, or the array is not contiguous (the dot
+    would copy it), does the exact test decide, so a finite field whose
+    squares overflow is accepted.  BLAS raises no floating-point warning on
+    the overflow.  The exact test alone raised paper_sec5's solve_ref
+    0.322 -> 0.335 (+4.0%, higher in 9 of 10 pairs, BENCH_ablation.json).
 
     `constant` and `zeros` wrap a zero-stride view of a read-only 0-d
     float64, which is the view's `base`, built with the ndarray constructor:
@@ -248,14 +250,14 @@ def operand(f):
     field's own array.
 
     numpy runs a 0-d operand through its contiguous loops, as it does a
-    scalar, and a zero-stride view through its general ones: a subtraction
-    or maximum at 5x5x5 takes about 0.45 against 0.95 us, at 33^3 about 5%
-    less time and at 65^3, where memory traffic dominates, 1-4% less.  Every
-    element of a field is the same number exactly when all its strides are
-    zero (each axis has at least two entries), and then the 0-d array is
-    its base (see `_Field`).  The result reads with the same bits either
-    way; a 0-d operand cannot be sliced, so callers take the time slices
-    m = 1..nt from the result instead.
+    scalar, and a zero-stride view through its general ones; reading the
+    views instead raised paper_sec5's solve_ref 0.321 -> 0.330 (+2.9%,
+    higher in 9 of 10 pairs, BENCH_ablation.json).  Every element of a
+    field is the same number exactly when all its strides are zero (each
+    axis has at least two entries), and then the 0-d array is its base (see
+    `_Field`).  The result reads with the same bits either way; a 0-d
+    operand cannot be sliced, so callers take the time slices m = 1..nt from
+    the result instead.
     """
     values = f.values
     return values if any(values.strides) else values.base

@@ -53,7 +53,7 @@ overflows raises ValueError.
 On the small grids a sweep costs its calls more than its arithmetic: at
 5x5x4 each of the four banded solves takes about 1 us, and so does each
 numpy operation around them.  So the sweeps form their sources in place,
-call LAPACK without a Python wrapper in the loop and test mu_nt with
+call LAPACK's `pbtrs` without scipy's solve wrapper and test mu_nt with
 `np.count_nonzero`, about a quarter of the cost of `ndarray.any` at 5x5.
 """
 
@@ -89,7 +89,9 @@ def start_term(op, x0):
     sweep starting from x0 subtracts from its source (see `_march`).
 
     A caller that marches from one x0 again and again takes it once and
-    hands it to `solve_forward`; x0 must not change in between.
+    hands it to `solve_forward`; x0 must not change in between.  Applying
+    the stencil in every forward sweep instead raised paper_sec5's solve_ref
+    0.323 -> 0.332 (+2.9%, higher in 9 of 10 pairs, BENCH_ablation.json).
     """
     x0 = np.ravel(x0)
     return op.step_kit().stencil.apply(x0, np.empty(x0.size))
@@ -102,25 +104,20 @@ def _march(kit, x, a_x0=None):
     On entry row 0 holds the starting slice x0 and row m >= 1 the source of
     step m; on exit row m holds the slice after step m.  The rows after x0
     first hold the deviations z_m = x_m - x0, solved in place.  a_x0 is
-    dt A x0 (`start_term`), applied here when not given.  The steps
-    call LAPACK directly, with `_solve`'s check of its status, which saves
-    the wrapper's call (about 0.13 us of a 0.8 us solve at 5x5).
+    dt A x0 (`start_term`), applied here when not given.
     """
     x0, z = x[0], x[1:]
     if a_x0 is None:
         a_x0 = kit.stencil.apply(x0, np.empty(x0.size))
     z -= a_x0
     mass, factor = kit.flat_mass, kit.factor
-    ldab = factor.shape[0]
     carry = np.empty(x0.size)
     prev = None
     for row in z:
         if prev is not None:
             np.multiply(mass, prev, out=carry)
             row += carry
-        info = _pbtrs(factor, row, 0, ldab, 1)[1]
-        if info != 0:
-            raise RuntimeError(f"LAPACK pbtrs failed with info = {info}")
+        _solve(factor, row)
         prev = row
     z += x0
 

@@ -159,7 +159,7 @@ def test_criterion_5_branch_semantics():
         for _ in range(config.max_outer):
             rho_before, mu_before = state.rho, state.mu
             R_plus_before = state.R_plus
-            result, R, success, state = alm_step(spec, state, warm, config)
+            result, R, success, state, _ = alm_step(spec, state, warm, config)
             warm = result
             assert np.all(state.mu.values >= 0.0)
             if success:

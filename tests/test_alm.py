@@ -26,7 +26,7 @@ def test_first_step_success_when_feasible():
     spec = build_unconstrained_decay(mesh)
     config = AlmConfig(mu0=0.0)
     state = AlmState.initial(mesh, config)
-    result, R, success, new_state = alm_step(spec, state, None, config)
+    result, R, success, new_state, _ = alm_step(spec, state, None, config)
     assert success and R == 0.0
     assert new_state.rho == state.rho
     assert new_state.n == 1 and new_state.k == 1
@@ -36,7 +36,7 @@ def test_failure_branch_scales_rho_and_keeps_mu(sec5_spec, unit_mesh):
     # a tiny R+_0 forces the first residual test to fail
     config = AlmConfig(mu0=10.0, r_plus0=1e-9, gamma=2.0)
     state = AlmState.initial(unit_mesh, config)
-    result, R, success, new_state = alm_step(sec5_spec, state, None, config)
+    result, R, success, new_state, _ = alm_step(sec5_spec, state, None, config)
     assert not success
     assert new_state.rho == 2.0 * state.rho
     assert new_state.n == 0
@@ -50,7 +50,7 @@ def test_unconverged_subproblem_takes_the_failure_branch(sec5_spec, unit_mesh):
     config = AlmConfig(mu0=1.0, gamma=2.0, max_outer=4,
                        msa=MsaConfig(eps1=1e-12, max_inner=1))
     state = AlmState.initial(unit_mesh, config)
-    result, R, success, new_state = alm_step(sec5_spec, state, None, config)
+    result, R, success, new_state, _ = alm_step(sec5_spec, state, None, config)
     assert not result.converged
     assert R <= config.tau * state.R_plus
     assert not success
@@ -66,7 +66,7 @@ def test_unconverged_subproblem_takes_the_failure_branch(sec5_spec, unit_mesh):
 def test_success_adopts_multiplier(sec5_spec, unit_mesh):
     config = AlmConfig(mu0=10.0)
     state = AlmState.initial(unit_mesh, config)
-    result, R, success, new_state = alm_step(sec5_spec, state, None, config)
+    result, R, success, new_state, _ = alm_step(sec5_spec, state, None, config)
     assert success
     assert np.array_equal(new_state.mu.values, result.mu_bar.values)
     assert new_state.R_plus == R
@@ -89,7 +89,7 @@ def test_branch_semantics_randomized():
             rho_before = state.rho
             mu_before = state.mu
             R_plus_before = state.R_plus
-            result, R, success, state = alm_step(spec, state, warm, config)
+            result, R, success, state, _ = alm_step(spec, state, warm, config)
             warm = result
             assert np.all(state.mu.values >= 0.0)
             if success:
@@ -341,6 +341,30 @@ def test_run_takes_the_integral_of_mu_squared_once_per_outer_iteration(tmp_path,
     trace = alm_run(*build_run(parse_config(str(cfg))))
     assert len(trace.rows) == 14
     assert len(calls) == 14
+
+
+def test_run_takes_the_residuals_once_per_outer_iteration(tmp_path, monkeypatch):
+    # R is the sum of the row's own feasibility and complementarity, so each
+    # is evaluated once per outer iteration
+    calls = {"_feasibility": 0, "_complementarity": 0}
+
+    def counted(name):
+        fn = getattr(cost, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cost, name, counted(name))
+    cfg = tmp_path / "sec5.cfg"
+    cfg.write_text("problem.preset = paper_example_sec5\n")
+    trace = alm_run(*build_run(parse_config(str(cfg))))
+    assert len(trace.rows) == 14
+    assert calls == {"_feasibility": 14, "_complementarity": 14}
+    for row in trace.rows:
+        assert row.R == row.feas + row.compl
 
 
 def test_a_solving_process_does_not_import_scipy_sparse(tmp_path):

@@ -7,7 +7,7 @@ from almpde.operators import DiffusionCoefficients
 from almpde.solvers import solve_forward
 from almpde.alm import AlmConfig, alm_run
 from almpde.cost import (ProblemSpec, cost_J, penalty, multiplier_candidate,
-                         multiplier_square, residual_index, kkt_residuals,
+                         multiplier_square, kkt_residuals,
                          subproblem_objective)
 from almpde.presets import build_unconstrained_decay
 
@@ -157,30 +157,37 @@ def test_multiplier_candidate_nonnegative_random(unit_mesh):
 
 # --------------------------------------------------------- residual index
 
+def _feasibility_and_complementarity(y, psi_level, mu_bar):
+    """The two summands of the residual index R, as `kkt_residuals` gives
+    them, for a constant obstacle psi_level."""
+    spec = make_spec(y.mesh, psi_level=psi_level)
+    zero = TimeField.zeros(y.mesh)
+    res = kkt_residuals(spec, y, zero, None, zero, mu_bar)
+    return res.feasibility, res.complementarity
+
+
 def test_residual_index_zero_when_feasible_and_complementary(unit_mesh):
-    psi = TimeField.constant(unit_mesh, 1.0)
     y = TimeField.constant(unit_mesh, 0.5)
-    assert residual_index(y, psi, TimeField.zeros(unit_mesh)) == 0.0
+    assert _feasibility_and_complementarity(y, 1.0, TimeField.zeros(unit_mesh)) == (0.0, 0.0)
 
 
 def test_residual_index_sup_term(unit_mesh):
-    psi = TimeField.zeros(unit_mesh)
     y = TimeField.constant(unit_mesh, 0.1)
-    assert residual_index(y, psi, TimeField.zeros(unit_mesh)) == pytest.approx(0.1, rel=1e-13)
+    feas, compl = _feasibility_and_complementarity(y, 0.0, TimeField.zeros(unit_mesh))
+    assert feas == pytest.approx(0.1, rel=1e-13) and compl == 0.0
 
 
 def test_residual_index_complementarity_term(unit_mesh):
-    psi = TimeField.zeros(unit_mesh)
     y = TimeField.constant(unit_mesh, -0.5)
     mu_bar = TimeField.constant(unit_mesh, 2.0)
-    assert residual_index(y, psi, mu_bar) == pytest.approx(1.0, rel=1e-13)
+    feas, compl = _feasibility_and_complementarity(y, 0.0, mu_bar)
+    assert feas == 0.0 and compl == pytest.approx(1.0, rel=1e-13)
 
 
 def test_residual_uses_positive_part_of_violation(unit_mesh):
     # strictly feasible states contribute nothing to the sup term
-    psi = TimeField.constant(unit_mesh, 1.0)
     y = TimeField.constant(unit_mesh, -3.0)
-    assert residual_index(y, psi, TimeField.zeros(unit_mesh)) == 0.0
+    assert _feasibility_and_complementarity(y, 1.0, TimeField.zeros(unit_mesh)) == (0.0, 0.0)
 
 
 # ----------------------------------------------------------- kkt residuals
@@ -261,7 +268,6 @@ def test_residual_zero_implies_kkt_zero_terms(unit_mesh):
     spec = make_spec(unit_mesh, psi_level=1.0)
     y = TimeField.constant(unit_mesh, 0.2)
     mu_bar = TimeField.zeros(unit_mesh)
-    assert residual_index(y, spec.psi, mu_bar) == 0.0
     res = kkt_residuals(spec, y, TimeField.zeros(unit_mesh), None,
                         TimeField.zeros(unit_mesh), mu_bar)
     assert res.feasibility == 0.0 and res.complementarity == 0.0
@@ -275,6 +281,15 @@ def test_problem_spec_validation(unit_mesh):
                     np.zeros((2, 2)), np.zeros(unit_mesh.shape_space),
                     TimeField.constant(unit_mesh, 1.0), 1.0, 1.0,
                     ControlBounds.constant(unit_mesh, -1.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("weight", ["alpha", "beta"])
+def test_problem_spec_rejects_nonfinite_cost_weights(unit_mesh, bad, weight):
+    # alpha = inf was accepted, and the paper preset then ended tolerance_met
+    # with J = nan
+    with pytest.raises(ValueError, match="cost weights must be positive and finite"):
+        make_spec(unit_mesh, **{weight: bad})
 
 
 def test_problem_spec_rejects_initial_state_above_obstacle(unit_mesh):

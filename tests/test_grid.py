@@ -39,6 +39,19 @@ def test_build_mesh_rejects_bad_input(args):
         build_mesh(*args)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("position", [3, 4, 5])
+def test_build_mesh_rejects_nonfinite_extents(bad, position):
+    # a NaN extent passed the sign test and gave a NaN step with only a
+    # RuntimeWarning; +inf gave an infinite one
+    args = [5, 5, 4, 1.0, 1.0, 1.0]
+    args[position] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="domain extents must be positive and finite"):
+            build_mesh(*args)
+
+
 @pytest.mark.parametrize("dims", [(5, 5, 4, 1, 1, 1), (7, 4, 3, 2.5, 0.7, 0.3),
                                   (3, 3, 1, 0.1, 10.0, 2.0)])
 def test_weight_sums(dims):

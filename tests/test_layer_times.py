@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,19 @@ _ROOT = Path(__file__).resolve().parents[1]
 _SPEC = importlib.util.spec_from_file_location("layer_times", _ROOT / "tools" / "layer_times.py")
 layer_times = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(layer_times)
+_RUN_SPEC = importlib.util.spec_from_file_location("perfbench_run", _ROOT / "perfbench" / "run.py")
+perfbench_run = importlib.util.module_from_spec(_RUN_SPEC)
+_RUN_SPEC.loader.exec_module(perfbench_run)
+
+
+def test_worker_runs_one_blas_thread_as_the_benchmark_does(monkeypatch):
+    # with two OpenBLAS threads the first 65x65 factorization of a fresh
+    # process can stall for about 0.9 s
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    env = layer_times.worker_env(_ROOT)
+    assert set(layer_times.THREAD_VARS) == set(perfbench_run.THREAD_VARS)
+    assert all(env[var] == "1" for var in perfbench_run.THREAD_VARS)
+    assert env["PYTHONPATH"].split(os.pathsep)[0] == str(_ROOT / "src")
 
 
 def test_parse_sizes():

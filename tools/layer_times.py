@@ -38,7 +38,10 @@ psi and the bounds.
 
 Each value is the minimum over --repeat repeats of a loop long enough to
 read (about 20 ms).  Every round runs one subprocess per tree with the
-tree's ``src`` first on the import path; with two trees the order alternates
+tree's ``src`` first on the import path and one BLAS/OpenMP thread, as
+perfbench/run.py pins them: with two threads, the first 65x65
+factorization of a fresh process stalled for 0.84-0.94 s in 3 of 22
+processes (2-core VM, OpenBLAS 0.3.31).  With two trees the order alternates
 between rounds (the first tree first in even rounds), so a drift of the
 host's speed does not favour one side.  A table of the per-tree medians over
 the rounds is printed, and the rounds themselves go to --out as JSON.
@@ -60,6 +63,9 @@ LAYERS = ("factor_ms", "solve_us", "forward_us", "adjoint_us", "step_us", "objec
 DEFAULT_SIZES = "5x4,17x16,33x32,65x64"
 LOOP_S = 0.02
 SEED = 0
+# perfbench/run.py's THREAD_VARS, each set to 1 in the worker's environment
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMBA_NUM_THREADS")
 
 
 def parse_sizes(text):
@@ -156,14 +162,21 @@ def worker(sizes, repeat):
     return {f"{n}x{nt}": measure(n, nt, repeat) for n, nt in sizes}
 
 
-def run_worker(tree, args):
-    """One round in a subprocess with the tree's src first on the path."""
+def worker_env(tree):
+    """The worker's environment: the tree's src first on the path and one
+    BLAS/OpenMP thread."""
     env = dict(os.environ)
     src = os.path.join(os.path.abspath(tree), "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    env.update(dict.fromkeys(THREAD_VARS, "1"))
+    return env
+
+
+def run_worker(tree, args):
+    """One round in a subprocess (`worker_env`)."""
     cmd = [sys.executable, os.path.abspath(__file__), "--worker", "--sizes", args.sizes,
            "--repeat", str(args.repeat)]
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    proc = subprocess.run(cmd, env=worker_env(tree), capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"layer timing in {tree} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout)
