@@ -7,6 +7,9 @@ updated only on outer iterations whose sub-problem solve converged and
 sufficiently reduced the combined feasibility/complementarity residual.
 Sub-problems are solved by damped steps toward the pointwise Hamiltonian
 minimizer, with a Barzilai-Borwein step and Armijo backtracking.
+
+The verification oracles are imported from `almpde.oracles` on their own:
+they take scipy.linalg, and a process that only solves never imports scipy.
 """
 
 from .grid import (Mesh, TimeField, BoundaryTimeField, ControlBounds,
@@ -19,7 +22,5 @@ from .cost import (ProblemSpec, cost_J, multiplier_candidate, kkt_residuals,
 from .msa import MsaConfig, MsaResult, msa_solve
 from .alm import AlmConfig, AlmState, AlmTrace, alm_step, alm_run
 from .presets import PRESETS, build_problem
-from .oracles import (OracleReport, analytic_decay_oracle, adjoint_identity_check,
-                      projected_gradient_oracle, argmin_bruteforce_check, run_checks)
 
 __version__ = "0.1.0"

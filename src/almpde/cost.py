@@ -202,7 +202,8 @@ def kkt_residuals(spec, y, u, v, p, mu_bar):
                         _complementarity(y, spec.psi, mu_bar))
 
 
-def subproblem_objective(spec, rho, mu, u, v=None, y=None, mu_bar=None, mu_sq=None):
+def subproblem_objective(spec, rho, mu, u, v=None, y=None, mu_bar=None, mu_sq=None,
+                         a_e=None):
     """The discrete functional minimized by the inner solvers.
 
     It is L_rho, with its right-endpoint rule over m = 1..nt for the control
@@ -215,6 +216,8 @@ def subproblem_objective(spec, rho, mu, u, v=None, y=None, mu_bar=None, mu_sq=No
     candidate of the controls, and mu_sq = `multiplier_square(mu)` are
     computed when not given; the inner solver passes all three, so that one
     evaluation costs no sweep and mu_sq is taken once per sub-problem.
+    a_e, when given, is a flat array of n entries that receives dt A e, for
+    the adjoint sweep of these controls (`solve_adjoint`'s a_terminal).
     """
     mesh, op = spec.mesh, spec.operator()
     if y is None:
@@ -226,6 +229,7 @@ def subproblem_objective(spec, rho, mu, u, v=None, y=None, mu_bar=None, mu_sq=No
     kit = op.step_kit()
     e = (y.values[-1] - spec.y_d).ravel()
     # K e = (M + dt A) e, dt A e from the stencil the sweeps step with
-    k_e = kit.stencil.apply(e, np.empty(e.size))
-    k_e += kit.flat_mass * e
+    a_e = kit.stencil.apply(e, np.empty(e.size) if a_e is None else a_e)
+    k_e = kit.flat_mass * e
+    k_e += a_e
     return 0.5 * _dot(e, k_e) + _control_cost(spec, u, v) + penalty(mesh, mu_bar, mu_sq, rho)

@@ -59,8 +59,12 @@ once per adjoint, for both the stationarity test and the trials; the three
 products a trial's Armijo test and step length need, as BLAS dots with one
 dt-weighted step; integral mu^2 and dt A y0, the stencil term every forward
 sweep from y0 subtracts, once per sub-problem (the latter on its first
-forward sweep).  Phi takes the state and multiplier candidate the loop
-already has, so an evaluation costs no sweep.
+forward sweep); dt A e of the terminal mismatch e once per state, by the
+objective, which the adjoint sweep from e takes over.  Phi takes the state
+and multiplier candidate the loop already has, so an evaluation costs no
+sweep.  The target and the temporaries of the stationarity test, the
+trials and the step products are formed in arrays that one call holds,
+two per control.
 
 Only the slices m = 1..nt of the controls are unknowns: the implicit-Euler
 step m uses u_m and v_m, and nothing uses u_0, v_0.  They are set once to
@@ -147,58 +151,60 @@ def _initial_control(init, zero, lo, hi):
     return project_interval(type(init)._wrap(init.mesh, values), lo, hi)
 
 
-def _damped_clamp(x, target, lo, hi, theta):
+def _damped_clamp(x, target, lo, hi, theta, scratch=None):
     """clip((1 - theta) x + theta target, lo, hi) on m = 1..nt, and x's slice
     0; a field like x.  target is the value array of -p / weight; constant
-    bounds are read as 0-d arrays (`operand`).
+    bounds are read as 0-d arrays (`operand`).  scratch, when given, is an
+    array of x's shape that is overwritten.
 
     At theta = 1 this is bit for bit clip(target): 0 * x + target differs
     from target at most in the sign of a zero.  The equal-looking
     x + theta (target - x) is not exact there.
     """
     values = (1.0 - theta) * x.values
-    values += theta * target
+    values += np.multiply(theta, target, out=scratch)
     clamp(values, operand(lo), operand(hi), out=values)
     values[0] = x.values[0]
     return type(x)._wrap(x.mesh, values)
 
 
-def _stationarity(x, target, lo, hi):
+def _stationarity(x, target, lo, hi, scratch=None):
     """sup over m = 1..nt of |x - clip(target, lo, hi)|, target = -p / weight.
 
     The difference is formed on every slice, so that a constant bound is
     read as a 0-d array (`operand`) that needs no slicing, and the sup is
     taken over m = 1..nt, as max(max r, -min r) with no pass for |r|; abs
-    only gives a zero sup its positive sign."""
-    r = clamp(target, operand(lo), operand(hi))
+    only gives a zero sup its positive sign.  r is formed in scratch, an
+    array of x's shape, when given."""
+    r = clamp(target, operand(lo), operand(hi), out=scratch)
     r -= x.values
     tail = r[1:]
     return abs(max(float(np.maximum.reduce(tail, axis=None)),
                    -float(np.minimum.reduce(tail, axis=None))))
 
 
-def _step_products(x, x_new, weights, weight, p):
+def _step_products(x, x_new, weights, weight, p, scratch=None):
     """(weight <s, s>, <weight x + p, s>, <p, s>) for the step s = x_new - x,
     <,> being the control's integral with the quadrature weights `weights`:
     the step's squared length in the scaled metric, the derivative of Phi
     along it, and the part of that derivative the next adjoint changes.
 
-    All three are BLAS dots (`cost._dot`) with one weighted step w s.  The
-    step leaves slice 0 alone, so the sums over all slices are sums over
-    m = 1..nt.
+    All three are BLAS dots (`cost._dot`) with one weighted step w s; s is
+    formed in scratch, an array of x's shape, when given.  The step leaves
+    slice 0 alone, so the sums over all slices are sums over m = 1..nt.
     """
-    s = x_new.values - x.values
+    s = np.subtract(x_new.values, x.values, out=scratch)
     ws = s * weights
     ss = _dot(ws, s)
     ps = _dot(ws, p.values)
     return weight * ss, weight * _dot(ws, x.values) + ps, ps
 
 
-def _step_dot(x, x_new, weights, p):
+def _step_dot(x, x_new, weights, p, scratch=None):
     """<p, x_new - x> with the quadrature weights `weights`, a BLAS dot
     with the weighted step (the new adjoint's part of the Barzilai-Borwein
-    denominator)."""
-    ws = x_new.values - x.values
+    denominator), formed in scratch, an array of x's shape, when given."""
+    ws = np.subtract(x_new.values, x.values, out=scratch)
     ws *= weights
     return _dot(ws, p.values)
 
@@ -235,11 +241,20 @@ def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None, warm=None):
         u, v, y = warm.u, warm.v, warm.y
 
     a_y0 = None
+    # per control, the target -p / weight and the temporaries of the
+    # helpers, held for this call only.  Fresh arrays instead took
+    # boundary_fine 536 -> 1,680 minor page faults per solve and raised its
+    # solve_ref 0.565 -> 0.604 (+7.1%, higher in 9 of 10 pairs,
+    # BENCH_no_scipy.json)
+    target_u, scratch_u = np.empty(u.values.shape), np.empty(u.values.shape)
+    if with_v:
+        target_v, scratch_v = np.empty(v.values.shape), np.empty(v.values.shape)
 
     def state(u, v, iteration, y=None):
-        """(y, mu_bar, Phi) at the controls (u, v); y, when given, is their
-        state.  Every forward sweep starts from y0: the first one takes its
-        dt A y0 (`start_term`), and the later ones reuse it."""
+        """(y, mu_bar, Phi, dt A e) at the controls (u, v), e the terminal
+        mismatch; y, when given, is their state.  Every forward sweep starts
+        from y0: the first one takes its dt A y0 (`start_term`), and the
+        later ones reuse it."""
         nonlocal a_y0
         try:
             if y is None:
@@ -249,27 +264,29 @@ def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None, warm=None):
             mu_bar = multiplier_candidate(y, spec.psi, mu, rho)
         except ValueError as exc:
             raise MsaDivergenceError(iteration, str(exc)) from exc
-        return y, mu_bar, subproblem_objective(spec, rho, mu, u, v if with_v else None,
-                                               y=y, mu_bar=mu_bar, mu_sq=mu_sq)
+        a_e = np.empty(mesh.nx * mesh.ny)
+        phi = subproblem_objective(spec, rho, mu, u, v if with_v else None,
+                                   y=y, mu_bar=mu_bar, mu_sq=mu_sq, a_e=a_e)
+        return y, mu_bar, phi, a_e
 
-    def adjoint(y, mu_bar, iteration):
+    def adjoint(y, mu_bar, a_e, iteration):
         """The adjoint p of (y, mu_bar) and, with boundary control, its
-        boundary trace."""
+        boundary trace; a_e is dt A e of y's terminal mismatch e."""
         try:
-            p = solve_adjoint(mesh, op, mu_bar, y.values[-1] - spec.y_d)
+            p = solve_adjoint(mesh, op, mu_bar, y.values[-1] - spec.y_d, a_e)
         except ValueError as exc:
             raise MsaDivergenceError(iteration, str(exc)) from exc
         return p, extract_boundary(p) if with_v else None
 
-    y, mu_bar, phi = state(u, v, 1, y)
-    p, pb = adjoint(y, mu_bar, 1)
+    y, mu_bar, phi, a_e = state(u, v, 1, y)
+    p, pb = adjoint(y, mu_bar, a_e, 1)
     theta, updates = 1.0, 0
     while True:
-        q = p.values / -spec.alpha
-        gap = _stationarity(u, q, b.ua, b.ub)
+        q = np.divide(p.values, -spec.alpha, out=target_u)
+        gap = _stationarity(u, q, b.ua, b.ub, scratch_u)
         if with_v:
-            qb = pb.values / -spec.beta
-            gap = max(gap, _stationarity(v, qb, b.va, b.vb))
+            qb = np.divide(pb.values, -spec.beta, out=target_v)
+            gap = max(gap, _stationarity(v, qb, b.va, b.vb, scratch_v))
         if gap <= config.eps1 or updates == config.max_inner:
             break
         # The trials need the room of the current state and multiplier (the
@@ -277,29 +294,29 @@ def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None, warm=None):
         # recomputed if no trial is accepted.
         y = mu_bar = y_new = mu_bar_new = None
         while theta >= THETA_MIN:
-            u_new = _damped_clamp(u, q, b.ua, b.ub, theta)
-            ss, slope, sp = _step_products(u, u_new, w_u, spec.alpha, p)
+            u_new = _damped_clamp(u, q, b.ua, b.ub, theta, scratch_u)
+            ss, slope, sp = _step_products(u, u_new, w_u, spec.alpha, p, scratch_u)
             v_new = v
             if with_v:
-                v_new = _damped_clamp(v, qb, b.va, b.vb, theta)
-                ss_v, slope_v, sp_v = _step_products(v, v_new, w_v, spec.beta, pb)
+                v_new = _damped_clamp(v, qb, b.va, b.vb, theta, scratch_v)
+                ss_v, slope_v, sp_v = _step_products(v, v_new, w_v, spec.beta, pb, scratch_v)
                 ss, slope, sp = ss + ss_v, slope + slope_v, sp + sp_v
-            y_new, mu_bar_new, phi_new = state(u_new, v_new, updates + 2)
+            y_new, mu_bar_new, phi_new, a_e = state(u_new, v_new, updates + 2)
             if phi_new <= phi + SIGMA * slope + ROUNDING * abs(phi):
                 break
             y_new = mu_bar_new = None
             theta *= BACKTRACK
         else:
-            y, mu_bar, phi = state(u, v, updates + 1)
+            y, mu_bar, phi, _ = state(u, v, updates + 1)
             break
         y, mu_bar, phi = y_new, mu_bar_new, phi_new
-        p = pb = q = qb = None          # freed before the adjoint sweep
-        p, pb = adjoint(y, mu_bar, updates + 2)
+        p = pb = None                   # freed before the adjoint sweep
+        p, pb = adjoint(y, mu_bar, a_e, updates + 2)
         # <s, change of gradient> in the scaled metric; <s, p> of the old p
         # was taken while it was alive
-        sy = ss - sp + _step_dot(u, u_new, w_u, p)
+        sy = ss - sp + _step_dot(u, u_new, w_u, p, scratch_u)
         if with_v:
-            sy += _step_dot(v, v_new, w_v, pb)
+            sy += _step_dot(v, v_new, w_v, pb, scratch_v)
         u, v = u_new, v_new
         updates += 1
         theta = min(1.0, max(THETA_MIN, ss / sy)) if sy > 0 else 1.0

@@ -17,23 +17,22 @@ Every implicit-Euler step solves with the same SPD matrix M + dt A.  In
 row-major node order its nonzeros lie on the diagonal, one row below it
 (x-coupling) and nx rows below it (y-coupling), so it is held as a banded
 Cholesky factor.  The factor is computed once, as L in the lower band
-layout (`cholesky_banded(..., lower=True)`; factoring in the upper layout
-took 3.4 ms against 2.2 ms at 65x65), and stored as its transpose U = L^T
-in LAPACK's upper band layout (Anderson et al., LAPACK Users' Guide, 3rd
-ed., SIAM 1999, Sec. 5.3.3).  A solve with it (LAPACK `pbtrs`) is then two
-banded triangular solves (`tbsv`) with U^T and U.  The lower layout needs
-L and L^T instead, and OpenBLAS's lower-transposed `tbsv` is about twice as
+layout (LAPACK `pbtrf` with uplo = L, `lapack.pbtrf_lower`; factoring in
+the upper layout took 3.4 ms against 2.2 ms at 65x65), and stored as its
+transpose U = L^T in LAPACK's upper band layout (Anderson et al., LAPACK
+Users' Guide, 3rd ed., SIAM 1999, Sec. 5.3.3).  A solve with it (LAPACK
+`pbtrs`) is then two banded triangular solves (`tbsv`) with U^T and U.
+The lower layout needs L and L^T instead, and OpenBLAS's lower-transposed `tbsv` is about twice as
 slow as the other three variants: 29.5 us against 12.7-14.1 us at 33x33
 (one thread, OpenBLAS 0.3.31, Xeon), so a whole solve takes 26 us instead
-of 42 us.  The stored band is Fortran-ordered: the f2py wrapper of `pbtrs`
-copies a C-ordered band on every call, which took 44 us per solve at
-33x33 and 367 us against 136 us at 65x65, more than the layout saves.
+of 42 us.  The stored band is Fortran-ordered, as LAPACK takes it.
 
 A sweep applies dt A once, to its starting slice, and takes every step with
-the factor and the mass M alone (see `solvers`).  The factor, the dt-scaled
-stencil, the dt-weighted mass and arc weights the sweeps form their loads
-with and the flat mass M their steps carry the deviation with are built
-together on the first sweep (`StepKit`) and reused for every later one.
+the factor and the mass M alone (see `solvers`).  The factor and the
+argument block its solves are called with, the dt-scaled stencil, the
+dt-weighted mass and arc weights the sweeps form their loads with and the
+flat mass M their steps carry the deviation with are built together on the
+first sweep (`StepKit`) and reused for every later one.
 
 An operator depends only on the mesh and the coefficients, so each
 DiffusionCoefficients object assembles it once (`operator`): every problem
@@ -43,7 +42,8 @@ built on that object shares the operator, its factor included.
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cholesky_banded
+
+from .lapack import pbtrf_lower, pbtrs_block
 
 
 class DiffusionCoefficients:
@@ -132,14 +132,16 @@ class StepKit(NamedTuple):
     `factor` the Cholesky factor U (M + dt A = U^T U) in
     LAPACK's upper band layout, Fortran-ordered: row nx - d holds the
     entries d places above the diagonal, so column j holds U[j - nx : j + 1, j];
-    `mass` (ny, nx) and `arc` (n_boundary,) the dt-weighted mass and
-    arc-length weights that turn a control into its load; and `flat_mass`
+    `solve` the argument block of `lapack.pbtrs` with that factor; `mass`
+    (ny, nx) and `arc` (n_boundary,) the dt-weighted mass and arc-length
+    weights that turn a control into its load; and `flat_mass`
     (n,) the unscaled mass M in node order, which each step multiplies the
     previous deviation from the starting slice by.
     """
 
     stencil: FluxStencil
     factor: np.ndarray
+    solve: tuple
     mass: np.ndarray
     arc: np.ndarray
     flat_mass: np.ndarray
@@ -168,22 +170,20 @@ class DiscreteOperator:
         every step with it."""
         if self._step_kit is None:
             dt = self.mesh.dt
-            lower = cholesky_banded(self._step_band(), lower=True, overwrite_ab=True)
+            factor = _upper_layout(pbtrf_lower(self._step_band()))
             self._step_kit = StepKit(FluxStencil(self.cx, self.cy, dt),
-                                     _upper_layout(lower),
+                                     factor, pbtrs_block(factor),
                                      dt * self.mass, dt * self.mesh.w_arc,
                                      self.mass.ravel())
         return self._step_kit
 
     def _step_band(self):
-        """Lower band of M + dt A in the layout of `cholesky_banded`.
+        """Lower band of M + dt A in the layout of `lapack.pbtrf_lower`.
 
         Row d holds the entries d places below the diagonal: row 0 the
         diagonal, row 1 the x-coupling of node k to k + 1, row nx the
         y-coupling of node k to k + nx, in row-major node order.  The band
-        is Fortran-ordered, so `pbtrf` factors it in place: a C-ordered one
-        is copied first, and the page faults of that extra array took
-        0.2 ms of a 0.55 ms factorization at 33x33.
+        is Fortran-ordered, so `pbtrf` factors it in place, with no copy.
         """
         nx, ny, dt = self.mesh.nx, self.mesh.ny, self.mesh.dt
         degree = np.zeros((ny, nx))

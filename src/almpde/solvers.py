@@ -30,13 +30,15 @@ and returns x_m = x_0 + z_m.  dt A x_0 is the sweep's only stencil
 application, subtracted from all sources in one vectorised operation.  A
 forward sweep can be handed it precomputed (`start_term`): every forward
 sweep of an inner solve starts from the problem's y0, so `msa_solve` takes
-it once, with the same bits as a sweep that applies the stencil.  Each
-step is then one diagonal multiply-add and one in-place solve with the
-operator's banded Cholesky factor of K, stored as U (K = U^T U) in the upper
-band layout.  dt A x_0 is evaluated in difference form (`FluxStencil`), so
-for a constant starting slice it is exactly zero: with zero sources every
-z_m is then exactly zero, and constant states are preserved bit-exactly for
-any coefficients.  A plain K^{-1} (M x + s), or a matrix-form product for
+it once, with the same bits as a sweep that applies the stencil.  So can
+an adjoint sweep whose p_nt is the terminal mismatch e itself (mu_nt = 0):
+the sub-problem objective has just taken dt A e.  Each step is then one
+diagonal multiply-add and one in-place solve with the operator's banded
+Cholesky factor of K, stored as U (K = U^T U) in the upper band layout.
+dt A x_0 is evaluated in difference form (`FluxStencil`), so for a
+constant starting slice it is exactly zero: with zero sources every z_m is
+then exactly zero, and constant states are preserved bit-exactly for any
+coefficients.  A plain K^{-1} (M x + s), or a matrix-form product for
 dt A x, leaves them off by rounding (about 1e-15).
 Each step's rounding is relative to the size of z and x_0, so a slice is
 accurate to a few 1e-15 of the sweep's largest value (checked against dense
@@ -53,35 +55,17 @@ overflows raises ValueError.
 On the small grids a sweep costs its calls more than its arithmetic: at
 5x5x4 each of the four banded solves takes about 1 us, and so does each
 numpy operation around them.  So the sweeps form their sources in place,
-call LAPACK's `pbtrs` without scipy's solve wrapper and test mu_nt with
-`np.count_nonzero`, about a quarter of the cost of `ndarray.any` at 5x5.
+call LAPACK's `pbtrs` through the argument block of the step kit
+(`lapack.pbtrs`), with the address of each row stepped from the first one
+by the row stride, and test mu_nt with `np.count_nonzero`, about a quarter
+of the cost of `ndarray.any` at 5x5.  The first row's address from
+`lapack.address` takes about 0.6 us, against 2.0 us for `.ctypes.data`.
 """
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .grid import TimeField
-
-# LAPACK's banded triangular solve, fetched once: scipy's cho_solve_banded
-# wrapper costs about ten times the solve itself on the small grids.  It is
-# called with positional arguments (factor, rhs, lower = 0, ldab,
-# overwrite_b = 1), which the f2py wrapper parses about 0.3 us faster than
-# keywords: a whole solve takes about 0.8 us at 5x5.
-_pbtrs = get_lapack_funcs("pbtrs", dtype=np.float64)
-
-
-def _solve(factor, rhs):
-    """K^{-1} rhs with the banded Cholesky factor, in place: rhs, a
-    contiguous 1-D float64 array, is overwritten with the solution, which is
-    also returned.
-
-    factor is U (K = U^T U) in LAPACK's upper band layout (see `StepKit`),
-    so the solve takes the two fast triangular variants, U^T then U; it
-    must be Fortran-ordered, or the wrapper copies it on every call."""
-    x, info = _pbtrs(factor, rhs, 0, factor.shape[0], 1)
-    if info != 0:
-        raise RuntimeError(f"LAPACK pbtrs failed with info = {info}")
-    return x
+from .lapack import address, pbtrs
 
 
 def start_term(op, x0):
@@ -104,20 +88,24 @@ def _march(kit, x, a_x0=None):
     On entry row 0 holds the starting slice x0 and row m >= 1 the source of
     step m; on exit row m holds the slice after step m.  The rows after x0
     first hold the deviations z_m = x_m - x0, solved in place.  a_x0 is
-    dt A x0 (`start_term`), applied here when not given.
+    dt A x0 (`start_term`), applied here when not given.  Each row is
+    C-contiguous, and rows lie one stride apart (a negative one when x runs
+    backward through its array).
     """
     x0, z = x[0], x[1:]
     if a_x0 is None:
         a_x0 = kit.stencil.apply(x0, np.empty(x0.size))
     z -= a_x0
-    mass, factor = kit.flat_mass, kit.factor
+    mass, solve = kit.flat_mass, kit.solve
     carry = np.empty(x0.size)
+    row_address, stride = address(z[0]), z.strides[0]
     prev = None
     for row in z:
         if prev is not None:
             np.multiply(mass, prev, out=carry)
             row += carry
-        _solve(factor, row)
+        pbtrs(solve, row_address)
+        row_address += stride
         prev = row
     z += x0
 
@@ -152,7 +140,7 @@ def solve_forward(mesh, op, u, v, y0, a_y0=None):
     return TimeField._wrap(mesh, y)
 
 
-def solve_adjoint(mesh, op, mu, terminal):
+def solve_adjoint(mesh, op, mu, terminal, a_terminal=None):
     """March the adjoint equation backward from the corrected terminal slice.
 
     mu is the TimeField source (the multiplier candidate) and terminal the
@@ -160,6 +148,12 @@ def solve_adjoint(mesh, op, mu, terminal):
     terminal + dt K^{-1} M mu_nt.  The boundary closure is homogeneous.
     The sources are formed in the slices of p, in time order, and the march
     runs over p reversed; the correction is solved in place in p_nt.
+    a_terminal, when given, is dt A terminal, flattened, as the sub-problem
+    objective takes it (`cost.subproblem_objective`).  When mu_nt is zero,
+    p_nt is the terminal slice itself and the march starts from it, so
+    it applies no stencil; the result has the same bits either way.  Taking
+    dt A e again in those sweeps instead raised paper_sec5's solve_ref
+    0.336 -> 0.346 (+3.0%, higher in 10 of 10 pairs, BENCH_no_scipy.json).
     """
     terminal = _check(mesh, op, terminal, "terminal")
     kit = op.step_kit()
@@ -167,9 +161,10 @@ def solve_adjoint(mesh, op, mu, terminal):
     np.multiply(kit.mass, mu.values, out=p)
     last = p[-1]
     if np.count_nonzero(last):
-        _solve(kit.factor, last.reshape(-1))
+        pbtrs(kit.solve, address(last))
         last += terminal
+        a_terminal = None
     else:
         last[...] = terminal
-    _march(kit, p.reshape(mesh.nt + 1, -1)[::-1])
+    _march(kit, p.reshape(mesh.nt + 1, -1)[::-1], a_terminal)
     return TimeField._wrap(mesh, p)

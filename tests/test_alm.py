@@ -262,13 +262,13 @@ def test_benchmark_row_fields_are_trace_row_fields():
 
 def test_run_factors_the_step_matrix_once(tmp_path, monkeypatch):
     calls = []
-    factor = operators.cholesky_banded
+    factor = operators.pbtrf_lower
 
     def counting_factor(*args, **kwargs):
         calls.append(1)
         return factor(*args, **kwargs)
 
-    monkeypatch.setattr(operators, "cholesky_banded", counting_factor)
+    monkeypatch.setattr(operators, "pbtrf_lower", counting_factor)
     cfg = tmp_path / "sec5.cfg"
     cfg.write_text("problem.preset = paper_example_sec5\n")
     spec, config = build_run(parse_config(str(cfg)))
@@ -306,9 +306,10 @@ def test_run_sweeps_once_per_update_and_reuses_the_warm_state(tmp_path, monkeypa
 def test_run_applies_the_stencil_once_per_sweep_and_objective(tmp_path, monkeypatch):
     # dt A y0 is taken once per sub-problem that sweeps forward: 13 of the 14,
     # since the second one starts stationary from the first one's state and
-    # takes no update.  The 67 adjoint sweeps take dt A of their starting
-    # slice once each, and the 67 sub-problem objectives of the terminal
-    # mismatch
+    # takes no update.  The 67 sub-problem objectives take dt A of the
+    # terminal mismatch once each.  45 of the 67 adjoint sweeps have
+    # mu_nt = 0, start from that mismatch and take its dt A over; the other
+    # 22 start from the corrected slice and apply the stencil to it
     calls = []
     apply = operators.FluxStencil.apply
 
@@ -321,7 +322,7 @@ def test_run_applies_the_stencil_once_per_sweep_and_objective(tmp_path, monkeypa
     cfg.write_text("problem.preset = paper_example_sec5\n")
     trace = alm_run(*build_run(parse_config(str(cfg))))
     assert [row.inner_iters for row in trace.rows][:2] == [1, 0]
-    assert len(calls) == 13 + 67 + 67
+    assert len(calls) == 13 + 67 + 22
 
 
 def test_run_takes_the_integral_of_mu_squared_once_per_outer_iteration(tmp_path, monkeypatch):
@@ -367,18 +368,22 @@ def test_run_takes_the_residuals_once_per_outer_iteration(tmp_path, monkeypatch)
         assert row.R == row.feas + row.compl
 
 
-def test_a_solving_process_does_not_import_scipy_sparse(tmp_path):
-    # only the dense oracle and the tests take the stiffness matrix whole
-    # (`DiscreteOperator.as_csr`), so a run of the paper preset leaves
-    # scipy.sparse unimported, and the resident set without it
+def test_a_solving_process_does_not_import_scipy(tmp_path):
+    # the solves call LAPACK in the library numpy links (`almpde.lapack`),
+    # and only the oracles and the tests take scipy (the dense oracle the
+    # whole stiffness matrix, `DiscreteOperator.as_csr`), so importing the
+    # package and its command line and running the paper preset leaves
+    # every scipy module unimported, and the resident set without them
     cfg = tmp_path / "sec5.cfg"
     cfg.write_text("problem.preset = paper_example_sec5\n")
     code = ("import sys\n"
+            "import almpde\n"
+            "import almpde.cli\n"
             "from almpde.alm import alm_run\n"
             "from almpde.config import build_run, parse_config\n"
             f"trace = alm_run(*build_run(parse_config({str(cfg)!r})))\n"
             "assert trace.termination == 'tolerance_met'\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -345,11 +345,11 @@ def test_terminal_slice_penalty_lowers_the_terminal_violation():
 
 def test_msa_solve_holds_no_extra_field_at_peak():
     # one space-time field at 65 x 65 x 64 is 2.1 MiB and the bound is about
-    # 8 of them.  The loop peaks at about 6.2 (13.0 MiB): during a trial it
-    # holds u, p, -p/alpha and the trial u, not the current y and mu_bar;
-    # the sweeps build their fields without a copy; the step products take
-    # no field beyond the step and the weighted step; and during the adjoint
-    # sweep it holds no old p.
+    # 8 of them.  The loop peaks at about 7.2 (15.0 MiB): during a trial it
+    # holds u, p, -p/alpha, the scratch array of its helpers and the trial
+    # u, not the current y and mu_bar; the sweeps build their fields without
+    # a copy; the step products take no field beyond the weighted step; and
+    # during the adjoint sweep it holds no old p.
     mesh = build_mesh(65, 65, 64, 1.0, 1.0, 1.0)
     spec = build_paper_example_sec5(mesh)
     spec.operator()

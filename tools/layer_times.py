@@ -10,9 +10,9 @@ variable coefficients and data drawn from a fixed seed) it times eight layers:
 - ``factor_ms``: operator factorization, the first `step_kit()` of a freshly
   assembled operator (assembly not included); it includes the copy of the
   factor into the layout the solves take it in;
-- ``solve_us``: one banded solve, `solvers._solve` with the step factor on a
-  seeded vector, copied into the solve's buffer before each call (the copy
-  is included; under 1 us at 65x65);
+- ``solve_us``: one banded solve, `lapack.pbtrs` with the step kit's
+  argument block on a seeded vector, copied into the solve's buffer before
+  each call (the copy is included; under 1 us at 65x65);
 - ``forward_us``: one forward sweep, `solve_forward` with a seeded control
   and initial slice and no boundary flux;
 - ``adjoint_us``: one adjoint sweep, `solve_adjoint` with a seeded nonzero
@@ -30,6 +30,11 @@ variable coefficients and data drawn from a fixed seed) it times eight layers:
   update (one trial's clamp, forward sweep, candidate and objective, and
   more when a trial is rejected) and the new adjoint sweep and stationarity
   test, as each outer iteration's inner solve does.
+
+Besides the layers, ``update_minflt`` is the mean number of minor page
+faults (``ru_minflt``) per inner iteration, over one loop of about 20 ms of
+them after the timed repeats: a fresh array above glibc's mmap threshold
+(128 KiB at start-up) costs one fault per page it touches.
 
 The last three evaluate a problem with boundary control, a constant obstacle
 psi (the largest value of the initial slice) and constant control bounds,
@@ -53,6 +58,7 @@ written.
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -60,6 +66,7 @@ import time
 
 LAYERS = ("factor_ms", "solve_us", "forward_us", "adjoint_us", "step_us", "objective_us",
           "kkt_us", "update_us")
+FAULTS = "update_minflt"
 DEFAULT_SIZES = "5x4,17x16,33x32,65x64"
 LOOP_S = 0.02
 SEED = 0
@@ -79,13 +86,17 @@ def parse_sizes(text):
     return sizes
 
 
+def _calls_per_loop(fn):
+    """The number of calls of fn that take about LOOP_S, from one timed call."""
+    start = time.perf_counter()
+    fn()
+    return max(1, int(LOOP_S / max(time.perf_counter() - start, 1e-9)))
+
+
 def _best(fn, repeat):
     """Minimum over `repeat` repeats of the seconds per call of fn, each
     repeat a loop of about LOOP_S."""
-    start = time.perf_counter()
-    fn()
-    once = time.perf_counter() - start
-    number = max(1, int(LOOP_S / max(once, 1e-9)))
+    number = _calls_per_loop(fn)
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
@@ -95,15 +106,26 @@ def _best(fn, repeat):
     return best
 
 
+def _faults(fn):
+    """Mean minor page faults per call of fn over a loop of about LOOP_S."""
+    number = _calls_per_loop(fn)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(number):
+        fn()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / number
+
+
 def measure(n, nt, repeat):
-    """The eight layer times at one size, for the almpde on the import path."""
+    """The eight layer times and the update's page faults at one size, for
+    the almpde on the import path."""
     import numpy as np
     from almpde.cost import (ProblemSpec, kkt_residuals, multiplier_candidate,
                              multiplier_square, subproblem_objective)
     from almpde.grid import BoundaryTimeField, ControlBounds, TimeField, build_mesh
+    from almpde.lapack import address, pbtrs
     from almpde.msa import MsaConfig, msa_solve
     from almpde.operators import DiffusionCoefficients, assemble_operator
-    from almpde.solvers import _solve, solve_adjoint, solve_forward
+    from almpde.solvers import solve_adjoint, solve_forward
 
     rng = np.random.default_rng(SEED)
     mesh = build_mesh(n, n, nt, 1.0, 1.0, 0.5)
@@ -124,13 +146,13 @@ def measure(n, nt, repeat):
         start = time.perf_counter()
         op.step_kit()
         factor_s = min(factor_s, time.perf_counter() - start)
-    factor = op.step_kit().factor
+    block, buf_address = op.step_kit().solve, address(buf)
 
     def solve():
         # the solve overwrites its vector, and solving in place again and
         # again would grow it to overflow, so each call starts from rhs
         buf[:] = rhs
-        _solve(factor, buf)
+        pbtrs(block, buf_address)
 
     solve_s = _best(solve, repeat)
     forward_s = _best(lambda: solve_forward(mesh, op, u, None, y0), repeat)
@@ -149,16 +171,21 @@ def measure(n, nt, repeat):
     kkt_s = _best(lambda: kkt_residuals(spec, y, u, v, p, mu_bar), repeat)
     one = MsaConfig(eps1=1e-12, max_inner=1)
     warm = msa_solve(spec, rho, mu, config=one)
-    update_s = _best(lambda: msa_solve(spec, rho, mu, config=one, warm=warm), repeat)
+
+    def update():
+        return msa_solve(spec, rho, mu, config=one, warm=warm)
+
+    update_s = _best(update, repeat)
     return {"factor_ms": 1e3 * factor_s, "solve_us": 1e6 * solve_s,
             "forward_us": 1e6 * forward_s, "adjoint_us": 1e6 * adjoint_s,
             "step_us": 1e6 * (forward_s + adjoint_s) / (2 * nt),
             "objective_us": 1e6 * objective_s, "kkt_us": 1e6 * kkt_s,
-            "update_us": 1e6 * update_s}
+            "update_us": 1e6 * update_s, FAULTS: _faults(update)}
 
 
 def worker(sizes, repeat):
-    """One round in this process: {"n x nt": layer times} for every size."""
+    """One round in this process: {"n x nt": layer times and faults} for
+    every size."""
     return {f"{n}x{nt}": measure(n, nt, repeat) for n, nt in sizes}
 
 
@@ -183,7 +210,8 @@ def run_worker(tree, args):
 
 
 def collect(args):
-    """{"tree i": {"n x nt": {layer: [one value per round]}}}."""
+    """({"tree i": {"n x nt": {layer: [one value per round]}}}, and the
+    same with the update's page faults in place of the layers)."""
     labels = [f"tree{i}" for i in range(len(args.tree))]
     rounds = {label: [] for label in labels}
     for r in range(args.rounds):
@@ -192,20 +220,28 @@ def collect(args):
             order.reverse()
         for label, tree in order:
             rounds[label].append(run_worker(tree, args))
-    return {label: {size: {layer: [rnd[size][layer] for rnd in rounds[label]]
-                           for layer in LAYERS}
-                    for size in rounds[label][0]}
-            for label in labels}
+    def per_round(label, size, key):
+        return [rnd[size][key] for rnd in rounds[label]]
+
+    results = {label: {size: {layer: per_round(label, size, layer) for layer in LAYERS}
+                       for size in rounds[label][0]}
+               for label in labels}
+    faults = {label: {size: per_round(label, size, FAULTS) for size in rounds[label][0]}
+              for label in labels}
+    return results, faults
 
 
 def table(record):
-    """Text lines: per tree and size, the median of each layer over the rounds."""
+    """Text lines: per tree and size, the median of each layer over the
+    rounds, then the update's page faults in every round."""
     lines = [f"{label} = {tree}" for label, tree in record["trees"].items()]
-    lines.append("tree   size      " + "".join(f"{layer:>13}" for layer in LAYERS))
+    lines.append("tree   size      " + "".join(f"{layer:>13}" for layer in LAYERS)
+                 + f"  {FAULTS} per round")
     for label, sizes in record["results"].items():
         for size, layers in sizes.items():
             lines.append(f"{label:<6} {size:<9} " + "".join(
-                f"{statistics.median(layers[layer]):>13.4g}" for layer in LAYERS))
+                f"{statistics.median(layers[layer]):>13.4g}" for layer in LAYERS)
+                + "  " + " ".join(f"{f:.4g}" for f in record[FAULTS][label][size]))
     return lines
 
 
@@ -240,8 +276,8 @@ def main(argv=None):
               "sizes": args.sizes, "rounds": args.rounds, "repeat": args.repeat,
               "seed": SEED,
               "environment": {"nproc": os.cpu_count(), "python": sys.version.split()[0],
-                              "numpy": np.__version__},
-              "results": collect(args)}
+                              "numpy": np.__version__}}
+    record["results"], record[FAULTS] = collect(args)
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
