@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .grid import TimeField
+from .grid import TimeField, operand
 from .cost import cost_J, kkt_residuals, penalty
 from .msa import MsaConfig, msa_solve, require_finite_fields
 
@@ -78,7 +78,7 @@ class AlmState:
     k: int
 
     def __post_init__(self):
-        if (self.mu.values < 0).any():
+        if (operand(self.mu) < 0).any():
             raise ValueError("multiplier must be nonnegative")
         if self.rho <= 0:
             raise ValueError("rho must be positive")

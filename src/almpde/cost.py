@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import TimeField, clamp, extract_boundary, operand
+from .grid import TimeField, clamp, extract_boundary, is_zero, operand
 from .solvers import solve_forward
 
 try:
@@ -101,7 +101,13 @@ def _dot(a, b):
 def omega_inner(mesh, a, b):
     """Right-endpoint space-time integral of a * b over m = 1..nt, for value
     arrays of TimeFields: the weighted dot product of the space weights with
-    the time sums of a * b, so the product is never formed as a field."""
+    the time sums of a * b, so the product is never formed as a field.
+
+    It is 0.0 when a or b is a constant zero, as the sums give for finite
+    values, without reading the other: einsum over a zero-stride view took
+    29 us at 33x33x33, against 13 us over a materialised array."""
+    if is_zero(a) or (b is not a and is_zero(b)):
+        return 0.0
     return mesh.dt * _dot(mesh.w_space, c_einsum("mji,mji->ji", a[1:], b[1:]))
 
 
@@ -142,25 +148,48 @@ def multiplier_candidate(y, psi, mu, rho):
     It is zero on m = 0: the initial slice is data, not an unknown, so it
     carries no multiplier.  A constant psi or mu is read as a 0-d array
     (`operand`).
+
+    With both constant, the largest candidate is taken first, as
+    top = (max y - psi) rho + mu over m = 1..nt.  Each rounded operation
+    (subtracting psi, scaling by rho > 0, adding mu) is monotone in y, so top
+    is exactly the largest of the elementwise values, before the clamp at 0.
+    When top <= 0, every entry clamps to +0.0 and the result is the constant
+    zero field, which holds one number; otherwise it is formed entry by
+    entry, as for non-constant psi or mu.
     """
-    values = y.values - operand(psi)
+    psi, mu = operand(psi), operand(mu)
+    if psi.ndim == 0 and mu.ndim == 0:
+        top = (float(np.maximum.reduce(y.values[1:], axis=None)) - float(psi)) * rho + float(mu)
+        if top <= 0.0:
+            return TimeField.zeros(y.mesh)
+    values = y.values - psi
     values *= rho
-    values += operand(mu)
+    values += mu
     np.maximum(values, 0.0, out=values)
     values[0] = 0.0
     return TimeField._wrap(y.mesh, values)
 
 
 def _feasibility(y, psi):
-    """max over m = 1..nt of (y - psi)_+, y - psi formed on every slice so
-    that a constant psi is read as a 0-d array (`operand`)."""
-    excess = y.values - operand(psi)
+    """max over m = 1..nt of (y - psi)_+.
+
+    For a constant psi it is max(max y - psi, 0), which forms no field:
+    subtracting psi is monotone in y, so that is the largest difference
+    exactly.  Otherwise y - psi is formed on every slice and its maximum
+    taken over m = 1..nt."""
+    psi = operand(psi)
+    if psi.ndim == 0:
+        return max(float(np.maximum.reduce(y.values[1:], axis=None)) - float(psi), 0.0)
+    excess = y.values - psi
     return max(float(np.maximum.reduce(excess[1:], axis=None)), 0.0)
 
 
 def _complementarity(y, psi, mu_bar):
     """| integral mu_bar (psi - y) | over m = 1..nt, a constant psi read as a
-    0-d array (`operand`)."""
+    0-d array (`operand`); 0.0 for a constant zero mu_bar, with no psi - y
+    formed."""
+    if is_zero(mu_bar.values):
+        return 0.0
     return abs(omega_inner(y.mesh, mu_bar.values, operand(psi) - y.values))
 
 

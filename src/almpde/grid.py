@@ -129,14 +129,19 @@ class _Field:
     squares overflow is accepted.  BLAS raises no floating-point warning on
     the overflow.  The exact test alone raised paper_sec5's solve_ref
     0.322 -> 0.335 (+4.0%, higher in 9 of 10 pairs, BENCH_ablation.json).
+    An array whose strides are all zero (a constant field's) is not
+    contiguous, and the exact test reads its one number.
 
     `constant` and `zeros` wrap a zero-stride view of a read-only 0-d
     float64, which is the view's `base`, built with the ndarray constructor:
     `np.broadcast_to` costs about five times as much per call on the small
-    grids (6.6 against 1.5 us at 5x5x5).  Arithmetic, einsum and `clamp`
-    read it with the same bits as the materialised array; `np.array` or
-    `.copy()` of its values gives a contiguous one, and `operand` gives the
-    0-d array itself.
+    grids (6.6 against 1.5 us at 5x5x5).  Building a constant takes 3.5 to
+    6.5 us at every size; when the exact finiteness test read every entry
+    of its view, it took 6-10 us at 5x5x5, 23-26 us at 33x33x33 and
+    127-134 us at 65x65x65 (one core of a 2-core VM).  Arithmetic, einsum
+    and `clamp` read it with the same bits as the materialised array;
+    `np.array` or `.copy()` of its values gives a contiguous one, and
+    `operand` gives the 0-d array itself.
     """
 
     __slots__ = ("mesh", "values")
@@ -155,8 +160,9 @@ class _Field:
         if values.shape != expected:
             raise ValueError(f"{type(self).__name__} shape {values.shape} != {expected} "
                              f"for {mesh!r}")
-        if not (values.flags.c_contiguous and math.isfinite(np.vdot(values, values))) \
-                and not np.isfinite(values).all():
+        if not (values.flags.c_contiguous and math.isfinite(np.vdot(values, values))
+                or (np.isfinite(values).all() if any(values.strides)
+                    else math.isfinite(values.item(0)))):
             raise ValueError(f"{type(self).__name__} values must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "mesh", mesh)
@@ -263,6 +269,15 @@ def operand(f):
     return values if any(values.strides) else values.base
 
 
+def is_zero(values):
+    """Whether values, the array of a field, is a constant zero: every stride
+    zero (see `operand`) and its one number +0.0 or -0.0.
+
+    An array that owns its memory (no `base`) is never a zero-stride view,
+    so the solver's own fields are told apart by one attribute."""
+    return values.base is not None and not any(values.strides) and values.item(0) == 0.0
+
+
 def clamp(x, lo, hi, out=None):
     """min(max(x, lo), hi) elementwise, into out when given (it may be x).
 
@@ -286,9 +301,10 @@ def project_interval(f, lo, hi):
     """
     _check_same_mesh(f, lo)
     _check_same_mesh(f, hi)
-    if (lo.values > hi.values).any():
+    lo, hi = operand(lo), operand(hi)
+    if (lo > hi).any():
         raise ValueError("invalid bounds: lower bound exceeds upper bound somewhere")
-    return type(f)._wrap(f.mesh, clamp(f.values, operand(lo), operand(hi)))
+    return type(f)._wrap(f.mesh, clamp(f.values, lo, hi))
 
 
 class ControlBounds:
@@ -301,9 +317,9 @@ class ControlBounds:
         _check_same_mesh(va, vb)
         if not isinstance(ua, TimeField) or not isinstance(va, BoundaryTimeField):
             raise TypeError("ua/ub must be TimeFields and va/vb BoundaryTimeFields")
-        if (ua.values > ub.values).any():
+        if (operand(ua) > operand(ub)).any():
             raise ValueError("invalid control bounds: ua > ub somewhere")
-        if (va.values > vb.values).any():
+        if (operand(va) > operand(vb)).any():
             raise ValueError("invalid control bounds: va > vb somewhere")
         object.__setattr__(self, "ua", ua)
         object.__setattr__(self, "ub", ub)

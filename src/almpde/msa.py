@@ -75,8 +75,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grid import (TimeField, BoundaryTimeField, clamp, extract_boundary, operand,
-                   project_interval)
+from .grid import (TimeField, BoundaryTimeField, clamp, extract_boundary, is_zero,
+                   operand, project_interval)
 from .cost import _dot, multiplier_candidate, multiplier_square, subproblem_objective
 from .solvers import solve_forward, solve_adjoint, start_term
 
@@ -136,16 +136,22 @@ class MsaResult:
     mu_sq: float
 
 
-def _initial_control(init, zero, lo, hi):
+def _initial_control(init, lo, hi):
     """init (zero when None) projected into [lo, hi], with slice 0 at the
-    projection of 0.
+    projection of 0; a field like lo.
 
-    Slice 0 is set to 0 before the projection, so the projection's array is
-    the result: without init that is the only array built, with it there is
-    one copy of init besides.
+    Without init and with constant bounds this is the constant field
+    clamp(0, lo, hi), the value `project_interval` writes everywhere, and no
+    array is built.  Otherwise slice 0 is set to 0 before the projection,
+    so the projection's array is the result: without init that is the only
+    array built, with it there is one copy of init besides.
     """
     if init is None:
-        return project_interval(zero, lo, hi)
+        lo_one, hi_one = operand(lo), operand(hi)
+        if lo_one.ndim == 0 and hi_one.ndim == 0:
+            zero = np.zeros(())
+            return type(lo).constant(lo.mesh, clamp(zero, lo_one, hi_one, out=zero))
+        return project_interval(type(lo).zeros(lo.mesh), lo, hi)
     values = init.values.copy()
     values[0] = 0.0
     return project_interval(type(init)._wrap(init.mesh, values), lo, hi)
@@ -192,12 +198,15 @@ def _step_products(x, x_new, weights, weight, p, scratch=None):
     All three are BLAS dots (`cost._dot`) with one weighted step w s; s is
     formed in scratch, an array of x's shape, when given.  The step leaves
     slice 0 alone, so the sums over all slices are sums over m = 1..nt.
+    For a constant zero x (a cold start) <w x, s> is dropped: the dot would
+    first copy x's zero-stride view.
     """
     s = np.subtract(x_new.values, x.values, out=scratch)
     ws = s * weights
     ss = _dot(ws, s)
     ps = _dot(ws, p.values)
-    return weight * ss, weight * _dot(ws, x.values) + ps, ps
+    slope = ps if is_zero(x.values) else weight * _dot(ws, x.values) + ps
+    return weight * ss, slope, ps
 
 
 def _step_dot(x, x_new, weights, p, scratch=None):
@@ -232,8 +241,8 @@ def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None, warm=None):
     w_u, w_v = kit.mass, kit.arc
 
     if warm is None:
-        u = _initial_control(init_u, TimeField.zeros(mesh), b.ua, b.ub)
-        v = _initial_control(init_v, BoundaryTimeField.zeros(mesh), b.va, b.vb)
+        u = _initial_control(init_u, b.ua, b.ub)
+        v = _initial_control(init_v, b.va, b.vb)
         y = None
     elif init_u is not None or init_v is not None:
         raise ValueError("a warm start excludes init_u and init_v")

@@ -1,3 +1,12 @@
+import os
+
+# One BLAS/OpenMP thread, set before numpy loads, as perfbench/run.py and
+# tools/layer_times.py set it: with two OpenBLAS threads the first 65x65
+# factorization of a fresh process can stall for about a second.
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+              "NUMBA_NUM_THREADS"):
+    os.environ[_name] = "1"
+
 import numpy as np
 import pytest
 

@@ -155,6 +155,73 @@ def test_multiplier_candidate_nonnegative_random(unit_mesh):
         assert np.all(out.values >= 0.0)
 
 
+def _materialised(mesh, c):
+    return TimeField(mesh, np.full(TimeField.shape(mesh), c))
+
+
+@pytest.mark.parametrize("rho", [1.0, 2.0 ** 20])
+@pytest.mark.parametrize("mu_level", [-0.0, 0.0, 0.5])
+def test_constant_multiplier_candidate_has_the_materialised_bits(rho, mu_level):
+    # with constant psi and mu the candidate is the constant zero field
+    # exactly when every entry on m = 1..nt clamps to zero, and otherwise
+    # the entrywise one; both have the bits psi and mu as full arrays give
+    mesh = build_mesh(9, 7, 6, 1.0, 1.0, 1.0)
+    rng = np.random.default_rng(17)
+    shape = TimeField.shape(mesh)
+    for psi_level in (0.3, 0.0, -0.0):
+        below = psi_level - rng.uniform(0.0, 1.0, shape)
+        touching = below.copy()
+        touching[2, 3, 4] = touching[-1, 0, 0] = psi_level     # y = psi exactly
+        one_above = below.copy()
+        one_above[3, 1, 2] = psi_level + 1e-9                  # one positive candidate
+        initial_above = below.copy()
+        initial_above[0] = psi_level + 1.0                     # slice 0 carries none
+        signed = below.copy()
+        signed[1, :, :] = -0.0                                 # y - psi may be -0.0
+        states = (below, touching, one_above, initial_above, signed,
+                  rng.standard_normal(shape))
+        for values in states:
+            y = TimeField(mesh, values)
+            full = multiplier_candidate(y, _materialised(mesh, psi_level),
+                                        _materialised(mesh, mu_level), rho).values
+            out = multiplier_candidate(y, TimeField.constant(mesh, psi_level),
+                                       TimeField.constant(mesh, mu_level), rho).values
+            assert out.tobytes() == full.tobytes()
+            assert (not any(out.strides)) == (not (full > 0.0).any())
+
+
+def test_integrals_of_a_constant_zero_are_zero_with_the_materialised_bits(unit_mesh):
+    rng = np.random.default_rng(3)
+    r = -np.abs(rng.standard_normal(TimeField.shape(unit_mesh)))
+    for c in (0.0, -0.0):
+        zero, full = TimeField.constant(unit_mesh, c).values, _materialised(unit_mesh, c).values
+        for a, b in ((zero, r), (r, zero), (zero, zero)):
+            fa = full if a is zero else a
+            fb = full if b is zero else b
+            got = cost.omega_inner(unit_mesh, a, b)
+            assert np.float64(got).tobytes() == np.float64(
+                cost.omega_inner(unit_mesh, fa, fb)).tobytes() == np.float64(0.0).tobytes()
+
+
+def test_constant_obstacle_residuals_match_the_materialised_ones(unit_mesh):
+    # feasibility max(max y - psi, 0) and complementarity with a zero mu_bar
+    # read no psi - y field, with the bits of a materialised psi
+    rng = np.random.default_rng(5)
+    shape = TimeField.shape(unit_mesh)
+    for psi_level in (0.5, 0.0, -0.0):
+        for values in (rng.standard_normal(shape), psi_level - np.abs(rng.standard_normal(shape)),
+                       np.full(shape, -0.0)):
+            y = TimeField(unit_mesh, values)
+            for mu_bar in (TimeField.zeros(unit_mesh), TimeField.constant(unit_mesh, 0.25),
+                           TimeField(unit_mesh, np.abs(values))):
+                got = (cost._feasibility(y, TimeField.constant(unit_mesh, psi_level)),
+                       cost._complementarity(y, TimeField.constant(unit_mesh, psi_level), mu_bar))
+                want = (cost._feasibility(y, _materialised(unit_mesh, psi_level)),
+                        cost._complementarity(y, _materialised(unit_mesh, psi_level),
+                                              TimeField(unit_mesh, mu_bar.values)))
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 # --------------------------------------------------------- residual index
 
 def _feasibility_and_complementarity(y, psi_level, mu_bar):

@@ -276,6 +276,31 @@ def test_every_constructor_rejects_each_nonfinite_value(unit_mesh, bad):
             kind.constant(unit_mesh, bad)
 
 
+def test_a_zero_stride_view_is_checked_by_its_one_number(unit_mesh, monkeypatch):
+    # a constant's finiteness is its one number's: the elementwise test over
+    # the view, which reads every entry, is never called on it
+    checked = []
+    isfinite = np.isfinite
+
+    def spy(x, *args, **kwargs):
+        checked.append(np.shape(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", spy)
+    for kind in (TimeField, BoundaryTimeField):
+        shape = kind.shape(unit_mesh)
+        for c in (0.0, -0.0, 0.5, 1e308):
+            f = kind.constant(unit_mesh, c)
+            assert f.values.strides == (0,) * len(shape)
+            kind._wrap(unit_mesh, np.broadcast_to(np.float64(c), shape))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"{kind.__name__} values must be finite"):
+                kind.constant(unit_mesh, bad)
+            with pytest.raises(ValueError, match=f"{kind.__name__} values must be finite"):
+                kind._wrap(unit_mesh, np.broadcast_to(np.float64(bad), shape))
+    assert not any(len(s) > 1 for s in checked), checked
+
+
 def test_finite_field_whose_squares_overflow_is_accepted_without_a_warning(unit_mesh):
     # two entries of 1e308: their sum and their squares overflow, so the fast
     # test is not finite and the exact test must accept the field; no

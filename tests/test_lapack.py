@@ -64,3 +64,18 @@ def test_address_is_that_of_the_first_entry():
     x = np.arange(12.0).reshape(3, 4)
     assert lapack.address(x) == x.ctypes.data
     assert lapack.address(x[1]) == x.ctypes.data + x.strides[0]
+
+
+def test_numpy_blas_runs_one_thread_under_the_test_suite():
+    # conftest.py pins the thread count before numpy loads; OpenBLAS reports
+    # the count it took up through its own symbol
+    library = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads"):
+        get_num_threads = getattr(library, name, None)
+        if get_num_threads is not None:
+            break
+    else:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get_num_threads.argtypes, get_num_threads.restype = [], ctypes.c_int
+    assert get_num_threads() == 1

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from almpde.grid import (build_mesh, TimeField, BoundaryTimeField, ControlBounds,
-                         extract_boundary, space_slice_from_function)
+                         extract_boundary, project_interval, space_slice_from_function)
 from almpde import msa
 from almpde.msa import MsaConfig, MsaDivergenceError, msa_solve
+from almpde.alm import AlmConfig, alm_run
 from almpde.cost import ProblemSpec, multiplier_candidate, subproblem_objective
 from almpde.solvers import solve_forward, solve_adjoint
 from almpde.operators import DiffusionCoefficients
@@ -362,6 +363,57 @@ def test_msa_solve_holds_no_extra_field_at_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 16.9 * 2 ** 20
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.2, 1.0), (-1.0, -0.3), (-0.0, 1.0),
+                                    (-1.0, -0.0), (0.0, 0.0)])
+def test_cold_start_with_constant_bounds_is_the_constant_projection_of_zero(unit_mesh, lo, hi):
+    for kind in (TimeField, BoundaryTimeField):
+        bounds = kind.constant(unit_mesh, lo), kind.constant(unit_mesh, hi)
+        start = msa._initial_control(None, *bounds)
+        assert type(start) is kind and start.values.strides == (0,) * start.values.ndim
+        assert (start.values.tobytes()
+                == project_interval(kind.zeros(unit_mesh), *bounds).values.tobytes())
+        # bounds that vary, or an init, still give a materialised projection
+        full = [kind(unit_mesh, b.values) for b in bounds]
+        assert (msa._initial_control(None, *full).values.tobytes()
+                == start.values.tobytes())
+        init = kind.constant(unit_mesh, 0.5 * (lo + hi) + 0.1)
+        assert (msa._initial_control(init, *bounds).values[1:].tobytes()
+                == project_interval(init, *bounds).values[1:].tobytes())
+
+
+def test_slack_solve_holds_no_field_for_its_multiplier_or_cold_start():
+    # a 33 x 33 x 32 problem whose obstacle is never reached and whose target
+    # is the free-decay terminal, as in the benchmark's varcoef_batch: the
+    # multiplier candidate and the cold-start control are constants, so the
+    # outer loop peaks at about 4.4 fields (288 KiB each) of the solve's own,
+    # where forming both took it to 6.5
+    mesh = build_mesh(33, 33, 32, 1.0, 1.0, 0.5)
+    rng = np.random.default_rng(11)
+    x = np.linspace(0.0, 1.0, 33)
+    modes = np.cos(np.pi * np.arange(3)[:, None] * x[None, :])
+
+    def smooth():
+        f = modes.T @ rng.uniform(-1.0, 1.0, (3, 3)) @ modes
+        return f / np.max(np.abs(f))
+
+    coeffs = DiffusionCoefficients(mesh, np.exp(0.5 * smooth()), np.exp(0.5 * smooth()))
+    y0 = smooth()
+    y_d = solve_forward(mesh, coeffs.operator(mesh), TimeField.zeros(mesh), None, y0).values[-1]
+    spec = ProblemSpec(mesh, coeffs, y0, y_d, const(mesh, 1e6), alpha=1.0, beta=1.0,
+                       bounds=ControlBounds.constant(mesh, -1.0, 1.0))
+    spec.operator().step_kit()
+    tracemalloc.start()
+    try:
+        trace = alm_run(spec, AlmConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.termination == "tolerance_met" and trace.rows[-1].inner_iters == 0
+    field = 8 * (mesh.nt + 1) * mesh.ny * mesh.nx
+    assert peak <= 5.5 * field, peak / field
+    assert not any(trace.final_result.mu_bar.values.strides)
 
 
 def test_msa_config_validation():
