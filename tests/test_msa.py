@@ -387,7 +387,7 @@ def test_slack_solve_holds_no_field_for_its_multiplier_or_cold_start():
     # a 33 x 33 x 32 problem whose obstacle is never reached and whose target
     # is the free-decay terminal, as in the benchmark's varcoef_batch: the
     # multiplier candidate and the cold-start control are constants, so the
-    # outer loop peaks at about 4.4 fields (288 KiB each) of the solve's own,
+    # outer loop peaks at about 4.4 fields (281 KiB each) of the solve's own,
     # where forming both took it to 6.5
     mesh = build_mesh(33, 33, 32, 1.0, 1.0, 0.5)
     rng = np.random.default_rng(11)
