@@ -13,8 +13,7 @@ they take scipy.linalg, and a process that only solves never imports scipy.
 """
 
 from .grid import (Mesh, TimeField, BoundaryTimeField, ControlBounds,
-                   build_mesh, integrate_omega_t, project_interval, extract_boundary,
-                   space_slice_from_function)
+                   build_mesh, integrate_omega_t, extract_boundary, space_slice_from_function)
 from .operators import DiffusionCoefficients, DiscreteOperator, assemble_operator
 from .solvers import solve_forward, solve_adjoint
 from .cost import (ProblemSpec, cost_J, multiplier_candidate, kkt_residuals,

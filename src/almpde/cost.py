@@ -42,7 +42,9 @@ class ProblemSpec:
     y0 and y_d are held as read-only copies of the slices given: a later
     change to the caller's arrays can neither change the problem nor get
     round the check of y0 against psi(., 0), and the inner solver may keep
-    dt A y0 for as long as it solves the problem.
+    dt A y0 for as long as it solves the problem.  The coefficients, psi and
+    both pairs of bounds must live on the problem's mesh (`Mesh.compatible`),
+    so that a mismatch fails here, not in the first sweep.
     """
 
     def __init__(self, mesh, coeffs, y0, y_d, psi, alpha, beta, bounds,
@@ -58,8 +60,12 @@ class ProblemSpec:
             raise ValueError("y0 and y_d must be spatial slices of shape (ny, nx)")
         if not (np.all(np.isfinite(y0)) and np.all(np.isfinite(y_d))):
             raise ValueError("y0 and y_d must be finite")
-        if not psi.mesh.compatible(mesh):
-            raise ValueError("psi lives on a different mesh")
+        for part, part_mesh in (("coeffs", coeffs.mesh), ("psi", psi.mesh),
+                                ("bounds ua/ub", bounds.ua.mesh),
+                                ("bounds va/vb", bounds.va.mesh)):
+            if not part_mesh.compatible(mesh):
+                raise ValueError(f"{part} must be on the problem's mesh {mesh!r}, "
+                                 f"got {part_mesh!r}")
         if (y0 > psi.values[0]).any():
             excess = y0 - psi.values[0]
             j, i = np.unravel_index(np.argmax(excess), excess.shape)
@@ -81,7 +87,7 @@ class ProblemSpec:
         """The operator of the coefficients (`DiffusionCoefficients.operator`):
         problems built on one coefficients object share it and its factor."""
         if self._op is None:
-            self._op = self.coeffs.operator(self.mesh)
+            self._op = self.coeffs.operator()
         return self._op
 
 
@@ -201,29 +207,33 @@ class KktResiduals:
     complementarity: float
 
 
-def _projection_residual(x, p, weight, lo, hi):
-    """x - clip(-p / weight, lo, hi), built in one array."""
-    r = p / -weight
-    clamp(r, lo, hi, out=r)
-    return np.subtract(x, r, out=r)
+def projection_residual(x, target, lo, hi, out=None):
+    """clip(target, lo, hi) - x, the projection fixed-point residual of the
+    control x at target = -p / weight, an array of x's shape; formed in out
+    when given (it may be target).  Constant bounds are read as 0-d arrays
+    (`operand`)."""
+    r = clamp(target, operand(lo), operand(hi), out=out)
+    r -= x.values
+    return r
 
 
 def kkt_residuals(spec, y, u, v, p, mu_bar):
     """Residuals of the original first-order optimality system.
 
     Stationarity is the L2 norm over m = 1..nt of the projection fixed-point
-    residual u - clip(-p / alpha).  Feasibility is max over m = 1..nt of
-    (y - psi)_+ and complementarity | integral mu_bar (psi - y) |; their sum
-    is the outer loop's residual index, zero exactly when the grid state is
-    feasible and complementary with mu_bar.  Constant bounds are read as 0-d
-    arrays (`operand`).
+    residual clip(-p / alpha) - u (`projection_residual`), formed in the
+    array of -p / alpha.  Feasibility is max over m = 1..nt of (y - psi)_+
+    and complementarity | integral mu_bar (psi - y) |; their sum is the
+    outer loop's residual index, zero exactly when the grid state is
+    feasible and complementary with mu_bar.
     """
     mesh, b = spec.mesh, spec.bounds
-    du = _projection_residual(u.values, p.values, spec.alpha, operand(b.ua), operand(b.ub))
+    q = p.values / -spec.alpha
+    du = projection_residual(u, q, b.ua, b.ub, out=q)
     stat_u = math.sqrt(omega_inner(mesh, du, du))
     if spec.boundary_control_enabled and v is not None:
-        dv = _projection_residual(v.values, extract_boundary(p).values, spec.beta,
-                                  operand(b.va), operand(b.vb))
+        qb = extract_boundary(p).values / -spec.beta
+        dv = projection_residual(v, qb, b.va, b.vb, out=qb)
         stat_v = math.sqrt(sigma_inner(mesh, dv, dv))
     else:
         stat_v = 0.0

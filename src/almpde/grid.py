@@ -292,21 +292,6 @@ def clamp(x, lo, hi, out=None):
     return np.minimum(out, hi, out=out)
 
 
-def project_interval(f, lo, hi):
-    """Elementwise clamp of f into [lo, hi], as a field that takes over the
-    clamp's array.
-
-    Degenerate intervals (lo == hi somewhere) are allowed and pin the value;
-    lo > hi anywhere is an error.
-    """
-    _check_same_mesh(f, lo)
-    _check_same_mesh(f, hi)
-    lo, hi = operand(lo), operand(hi)
-    if (lo > hi).any():
-        raise ValueError("invalid bounds: lower bound exceeds upper bound somewhere")
-    return type(f)._wrap(f.mesh, clamp(f.values, lo, hi))
-
-
 class ControlBounds:
     """Pointwise box bounds for the distributed and boundary controls."""
 

@@ -51,8 +51,13 @@ inner_iters counts the accepted updates, final_gap is the stationarity
 residual of the returned controls, converged is final_gap <= eps1 and
 mu_sq is integral mu^2 of the sub-problem's mu, which the outer loop's
 L_rho takes over.
-Handed back as `warm`, a result starts the next sub-problem from its
-controls and its state y, so that start costs no forward sweep.
+
+A solve starts cold, from the projection of 0 onto the box (a constant
+field under constant bounds), or warm, from the controls of an MsaResult
+and its y as their state, which costs no forward sweep.  The outer loop
+starts its first sub-problem cold and every later one from the last
+result; a start from other controls is an MsaResult with those controls
+and their `solve_forward` state, the only fields a warm start reads.
 
 Each quantity is computed once: the target -p/alpha and p's boundary trace
 once per adjoint, for both the stationarity test and the trials; the three
@@ -67,17 +72,17 @@ trials and the step products are formed in arrays that one call holds,
 two per control.
 
 Only the slices m = 1..nt of the controls are unknowns: the implicit-Euler
-step m uses u_m and v_m, and nothing uses u_0, v_0.  They are set once to
-the projection of 0 onto their box and no update changes them.
+step m uses u_m and v_m, and nothing uses u_0, v_0.  A cold start sets
+them to the projection of 0 onto their box, and no update changes them.
 """
 
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grid import (TimeField, BoundaryTimeField, clamp, extract_boundary, is_zero,
-                   operand, project_interval)
-from .cost import _dot, multiplier_candidate, multiplier_square, subproblem_objective
+from .grid import TimeField, BoundaryTimeField, clamp, extract_boundary, is_zero, operand
+from .cost import (_dot, multiplier_candidate, multiplier_square, projection_residual,
+                   subproblem_objective)
 from .solvers import solve_forward, solve_adjoint, start_term
 
 
@@ -136,25 +141,20 @@ class MsaResult:
     mu_sq: float
 
 
-def _initial_control(init, lo, hi):
-    """init (zero when None) projected into [lo, hi], with slice 0 at the
-    projection of 0; a field like lo.
+def _initial_control(lo, hi):
+    """The projection of 0 into [lo, hi], a field like lo, the cold start.
 
-    Without init and with constant bounds this is the constant field
-    clamp(0, lo, hi), the value `project_interval` writes everywhere, and no
-    array is built.  Otherwise slice 0 is set to 0 before the projection,
-    so the projection's array is the result: without init that is the only
-    array built, with it there is one copy of init besides.
+    It is one `clamp` of a zero into itself, the zero shaped like the
+    bounds' operands (`operand`): with both bounds constant it is a 0-d
+    array and the start is the constant field clamp(0, lo, hi), which
+    builds no array; otherwise the clamp's array is the start.
     """
-    if init is None:
-        lo_one, hi_one = operand(lo), operand(hi)
-        if lo_one.ndim == 0 and hi_one.ndim == 0:
-            zero = np.zeros(())
-            return type(lo).constant(lo.mesh, clamp(zero, lo_one, hi_one, out=zero))
-        return project_interval(type(lo).zeros(lo.mesh), lo, hi)
-    values = init.values.copy()
-    values[0] = 0.0
-    return project_interval(type(init)._wrap(init.mesh, values), lo, hi)
+    lo_one, hi_one = operand(lo), operand(hi)
+    zero = np.zeros(np.broadcast_shapes(lo_one.shape, hi_one.shape))
+    values = clamp(zero, lo_one, hi_one, out=zero)
+    if values.ndim == 0:
+        return type(lo).constant(lo.mesh, values)
+    return type(lo)._wrap(lo.mesh, values)
 
 
 def _damped_clamp(x, target, lo, hi, theta, scratch=None):
@@ -177,13 +177,11 @@ def _damped_clamp(x, target, lo, hi, theta, scratch=None):
 def _stationarity(x, target, lo, hi, scratch=None):
     """sup over m = 1..nt of |x - clip(target, lo, hi)|, target = -p / weight.
 
-    The difference is formed on every slice, so that a constant bound is
-    read as a 0-d array (`operand`) that needs no slicing, and the sup is
-    taken over m = 1..nt, as max(max r, -min r) with no pass for |r|; abs
-    only gives a zero sup its positive sign.  r is formed in scratch, an
-    array of x's shape, when given."""
-    r = clamp(target, operand(lo), operand(hi), out=scratch)
-    r -= x.values
+    The residual r = clip(target) - x (`cost.projection_residual`) is formed
+    on every slice, in scratch, an array of x's shape, when given; the sup
+    is taken over m = 1..nt, as max(max r, -min r) with no pass for |r|; abs
+    only gives a zero sup its positive sign."""
+    r = projection_residual(x, target, lo, hi, out=scratch)
     tail = r[1:]
     return abs(max(float(np.maximum.reduce(tail, axis=None)),
                    -float(np.minimum.reduce(tail, axis=None))))
@@ -218,16 +216,14 @@ def _step_dot(x, x_new, weights, p, scratch=None):
     return _dot(ws, p.values)
 
 
-def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None, warm=None):
+def msa_solve(spec, rho, mu, config=None, warm=None):
     """Solve the sub-problem at (rho, mu) by spectral projected gradient.
 
-    Controls start from init_u/init_v (projected into the admissible box;
-    zero when omitted) on m = 1..nt and from the projection of 0 on m = 0.
-    warm, an MsaResult of an earlier solve on the same spec, starts instead
-    from its controls and takes its y as their state, which saves the first
-    forward sweep; it excludes init_u/init_v.  Non-convergence, at max_inner
-    or in the line search, is reported through the converged flag, not an
-    exception.
+    Without warm the start is cold: both controls at the projection of 0
+    onto their box.  warm, an MsaResult on the same spec whose y is the
+    state of its u and v, starts from those controls and saves the first
+    forward sweep.  Non-convergence, at max_inner or in the line search, is
+    reported through the converged flag, not an exception.
     """
     if config is None:
         config = MsaConfig()
@@ -241,11 +237,7 @@ def msa_solve(spec, rho, mu, init_u=None, init_v=None, config=None, warm=None):
     w_u, w_v = kit.mass, kit.arc
 
     if warm is None:
-        u = _initial_control(init_u, b.ua, b.ub)
-        v = _initial_control(init_v, b.va, b.vb)
-        y = None
-    elif init_u is not None or init_v is not None:
-        raise ValueError("a warm start excludes init_u and init_v")
+        u, v, y = _initial_control(b.ua, b.ub), _initial_control(b.va, b.vb), None
     else:
         u, v, y = warm.u, warm.v, warm.y
 

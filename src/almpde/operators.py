@@ -69,14 +69,13 @@ class DiffusionCoefficients:
         """Constant-Laplacian preset a11 = a22 = 1."""
         return cls(mesh, 1.0, 1.0)
 
-    def operator(self, mesh):
-        """The DiscreteOperator of these coefficients on `mesh`.
+    def operator(self):
+        """The DiscreteOperator of these coefficients on their own mesh.
 
         It is assembled on the first call and returned by every later one.
         """
-        _check_grid(mesh, self)
         if self._operator is None:
-            self._operator = assemble_operator(mesh, self)
+            self._operator = assemble_operator(self.mesh, self)
         return self._operator
 
 

@@ -17,22 +17,24 @@ def _sine_bump(mesh):
     return space_slice_from_function(mesh, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
 
 
-def build_paper_example_sec5(mesh, alpha=1.0):
+def build_paper_example_sec5(mesh):
     """Tracking problem on the unit cylinder with the obstacle psi = 1.
 
-    y0 = sin(pi x) sin(pi y), y_d = exp(-2 alpha pi T) sin(pi x) sin(pi y),
-    distributed control in [-1, 1], homogeneous Neumann boundary (boundary
-    control disabled).
+    y0 = sin(pi x) sin(pi y), y_d = exp(-2 pi T) sin(pi x) sin(pi y),
+    alpha = 1, distributed control in [-1, 1], homogeneous Neumann boundary
+    (boundary control disabled).  A config's problem.alpha replaces alpha
+    after the preset is built, so it changes only the cost weight: y_d stays
+    exp(-2 pi T) sin(pi x) sin(pi y).
     """
     y0 = _sine_bump(mesh)
-    y_d = np.exp(-2.0 * alpha * np.pi * mesh.T) * _sine_bump(mesh)
+    y_d = np.exp(-2.0 * np.pi * mesh.T) * _sine_bump(mesh)
     return ProblemSpec(
         mesh=mesh,
         coeffs=DiffusionCoefficients.unit(mesh),
         y0=y0,
         y_d=y_d,
         psi=TimeField.constant(mesh, 1.0),
-        alpha=alpha,
+        alpha=1.0,
         beta=1.0,
         bounds=ControlBounds.constant(mesh, ua=-1.0, ub=1.0, va=-1.0, vb=1.0),
         boundary_control_enabled=False,
@@ -47,7 +49,7 @@ def build_unconstrained_decay(mesh):
     operator and its factor.
     """
     coeffs = DiffusionCoefficients.unit(mesh)
-    y_free = solve_forward(mesh, coeffs.operator(mesh), TimeField.zeros(mesh), None,
+    y_free = solve_forward(mesh, coeffs.operator(), TimeField.zeros(mesh), None,
                            _sine_bump(mesh))
     return ProblemSpec(
         mesh=mesh,

@@ -445,9 +445,27 @@ def test_specs_on_one_coefficients_object_share_one_operator(unit_mesh, monkeypa
     assert a.operator() is b.operator()
     assert a.operator().step_kit() is b.operator().step_kit()
     assert len(calls) == 1
-    other = DiffusionCoefficients.unit(build_mesh(5, 5, 3, 1.0, 1.0, 1.0))
-    with pytest.raises(ValueError, match="does not match"):
-        other.operator(unit_mesh)
+
+
+@pytest.mark.parametrize("dims", [(7, 7, 4), (5, 5, 3)])
+def test_spec_rejects_parts_on_another_mesh(unit_mesh, dims):
+    # coefficients, psi or bounds on another mesh (more nodes, or another
+    # nt) fail when the problem is built, naming the part, not in a sweep
+    other = build_mesh(*dims, 1.0, 1.0, 1.0)
+    zeros = np.zeros(unit_mesh.shape_space)
+    coeffs = DiffusionCoefficients.unit(unit_mesh)
+    psi = TimeField.constant(unit_mesh, 1.0)
+    bounds = ControlBounds.constant(unit_mesh, -1.0, 1.0)
+    other_bounds = ControlBounds.constant(other, -1.0, 1.0)
+    mixed = ControlBounds(bounds.ua, bounds.ub, other_bounds.va, other_bounds.vb)
+    for parts, match in (((DiffusionCoefficients.unit(other), psi, bounds), "coeffs"),
+                         ((coeffs, TimeField.constant(other, 1.0), bounds), "psi"),
+                         ((coeffs, psi, other_bounds), "bounds ua/ub"),
+                         ((coeffs, psi, mixed), "bounds va/vb")):
+        c, p, b = parts
+        with pytest.raises(ValueError, match=f"^{match} must be on the problem's mesh"):
+            ProblemSpec(unit_mesh, c, zeros, zeros, p, 1.0, 1.0, b)
+    ProblemSpec(unit_mesh, coeffs, zeros, zeros, psi, 1.0, 1.0, bounds)
 
 
 def test_free_decay_preset_assembles_once(unit_mesh, monkeypatch):

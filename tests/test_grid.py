@@ -6,7 +6,7 @@ import pytest
 
 from almpde.cost import omega_inner, sigma_inner
 from almpde.grid import (TimeField, BoundaryTimeField, ControlBounds,
-                         build_mesh, clamp, integrate_omega_t, operand, project_interval,
+                         build_mesh, clamp, integrate_omega_t, operand,
                          extract_boundary,
                          dump_time_field, load_time_field,
                          dump_boundary_field, load_boundary_field,
@@ -136,35 +136,41 @@ def test_integrate_mesh_mismatch():
 
 # ------------------------------------------------------- pointwise helpers
 
-def test_project_interval_values(unit_mesh):
+def test_clamp_values(unit_mesh):
     lo = TimeField.constant(unit_mesh, -1.0)
     hi = TimeField.constant(unit_mesh, 1.0)
     for val, expected in ((0.3, 0.3), (-7.0, -1.0), (2.0, 1.0)):
-        out = project_interval(TimeField.constant(unit_mesh, val), lo, hi)
-        assert np.all(out.values == expected)
-    pinned = project_interval(TimeField.constant(unit_mesh, 5.0),
-                              TimeField.zeros(unit_mesh), TimeField.zeros(unit_mesh))
-    assert np.all(pinned.values == 0.0)
+        out = clamp(TimeField.constant(unit_mesh, val).values, lo.values, hi.values)
+        assert out.shape == TimeField.shape(unit_mesh) and np.all(out == expected)
+    # a degenerate (pinned) interval gives its one value
+    zeros = TimeField.zeros(unit_mesh).values
+    assert np.all(clamp(TimeField.constant(unit_mesh, 5.0).values, zeros, zeros) == 0.0)
 
 
-def test_project_interval_invalid_bounds(unit_mesh):
-    with pytest.raises(ValueError, match="invalid bounds"):
-        project_interval(TimeField.zeros(unit_mesh),
-                         TimeField.constant(unit_mesh, 1.0),
-                         TimeField.constant(unit_mesh, -1.0))
+def test_control_bounds_reject_inverted_intervals(unit_mesh):
+    for lo, hi, va, vb, match in ((1.0, -1.0, -1.0, 1.0, "ua > ub"),
+                                  (-1.0, 1.0, 1.0, -1.0, "va > vb")):
+        with pytest.raises(ValueError, match=match):
+            ControlBounds.constant(unit_mesh, lo, hi, va, vb)
+    # one node is enough
+    ub = np.ones(TimeField.shape(unit_mesh))
+    ub[2, 1, 3] = -2.0
+    with pytest.raises(ValueError, match="ua > ub"):
+        ControlBounds(TimeField.constant(unit_mesh, -1.0), TimeField(unit_mesh, ub),
+                      BoundaryTimeField.constant(unit_mesh, -1.0),
+                      BoundaryTimeField.constant(unit_mesh, 1.0))
 
 
-def test_project_interval_nonexpansive():
+def test_clamp_nonexpansive():
     rng = np.random.default_rng(2)
     m = build_mesh(4, 4, 2, 1, 1, 1)
-    lo = TimeField.constant(m, -0.7)
-    hi = TimeField.constant(m, 0.4)
+    lo = TimeField.constant(m, -0.7).values
+    hi = TimeField.constant(m, 0.4).values
     for _ in range(50):
-        f = TimeField(m, 2 * rng.standard_normal((m.nt + 1, m.ny, m.nx)))
-        g = TimeField(m, 2 * rng.standard_normal((m.nt + 1, m.ny, m.nx)))
-        d_proj = np.max(np.abs(project_interval(f, lo, hi).values
-                               - project_interval(g, lo, hi).values))
-        d_raw = np.max(np.abs(f.values - g.values))
+        f = 2 * rng.standard_normal((m.nt + 1, m.ny, m.nx))
+        g = 2 * rng.standard_normal((m.nt + 1, m.ny, m.nx))
+        d_proj = np.max(np.abs(clamp(f, lo, hi) - clamp(g, lo, hi)))
+        d_raw = np.max(np.abs(f - g))
         assert d_proj <= d_raw + 1e-15
 
 
@@ -365,10 +371,9 @@ def test_constant_views_compute_like_materialised_arrays(dims):
                        lambda a: clamp(a, -r * r, r * r)):
                 assert np.asarray(fn(view)).tobytes() == np.asarray(fn(full)).tobytes(), c
             lo, hi = kind.constant(mesh, c - 0.25), kind.constant(mesh, c + 0.25)
-            f = kind(mesh, r)
-            assert (project_interval(f, lo, hi).values.tobytes()
-                    == project_interval(f, _materialised(kind, mesh, c - 0.25),
-                                        _materialised(kind, mesh, c + 0.25)).values.tobytes())
+            assert (clamp(r, lo.values, hi.values).tobytes()
+                    == clamp(r, _materialised(kind, mesh, c - 0.25).values,
+                             _materialised(kind, mesh, c + 0.25).values).tobytes())
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -406,8 +411,8 @@ def test_constant_field_copies_are_contiguous(unit_mesh):
     for kind in KINDS:
         c = kind.constant(unit_mesh, 0.3)
         for values in (kind(unit_mesh, c.values).values, c.values.copy(),
-                       project_interval(c, kind.zeros(unit_mesh),
-                                        kind.constant(unit_mesh, 1.0)).values):
+                       clamp(c.values, kind.zeros(unit_mesh).values,
+                             kind.constant(unit_mesh, 1.0).values)):
             assert values.flags.c_contiguous
             assert values.tobytes() == c.values.tobytes()
 

@@ -4,10 +4,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from almpde.grid import (build_mesh, TimeField, BoundaryTimeField, ControlBounds,
-                         extract_boundary, project_interval, space_slice_from_function)
+from almpde.grid import (build_mesh, TimeField, BoundaryTimeField, ControlBounds, clamp,
+                         extract_boundary, space_slice_from_function)
 from almpde import msa
-from almpde.msa import MsaConfig, MsaDivergenceError, msa_solve
+from almpde.msa import MsaConfig, MsaDivergenceError, MsaResult, msa_solve
 from almpde.alm import AlmConfig, alm_run
 from almpde.cost import ProblemSpec, multiplier_candidate, subproblem_objective
 from almpde.solvers import solve_forward, solve_adjoint
@@ -171,6 +171,18 @@ def count_sweeps(monkeypatch):
     return calls
 
 
+def start_from(spec, u, v=None):
+    """A warm start from the controls (u, v): an MsaResult with their state
+    from `solve_forward`, the fields a solve reads of it.  v defaults to the
+    cold start's."""
+    if v is None:
+        v = msa._initial_control(spec.bounds.va, spec.bounds.vb)
+    y = solve_forward(spec.mesh, spec.operator(), u,
+                      v if spec.boundary_control_enabled else None, spec.y0)
+    return MsaResult(y=y, u=u, v=v, p=None, mu_bar=None, inner_iters=0,
+                     final_gap=np.inf, converged=False, mu_sq=0.0)
+
+
 def test_msa_inactive_obstacle_converges_immediately():
     mesh = build_mesh(5, 5, 4, 1.0, 1.0, 1.0)
     spec = build_unconstrained_decay(mesh)
@@ -182,23 +194,26 @@ def test_msa_inactive_obstacle_converges_immediately():
 
 
 def test_msa_fixed_point_init_terminates_one_iteration(monkeypatch):
-    # a stationary start costs one forward and one adjoint sweep
+    # a stationary start costs one forward and one adjoint sweep: here the
+    # cold start u = 0
     mesh = build_mesh(5, 5, 4, 1.0, 1.0, 1.0)
     spec = build_unconstrained_decay(mesh)
     calls = count_sweeps(monkeypatch)
-    res = msa_solve(spec, 1.0, TimeField.zeros(mesh),
-                    init_u=TimeField.zeros(mesh))
+    res = msa_solve(spec, 1.0, TimeField.zeros(mesh))
     assert res.converged and res.inner_iters == 0 and res.final_gap == 0.0
     assert [name for name, _, _ in calls] == ["forward", "adjoint"]
 
 
 def test_msa_converges_from_nonstationary_init():
     # on the shorter horizon the update map contracts (the space-time constant
-    # mode carries eigenvalue -T), so a constant init must converge to u = 0
+    # mode carries eigenvalue -T), so a start at u = 0.5 on m = 1..nt must
+    # converge to u = 0
     mesh = build_mesh(5, 5, 4, 1.0, 1.0, 0.5)
     spec = build_unconstrained_decay(mesh)
+    values = np.full(TimeField.shape(mesh), 0.5)
+    values[0] = 0.0
     res = msa_solve(spec, 1.0, TimeField.zeros(mesh),
-                    init_u=TimeField.constant(mesh, 0.5))
+                    warm=start_from(spec, TimeField(mesh, values)))
     assert res.converged
     assert np.abs(res.u.values).max() <= 1e-3
 
@@ -212,13 +227,6 @@ def test_msa_result_consistency(sec5_spec, unit_mesh):
     expected = multiplier_candidate(res.y, sec5_spec.psi, mu, 1.0)
     assert np.array_equal(res.mu_bar.values, expected.values)
     assert np.all(res.mu_bar.values >= 0.0)
-
-
-def test_msa_projects_out_of_bounds_init(sec5_spec, unit_mesh):
-    mu = TimeField.constant(unit_mesh, 10.0)
-    res = msa_solve(sec5_spec, 1.0, mu, init_u=TimeField.constant(unit_mesh, 7.0),
-                    config=MsaConfig(eps1=1e-6, max_inner=200))
-    assert np.all(res.u.values <= 1.0)
 
 
 def test_msa_nonconvergence_is_nonfatal(sec5_spec, unit_mesh):
@@ -278,7 +286,7 @@ def test_msa_projected_gradient_mode(sec5_spec, unit_mesh, monkeypatch):
 
 
 def test_full_step_is_the_hamiltonian_clamp(monkeypatch):
-    # boundary demo with both controls on and weights other than 1; the init
+    # boundary demo with both controls on and weights other than 1; the start
     # is non-zero and in bounds, since from u = v = 0 every algebraically
     # equal form of the damped step gives the clamp exactly.  The first
     # trial of the loop is the full step.
@@ -287,8 +295,11 @@ def test_full_step_is_the_hamiltonian_clamp(monkeypatch):
     spec = ProblemSpec(mesh, demo.coeffs, demo.y0, demo.y_d, demo.psi,
                        alpha=0.7, beta=0.3, bounds=b, boundary_control_enabled=True)
     rng = np.random.default_rng(4)
-    u0 = TimeField(mesh, rng.uniform(-0.08, 0.08, (mesh.nt + 1, mesh.ny, mesh.nx)))
-    v0 = BoundaryTimeField(mesh, rng.uniform(-1.5, 1.5, (mesh.nt + 1, mesh.n_boundary)))
+    # slice 0 at the projection of 0, as a cold start has it
+    u0 = rng.uniform(-0.08, 0.08, (mesh.nt + 1, mesh.ny, mesh.nx))
+    v0 = rng.uniform(-1.5, 1.5, (mesh.nt + 1, mesh.n_boundary))
+    u0[0], v0[0] = 0.0, 0.0
+    u0, v0 = TimeField(mesh, u0), BoundaryTimeField(mesh, v0)
     mu, rho = TimeField.zeros(mesh), 1.0
 
     op = spec.operator()
@@ -298,15 +309,15 @@ def test_full_step_is_the_hamiltonian_clamp(monkeypatch):
     pb = extract_boundary(p)
 
     calls = count_sweeps(monkeypatch)
-    msa_solve(spec, rho, mu, init_u=u0, init_v=v0, config=MsaConfig(max_inner=1))
-    _, full_u, full_v = calls[2]
+    msa_solve(spec, rho, mu, config=MsaConfig(max_inner=1), warm=start_from(spec, u0, v0))
+    _, full_u, full_v = calls[1]
     u_star = np.clip(-p.values / spec.alpha, b.ua.values, b.ub.values)
     v_star = np.clip(-pb.values / spec.beta, b.va.values, b.vb.values)
     # some nodes of each control are interior, so the test is not only of clip
     assert np.any((u_star > b.ua.values) & (u_star < b.ub.values))
     assert np.any((v_star > b.va.values) & (v_star < b.vb.values))
-    # the update covers the unknown slices m = 1..nt; slice 0 stays at the
-    # projection of 0
+    # the update covers the unknown slices m = 1..nt; slice 0 stays where
+    # it started
     assert np.all(full_u.values[1:] == u_star[1:])
     assert np.all(full_v.values[1:] == v_star[1:])
     assert np.all(full_u.values[0] == 0.0) and np.all(full_v.values[0] == 0.0)
@@ -370,17 +381,19 @@ def test_msa_solve_holds_no_extra_field_at_peak():
 def test_cold_start_with_constant_bounds_is_the_constant_projection_of_zero(unit_mesh, lo, hi):
     for kind in (TimeField, BoundaryTimeField):
         bounds = kind.constant(unit_mesh, lo), kind.constant(unit_mesh, hi)
-        start = msa._initial_control(None, *bounds)
-        assert type(start) is kind and start.values.strides == (0,) * start.values.ndim
-        assert (start.values.tobytes()
-                == project_interval(kind.zeros(unit_mesh), *bounds).values.tobytes())
-        # bounds that vary, or an init, still give a materialised projection
         full = [kind(unit_mesh, b.values) for b in bounds]
-        assert (msa._initial_control(None, *full).values.tobytes()
-                == start.values.tobytes())
-        init = kind.constant(unit_mesh, 0.5 * (lo + hi) + 0.1)
-        assert (msa._initial_control(init, *bounds).values[1:].tobytes()
-                == project_interval(init, *bounds).values[1:].tobytes())
+        zeros = np.zeros(kind.shape(unit_mesh))
+        projection = clamp(zeros, full[0].values, full[1].values).tobytes()
+        start = msa._initial_control(*bounds)
+        assert type(start) is kind and start.values.strides == (0,) * start.values.ndim
+        assert start.values.tobytes() == projection
+        # a materialised bound gives one materialised projection, with the
+        # same bits, whether the other bound is constant or not
+        for lo_field, hi_field in ((full[0], full[1]), (full[0], bounds[1]),
+                                   (bounds[0], full[1])):
+            mixed = msa._initial_control(lo_field, hi_field)
+            assert type(mixed) is kind and mixed.values.flags.c_contiguous
+            assert mixed.values.tobytes() == projection
 
 
 def test_slack_solve_holds_no_field_for_its_multiplier_or_cold_start():
@@ -400,7 +413,7 @@ def test_slack_solve_holds_no_field_for_its_multiplier_or_cold_start():
 
     coeffs = DiffusionCoefficients(mesh, np.exp(0.5 * smooth()), np.exp(0.5 * smooth()))
     y0 = smooth()
-    y_d = solve_forward(mesh, coeffs.operator(mesh), TimeField.zeros(mesh), None, y0).values[-1]
+    y_d = solve_forward(mesh, coeffs.operator(), TimeField.zeros(mesh), None, y0).values[-1]
     spec = ProblemSpec(mesh, coeffs, y0, y_d, const(mesh, 1e6), alpha=1.0, beta=1.0,
                        bounds=ControlBounds.constant(mesh, -1.0, 1.0))
     spec.operator().step_kit()
@@ -457,21 +470,26 @@ def test_line_search_allows_for_the_rounding_of_phi(sec5_spec, unit_mesh):
 
 
 def test_warm_start_reuses_the_state_of_its_controls(sec5_spec, unit_mesh, monkeypatch):
-    # a warm start from an earlier result is bit for bit the cold start from
-    # its controls, without the first forward sweep
+    # a warm start from an earlier result is bit for bit the start from its
+    # controls with their state recomputed, and neither takes a forward
+    # sweep before its first adjoint sweep
     first = msa_solve(sec5_spec, 1.0, TimeField.constant(unit_mesh, 10.0))
     mu = TimeField.constant(unit_mesh, 2.0)
+    given = start_from(sec5_spec, first.u, first.v)
+    assert np.array_equal(given.y.values, first.y.values)
     calls = count_sweeps(monkeypatch)
-    cold = msa_solve(sec5_spec, 4.0, mu, init_u=first.u, init_v=first.v)
-    cold_calls = [name for name, _, _ in calls]
+    recomputed = msa_solve(sec5_spec, 4.0, mu, warm=given)
+    recomputed_calls = [name for name, _, _ in calls]
     calls.clear()
     warm = msa_solve(sec5_spec, 4.0, mu, warm=first)
-    assert [name for name, _, _ in calls] == cold_calls[1:]
-    assert warm.inner_iters == cold.inner_iters > 0
+    warm_calls = [name for name, _, _ in calls]
+    assert warm_calls == recomputed_calls and warm_calls[0] == "adjoint"
+    assert warm_calls.count("adjoint") == warm.inner_iters + 1
+    assert warm.inner_iters == recomputed.inner_iters > 0
     for name in ("y", "u", "v", "p", "mu_bar"):
-        assert np.array_equal(getattr(warm, name).values, getattr(cold, name).values)
-    with pytest.raises(ValueError, match="warm start"):
-        msa_solve(sec5_spec, 4.0, mu, init_u=first.u, warm=first)
+        assert (getattr(warm, name).values.tobytes()
+                == getattr(recomputed, name).values.tobytes())
+    assert (warm.final_gap, warm.mu_sq) == (recomputed.final_gap, recomputed.mu_sq)
 
 
 def test_library_built_fields_are_read_only_and_own_their_values(sec5_spec, unit_mesh):
@@ -503,14 +521,14 @@ def test_library_built_fields_are_read_only_and_own_their_values(sec5_spec, unit
 
 
 def test_nonfinite_sweep_is_a_divergence(unit_mesh):
-    # states near the largest double: the first forward sweep overflows, and
-    # the state it builds fails its finiteness check
+    # states near the largest double, and controls pinned at it, so the cold
+    # start is u = huge: the first forward sweep overflows, and the state it
+    # builds fails its finiteness check
     huge = 1e308
     spec = ProblemSpec(unit_mesh, DiffusionCoefficients.unit(unit_mesh),
                        np.full(unit_mesh.shape_space, huge), np.zeros(unit_mesh.shape_space),
                        TimeField.constant(unit_mesh, huge), alpha=1.0, beta=1.0,
-                       bounds=ControlBounds.constant(unit_mesh, -huge, huge))
+                       bounds=ControlBounds.constant(unit_mesh, huge, huge))
     with np.errstate(over="ignore"), pytest.raises(
             MsaDivergenceError, match="iteration 1: TimeField values must be finite"):
-        msa_solve(spec, 1.0, TimeField.zeros(unit_mesh),
-                  init_u=TimeField.constant(unit_mesh, huge))
+        msa_solve(spec, 1.0, TimeField.zeros(unit_mesh))
