@@ -161,8 +161,7 @@ def alm_run(spec, config, on_row=None):
     for _ in range(config.max_outer):
         rho_k = state.rho
         result, R_k, success, state, kkt = alm_step(spec, state, final_result, config)
-        v = result.v if spec.boundary_control_enabled else None
-        J = cost_J(spec, result.y, result.u, v)
+        J = cost_J(spec, result.y, result.u, result.v)
         row = AlmTraceRow(
             k=state.k, n=state.n, rho=rho_k, R=R_k, success=success, J=J,
             L_rho=J + penalty(spec.mesh, result.mu_bar, result.mu_sq, rho_k),

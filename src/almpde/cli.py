@@ -83,7 +83,7 @@ def cmd_run(args):
         dump_time_field(res.u, "u_final", os.path.join(outdir, "u_final.csv"))
         dump_time_field(res.mu_bar, "mu_final", os.path.join(outdir, "mu_final.csv"))
         dump_time_field(res.p, "p_final", os.path.join(outdir, "p_final.csv"))
-        if spec.boundary_control_enabled:
+        if res.v is not None:
             dump_boundary_field(res.v, "v_final", os.path.join(outdir, "v_final.csv"))
     print(f"{trace.termination}: k={last.k} n={last.n} R={last.R:.6e} J={last.J:.6e}")
     return 0 if trace.termination == "tolerance_met" else 2
@@ -95,7 +95,7 @@ def cmd_verify(args):
 
     names = args.check if args.check else None
     try:
-        reports = run_checks(names=names, tolerance_override=args.tolerance_override)
+        reports = run_checks(names=names)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -179,8 +179,6 @@ def main(argv=None):
     p_verify.add_argument("--check", action="append",
                           help="run only this check (repeatable); an unknown name "
                                "is an error that lists the checks")
-    p_verify.add_argument("--tolerance-override", type=float, default=None,
-                          help="override every check tolerance (0 forces failure)")
     p_verify.add_argument("--output", default=".", help="directory for verify_report.csv")
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep")

@@ -81,14 +81,11 @@ class ProblemSpec:
         self.beta = float(beta)
         self.bounds = bounds
         self.boundary_control_enabled = bool(boundary_control_enabled)
-        self._op = None
 
     def operator(self):
         """The operator of the coefficients (`DiffusionCoefficients.operator`):
         problems built on one coefficients object share it and its factor."""
-        if self._op is None:
-            self._op = self.coeffs.operator()
-        return self._op
+        return self.coeffs.operator()
 
 
 def _dot(a, b):
@@ -222,16 +219,17 @@ def kkt_residuals(spec, y, u, v, p, mu_bar):
 
     Stationarity is the L2 norm over m = 1..nt of the projection fixed-point
     residual clip(-p / alpha) - u (`projection_residual`), formed in the
-    array of -p / alpha.  Feasibility is max over m = 1..nt of (y - psi)_+
-    and complementarity | integral mu_bar (psi - y) |; their sum is the
-    outer loop's residual index, zero exactly when the grid state is
-    feasible and complementary with mu_bar.
+    array of -p / alpha, and likewise for v; v is None without boundary
+    control, and stat_v is then 0.  Feasibility is max over m = 1..nt of
+    (y - psi)_+ and complementarity | integral mu_bar (psi - y) |; their
+    sum is the outer loop's residual index, zero exactly when the grid
+    state is feasible and complementary with mu_bar.
     """
     mesh, b = spec.mesh, spec.bounds
     q = p.values / -spec.alpha
     du = projection_residual(u, q, b.ua, b.ub, out=q)
     stat_u = math.sqrt(omega_inner(mesh, du, du))
-    if spec.boundary_control_enabled and v is not None:
+    if v is not None:
         qb = extract_boundary(p).values / -spec.beta
         dv = projection_residual(v, qb, b.va, b.vb, out=qb)
         stat_v = math.sqrt(sigma_inner(mesh, dv, dv))
@@ -265,10 +263,9 @@ def subproblem_objective(spec, rho, mu, u, v=None, y=None, mu_bar=None, mu_sq=No
         mu_bar = multiplier_candidate(y, spec.psi, mu, rho)
     if mu_sq is None:
         mu_sq = multiplier_square(mesh, mu)
-    kit = op.step_kit()
     e = (y.values[-1] - spec.y_d).ravel()
     # K e = (M + dt A) e, dt A e from the stencil the sweeps step with
-    a_e = kit.stencil.apply(e, np.empty(e.size) if a_e is None else a_e)
-    k_e = kit.flat_mass * e
+    a_e = op.stencil.apply(e, np.empty(e.size) if a_e is None else a_e)
+    k_e = op.flat_mass * e
     k_e += a_e
     return 0.5 * _dot(e, k_e) + _control_cost(spec, u, v) + penalty(mesh, mu_bar, mu_sq, rho)

@@ -46,11 +46,11 @@ sweep.  The loop also stops, unconverged and without raising, after
 max_inner accepted updates or when no theta >= THETA_MIN passes the Armijo
 test.
 
-In the MsaResult, (y, mu_bar, p) belong to the returned controls,
-inner_iters counts the accepted updates, final_gap is the stationarity
-residual of the returned controls, converged is final_gap <= eps1 and
-mu_sq is integral mu^2 of the sub-problem's mu, which the outer loop's
-L_rho takes over.
+In the MsaResult, (y, mu_bar, p) belong to the returned controls, v is
+None without boundary control, inner_iters counts the accepted updates,
+final_gap is the stationarity residual of the returned controls,
+converged is final_gap <= eps1 and mu_sq is integral mu^2 of the
+sub-problem's mu, which the outer loop's L_rho takes over.
 
 A solve starts cold, from the projection of 0 onto the box (a constant
 field under constant bounds), or warm, from the controls of an MsaResult
@@ -132,7 +132,7 @@ def require_finite_fields(config):
 class MsaResult:
     y: TimeField
     u: TimeField
-    v: BoundaryTimeField
+    v: BoundaryTimeField | None     # None without boundary control
     p: TimeField
     mu_bar: TimeField
     inner_iters: int
@@ -219,10 +219,10 @@ def _step_dot(x, x_new, weights, p, scratch=None):
 def msa_solve(spec, rho, mu, config=None, warm=None):
     """Solve the sub-problem at (rho, mu) by spectral projected gradient.
 
-    Without warm the start is cold: both controls at the projection of 0
-    onto their box.  warm, an MsaResult on the same spec whose y is the
-    state of its u and v, starts from those controls and saves the first
-    forward sweep.  Non-convergence, at max_inner or in the line search, is
+    Without warm the start is cold: the controls at the projection of 0
+    onto their box, and v None without boundary control.  warm, an
+    MsaResult on the same spec whose y is the state of its u and v, starts
+    from those controls and saves the first forward sweep.  Non-convergence, at max_inner or in the line search, is
     reported through the converged flag, not an exception.
     """
     if config is None:
@@ -230,16 +230,16 @@ def msa_solve(spec, rho, mu, config=None, warm=None):
     mesh = spec.mesh
     op = spec.operator()
     b = spec.bounds
-    with_v = spec.boundary_control_enabled
     mu_sq = multiplier_square(mesh, mu)
     # the dt-weighted quadrature weights of the control integrals
-    kit = op.step_kit()
-    w_u, w_v = kit.mass, kit.arc
+    w_u, w_v = op.load_mass, op.load_arc
 
     if warm is None:
-        u, v, y = _initial_control(b.ua, b.ub), _initial_control(b.va, b.vb), None
+        u, y = _initial_control(b.ua, b.ub), None
+        v = _initial_control(b.va, b.vb) if spec.boundary_control_enabled else None
     else:
         u, v, y = warm.u, warm.v, warm.y
+    with_v = v is not None
 
     a_y0 = None
     # per control, the target -p / weight and the temporaries of the
@@ -261,13 +261,13 @@ def msa_solve(spec, rho, mu, config=None, warm=None):
             if y is None:
                 if a_y0 is None:
                     a_y0 = start_term(op, spec.y0)
-                y = solve_forward(mesh, op, u, v if with_v else None, spec.y0, a_y0)
+                y = solve_forward(mesh, op, u, v, spec.y0, a_y0)
             mu_bar = multiplier_candidate(y, spec.psi, mu, rho)
         except ValueError as exc:
             raise MsaDivergenceError(iteration, str(exc)) from exc
         a_e = np.empty(mesh.nx * mesh.ny)
-        phi = subproblem_objective(spec, rho, mu, u, v if with_v else None,
-                                   y=y, mu_bar=mu_bar, mu_sq=mu_sq, a_e=a_e)
+        phi = subproblem_objective(spec, rho, mu, u, v, y=y, mu_bar=mu_bar, mu_sq=mu_sq,
+                                   a_e=a_e)
         return y, mu_bar, phi, a_e
 
     def adjoint(y, mu_bar, a_e, iteration):

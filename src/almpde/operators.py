@@ -18,28 +18,31 @@ row-major node order its nonzeros lie on the diagonal, one row below it
 (x-coupling) and nx rows below it (y-coupling), so it is held as a banded
 Cholesky factor.  The factor is computed once, as L in the lower band
 layout (LAPACK `pbtrf` with uplo = L, `lapack.pbtrf_lower`; factoring in
-the upper layout took 3.4 ms against 2.2 ms at 65x65), and stored as its
-transpose U = L^T in LAPACK's upper band layout (Anderson et al., LAPACK
-Users' Guide, 3rd ed., SIAM 1999, Sec. 5.3.3).  A solve with it (LAPACK
-`pbtrs`) is then two banded triangular solves (`tbsv`) with U^T and U.
-The lower layout needs L and L^T instead, and OpenBLAS's lower-transposed `tbsv` is about twice as
-slow as the other three variants: 29.5 us against 12.7-14.1 us at 33x33
-(one thread, OpenBLAS 0.3.31, Xeon), so a whole solve takes 26 us instead
-of 42 us.  The stored band is Fortran-ordered, as LAPACK takes it.
+the upper layout took 6.3 ms against 5.2 ms with the copy at 65x65), and
+stored as its transpose U = L^T in LAPACK's upper band layout (Anderson
+et al., LAPACK Users' Guide, 3rd ed., SIAM 1999, Sec. 5.3.3).  A solve
+with it (LAPACK `pbtrs`) is then two banded triangular solves (`tbsv`)
+with U^T and U.  The lower layout needs L and L^T instead, and OpenBLAS's
+lower-transposed `tbsv` is about twice as slow as the other three
+variants: 29.5 us against 12.7-14.1 us at 33x33 (one thread, OpenBLAS
+0.3.31, Xeon), so a whole solve takes 26 us instead of 42 us.  The stored band is Fortran-ordered, as LAPACK takes it.
 
 A sweep applies dt A once, to its starting slice, and takes every step with
-the factor and the mass M alone (see `solvers`).  The factor and the
-argument block its solves are called with, the dt-scaled stencil, the
-dt-weighted mass and arc weights the sweeps form their loads with and the
-flat mass M their steps carry the deviation with are built together on the
-first sweep (`StepKit`) and reused for every later one.
+the factor and the mass M alone (see `solvers`).  The DiscreteOperator
+holds all a sweep reads.  The dt-scaled stencil, the dt-weighted mass and
+arc weights the sweeps form their loads with and the flat mass M their
+steps carry the deviation with are built with it (10-15 us at 5x5-33x33).
+The factor and the argument block its solves are called with are built on
+its first sweep and reused for every later one, so that setting up a
+problem does not factor: at 33x33 the factorization (0.6-0.8 ms) would
+nearly double the boundary demo's set-up.
 
 An operator depends only on the mesh and the coefficients, so each
 DiffusionCoefficients object assembles it once (`operator`): every problem
 built on that object shares the operator, its factor included.
 """
 
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -75,7 +78,7 @@ class DiffusionCoefficients:
         It is assembled on the first call and returned by every later one.
         """
         if self._operator is None:
-            self._operator = assemble_operator(self.mesh, self)
+            self._operator = assemble_operator(self)
         return self._operator
 
 
@@ -123,58 +126,45 @@ class FluxStencil:
         return out
 
 
-class StepKit(NamedTuple):
-    """What the implicit-Euler sweeps are taken with.
-
-    `stencil` is the dt-scaled FluxStencil, applied once per sweep to its
-    starting slice (or once per inner solve to y0, `solvers.start_term`);
-    `factor` the Cholesky factor U (M + dt A = U^T U) in
-    LAPACK's upper band layout, Fortran-ordered: row nx - d holds the
-    entries d places above the diagonal, so column j holds U[j - nx : j + 1, j];
-    `solve` the argument block of `lapack.pbtrs` with that factor; `mass`
-    (ny, nx) and `arc` (n_boundary,) the dt-weighted mass and arc-length
-    weights that turn a control into its load; and `flat_mass`
-    (n,) the unscaled mass M in node order, which each step multiplies the
-    previous deviation from the starting slice by.
-    """
-
-    stencil: FluxStencil
-    factor: np.ndarray
-    solve: tuple
-    mass: np.ndarray
-    arc: np.ndarray
-    flat_mass: np.ndarray
-
-
 class DiscreteOperator:
-    """5-point flux stencil with Neumann closure.
+    """5-point flux stencil with Neumann closure, and what the implicit-Euler
+    sweeps step with.
 
-    Holds the edge conductances of the stencil, the diagonal mass weights,
-    and two lazily built companions: the implicit-Euler `StepKit` and a CSR
-    copy of A for whole-matrix checks.
+    Built with the operator, from the edge conductances cx, cy: `stencil`,
+    the dt-scaled FluxStencil, applied once per sweep to its starting slice
+    (or once per inner solve to y0, `solvers.start_term`); `load_mass`
+    (ny, nx) and `load_arc` (n_boundary,), dt M and dt W, the weights that
+    turn a control into its load; and `flat_mass` (n,), M in node order,
+    which each step multiplies the previous deviation from the starting
+    slice by.
+
+    Built on the first use and kept (`functools.cached_property`): `factor`,
+    the Cholesky factor U of M + dt A = U^T U in LAPACK's upper band layout,
+    Fortran-ordered (row nx - d holds the entries d places above the
+    diagonal, so column j holds U[j - nx : j + 1, j]); `solve`, the argument
+    block of `lapack.pbtrs` with that factor; and `csr`, A as a CSR matrix,
+    for whole-matrix checks.
     """
 
     def __init__(self, mesh, cx, cy):
         self.mesh = mesh
         self.cx = cx
         self.cy = cy
-        self.mass = mesh.w_space
         for arr in (self.cx, self.cy):
             arr.flags.writeable = False
-        self._csr = None
-        self._step_kit = None
+        dt = mesh.dt
+        self.stencil = FluxStencil(cx, cy, dt)
+        self.load_mass = dt * mesh.w_space
+        self.load_arc = dt * mesh.w_arc
+        self.flat_mass = mesh.w_space.ravel()
 
-    def step_kit(self):
-        """The StepKit, built on the first call and kept; the sweeps take
-        every step with it."""
-        if self._step_kit is None:
-            dt = self.mesh.dt
-            factor = _upper_layout(pbtrf_lower(self._step_band()))
-            self._step_kit = StepKit(FluxStencil(self.cx, self.cy, dt),
-                                     factor, pbtrs_block(factor),
-                                     dt * self.mass, dt * self.mesh.w_arc,
-                                     self.mass.ravel())
-        return self._step_kit
+    @cached_property
+    def factor(self):
+        return _upper_layout(pbtrf_lower(self._step_band()))
+
+    @cached_property
+    def solve(self):
+        return pbtrs_block(self.factor)
 
     def _step_band(self):
         """Lower band of M + dt A in the layout of `lapack.pbtrf_lower`.
@@ -191,17 +181,13 @@ class DiscreteOperator:
         degree[:-1, :] += self.cy
         degree[1:, :] += self.cy
         band = np.zeros((nx + 1, nx * ny), order="F")
-        band[0] = (self.mass + dt * degree).ravel()
+        band[0] = (self.mesh.w_space + dt * degree).ravel()
         band[1].reshape(ny, nx)[:, :-1] = -dt * self.cx
         band[nx, :nx * (ny - 1)] = -dt * self.cy.ravel()
         return band
 
-    def as_csr(self):
-        if self._csr is None:
-            self._csr = self._assemble_csr()
-        return self._csr
-
-    def _assemble_csr(self):
+    @cached_property
+    def csr(self):
         # imported here: only the dense oracle and the tests take A whole,
         # and importing scipy.sparse adds about 1.5 MB to a process that
         # only solves
@@ -245,14 +231,14 @@ def _upper_layout(lower):
     return buf.reshape(n + u, u + 1).T[:, :n]
 
 
-def assemble_operator(mesh, coeffs):
-    """Build the DiscreteOperator for the given coefficients.
+def assemble_operator(coeffs):
+    """Build the DiscreteOperator of the coefficients, on their mesh.
 
     Edge conductances combine the arithmetic mean of the nodal coefficient
     with the transverse dual-cell width (halved along the boundary rows and
     columns), divided by the edge length.
     """
-    _check_grid(mesh, coeffs)
+    mesh = coeffs.mesh
     nx, ny, hx, hy = mesh.nx, mesh.ny, mesh.hx, mesh.hy
     wx = np.ones(nx)
     wx[0] = wx[-1] = 0.5
@@ -264,7 +250,3 @@ def assemble_operator(mesh, coeffs):
     cy = a22_edge * (hx * wx[None, :]) / hy   # (ny-1, nx)
     return DiscreteOperator(mesh, cx, cy)
 
-
-def _check_grid(mesh, coeffs):
-    if not coeffs.mesh.compatible(mesh):
-        raise ValueError("coefficient grid does not match mesh")

@@ -65,7 +65,7 @@ def analytic_decay_oracle(mesh, mode="x", tol_constant=2.0):
         constant = 2.0 * tol_constant
     else:
         raise ValueError(f"unknown decay mode {mode!r}")
-    op = assemble_operator(mesh, DiffusionCoefficients.unit(mesh))
+    op = assemble_operator(DiffusionCoefficients.unit(mesh))
     y = solve_forward(mesh, op, TimeField.zeros(mesh), None, y0)
     exact = TimeField.from_function(mesh, exact_fn)
     diff = TimeField(mesh, y.values - exact.values)
@@ -179,7 +179,7 @@ def projected_gradient_oracle(spec, rho, mu, iters=100000, lr=1e-3):
                          f"got {(mesh.nx, mesh.ny, mesh.nt)}")
     op = spec.operator()
     n = mesh.nx * mesh.ny
-    A = op.as_csr().toarray()
+    A = op.csr.toarray()
     mass = mesh.w_space.ravel()
     K = np.diag(mass) + mesh.dt * A
     cho = sla.cho_factor(K)
@@ -317,7 +317,7 @@ ORACLE_CHECKS = {
 }
 
 
-def run_checks(names=None, tolerance_override=None):
+def run_checks(names=None):
     """Run the named oracles (all by default); returns a list of reports."""
     if names is None:
         names = list(ORACLE_CHECKS)
@@ -325,9 +325,5 @@ def run_checks(names=None, tolerance_override=None):
     for name in names:
         if name not in ORACLE_CHECKS:
             raise ValueError(f"unknown check {name!r}; available: {sorted(ORACLE_CHECKS)}")
-        rep = ORACLE_CHECKS[name]()
-        if tolerance_override is not None:
-            rep = OracleReport(name=rep.name, error=rep.error,
-                               tolerance=tolerance_override, context=rep.context)
-        reports.append(rep)
+        reports.append(ORACLE_CHECKS[name]())
     return reports

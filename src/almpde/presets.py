@@ -90,19 +90,16 @@ PRESETS = {
         "build": build_paper_example_sec5,
         "default_mesh": (5, 5, 4, 1.0, 1.0, 1.0),
         "config_defaults": {"alm.mu0": 10.0},
-        "description": "obstacle psi=1 tracking problem on the unit cylinder, h = dt = 0.25",
     },
     "unconstrained_decay": {
         "build": build_unconstrained_decay,
         "default_mesh": (5, 5, 4, 1.0, 1.0, 1.0),
         "config_defaults": {"alm.mu0": 0.0},
-        "description": "inactive obstacle, free-decay target, optimal u = 0",
     },
     "boundary_control_demo": {
         "build": build_boundary_control_demo,
         "default_mesh": (9, 9, 8, 1.0, 1.0, 0.5),
         "config_defaults": {"alm.mu0": 0.0},
-        "description": "boundary-flux tracking demo with inactive obstacle",
     },
 }
 

@@ -19,10 +19,10 @@ extra solve, skipped when mu_nt is zero because it is then exactly zero.
 
 Both sweeps run one march loop, over the systems K x_m = M x_{m-1} + s_m
 with the sources s = dt (M u + B v) forward and s = dt M mu backward, built
-for all time levels at once from the dt-weighted mass and arc weights of the
-operator's `StepKit`, in the slices of the array the sweep returns.  The
-loop marches the deviation z_m = x_m - x_0 from
-the sweep's starting slice x_0 (y0 forward, the corrected p_nt backward):
+for all time levels at once from the operator's dt-weighted mass and arc
+weights (`load_mass`, `load_arc`), in the slices of the array the sweep
+returns.  The loop marches the deviation z_m = x_m - x_0 from the sweep's
+starting slice x_0 (y0 forward, the corrected p_nt backward):
 
     K z_m = M z_{m-1} + (s_m - dt A x_0),    z_0 = 0,
 
@@ -43,9 +43,9 @@ dt A x, leaves them off by rounding (about 1e-15).
 Each step's rounding is relative to the size of z and x_0, so a slice is
 accurate to a few 1e-15 of the sweep's largest value (checked against dense
 solves over 512 steps), not of its own size when it has decayed far below
-x_0.  The step kit (stencil, factor and weights) is built on the operator's
-first sweep.  The sweeps take dt from the operator, so it must have been
-assembled on the sweep's mesh.
+x_0.  The operator holds the stencil, the weights and, from its first
+sweep on, the factor.  The sweeps take dt from the operator, so it must
+have been assembled on the sweep's mesh.
 
 Each sweep writes its slices straight into the array of the field it
 returns (the backward one in reverse time order), and the field takes that
@@ -55,7 +55,7 @@ overflows raises ValueError.
 On the small grids a sweep costs its calls more than its arithmetic: at
 5x5x4 each of the four banded solves takes about 1 us, and so does each
 numpy operation around them.  So the sweeps form their sources in place,
-call LAPACK's `pbtrs` through the argument block of the step kit
+call LAPACK's `pbtrs` through the operator's argument block `solve`
 (`lapack.pbtrs`), with the address of each row stepped from the first one
 by the row stride, and test mu_nt with `np.count_nonzero`, about a quarter
 of the cost of `ndarray.any` at 5x5.  The first row's address from
@@ -78,12 +78,12 @@ def start_term(op, x0):
     0.323 -> 0.332 (+2.9%, higher in 9 of 10 pairs, BENCH_ablation.json).
     """
     x0 = np.ravel(x0)
-    return op.step_kit().stencil.apply(x0, np.empty(x0.size))
+    return op.stencil.apply(x0, np.empty(x0.size))
 
 
-def _march(kit, x, a_x0=None):
-    """Implicit-Euler steps over the rows of x, (steps + 1, n) in marching
-    order.
+def _march(op, x, a_x0=None):
+    """Implicit-Euler steps with the operator op over the rows of x,
+    (steps + 1, n) in marching order.
 
     On entry row 0 holds the starting slice x0 and row m >= 1 the source of
     step m; on exit row m holds the slice after step m.  The rows after x0
@@ -94,9 +94,9 @@ def _march(kit, x, a_x0=None):
     """
     x0, z = x[0], x[1:]
     if a_x0 is None:
-        a_x0 = kit.stencil.apply(x0, np.empty(x0.size))
+        a_x0 = op.stencil.apply(x0, np.empty(x0.size))
     z -= a_x0
-    mass, solve = kit.flat_mass, kit.solve
+    mass, solve = op.flat_mass, op.solve
     carry = np.empty(x0.size)
     row_address, stride = address(z[0]), z.strides[0]
     prev = None
@@ -129,14 +129,13 @@ def solve_forward(mesh, op, u, v, y0, a_y0=None):
     The loads of steps 1..nt are formed in the slices they are marched in.
     """
     y0 = _check(mesh, op, y0, "initial")
-    kit = op.step_kit()
     y = np.empty(TimeField.shape(mesh))
     load = y[1:]
-    np.multiply(kit.mass, u.values[1:], out=load)
+    np.multiply(op.load_mass, u.values[1:], out=load)
     if v is not None:
-        load[:, mesh.boundary_j, mesh.boundary_i] += kit.arc * v.values[1:]
+        load[:, mesh.boundary_j, mesh.boundary_i] += op.load_arc * v.values[1:]
     y[0] = y0
-    _march(kit, y.reshape(mesh.nt + 1, -1), a_y0)
+    _march(op, y.reshape(mesh.nt + 1, -1), a_y0)
     return TimeField._wrap(mesh, y)
 
 
@@ -156,15 +155,14 @@ def solve_adjoint(mesh, op, mu, terminal, a_terminal=None):
     0.336 -> 0.346 (+3.0%, higher in 10 of 10 pairs, BENCH_no_scipy.json).
     """
     terminal = _check(mesh, op, terminal, "terminal")
-    kit = op.step_kit()
     p = np.empty(TimeField.shape(mesh))
-    np.multiply(kit.mass, mu.values, out=p)
+    np.multiply(op.load_mass, mu.values, out=p)
     last = p[-1]
     if np.count_nonzero(last):
-        pbtrs(kit.solve, address(last))
+        pbtrs(op.solve, address(last))
         last += terminal
         a_terminal = None
     else:
         last[...] = terminal
-    _march(kit, p.reshape(mesh.nt + 1, -1)[::-1], a_terminal)
+    _march(op, p.reshape(mesh.nt + 1, -1)[::-1], a_terminal)
     return TimeField._wrap(mesh, p)

@@ -184,14 +184,14 @@ def test_criterion_6_degenerate_correctness():
     assert len(trace.rows) == 1 and trace.rows[0].R == 0.0
     assert np.all(trace.final_result.mu_bar.values == 0.0)
 
-    op = assemble_operator(mesh, DiffusionCoefficients.unit(mesh))
+    op = assemble_operator(DiffusionCoefficients.unit(mesh))
     y = solve_forward(mesh, op, TimeField.zeros(mesh), None,
                       np.full(mesh.shape_space, 2.5))
     assert np.abs(y.values - 2.5).max() == 0.0
 
     rng = np.random.default_rng(3)
     m = build_mesh(17, 17, 20, 1.0, 1.0, 0.5)
-    op = assemble_operator(m, DiffusionCoefficients.unit(m))
+    op = assemble_operator(DiffusionCoefficients.unit(m))
     y = solve_forward(m, op, TimeField.zeros(m), None,
                       rng.uniform(0.5, 2.0, m.shape_space))
     masses = np.array([np.sum(m.w_space * y.values[k]) for k in range(m.nt + 1)])

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from almpde import alm
+from almpde import alm, oracles
 from almpde.alm import AlmConfig, TRACE_COLUMNS
 from almpde.cli import main
 from almpde.config import parse_config, build_run, ConfigError
@@ -327,10 +327,13 @@ def test_verify_single_check(tmp_path):
     assert report[1].startswith("argmin_bruteforce") and report[1].endswith(",1")
 
 
-def test_verify_forced_failure(tmp_path):
-    code = main(["verify", "--check", "argmin_bruteforce",
-                 "--tolerance-override", "0", "--output", str(tmp_path)])
+def test_verify_forced_failure(tmp_path, monkeypatch):
+    monkeypatch.setitem(oracles.ORACLE_CHECKS, "failing",
+                        lambda: oracles.OracleReport("failing", 1.0, 0.5))
+    code = main(["verify", "--check", "failing", "--output", str(tmp_path)])
     assert code == 1
+    report = (tmp_path / "verify_report.csv").read_text().strip().splitlines()
+    assert report[1:] == ["failing,1,0.5,0"]
 
 
 

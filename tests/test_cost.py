@@ -324,9 +324,9 @@ def test_kkt_boundary_stationarity_matches_bruteforce(unit_mesh):
 
 
 def test_kkt_boundary_stationarity_zero_when_disabled(unit_mesh):
+    # without boundary control there is no v, and no v-stationarity
     spec = make_spec(unit_mesh)
-    res = kkt_residuals(spec, TimeField.zeros(unit_mesh), TimeField.zeros(unit_mesh),
-                        BoundaryTimeField.constant(unit_mesh, 0.3),
+    res = kkt_residuals(spec, TimeField.zeros(unit_mesh), TimeField.zeros(unit_mesh), None,
                         TimeField.constant(unit_mesh, 5.0), TimeField.zeros(unit_mesh))
     assert res.stationarity_v == 0.0
 
@@ -443,7 +443,7 @@ def test_specs_on_one_coefficients_object_share_one_operator(unit_mesh, monkeypa
                         1.0, 1.0, ControlBounds.constant(unit_mesh, -1.0, 1.0))
             for level in (0.0, 0.5))
     assert a.operator() is b.operator()
-    assert a.operator().step_kit() is b.operator().step_kit()
+    assert a.operator().solve is b.operator().solve
     assert len(calls) == 1
 
 

@@ -145,7 +145,7 @@ def test_grad_u_matches_finite_differences(sec5_spec, unit_mesh):
         p = solve_adjoint(unit_mesh, op, multiplier_candidate(y, spec.psi, mu, rho),
                           y.values[-1] - spec.y_d)
         _, slope, _ = msa._step_products(u, TimeField(unit_mesh, u.values + s),
-                                         op.step_kit().mass, spec.alpha, p)
+                                         op.load_mass, spec.alpha, p)
         fd = (subproblem_objective(spec, rho, mu, TimeField(unit_mesh, u.values + h * s))
               - subproblem_objective(spec, rho, mu, TimeField(unit_mesh, u.values - h * s))) / (2 * h)
         assert abs(fd - slope) <= 1e-6 * max(abs(slope), 1.0)
@@ -173,12 +173,11 @@ def count_sweeps(monkeypatch):
 
 def start_from(spec, u, v=None):
     """A warm start from the controls (u, v): an MsaResult with their state
-    from `solve_forward`, the fields a solve reads of it.  v defaults to the
-    cold start's."""
-    if v is None:
+    from `solve_forward`, the fields a solve reads of it.  With boundary
+    control v defaults to the cold start's; without it v is None."""
+    if v is None and spec.boundary_control_enabled:
         v = msa._initial_control(spec.bounds.va, spec.bounds.vb)
-    y = solve_forward(spec.mesh, spec.operator(), u,
-                      v if spec.boundary_control_enabled else None, spec.y0)
+    y = solve_forward(spec.mesh, spec.operator(), u, v, spec.y0)
     return MsaResult(y=y, u=u, v=v, p=None, mu_bar=None, inner_iters=0,
                      final_gap=np.inf, converged=False, mu_sq=0.0)
 
@@ -416,7 +415,6 @@ def test_slack_solve_holds_no_field_for_its_multiplier_or_cold_start():
     y_d = solve_forward(mesh, coeffs.operator(), TimeField.zeros(mesh), None, y0).values[-1]
     spec = ProblemSpec(mesh, coeffs, y0, y_d, const(mesh, 1e6), alpha=1.0, beta=1.0,
                        bounds=ControlBounds.constant(mesh, -1.0, 1.0))
-    spec.operator().step_kit()
     tracemalloc.start()
     try:
         trace = alm_run(spec, AlmConfig())
@@ -486,7 +484,8 @@ def test_warm_start_reuses_the_state_of_its_controls(sec5_spec, unit_mesh, monke
     assert warm_calls == recomputed_calls and warm_calls[0] == "adjoint"
     assert warm_calls.count("adjoint") == warm.inner_iters + 1
     assert warm.inner_iters == recomputed.inner_iters > 0
-    for name in ("y", "u", "v", "p", "mu_bar"):
+    assert warm.v is None and recomputed.v is None
+    for name in ("y", "u", "p", "mu_bar"):
         assert (getattr(warm, name).values.tobytes()
                 == getattr(recomputed, name).values.tobytes())
     assert (warm.final_gap, warm.mu_sq) == (recomputed.final_gap, recomputed.mu_sq)

@@ -121,11 +121,12 @@ def test_projected_gradient_oracle_grid_guard():
         projected_gradient_oracle(spec, 1.0, TimeField.zeros(mesh), iters=1)
 
 
-def test_run_checks_selection_and_override():
+def test_run_checks_selection_and_failure(monkeypatch):
     reports = run_checks(names=["argmin_bruteforce"])
     assert len(reports) == 1 and reports[0].passed
-    forced = run_checks(names=["argmin_bruteforce"], tolerance_override=0.0)
-    assert not forced[0].passed
+    monkeypatch.setitem(ORACLE_CHECKS, "failing", lambda: OracleReport("failing", 1.0, 0.5))
+    forced = run_checks(names=["failing"])
+    assert [(r.name, r.passed) for r in forced] == [("failing", False)]
     with pytest.raises(ValueError, match="unknown check"):
         run_checks(names=["nope"])
 

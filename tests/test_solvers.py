@@ -10,14 +10,14 @@ from conftest import apply_a
 
 
 def unit_op(mesh):
-    return assemble_operator(mesh, DiffusionCoefficients.unit(mesh))
+    return assemble_operator(DiffusionCoefficients.unit(mesh))
 
 
 # ------------------------------------------------------------ forward solve
 
 def varcoef_op(m, seed):
     rng = np.random.default_rng(seed)
-    return assemble_operator(m, DiffusionCoefficients(
+    return assemble_operator(DiffusionCoefficients(
         m, rng.uniform(0.5, 2.0, m.shape_space), rng.uniform(0.5, 2.0, m.shape_space)))
 
 
@@ -65,7 +65,7 @@ def test_cosine_decay_within_five_percent():
 def test_cosine_decay_on_rectangle_with_anisotropy():
     # mode cos(pi x / lx) on [0,2]x[0,1] with a11 = 2 decays at 2 (pi/lx)^2
     m = build_mesh(33, 9, 64, 2.0, 1.0, 0.2)
-    op = assemble_operator(m, DiffusionCoefficients(m, 2.0, 0.7))
+    op = assemble_operator(DiffusionCoefficients(m, 2.0, 0.7))
     y0 = space_slice_from_function(m, lambda x, y: np.cos(np.pi * x / 2.0) + 0.0 * y)
     y = solve_forward(m, op, TimeField.zeros(m), None, y0)
     rate = 2.0 * (np.pi / 2.0) ** 2
@@ -146,7 +146,7 @@ def test_discrete_adjoint_transpose_identity():
     # evaluated with independent loops
     rng = np.random.default_rng(7)
     m = build_mesh(7, 6, 5, 1.3, 0.9, 0.7)
-    op = assemble_operator(m, DiffusionCoefficients(m, 1.5, 0.8))
+    op = assemble_operator(DiffusionCoefficients(m, 1.5, 0.8))
     du = TimeField(m, rng.standard_normal((m.nt + 1, m.ny, m.nx)))
     w = TimeField(m, rng.standard_normal((m.nt + 1, m.ny, m.nx)))
     terminal = rng.standard_normal(m.shape_space)
@@ -183,8 +183,8 @@ def test_factored_steps_match_dense_solve():
     m = build_mesh(7, 4, 3, 1.2, 0.7, 0.6)
     co = DiffusionCoefficients(m, rng.uniform(0.5, 2.0, m.shape_space),
                                rng.uniform(0.5, 2.0, m.shape_space))
-    op = assemble_operator(m, co)
-    K = np.diag(m.w_space.ravel()) + m.dt * op.as_csr().toarray()
+    op = assemble_operator(co)
+    K = np.diag(m.w_space.ravel()) + m.dt * op.csr.toarray()
     mass = m.w_space.ravel()
 
     def dense_step(prev, source):
@@ -224,7 +224,7 @@ def test_long_sweeps_match_dense_solve(nx, nt, data):
     rng = np.random.default_rng(23)
     m = build_mesh(nx, nx, nt, 1.0, 1.0, 1.0)
     op = varcoef_op(m, 29)
-    K = np.diag(m.w_space.ravel()) + m.dt * op.as_csr().toarray()
+    K = np.diag(m.w_space.ravel()) + m.dt * op.csr.toarray()
     mass = m.w_space.ravel()
     if data == "rough":
         field, slice_ = (lambda: rng.standard_normal((nt + 1,) + m.shape_space),

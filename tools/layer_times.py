@@ -7,10 +7,11 @@
 For each size n x nt (an n x n grid on the unit square, nt steps to T = 0.5,
 variable coefficients and data drawn from a fixed seed) it times eight layers:
 
-- ``factor_ms``: operator factorization, the first `step_kit()` of a freshly
-  assembled operator (assembly not included); it includes the copy of the
-  factor into the layout the solves take it in;
-- ``solve_us``: one banded solve, `lapack.pbtrs` with the step kit's
+- ``factor_ms``: operator factorization, the first `solve` of a freshly
+  assembled operator (assembly, stencil and weights not included); it
+  includes the copy of the factor into the layout the solves take it in
+  and the argument block;
+- ``solve_us``: one banded solve, `lapack.pbtrs` with the operator's
   argument block on a seeded vector, copied into the solve's buffer before
   each call (the copy is included; under 1 us at 65x65);
 - ``forward_us``: one forward sweep, `solve_forward` with a seeded control
@@ -142,11 +143,11 @@ def measure(n, nt, repeat):
 
     factor_s = float("inf")
     for _ in range(max(repeat, 3)):
-        op = assemble_operator(mesh, coeffs)
+        op = assemble_operator(coeffs)
         start = time.perf_counter()
-        op.step_kit()
+        block = op.solve
         factor_s = min(factor_s, time.perf_counter() - start)
-    block, buf_address = op.step_kit().solve, address(buf)
+    buf_address = address(buf)
 
     def solve():
         # the solve overwrites its vector, and solving in place again and
