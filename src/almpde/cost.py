@@ -36,6 +36,20 @@ except ImportError:  # numpy < 2
     from numpy.core.multiarray import c_einsum
 
 
+@dataclass(frozen=True)
+class Control:
+    """One control: its box [lo, hi], cost weight (alpha for u, beta for v),
+    space weights w of its integrals (`inner`; mesh.w_space, mesh.w_arc) and
+    the restriction of the adjoint p to its domain (p itself, its boundary
+    trace).  It costs weight/2 ||x||^2 and is stationary at
+    x = clip(-restrict(p) / weight, lo, hi)."""
+    lo: object
+    hi: object
+    weight: float
+    w: np.ndarray
+    restrict: object
+
+
 class ProblemSpec:
     """Full description of one control problem instance.
 
@@ -44,7 +58,8 @@ class ProblemSpec:
     round the check of y0 against psi(., 0), and the inner solver may keep
     dt A y0 for as long as it solves the problem.  The coefficients, psi and
     both pairs of bounds must live on the problem's mesh (`Mesh.compatible`),
-    so that a mismatch fails here, not in the first sweep.
+    so that a mismatch fails here, not in the first sweep.  `controls` holds
+    a `Control` per control, u first, then v only with boundary control.
     """
 
     def __init__(self, mesh, coeffs, y0, y_d, psi, alpha, beta, bounds,
@@ -81,6 +96,10 @@ class ProblemSpec:
         self.beta = float(beta)
         self.bounds = bounds
         self.boundary_control_enabled = bool(boundary_control_enabled)
+        self.controls = (Control(bounds.ua, bounds.ub, self.alpha, mesh.w_space, lambda p: p),)
+        if self.boundary_control_enabled:
+            self.controls += (Control(bounds.va, bounds.vb, self.beta, mesh.w_arc,
+                                      extract_boundary),)
 
     def operator(self):
         """The operator of the coefficients (`DiffusionCoefficients.operator`):
@@ -101,46 +120,40 @@ def _dot(a, b):
     return float(np.vdot(a, b))
 
 
-def omega_inner(mesh, a, b):
-    """Right-endpoint space-time integral of a * b over m = 1..nt, for value
-    arrays of TimeFields: the weighted dot product of the space weights with
-    the time sums of a * b, so the product is never formed as a field.
+def inner(mesh, w, a, b):
+    """Right-endpoint space-time integral of a * b over m = 1..nt for value
+    arrays of TimeFields or BoundaryTimeFields, w their space weights
+    (`Control`): w dotted with the time sums of a * b, no product field.
 
     It is 0.0 when a or b is a constant zero, as the sums give for finite
     values, without reading the other: einsum over a zero-stride view took
     29 us at 33x33x33, against 13 us over a materialised array."""
     if is_zero(a) or (b is not a and is_zero(b)):
         return 0.0
-    return mesh.dt * _dot(mesh.w_space, c_einsum("mji,mji->ji", a[1:], b[1:]))
-
-
-def sigma_inner(mesh, a, b):
-    """Right-endpoint boundary space-time integral of a * b over m = 1..nt,
-    for value arrays of BoundaryTimeFields."""
-    return mesh.dt * _dot(mesh.w_arc, c_einsum("mk,mk->k", a[1:], b[1:]))
+    return mesh.dt * _dot(w, c_einsum("m...,m...->...", a[1:], b[1:]))
 
 
 def _control_cost(spec, u, v):
-    cost = 0.5 * spec.alpha * omega_inner(spec.mesh, u.values, u.values)
-    if v is not None:
-        cost += 0.5 * spec.beta * sigma_inner(spec.mesh, v.values, v.values)
+    cost = 0.0
+    for control, x in zip(spec.controls, (u, v)):
+        cost += 0.5 * control.weight * inner(spec.mesh, control.w, x.values, x.values)
     return cost
 
 
 def multiplier_square(mesh, mu):
     """integral mu^2 over m = 1..nt, the penalty's constant part."""
-    return omega_inner(mesh, mu.values, mu.values)
+    return inner(mesh, mesh.w_space, mu.values, mu.values)
 
 
 def penalty(mesh, mu_bar, mu_sq, rho):
     """1/(2 rho) integral((rho (y - psi) + mu)_+^2 - mu^2), the state
     constraint's term of L_rho, from the multiplier candidate mu_bar of y and
     mu_sq = `multiplier_square(mu)`."""
-    return (omega_inner(mesh, mu_bar.values, mu_bar.values) - mu_sq) / (2.0 * rho)
+    return (inner(mesh, mesh.w_space, mu_bar.values, mu_bar.values) - mu_sq) / (2.0 * rho)
 
 
 def cost_J(spec, y, u, v=None):
-    """Tracking objective; v=None counts as a zero boundary control."""
+    """Tracking objective; v is read only with boundary control."""
     e = y.values[-1] - spec.y_d
     return 0.5 * _dot(spec.mesh.w_space * e, e) + _control_cost(spec, u, v)
 
@@ -193,7 +206,7 @@ def _complementarity(y, psi, mu_bar):
     formed."""
     if is_zero(mu_bar.values):
         return 0.0
-    return abs(omega_inner(y.mesh, mu_bar.values, operand(psi) - y.values))
+    return abs(inner(y.mesh, y.mesh.w_space, mu_bar.values, operand(psi) - y.values))
 
 
 @dataclass
@@ -217,25 +230,20 @@ def projection_residual(x, target, lo, hi, out=None):
 def kkt_residuals(spec, y, u, v, p, mu_bar):
     """Residuals of the original first-order optimality system.
 
-    Stationarity is the L2 norm over m = 1..nt of the projection fixed-point
-    residual clip(-p / alpha) - u (`projection_residual`), formed in the
-    array of -p / alpha, and likewise for v; v is None without boundary
-    control, and stat_v is then 0.  Feasibility is max over m = 1..nt of
-    (y - psi)_+ and complementarity | integral mu_bar (psi - y) |; their
-    sum is the outer loop's residual index, zero exactly when the grid
-    state is feasible and complementary with mu_bar.
+    Stationarity of each control of the spec (`Control`) is the L2 norm over
+    m = 1..nt of its projection fixed-point residual (`projection_residual`),
+    formed in the array of -restrict(p) / weight; without boundary control
+    stat_v is 0.  Feasibility is max over m = 1..nt of (y - psi)_+ and
+    complementarity | integral mu_bar (psi - y) |; their sum is the outer
+    loop's residual index, zero exactly when the grid state is feasible and
+    complementary with mu_bar.
     """
-    mesh, b = spec.mesh, spec.bounds
-    q = p.values / -spec.alpha
-    du = projection_residual(u, q, b.ua, b.ub, out=q)
-    stat_u = math.sqrt(omega_inner(mesh, du, du))
-    if v is not None:
-        qb = extract_boundary(p).values / -spec.beta
-        dv = projection_residual(v, qb, b.va, b.vb, out=qb)
-        stat_v = math.sqrt(sigma_inner(mesh, dv, dv))
-    else:
-        stat_v = 0.0
-    return KktResiduals(stat_u, stat_v, _feasibility(y, spec.psi),
+    stat = [0.0, 0.0]
+    for k, (control, x) in enumerate(zip(spec.controls, (u, v))):
+        q = control.restrict(p).values / -control.weight
+        r = projection_residual(x, q, control.lo, control.hi, out=q)
+        stat[k] = math.sqrt(inner(spec.mesh, control.w, r, r))
+    return KktResiduals(*stat, _feasibility(y, spec.psi),
                         _complementarity(y, spec.psi, mu_bar))
 
 

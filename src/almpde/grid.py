@@ -237,7 +237,7 @@ def integrate_omega_t(f, g):
 
     It serves only `l2_norm_omega_t`, the error norm of the decay oracle.
     The solver's integrals use the right-endpoint rule over m = 1..nt
-    (`cost.omega_inner`) instead.
+    (`cost.inner`) instead.
     """
     _check_same_mesh(f, g)
     if not isinstance(f, TimeField):

@@ -1,27 +1,22 @@
 """Spectral projected-gradient solver for the penalized sub-problems.
 
 The sub-problem at (rho, mu) minimizes Phi = `cost.subproblem_objective`
-over the controls in their box.  The adjoint p of the controls gives its
-exact gradient, dt M (alpha u + p) on the slices m = 1..nt and
-dt W (beta v + p) on the boundary (W the arc-length weights).  Because the
-Hamiltonian densities
+over the controls in their boxes.  Each control x of the problem
+(`cost.Control`: u, and v with boundary control) has a cost weight a
+(alpha, beta), space weights w (M, and W the arc-length weights) and a
+restriction of the adjoint p to its domain (p, its boundary trace).  The
+adjoint gives the exact gradient dt w (a x + p) of Phi in x on the slices
+m = 1..nt.  The Hamiltonian density a/2 x^2 + p x is strictly convex, so its
+pointwise minimizer over the box is the closed-form clamp of -p/a.  Each
+update takes a damped step toward it, one theta for all controls (the
+extended-MSA view of Li, Chen, Tai & E, JMLR 18, 2018):
 
-    H_omega = alpha/2 u^2 + 1/(2 rho) ((rho (y - psi) + mu)_+^2 - mu^2) + p u
-    H_sigma = beta/2 v^2 + p v
+    x(theta) = clip((1 - theta) x - theta (p / a), lo, hi).
 
-are strictly convex quadratics in the controls, the pointwise minimizer over
-a box is the closed-form clamp -p/alpha (resp. -p/beta).  Each update takes
-a damped step toward it (the extended-MSA view of Li, Chen, Tai & E, JMLR 18,
-2018):
-
-    u(theta) = clip((1 - theta) u - theta (p / alpha), ua, ub)
-
-and likewise v with beta, one theta for both.  theta = 1 is exactly the
-clamp; a shorter step is a projected-gradient step of length theta/alpha
-(theta/beta for v), so u(theta) is the projection arc along the gradient
-preconditioned by alpha dt M (beta dt W).  theta is chosen in every
-iteration, as in
-the spectral projected-gradient method of Birgin, Martinez & Raydan (SIAM J.
+theta = 1 is exactly the clamp; a shorter step is a projected-gradient step
+of length theta/a, so x(theta) is the projection arc along the gradient
+preconditioned by a dt w.  theta is chosen in every iteration, as in the
+spectral projected-gradient method of Birgin, Martinez & Raydan (SIAM J.
 Optim. 10, 2000):
 
 - The first trial is the Barzilai-Borwein ratio <s, s> / <s, change of
@@ -29,58 +24,45 @@ Optim. 10, 2000):
   [THETA_MIN, 1]; the first iteration tries 1.  Phi is convex, so the ratio
   does not exceed 1 but by rounding.
 - A trial is accepted when it passes the Armijo test
-  Phi(u(theta)) <= Phi(u) + SIGMA <grad Phi, u(theta) - u> + ROUNDING |Phi(u)|;
+  Phi(x(theta)) <= Phi(x) + SIGMA <grad Phi, x(theta) - x> + ROUNDING |Phi(x)|;
   otherwise theta is halved (BACKTRACK).  The last term is a few units of
   rounding of Phi: near the solution the predicted decrease falls below
   the rounding of Phi itself, and without it the test would reject steps
   by rounding alone.  Each trial costs one forward sweep, and only the
   accepted one is followed by an adjoint sweep.
 
-Iteration stops when the stationarity residual
+Iteration stops when the stationarity residual, the largest over the
+controls of sup over m = 1..nt of |x - clip(-p/a, lo, hi)|, is at most
+eps1.  It is tested with the adjoint of the current controls before each
+update, so a stationary start costs one forward and one adjoint sweep.  The
+loop also stops, unconverged and without raising, after max_inner accepted
+updates or when no theta >= THETA_MIN passes the Armijo test.
 
-    sup over m = 1..nt of |u - clip(-p/alpha, ua, ub)|, and the same for v,
+In the MsaResult, (y, mu_bar, p) belong to the returned controls (v None
+without boundary control), inner_iters counts the accepted updates,
+final_gap is their stationarity residual, converged is final_gap <= eps1
+and mu_sq is integral mu^2 of mu, which the outer loop's L_rho takes over.
 
-is at most eps1.  It is tested with the adjoint of the current controls
-before each update, so a stationary start costs one forward and one adjoint
-sweep.  The loop also stops, unconverged and without raising, after
-max_inner accepted updates or when no theta >= THETA_MIN passes the Armijo
-test.
+A solve starts cold, from the projection of 0 onto the boxes (a constant
+field under constant bounds), or warm, from the controls and state y of an
+MsaResult, which costs no forward sweep; the outer loop starts every
+sub-problem but the first from the last result.
 
-In the MsaResult, (y, mu_bar, p) belong to the returned controls, v is
-None without boundary control, inner_iters counts the accepted updates,
-final_gap is the stationarity residual of the returned controls,
-converged is final_gap <= eps1 and mu_sq is integral mu^2 of the
-sub-problem's mu, which the outer loop's L_rho takes over.
-
-A solve starts cold, from the projection of 0 onto the box (a constant
-field under constant bounds), or warm, from the controls of an MsaResult
-and its y as their state, which costs no forward sweep.  The outer loop
-starts its first sub-problem cold and every later one from the last
-result; a start from other controls is an MsaResult with those controls
-and their `solve_forward` state, the only fields a warm start reads.
-
-Each quantity is computed once: the target -p/alpha and p's boundary trace
-once per adjoint, for both the stationarity test and the trials; the three
-products a trial's Armijo test and step length need, as BLAS dots with one
-dt-weighted step; integral mu^2 and dt A y0, the stencil term every forward
-sweep from y0 subtracts, once per sub-problem (the latter on its first
-forward sweep); dt A e of the terminal mismatch e once per state, by the
-objective, which the adjoint sweep from e takes over.  Phi takes the state
-and multiplier candidate the loop already has, so an evaluation costs no
-sweep.  The target and the temporaries of the stationarity test, the
-trials and the step products are formed in arrays that one call holds,
-two per control.
-
-Only the slices m = 1..nt of the controls are unknowns: the implicit-Euler
-step m uses u_m and v_m, and nothing uses u_0, v_0.  A cold start sets
-them to the projection of 0 onto their box, and no update changes them.
+Each quantity is computed once: each control's restriction of p and target
+-p/a once per adjoint; a trial's three step products as BLAS dots with one
+dt-weighted step; integral mu^2 and dt A y0 (`start_term`) once per
+sub-problem; dt A e of the terminal mismatch e once per state, by the
+objective, for the adjoint sweep from e.  Phi takes the state and
+multiplier candidate the loop already has, so it costs no sweep.  Only the
+slices m = 1..nt of the controls are unknowns: step m uses x_m, nothing
+uses x_0, and no update changes it.
 """
 
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grid import TimeField, BoundaryTimeField, clamp, extract_boundary, is_zero, operand
+from .grid import TimeField, BoundaryTimeField, clamp, is_zero, operand
 from .cost import (_dot, multiplier_candidate, multiplier_square, projection_residual,
                    subproblem_objective)
 from .solvers import solve_forward, solve_adjoint, start_term
@@ -189,16 +171,13 @@ def _stationarity(x, target, lo, hi, scratch=None):
 
 def _step_products(x, x_new, weights, weight, p, scratch=None):
     """(weight <s, s>, <weight x + p, s>, <p, s>) for the step s = x_new - x,
-    <,> being the control's integral with the quadrature weights `weights`:
-    the step's squared length in the scaled metric, the derivative of Phi
-    along it, and the part of that derivative the next adjoint changes.
-
-    All three are BLAS dots (`cost._dot`) with one weighted step w s; s is
-    formed in scratch, an array of x's shape, when given.  The step leaves
-    slice 0 alone, so the sums over all slices are sums over m = 1..nt.
-    For a constant zero x (a cold start) <w x, s> is dropped: the dot would
-    first copy x's zero-stride view.
-    """
+    <,> the control's integral with the quadrature weights `weights`: the
+    step's squared length in the scaled metric, the derivative of Phi along
+    it, and the part of that derivative the next adjoint changes.  All three
+    are BLAS dots (`cost._dot`) with one weighted step w s, s formed in
+    scratch when given; the step leaves slice 0 alone, so the sums are over
+    m = 1..nt.  For a constant zero x (a cold start) <w x, s> is dropped:
+    the dot would first copy x's zero-stride view."""
     s = np.subtract(x_new.values, x.values, out=scratch)
     ws = s * weights
     ss = _dot(ws, s)
@@ -207,56 +186,67 @@ def _step_products(x, x_new, weights, weight, p, scratch=None):
     return weight * ss, slope, ps
 
 
-def _step_dot(x, x_new, weights, p, scratch=None):
-    """<p, x_new - x> with the quadrature weights `weights`, a BLAS dot
-    with the weighted step (the new adjoint's part of the Barzilai-Borwein
-    denominator), formed in scratch, an array of x's shape, when given."""
-    ws = np.subtract(x_new.values, x.values, out=scratch)
-    ws *= weights
-    return _dot(ws, p.values)
+class _Part:
+    """One control in one solve: its `cost.Control` fields, dt-weighted
+    weights `load`, value x, trial new, restricted adjoint p, and the arrays
+    `target` (-p / weight) and `scratch`, held for this call only: fresh
+    arrays raised boundary_fine's solve_ref 0.565 -> 0.604 (+7.1%, 536 ->
+    1,680 minor page faults per solve, BENCH_no_scipy.json)."""
+
+    __slots__ = ("lo", "hi", "weight", "restrict", "load", "x", "new", "p", "target",
+                 "scratch")
+
+    def __init__(self, control, x, dt):
+        self.lo, self.hi, self.weight = control.lo, control.hi, control.weight
+        self.restrict, self.load = control.restrict, dt * control.w
+        self.x = _initial_control(self.lo, self.hi) if x is None else x
+        self.new = self.p = None
+        self.target = np.empty(self.x.values.shape)
+        self.scratch = np.empty(self.x.values.shape)
+
+    def gap(self):
+        """The stationarity residual of x; forms the trials' target."""
+        np.divide(self.p.values, -self.weight, out=self.target)
+        return _stationarity(self.x, self.target, self.lo, self.hi, self.scratch)
+
+    def trial(self, theta):
+        """The step products (`_step_products`) of the trial new at theta."""
+        self.new = _damped_clamp(self.x, self.target, self.lo, self.hi, theta, self.scratch)
+        return _step_products(self.x, self.new, self.load, self.weight, self.p, self.scratch)
+
+    def accept(self):
+        """Make the trial current; returns the new p's <p, new - x>."""
+        ws = np.subtract(self.new.values, self.x.values, out=self.scratch)
+        ws *= self.load
+        self.x, self.new = self.new, None
+        return _dot(ws, self.p.values)
 
 
 def msa_solve(spec, rho, mu, config=None, warm=None):
     """Solve the sub-problem at (rho, mu) by spectral projected gradient.
 
-    Without warm the start is cold: the controls at the projection of 0
-    onto their box, and v None without boundary control.  warm, an
-    MsaResult on the same spec whose y is the state of its u and v, starts
-    from those controls and saves the first forward sweep.  Non-convergence, at max_inner or in the line search, is
+    Without warm the start is cold: each control of the spec at the
+    projection of 0 onto its box.  warm, an MsaResult on the same spec whose
+    y is the state of its controls, starts from them and saves the first
+    forward sweep.  Non-convergence, at max_inner or in the line search, is
     reported through the converged flag, not an exception.
     """
     if config is None:
         config = MsaConfig()
     mesh = spec.mesh
     op = spec.operator()
-    b = spec.bounds
     mu_sq = multiplier_square(mesh, mu)
-    # the dt-weighted quadrature weights of the control integrals
-    w_u, w_v = op.load_mass, op.load_arc
-
-    if warm is None:
-        u, y = _initial_control(b.ua, b.ub), None
-        v = _initial_control(b.va, b.vb) if spec.boundary_control_enabled else None
-    else:
-        u, v, y = warm.u, warm.v, warm.y
-    with_v = v is not None
-
+    y, start = (None, (None, None)) if warm is None else (warm.y, (warm.u, warm.v))
+    parts = [_Part(c, x, mesh.dt) for c, x in zip(spec.controls, start)]
+    values = [part.x for part in parts]
     a_y0 = None
-    # per control, the target -p / weight and the temporaries of the
-    # helpers, held for this call only.  Fresh arrays instead took
-    # boundary_fine 536 -> 1,680 minor page faults per solve and raised its
-    # solve_ref 0.565 -> 0.604 (+7.1%, higher in 9 of 10 pairs,
-    # BENCH_no_scipy.json)
-    target_u, scratch_u = np.empty(u.values.shape), np.empty(u.values.shape)
-    if with_v:
-        target_v, scratch_v = np.empty(v.values.shape), np.empty(v.values.shape)
 
-    def state(u, v, iteration, y=None):
-        """(y, mu_bar, Phi, dt A e) at the controls (u, v), e the terminal
-        mismatch; y, when given, is their state.  Every forward sweep starts
-        from y0: the first one takes its dt A y0 (`start_term`), and the
-        later ones reuse it."""
+    def state(values, iteration, y=None):
+        """(y, mu_bar, Phi, dt A e) at the controls' values, e the terminal
+        mismatch; y, when given, is their state.  The first forward sweep
+        takes dt A y0 (`start_term`), and the later ones reuse it."""
         nonlocal a_y0
+        u, v = (*values, None)[:2]      # v is None without boundary control
         try:
             if y is None:
                 if a_y0 is None:
@@ -271,23 +261,25 @@ def msa_solve(spec, rho, mu, config=None, warm=None):
         return y, mu_bar, phi, a_e
 
     def adjoint(y, mu_bar, a_e, iteration):
-        """The adjoint p of (y, mu_bar) and, with boundary control, its
-        boundary trace; a_e is dt A e of y's terminal mismatch e."""
+        """The adjoint p of (y, mu_bar), a_e dt A e of y's terminal mismatch;
+        each part's restriction of the old p is freed before the sweep."""
+        for part in parts:
+            part.p = None
         try:
             p = solve_adjoint(mesh, op, mu_bar, y.values[-1] - spec.y_d, a_e)
         except ValueError as exc:
             raise MsaDivergenceError(iteration, str(exc)) from exc
-        return p, extract_boundary(p) if with_v else None
+        for part in parts:
+            part.p = part.restrict(p)
+        return p
 
-    y, mu_bar, phi, a_e = state(u, v, 1, y)
-    p, pb = adjoint(y, mu_bar, a_e, 1)
+    y, mu_bar, phi, a_e = state(values, 1, y)
+    p = adjoint(y, mu_bar, a_e, 1)
     theta, updates = 1.0, 0
     while True:
-        q = np.divide(p.values, -spec.alpha, out=target_u)
-        gap = _stationarity(u, q, b.ua, b.ub, scratch_u)
-        if with_v:
-            qb = np.divide(pb.values, -spec.beta, out=target_v)
-            gap = max(gap, _stationarity(v, qb, b.va, b.vb, scratch_v))
+        gap = 0.0
+        for part in parts:
+            gap = max(gap, part.gap())
         if gap <= config.eps1 or updates == config.max_inner:
             break
         # The trials need the room of the current state and multiplier (the
@@ -295,31 +287,31 @@ def msa_solve(spec, rho, mu, config=None, warm=None):
         # recomputed if no trial is accepted.
         y = mu_bar = y_new = mu_bar_new = None
         while theta >= THETA_MIN:
-            u_new = _damped_clamp(u, q, b.ua, b.ub, theta, scratch_u)
-            ss, slope, sp = _step_products(u, u_new, w_u, spec.alpha, p, scratch_u)
-            v_new = v
-            if with_v:
-                v_new = _damped_clamp(v, qb, b.va, b.vb, theta, scratch_v)
-                ss_v, slope_v, sp_v = _step_products(v, v_new, w_v, spec.beta, pb, scratch_v)
-                ss, slope, sp = ss + ss_v, slope + slope_v, sp + sp_v
-            y_new, mu_bar_new, phi_new, a_e = state(u_new, v_new, updates + 2)
+            ss = slope = sp = 0.0
+            trial = []
+            for part in parts:
+                part_ss, part_slope, part_sp = part.trial(theta)
+                ss, slope, sp = ss + part_ss, slope + part_slope, sp + part_sp
+                trial.append(part.new)
+            y_new, mu_bar_new, phi_new, a_e = state(trial, updates + 2)
             if phi_new <= phi + SIGMA * slope + ROUNDING * abs(phi):
                 break
             y_new = mu_bar_new = None
             theta *= BACKTRACK
         else:
-            y, mu_bar, phi, _ = state(u, v, updates + 1)
+            y, mu_bar, phi, _ = state(values, updates + 1)
             break
         y, mu_bar, phi = y_new, mu_bar_new, phi_new
-        p = pb = None                   # freed before the adjoint sweep
-        p, pb = adjoint(y, mu_bar, a_e, updates + 2)
+        p = None                        # freed before the adjoint sweep
+        p = adjoint(y, mu_bar, a_e, updates + 2)
         # <s, change of gradient> in the scaled metric; <s, p> of the old p
         # was taken while it was alive
-        sy = ss - sp + _step_dot(u, u_new, w_u, p, scratch_u)
-        if with_v:
-            sy += _step_dot(v, v_new, w_v, pb, scratch_v)
-        u, v = u_new, v_new
+        sy = ss - sp
+        for part in parts:
+            sy += part.accept()
+        values = trial
         updates += 1
         theta = min(1.0, max(THETA_MIN, ss / sy)) if sy > 0 else 1.0
+    u, v = (*values, None)[:2]
     return MsaResult(y=y, u=u, v=v, p=p, mu_bar=mu_bar, inner_iters=updates,
                      final_gap=gap, converged=gap <= config.eps1, mu_sq=mu_sq)

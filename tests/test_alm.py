@@ -13,11 +13,13 @@ import pytest
 from almpde import alm, cost, grid, msa, operators
 from almpde.config import build_run, parse_config
 from almpde.cost import cost_J, multiplier_candidate, multiplier_square, penalty
-from almpde.grid import build_mesh, ControlBounds, TimeField, space_slice_from_function
+from almpde.grid import (build_mesh, BoundaryTimeField, ControlBounds, TimeField,
+                         space_slice_from_function)
 from almpde.msa import MsaConfig
 from almpde.alm import (AlmConfig, AlmState, AlmTraceRow, alm_step, alm_run,
                         TRACE_COLUMNS, format_trace_row)
-from almpde.presets import build_paper_example_sec5, build_unconstrained_decay
+from almpde.presets import (build_boundary_control_demo, build_paper_example_sec5,
+                            build_unconstrained_decay)
 
 from conftest import make_random_spec
 
@@ -507,3 +509,31 @@ def test_constant_field_storage_does_not_change_results(build, dims, mu0, monkey
     for name in names:
         assert (getattr(views.final_result, name).values.tobytes()
                 == getattr(full.final_result, name).values.tobytes()), name
+
+
+@pytest.mark.parametrize("build, dims, mu0", [
+    (build_paper_example_sec5, (5, 5, 4, 1.0, 1.0, 1.0), 10.0),
+    (build_paper_example_sec5, (9, 9, 8, 1.0, 1.0, 1.0), 10.0),
+    (build_boundary_control_demo, (9, 9, 8, 1.0, 1.0, 0.5), 0.0),
+])
+def test_a_boundary_control_pinned_at_zero_changes_nothing(build, dims, mu0):
+    # u and v go through one code path: with v boxed to [0, 0], the run with
+    # boundary control takes every trace row and the bits of y, u, p and
+    # mu_bar of the run without it
+    base = build(build_mesh(*dims))
+    mesh, b = base.mesh, base.bounds
+    zero = BoundaryTimeField.zeros(mesh)
+
+    def run(bounds, boundary):
+        spec = cost.ProblemSpec(mesh, base.coeffs, base.y0, base.y_d, base.psi, base.alpha,
+                                base.beta, bounds, boundary_control_enabled=boundary)
+        return alm_run(spec, AlmConfig(mu0=mu0))
+
+    off = run(b, False)
+    pinned = run(ControlBounds(b.ua, b.ub, zero, zero), True)
+    assert off.final_result.v is None and not pinned.final_result.v.values.any()
+    assert ([format_trace_row(r) for r in pinned.rows]
+            == [format_trace_row(r) for r in off.rows])
+    for name in ("y", "u", "p", "mu_bar"):
+        assert (getattr(pinned.final_result, name).values.tobytes()
+                == getattr(off.final_result, name).values.tobytes()), name

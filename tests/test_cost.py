@@ -12,12 +12,13 @@ from almpde.cost import (ProblemSpec, cost_J, penalty, multiplier_candidate,
 from almpde.presets import build_unconstrained_decay
 
 
-def make_spec(mesh, psi_level=1.0, alpha=1.0, beta=1.0, y_d=None):
+def make_spec(mesh, psi_level=1.0, alpha=1.0, beta=1.0, y_d=None, boundary=False):
     return ProblemSpec(mesh, DiffusionCoefficients.unit(mesh),
                        np.zeros(mesh.shape_space),
                        y_d if y_d is not None else np.zeros(mesh.shape_space),
                        TimeField.constant(mesh, psi_level), alpha, beta,
-                       ControlBounds.constant(mesh, -1.0, 1.0))
+                       ControlBounds.constant(mesh, -1.0, 1.0),
+                       boundary_control_enabled=boundary)
 
 
 # ----------------------------------------------------------------- cost_J
@@ -41,7 +42,7 @@ def test_cost_control_term(unit_mesh):
 
 
 def test_cost_boundary_term(unit_mesh):
-    spec = make_spec(unit_mesh, beta=2.0)
+    spec = make_spec(unit_mesh, beta=2.0, boundary=True)
     v = BoundaryTimeField.constant(unit_mesh, 1.0)
     # (beta/2) * perimeter * T = 1 * 4
     assert cost_J(spec, TimeField.zeros(unit_mesh), TimeField.zeros(unit_mesh), v) \
@@ -198,9 +199,10 @@ def test_integrals_of_a_constant_zero_are_zero_with_the_materialised_bits(unit_m
         for a, b in ((zero, r), (r, zero), (zero, zero)):
             fa = full if a is zero else a
             fb = full if b is zero else b
-            got = cost.omega_inner(unit_mesh, a, b)
+            got = cost.inner(unit_mesh, unit_mesh.w_space, a, b)
             assert np.float64(got).tobytes() == np.float64(
-                cost.omega_inner(unit_mesh, fa, fb)).tobytes() == np.float64(0.0).tobytes()
+                cost.inner(unit_mesh, unit_mesh.w_space, fa, fb)).tobytes() \
+                == np.float64(0.0).tobytes()
 
 
 def test_constant_obstacle_residuals_match_the_materialised_ones(unit_mesh):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from almpde.cost import omega_inner, sigma_inner
+from almpde.cost import inner
 from almpde.grid import (TimeField, BoundaryTimeField, ControlBounds,
                          build_mesh, clamp, integrate_omega_t, operand,
                          extract_boundary,
@@ -355,7 +355,7 @@ def test_constant_views_compute_like_materialised_arrays(dims):
     nx, ny, nt = dims
     mesh = build_mesh(nx, ny, nt, 1.0, 1.0, 1.0)
     rng = np.random.default_rng(nx * nt)
-    for kind, inner in ((TimeField, omega_inner), (BoundaryTimeField, sigma_inner)):
+    for kind, w in ((TimeField, mesh.w_space), (BoundaryTimeField, mesh.w_arc)):
         r = rng.standard_normal(kind.shape(mesh))
         for c in AWKWARD:
             view, full = kind.constant(mesh, c).values, _materialised(kind, mesh, c).values
@@ -363,9 +363,9 @@ def test_constant_views_compute_like_materialised_arrays(dims):
                        lambda a: np.maximum(r * 3.0 + a, 0.0),
                        lambda a: np.abs(a[1:] - r[1:]),
                        lambda a: np.any(a > r),
-                       lambda a: inner(mesh, a, a),
-                       lambda a: inner(mesh, a, r),
-                       lambda a: inner(mesh, r, a),
+                       lambda a: inner(mesh, w, a, a),
+                       lambda a: inner(mesh, w, a, r),
+                       lambda a: inner(mesh, w, r, a),
                        lambda a: clamp(r, a, a + 0.5),
                        lambda a: clamp(r, -abs(a) - 0.5, abs(a)),
                        lambda a: clamp(a, -r * r, r * r)):
