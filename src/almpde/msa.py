@@ -175,14 +175,14 @@ def _step_products(x, x_new, weights, weight, p, scratch=None):
     step's squared length in the scaled metric, the derivative of Phi along
     it, and the part of that derivative the next adjoint changes.  All three
     are BLAS dots (`cost._dot`) with one weighted step w s, s formed in
-    scratch when given; the step leaves slice 0 alone, so the sums are over
-    m = 1..nt.  For a constant zero x (a cold start) <w x, s> is dropped:
-    the dot would first copy x's zero-stride view."""
-    s = np.subtract(x_new.values, x.values, out=scratch)
+    scratch when given; the sums are over m = 1..nt.  For a constant zero x
+    (a cold start) <w x, s> is dropped: the dot would first copy x's
+    zero-stride view."""
+    s = np.subtract(x_new.values, x.values, out=scratch)[1:]
     ws = s * weights
     ss = _dot(ws, s)
-    ps = _dot(ws, p.values)
-    slope = ps if is_zero(x.values) else weight * _dot(ws, x.values) + ps
+    ps = _dot(ws, p.values[1:])
+    slope = ps if is_zero(x.values) else weight * _dot(ws, x.values[1:]) + ps
     return weight * ss, slope, ps
 
 
@@ -216,10 +216,10 @@ class _Part:
 
     def accept(self):
         """Make the trial current; returns the new p's <p, new - x>."""
-        ws = np.subtract(self.new.values, self.x.values, out=self.scratch)
+        ws = np.subtract(self.new.values, self.x.values, out=self.scratch)[1:]
         ws *= self.load
         self.x, self.new = self.new, None
-        return _dot(ws, self.p.values)
+        return _dot(ws, self.p.values[1:])
 
 
 def msa_solve(spec, rho, mu, config=None, warm=None):
