@@ -12,7 +12,7 @@ The verification oracles are imported from `almpde.oracles` on their own:
 they take scipy.linalg, and a process that only solves never imports scipy.
 """
 
-from .grid import (Mesh, TimeField, BoundaryTimeField, ControlBounds,
+from .grid import (Mesh, TimeField, IntervalField, BoundaryTimeField, ControlBounds,
                    build_mesh, integrate_omega_t, extract_boundary, space_slice_from_function)
 from .operators import DiffusionCoefficients, DiscreteOperator, assemble_operator
 from .solvers import solve_forward, solve_adjoint

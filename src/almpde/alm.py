@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .grid import TimeField, operand
+from .grid import IntervalField, operand
 from .cost import cost_J, kkt_residuals, penalty
 from .msa import MsaConfig, msa_solve, require_finite_fields
 
@@ -71,7 +71,7 @@ class AlmState:
     """Multiplier, penalty, last accepted residual R+, success count n and
     iteration count k carried between outer iterations."""
 
-    mu: TimeField
+    mu: IntervalField
     rho: float
     R_plus: float
     n: int
@@ -85,7 +85,7 @@ class AlmState:
 
     @classmethod
     def initial(cls, mesh, config):
-        return cls(mu=TimeField.constant(mesh, float(config.mu0)), rho=float(config.rho0),
+        return cls(mu=IntervalField.constant(mesh, float(config.mu0)), rho=float(config.rho0),
                    R_plus=config.r_plus0, n=0, k=0)
 
 

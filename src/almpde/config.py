@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from .grid import build_mesh, TimeField, BoundaryTimeField, ControlBounds, \
+from .grid import build_mesh, TimeField, IntervalField, BoundaryTimeField, ControlBounds, \
     load_space_slice, load_time_field
 from .operators import DiffusionCoefficients
 from .cost import ProblemSpec
@@ -202,7 +202,7 @@ def _field_override(raw, key, cls, mesh, config, fallback):
     """The field loaded from `key_file`, else the constant `key`, else fallback."""
     path = raw.get(key + "_file")
     if path is not None:
-        return load_time_field(_resolve_path(config, path), mesh)
+        return load_time_field(_resolve_path(config, path), cls, mesh)
     return cls.constant(mesh, raw[key]) if raw[key] is not None else fallback
 
 
@@ -212,8 +212,8 @@ def _apply_overrides(spec, raw, mesh, config):
     psi = _field_override(raw, "problem.psi", TimeField, mesh, config, spec.psi)
     b = spec.bounds
     bounds = ControlBounds(
-        _field_override(raw, "problem.ua", TimeField, mesh, config, b.ua),
-        _field_override(raw, "problem.ub", TimeField, mesh, config, b.ub),
+        _field_override(raw, "problem.ua", IntervalField, mesh, config, b.ua),
+        _field_override(raw, "problem.ub", IntervalField, mesh, config, b.ub),
         _field_override(raw, "problem.va", BoundaryTimeField, mesh, config, b.va),
         _field_override(raw, "problem.vb", BoundaryTimeField, mesh, config, b.vb))
     bc = raw["problem.boundary_control"]

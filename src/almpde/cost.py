@@ -9,14 +9,14 @@ and the state constraint y <= psi enters through the smooth penalty
     L_rho(y, u, v, mu) = J + 1/(2 rho) * integral( (rho (y - psi) + mu)_+^2 - mu^2 ).
 
 The discrete unknowns are the time slices m = 1..nt: the implicit-Euler
-step m couples y_m to u_m and v_m, while y_0 is the given initial state and
-u_0, v_0 enter nothing.  Every time integral here (control costs, penalty,
-residual index, KKT residuals) is therefore the right-endpoint rule
-dt * sum over m = 1..nt, the multiplier candidate is zero on m = 0, and the
-reported J and L_rho use the same quadrature as the sub-problem objective
-the inner solver minimizes.  y_0 <= psi(., 0) is a compatibility condition
-on the data (Casas, SIAM J. Control Optim. 35, 1997), checked when the
-problem is built rather than penalized.
+step m couples y_m to u_m and v_m, while y_0 is the given initial state.
+The controls, multipliers and adjoint hold only these slices, and every
+time integral here (control costs, penalty, residual index, KKT residuals)
+is the right-endpoint rule dt * sum over m = 1..nt, so the reported J and
+L_rho use the quadrature of the sub-problem objective the inner solver
+minimizes.  y_0 <= psi(., 0) is a compatibility condition on the data
+(Casas, SIAM J. Control Optim. 35, 1997), checked when the problem is built
+rather than penalized.
 """
 
 import math
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import TimeField, clamp, extract_boundary, is_zero, operand
+from .grid import IntervalField, clamp, extract_boundary, is_zero, operand
 from .solvers import solve_forward
 
 try:
@@ -120,9 +120,15 @@ def _dot(a, b):
     return float(np.vdot(a, b))
 
 
+def step_slices(f):
+    """`operand` of a node field f (y, psi) on the slices m = 1..nt."""
+    values = operand(f)
+    return values if values.ndim == 0 else values[1:]
+
+
 def inner(mesh, w, a, b):
     """Right-endpoint space-time integral of a * b over m = 1..nt for value
-    arrays of TimeFields or BoundaryTimeFields, w their space weights
+    arrays of IntervalFields or BoundaryTimeFields, w their space weights
     (`Control`): w dotted with the time sums of a * b, no product field.
 
     It is 0.0 when a or b is a constant zero, as the sums give for finite
@@ -130,7 +136,7 @@ def inner(mesh, w, a, b):
     29 us at 33x33x33, against 13 us over a materialised array."""
     if is_zero(a) or (b is not a and is_zero(b)):
         return 0.0
-    return mesh.dt * _dot(w, c_einsum("m...,m...->...", a[1:], b[1:]))
+    return mesh.dt * _dot(w, c_einsum("m...,m...->...", a, b))
 
 
 def _control_cost(spec, u, v):
@@ -161,9 +167,7 @@ def cost_J(spec, y, u, v=None):
 def multiplier_candidate(y, psi, mu, rho):
     """(rho (y - psi) + mu)_+ on m = 1..nt, the post-solve multiplier update.
 
-    It is zero on m = 0: the initial slice is data, not an unknown, so it
-    carries no multiplier.  A constant psi or mu is read as a 0-d array
-    (`operand`).
+    A constant psi or mu is read as a 0-d array (`operand`).
 
     With both constant, the largest candidate is taken first, as
     top = (max y - psi) rho + mu over m = 1..nt.  Each rounded operation
@@ -173,17 +177,16 @@ def multiplier_candidate(y, psi, mu, rho):
     zero field, which holds one number; otherwise it is formed entry by
     entry, as for non-constant psi or mu.
     """
-    psi, mu = operand(psi), operand(mu)
+    psi, mu = step_slices(psi), operand(mu)
     if psi.ndim == 0 and mu.ndim == 0:
         top = (float(np.maximum.reduce(y.values[1:], axis=None)) - float(psi)) * rho + float(mu)
         if top <= 0.0:
-            return TimeField.zeros(y.mesh)
-    values = y.values - psi
+            return IntervalField.zeros(y.mesh)
+    values = y.values[1:] - psi
     values *= rho
     values += mu
     np.maximum(values, 0.0, out=values)
-    values[0] = 0.0
-    return TimeField._wrap(y.mesh, values)
+    return IntervalField._wrap(y.mesh, values)
 
 
 def _feasibility(y, psi):
@@ -191,22 +194,20 @@ def _feasibility(y, psi):
 
     For a constant psi it is max(max y - psi, 0), which forms no field:
     subtracting psi is monotone in y, so that is the largest difference
-    exactly.  Otherwise y - psi is formed on every slice and its maximum
-    taken over m = 1..nt."""
-    psi = operand(psi)
+    exactly."""
+    psi = step_slices(psi)
     if psi.ndim == 0:
         return max(float(np.maximum.reduce(y.values[1:], axis=None)) - float(psi), 0.0)
-    excess = y.values - psi
-    return max(float(np.maximum.reduce(excess[1:], axis=None)), 0.0)
+    return max(float(np.maximum.reduce(y.values[1:] - psi, axis=None)), 0.0)
 
 
 def _complementarity(y, psi, mu_bar):
     """| integral mu_bar (psi - y) | over m = 1..nt, a constant psi read as a
-    0-d array (`operand`); 0.0 for a constant zero mu_bar, with no psi - y
-    formed."""
+    0-d array (`step_slices`); 0.0 for a constant zero mu_bar, with no
+    psi - y formed."""
     if is_zero(mu_bar.values):
         return 0.0
-    return abs(inner(y.mesh, y.mesh.w_space, mu_bar.values, operand(psi) - y.values))
+    return abs(inner(y.mesh, y.mesh.w_space, mu_bar.values, step_slices(psi) - y.values[1:]))
 
 
 @dataclass
@@ -266,7 +267,7 @@ def subproblem_objective(spec, rho, mu, u, v=None, y=None, mu_bar=None, mu_sq=No
     """
     mesh, op = spec.mesh, spec.operator()
     if y is None:
-        y = solve_forward(mesh, op, u, v, spec.y0)
+        y = solve_forward(mesh, op, u, v if spec.boundary_control_enabled else None, spec.y0)
     if mu_bar is None:
         mu_bar = multiplier_candidate(y, spec.psi, mu, rho)
     if mu_sq is None:

@@ -2,19 +2,19 @@
 
 The spatial domain is the rectangle [0, lx] x [0, ly] sampled on nx * ny
 vertex-centered nodes; time is [0, T] sampled at nt + 1 levels.  A TimeField
-stores one value per space-time node as a float64 array of shape
-(nt + 1, ny, nx), indexed [m, j, i] with i the x-index.  A BoundaryTimeField
-stores one value per boundary-node/time-level pair, following a fixed
-counterclockwise walk of the rectangle boundary that owns each corner once.
+(the state, the obstacle) stores one value per space-time node, a float64
+array of shape (nt + 1, ny, nx) indexed [m, j, i] with i the x-index.  The
+unknowns of the implicit-Euler steps hold the slices m = 1..nt, in rows
+m - 1: an IntervalField has shape (nt, ny, nx), a BoundaryTimeField (nt, nb)
+on a fixed counterclockwise walk of the boundary that owns each corner once.
 
 Fields are immutable value objects: the backing arrays are marked read-only
 and every operation returns a new field, so instances are safe to share.
 A constant field (`constant`, `zeros`) stores one number: its values are a
 read-only view of a single float64 with every stride zero, so a bound, psi
-or starting multiplier costs 8 bytes at any size instead of
-8 (nt + 1) ny nx.  It reads like any array of its shape; the solver's
-elementwise arithmetic reads it through `operand`, as a 0-d array, which
-keeps numpy on its contiguous loops.
+or starting multiplier costs 8 bytes at any size.  It reads like any array
+of its shape; the solver's elementwise arithmetic reads it through
+`operand`, as a 0-d array, which keeps numpy on its contiguous loops.
 
 The clamps into a box all go through `clamp`, min(max(x, lo), hi), which
 gives the same bits whether a bound is a materialised array or a constant
@@ -202,14 +202,24 @@ class TimeField(_Field):
         return cls._wrap(mesh, np.array(vals, dtype=np.float64))
 
 
-class BoundaryTimeField(_Field):
-    """Scalar function on boundary-node x time-level samples, shape (nt+1, nb)."""
+class IntervalField(_Field):
+    """An unknown's slices m = 1..nt on every space node, shape (nt, ny, nx)."""
 
     __slots__ = ()
 
     @staticmethod
     def shape(mesh):
-        return (mesh.nt + 1, mesh.n_boundary)
+        return (mesh.nt, mesh.ny, mesh.nx)
+
+
+class BoundaryTimeField(_Field):
+    """An unknown's slices m = 1..nt on the boundary walk, shape (nt, nb)."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def shape(mesh):
+        return (mesh.nt, mesh.n_boundary)
 
 
 def space_slice_from_function(mesh, fn):
@@ -220,7 +230,7 @@ def space_slice_from_function(mesh, fn):
 
 
 def extract_boundary(f):
-    """Restrict a TimeField to the boundary walk."""
+    """Restrict an IntervalField to the boundary walk."""
     vals = f.values[:, f.mesh.boundary_j, f.mesh.boundary_i]
     return BoundaryTimeField._wrap(f.mesh, vals)
 
@@ -259,11 +269,9 @@ def operand(f):
     scalar, and a zero-stride view through its general ones; reading the
     views instead raised paper_sec5's solve_ref 0.321 -> 0.330 (+2.9%,
     higher in 9 of 10 pairs, BENCH_ablation.json).  Every element of a
-    field is the same number exactly when all its strides are zero (each
-    axis has at least two entries), and then the 0-d array is its base (see
-    `_Field`).  The result reads with the same bits either way; a 0-d
-    operand cannot be sliced, so callers take the time slices m = 1..nt from
-    the result instead.
+    field is the same number exactly when all its strides are zero (its x
+    axis has at least three entries), and then the 0-d array is its base
+    (see `_Field`).  The result reads with the same bits either way.
     """
     values = f.values
     return values if any(values.strides) else values.base
@@ -300,8 +308,8 @@ class ControlBounds:
     def __init__(self, ua, ub, va, vb):
         _check_same_mesh(ua, ub)
         _check_same_mesh(va, vb)
-        if not isinstance(ua, TimeField) or not isinstance(va, BoundaryTimeField):
-            raise TypeError("ua/ub must be TimeFields and va/vb BoundaryTimeFields")
+        if not isinstance(ua, IntervalField) or not isinstance(va, BoundaryTimeField):
+            raise TypeError("ua/ub must be IntervalFields and va/vb BoundaryTimeFields")
         if (operand(ua) > operand(ub)).any():
             raise ValueError("invalid control bounds: ua > ub somewhere")
         if (operand(va) > operand(vb)).any():
@@ -316,84 +324,79 @@ class ControlBounds:
 
     @classmethod
     def constant(cls, mesh, ua, ub, va=-1.0, vb=1.0):
-        return cls(TimeField.constant(mesh, ua), TimeField.constant(mesh, ub),
+        return cls(IntervalField.constant(mesh, ua), IntervalField.constant(mesh, ub),
                    BoundaryTimeField.constant(mesh, va), BoundaryTimeField.constant(mesh, vb))
 
 
 # ---------------------------------------------------------------------------
-# Plain-text CSV field dumps.  One header line with the field name and mesh
-# dims, then one row per time slice: m, t, values...  Values are written with
-# 17 significant digits so a dump/load round trip is bit-identical.
+# Plain-text CSV field dumps: a header line with the field name and mesh
+# dims, then a row m, t_m, values... per slice, m = 0..nt for a TimeField and
+# 1..nt for an unknown; a load rejects the other kind's rows.  Values are
+# written with 17 significant digits, so a round trip is bit-identical.
 # ---------------------------------------------------------------------------
 
 def _fmt(v):
     return f"{v:.17g}"
 
 
-def dump_time_field(f, name, path):
-    mesh = f.mesh
+def _write(path, head, rows):
+    """Write the header line head, then a line m, t, values... per row."""
     with open(path, "w") as fh:
-        fh.write(f"field,{name},nx,{mesh.nx},ny,{mesh.ny},nt,{mesh.nt}\n")
-        for m in range(mesh.nt + 1):
-            row = [str(m), _fmt(mesh.t[m])] + [_fmt(v) for v in f.values[m].ravel()]
-            fh.write(",".join(row) + "\n")
+        fh.write(head + "\n")
+        for m, t, values in rows:
+            fh.write(",".join([str(m), _fmt(t)] + [_fmt(v) for v in np.ravel(values)]) + "\n")
+
+
+def _dump(f, name, path, dims):
+    mesh = f.mesh
+    ms = range(mesh.nt + 1 - len(f.values), mesh.nt + 1)
+    _write(path, f"field,{name},{dims},nt,{mesh.nt}", zip(ms, mesh.t[ms.start:], f.values))
+
+
+def dump_time_field(f, name, path):
+    """Write a TimeField or an IntervalField, one row per slice."""
+    _dump(f, name, path, f"nx,{f.mesh.nx},ny,{f.mesh.ny}")
 
 
 def dump_boundary_field(f, name, path):
-    mesh = f.mesh
-    with open(path, "w") as fh:
-        fh.write(f"field,{name},nb,{mesh.n_boundary},nt,{mesh.nt}\n")
-        for m in range(mesh.nt + 1):
-            row = [str(m), _fmt(mesh.t[m])] + [_fmt(v) for v in f.values[m]]
-            fh.write(",".join(row) + "\n")
+    _dump(f, name, path, f"nb,{f.mesh.n_boundary}")
 
 
 def dump_space_slice(values, name, path, mesh):
     """Write a single spatial slice (nt recorded as 0, one data row)."""
-    values = np.asarray(values, dtype=np.float64)
-    with open(path, "w") as fh:
-        fh.write(f"field,{name},nx,{mesh.nx},ny,{mesh.ny},nt,0\n")
-        row = ["0", _fmt(0.0)] + [_fmt(v) for v in values.ravel()]
-        fh.write(",".join(row) + "\n")
+    _write(path, f"field,{name},nx,{mesh.nx},ny,{mesh.ny},nt,0", [(0, 0.0, values)])
 
 
-def _read_dump(path):
+def _read_dump(path, dims, first, last):
+    """The rows m = first..last of the dump at path, one array row each; its
+    header must give the dims."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty field dump")
-    head = lines[0].split(",")
-    if len(head) < 2 or head[0] != "field":
+        lines = [ln.rstrip("\n").split(",") for ln in fh if ln.strip()]
+    if not lines or len(lines[0]) < 2 or lines[0][0] != "field":
         raise ValueError(f"{path}: malformed field dump header")
-    meta = {"name": head[1]}
-    for key, val in zip(head[2::2], head[3::2]):
-        meta[key] = int(val)
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        rows.append(np.array([float(v) for v in parts[2:]]))
-    return meta, rows
+    meta = {key: int(val) for key, val in zip(lines[0][2::2], lines[0][3::2])}
+    if any(meta.get(key) != value for key, value in dims.items()):
+        raise ValueError(f"{path}: dump dims {meta} do not match {dims}")
+    if [int(row[0]) for row in lines[1:]] != list(range(first, last + 1)):
+        raise ValueError(f"{path}: expected the rows m = {first}..{last}, got the rows "
+                         f"m = {', '.join(row[0] for row in lines[1:])}")
+    return np.array([[float(v) for v in row[2:]] for row in lines[1:]])
 
 
-def load_time_field(path, mesh):
-    meta, rows = _read_dump(path)
-    if meta.get("nx") != mesh.nx or meta.get("ny") != mesh.ny or meta.get("nt") != mesh.nt:
-        raise ValueError(f"{path}: dump dims {meta} do not match {mesh!r}")
-    vals = np.stack(rows).reshape(mesh.nt + 1, mesh.ny, mesh.nx)
-    return TimeField(mesh, vals)
+def _load(path, cls, mesh, dims):
+    """The cls field of a dump with cls's rows (see above) and the dims."""
+    rows = _read_dump(path, dims, mesh.nt + 1 - cls.shape(mesh)[0], mesh.nt)
+    return cls(mesh, rows.reshape(cls.shape(mesh)))
+
+
+def load_time_field(path, cls, mesh):
+    """Read a dump of a TimeField or an IntervalField, as cls says."""
+    return _load(path, cls, mesh, {"nx": mesh.nx, "ny": mesh.ny, "nt": mesh.nt})
 
 
 def load_boundary_field(path, mesh):
-    meta, rows = _read_dump(path)
-    if meta.get("nb") != mesh.n_boundary or meta.get("nt") != mesh.nt:
-        raise ValueError(f"{path}: dump dims {meta} do not match boundary of {mesh!r}")
-    return BoundaryTimeField(mesh, np.stack(rows))
+    return _load(path, BoundaryTimeField, mesh, {"nb": mesh.n_boundary, "nt": mesh.nt})
 
 
 def load_space_slice(path, mesh):
-    meta, rows = _read_dump(path)
-    if meta.get("nx") != mesh.nx or meta.get("ny") != mesh.ny:
-        raise ValueError(f"{path}: dump dims {meta} do not match {mesh!r}")
-    if len(rows) != 1:
-        raise ValueError(f"{path}: expected a single-slice dump, got {len(rows)} rows")
-    return rows[0].reshape(mesh.ny, mesh.nx)
+    return _read_dump(path, {"nx": mesh.nx, "ny": mesh.ny}, 0, 0).reshape(mesh.ny, mesh.nx)

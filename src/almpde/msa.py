@@ -32,7 +32,7 @@ Optim. 10, 2000):
   accepted one is followed by an adjoint sweep.
 
 Iteration stops when the stationarity residual, the largest over the
-controls of sup over m = 1..nt of |x - clip(-p/a, lo, hi)|, is at most
+controls of the sup norm of x - clip(-p/a, lo, hi), is at most
 eps1.  It is tested with the adjoint of the current controls before each
 update, so a stationary start costs one forward and one adjoint sweep.  The
 loop also stops, unconverged and without raising, after max_inner accepted
@@ -53,16 +53,14 @@ Each quantity is computed once: each control's restriction of p and target
 dt-weighted step; integral mu^2 and dt A y0 (`start_term`) once per
 sub-problem; dt A e of the terminal mismatch e once per state, by the
 objective, for the adjoint sweep from e.  Phi takes the state and
-multiplier candidate the loop already has, so it costs no sweep.  Only the
-slices m = 1..nt of the controls are unknowns: step m uses x_m, nothing
-uses x_0, and no update changes it.
+multiplier candidate the loop already has, so it costs no sweep.
 """
 
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grid import TimeField, BoundaryTimeField, clamp, is_zero, operand
+from .grid import IntervalField, TimeField, BoundaryTimeField, clamp, is_zero, operand
 from .cost import (_dot, multiplier_candidate, multiplier_square, projection_residual,
                    subproblem_objective)
 from .solvers import solve_forward, solve_adjoint, start_term
@@ -113,10 +111,10 @@ def require_finite_fields(config):
 @dataclass
 class MsaResult:
     y: TimeField
-    u: TimeField
+    u: IntervalField
     v: BoundaryTimeField | None     # None without boundary control
-    p: TimeField
-    mu_bar: TimeField
+    p: IntervalField
+    mu_bar: IntervalField
     inner_iters: int
     final_gap: float
     converged: bool
@@ -140,10 +138,10 @@ def _initial_control(lo, hi):
 
 
 def _damped_clamp(x, target, lo, hi, theta, scratch=None):
-    """clip((1 - theta) x + theta target, lo, hi) on m = 1..nt, and x's slice
-    0; a field like x.  target is the value array of -p / weight; constant
-    bounds are read as 0-d arrays (`operand`).  scratch, when given, is an
-    array of x's shape that is overwritten.
+    """clip((1 - theta) x + theta target, lo, hi), a field like x.  target is
+    the value array of -p / weight; constant bounds are read as 0-d arrays
+    (`operand`).  scratch, when given, is an array of x's shape that is
+    overwritten.
 
     At theta = 1 this is bit for bit clip(target): 0 * x + target differs
     from target at most in the sign of a zero.  The equal-looking
@@ -152,21 +150,19 @@ def _damped_clamp(x, target, lo, hi, theta, scratch=None):
     values = (1.0 - theta) * x.values
     values += np.multiply(theta, target, out=scratch)
     clamp(values, operand(lo), operand(hi), out=values)
-    values[0] = x.values[0]
     return type(x)._wrap(x.mesh, values)
 
 
 def _stationarity(x, target, lo, hi, scratch=None):
-    """sup over m = 1..nt of |x - clip(target, lo, hi)|, target = -p / weight.
+    """sup of |x - clip(target, lo, hi)|, target = -p / weight.
 
     The residual r = clip(target) - x (`cost.projection_residual`) is formed
-    on every slice, in scratch, an array of x's shape, when given; the sup
-    is taken over m = 1..nt, as max(max r, -min r) with no pass for |r|; abs
-    only gives a zero sup its positive sign."""
+    in scratch, an array of x's shape, when given; the sup is taken as
+    max(max r, -min r) with no pass for |r|; abs only gives a zero sup its
+    positive sign."""
     r = projection_residual(x, target, lo, hi, out=scratch)
-    tail = r[1:]
-    return abs(max(float(np.maximum.reduce(tail, axis=None)),
-                   -float(np.minimum.reduce(tail, axis=None))))
+    return abs(max(float(np.maximum.reduce(r, axis=None)),
+                   -float(np.minimum.reduce(r, axis=None))))
 
 
 def _step_products(x, x_new, weights, weight, p, scratch=None):
@@ -175,14 +171,13 @@ def _step_products(x, x_new, weights, weight, p, scratch=None):
     step's squared length in the scaled metric, the derivative of Phi along
     it, and the part of that derivative the next adjoint changes.  All three
     are BLAS dots (`cost._dot`) with one weighted step w s, s formed in
-    scratch when given; the sums are over m = 1..nt.  For a constant zero x
-    (a cold start) <w x, s> is dropped: the dot would first copy x's
-    zero-stride view."""
-    s = np.subtract(x_new.values, x.values, out=scratch)[1:]
+    scratch when given.  For a constant zero x (a cold start) <w x, s> is
+    dropped: the dot would first copy x's zero-stride view."""
+    s = np.subtract(x_new.values, x.values, out=scratch)
     ws = s * weights
     ss = _dot(ws, s)
-    ps = _dot(ws, p.values[1:])
-    slope = ps if is_zero(x.values) else weight * _dot(ws, x.values[1:]) + ps
+    ps = _dot(ws, p.values)
+    slope = ps if is_zero(x.values) else weight * _dot(ws, x.values) + ps
     return weight * ss, slope, ps
 
 
@@ -216,10 +211,10 @@ class _Part:
 
     def accept(self):
         """Make the trial current; returns the new p's <p, new - x>."""
-        ws = np.subtract(self.new.values, self.x.values, out=self.scratch)[1:]
+        ws = np.subtract(self.new.values, self.x.values, out=self.scratch)
         ws *= self.load
         self.x, self.new = self.new, None
-        return _dot(ws, self.p.values[1:])
+        return _dot(ws, self.p.values)
 
 
 def msa_solve(spec, rho, mu, config=None, warm=None):

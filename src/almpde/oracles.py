@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .grid import (TimeField, BoundaryTimeField, ControlBounds,
+from .grid import (TimeField, IntervalField, BoundaryTimeField, ControlBounds,
                    build_mesh, l2_norm_omega_t, space_slice_from_function)
 from .operators import DiffusionCoefficients, assemble_operator
 from .cost import ProblemSpec, multiplier_candidate, subproblem_objective
@@ -66,7 +66,7 @@ def analytic_decay_oracle(mesh, mode="x", tol_constant=2.0):
     else:
         raise ValueError(f"unknown decay mode {mode!r}")
     op = assemble_operator(DiffusionCoefficients.unit(mesh))
-    y = solve_forward(mesh, op, TimeField.zeros(mesh), None, y0)
+    y = solve_forward(mesh, op, IntervalField.zeros(mesh), None, y0)
     exact = TimeField.from_function(mesh, exact_fn)
     diff = TimeField(mesh, y.values - exact.values)
     err = l2_norm_omega_t(diff) / l2_norm_omega_t(exact)
@@ -119,21 +119,20 @@ def adjoint_identity_check(spec=None, seed=0, fd_step=1e-5, kink_margin=1e-3):
     for _ in range(100):
         inst = spec if spec is not None else _random_instance(rng, mesh)
         rho = rng.uniform(0.5, 8.0)
-        mu = TimeField(mesh, rng.uniform(0.0, 2.0, size=(mesh.nt + 1, mesh.ny, mesh.nx)))
-        u = TimeField(mesh, rng.uniform(-0.5, 0.5, size=(mesh.nt + 1, mesh.ny, mesh.nx)))
-        du = TimeField(mesh, rng.uniform(-1.0, 1.0, size=(mesh.nt + 1, mesh.ny, mesh.nx)))
+        mu, u, du = (IntervalField(mesh, rng.uniform(lo, hi, size=IntervalField.shape(mesh)))
+                     for lo, hi in ((0.0, 2.0), (-0.5, 0.5), (-1.0, 1.0)))
         op = inst.operator()
         y = solve_forward(mesh, op, u, None, inst.y0)
-        arg = rho * (y.values[1:] - inst.psi.values[1:]) + mu.values[1:]
+        arg = rho * (y.values[1:] - inst.psi.values[1:]) + mu.values
         if np.min(np.abs(arg)) < kink_margin:
             continue
         mu_bar = multiplier_candidate(y, inst.psi, mu, rho)
         p = solve_adjoint(mesh, op, mu_bar, y.values[-1] - inst.y_d)
         grad = mesh.dt * mesh.w_space[None, :, :] * (inst.alpha * u.values + p.values)
-        adj_dir = float(np.sum(grad[1:] * du.values[1:]))
+        adj_dir = float(np.sum(grad * du.values))
 
         def f_at(s):
-            us = TimeField(mesh, u.values + s * du.values)
+            us = IntervalField(mesh, u.values + s * du.values)
             return subproblem_objective(inst, rho, mu, us)
 
         fd_dir = (f_at(fd_step) - f_at(-fd_step)) / (2.0 * fd_step)
@@ -164,13 +163,12 @@ def projected_gradient_oracle(spec, rho, mu, iters=100000, lr=1e-3):
     plain pointwise gradient steps u <- clip(u - lr (alpha u + p)), so it
     shares neither the banded step factor nor the update rule with
     msa_solve.  The problem is written out here again: the unknowns are the
-    controls on m = 1..nt (u_0 and v_0 stay at the projection of 0), the
-    penalty charges the states y_1..y_nt with the right-endpoint rule, and
-    the adjoint's terminal slice carries that penalty's last-slice term,
-    p_nt = e + dt K^{-1} M mu_bar_nt.  Stops after `iters` steps, or earlier
-    once no control moves by more than ORACLE_STALL_STEP in a step.
-    Restricted to small grids.  Returns (u, v, cost) with cost the
-    sub-problem objective.
+    controls on m = 1..nt (row m - 1), the penalty charges the states
+    y_1..y_nt with the right-endpoint rule, and the adjoint's terminal slice
+    carries that penalty's last-slice term, p_nt = e + dt K^{-1} M mu_bar_nt.
+    Stops after `iters` steps, or earlier once no control moves by more than
+    ORACLE_STALL_STEP in a step.  Restricted to small grids.  Returns
+    (u, v, cost) with cost the sub-problem objective.
     """
     mesh = spec.mesh
     if (mesh.nx > ORACLE_GRID_LIMIT[0] or mesh.ny > ORACLE_GRID_LIMIT[1]
@@ -189,7 +187,7 @@ def projected_gradient_oracle(spec, rho, mu, iters=100000, lr=1e-3):
     bidx = mesh.boundary_j * mesh.nx + mesh.boundary_i
 
     psi = spec.psi.values.reshape(mesh.nt + 1, n)
-    mu_flat = mu.values.reshape(mesh.nt + 1, n)
+    mu_flat = mu.values.reshape(mesh.nt, n)
     ua, ub = b.ua.values.reshape(-1, n), b.ub.values.reshape(-1, n)
     va, vb = b.va.values, b.vb.values
     y0 = spec.y0.ravel()
@@ -197,24 +195,24 @@ def projected_gradient_oracle(spec, rho, mu, iters=100000, lr=1e-3):
 
     # np.clip, not the solver's grid.clamp, on purpose: the oracle projects
     # by an implementation of its own
-    u = np.clip(np.zeros((mesh.nt + 1, n)), ua, ub)
-    v = np.clip(np.zeros((mesh.nt + 1, mesh.n_boundary)), va, vb)
+    u = np.clip(np.zeros((mesh.nt, n)), ua, ub)
+    v = np.clip(np.zeros((mesh.nt, mesh.n_boundary)), va, vb)
 
     def forward(u, v):
         y = np.empty((mesh.nt + 1, n))
         y[0] = y0
         for m in range(1, mesh.nt + 1):
-            rhs = mass * (y[m - 1] + dt * u[m])
+            rhs = mass * (y[m - 1] + dt * u[m - 1])
             if with_v:
                 load = np.zeros(n)
-                load[bidx] = mesh.w_arc * v[m]
+                load[bidx] = mesh.w_arc * v[m - 1]
                 rhs += dt * load
             y[m] = sla.cho_solve(cho, rhs)
         return y
 
     def adjoint(y):
         """p on m = 1..nt (row m - 1)."""
-        mb = np.maximum(rho * (y[1:] - psi[1:]) + mu_flat[1:], 0.0)
+        mb = np.maximum(rho * (y[1:] - psi[1:]) + mu_flat, 0.0)
         p = np.empty((mesh.nt, n))
         p[-1] = y[mesh.nt] - yd + dt * sla.cho_solve(cho, mass * mb[-1])
         for m in range(mesh.nt - 2, -1, -1):
@@ -223,33 +221,32 @@ def projected_gradient_oracle(spec, rho, mu, iters=100000, lr=1e-3):
 
     for _ in range(iters):
         p = adjoint(forward(u, v))
-        u_old = u.copy()
-        u[1:] = np.clip(u[1:] - lr * (spec.alpha * u[1:] + p), ua[1:], ub[1:])
+        u_old = u
+        u = np.clip(u - lr * (spec.alpha * u + p), ua, ub)
         move = np.max(np.abs(u - u_old))
         if with_v:
-            v_old = v.copy()
-            v[1:] = np.clip(v[1:] - lr * (spec.beta * v[1:] + p[:, bidx]), va[1:], vb[1:])
+            v_old = v
+            v = np.clip(v - lr * (spec.beta * v + p[:, bidx]), va, vb)
             move = max(move, np.max(np.abs(v - v_old)))
         if move <= ORACLE_STALL_STEP:
             break
 
-    u_field = TimeField(mesh, u.reshape(mesh.nt + 1, mesh.ny, mesh.nx))
+    u_field = IntervalField(mesh, u.reshape(mesh.nt, mesh.ny, mesh.nx))
     v_field = BoundaryTimeField(mesh, v)
     y = forward(u, v)
     e = y[mesh.nt] - yd
     cost = 0.5 * float(e @ (mass * e)) + 0.5 * dt * float(e @ (A @ e))
-    cost += 0.5 * spec.alpha * dt * float(np.sum(u[1:] ** 2 * mass[None, :]))
+    cost += 0.5 * spec.alpha * dt * float(np.sum(u ** 2 * mass[None, :]))
     if with_v:
-        cost += 0.5 * spec.beta * dt * float(np.sum(v[1:] ** 2 * mesh.w_arc[None, :]))
-    shifted = np.maximum(rho * (y[1:] - psi[1:]) + mu_flat[1:], 0.0)
-    cost += dt / (2.0 * rho) * float(np.sum((shifted ** 2 - mu_flat[1:] ** 2) * mass[None, :]))
+        cost += 0.5 * spec.beta * dt * float(np.sum(v ** 2 * mesh.w_arc[None, :]))
+    shifted = np.maximum(rho * (y[1:] - psi[1:]) + mu_flat, 0.0)
+    cost += dt / (2.0 * rho) * float(np.sum((shifted ** 2 - mu_flat ** 2) * mass[None, :]))
     return u_field, v_field, cost
 
 
 def control_distance(mesh, u, w):
-    """L2 distance of two distributed controls over the unknown slices
-    m = 1..nt, right-endpoint rule in time."""
-    d = u.values[1:] - w.values[1:]
+    """L2 distance of two distributed controls, right-endpoint rule in time."""
+    d = u.values - w.values
     return float(np.sqrt(mesh.dt * np.sum(d * d * mesh.w_space)))
 
 
@@ -258,7 +255,7 @@ def msa_vs_gradient_oracle(rho=1.0, mu_const=10.0, iters=100000, lr=1e-3):
     built-in obstacle example (5x5 nodes, 4 steps)."""
     mesh = build_mesh(5, 5, 4, 1.0, 1.0, 1.0)
     spec = build_paper_example_sec5(mesh)
-    mu = TimeField.constant(mesh, mu_const)
+    mu = IntervalField.constant(mesh, mu_const)
     cfg = MsaConfig(eps1=1e-9, max_inner=300)
     res = msa_solve(spec, rho, mu, config=cfg)
     u_o, _, cost_o = projected_gradient_oracle(spec, rho, mu, iters=iters, lr=lr)
@@ -280,7 +277,7 @@ def argmin_bruteforce_check(seed=0, n_tuples=1000, resolution=1e-4):
     """Grid-search the scalar Hamiltonian alpha/2 u^2 + p u over the control
     interval and compare with the clamp the inner solver steps with,
     `msa._damped_clamp` at theta = 1.  Tuple k fills the column i = k of
-    the slice m = 1 of a one-step mesh."""
+    the one slice of a one-step mesh."""
     rng = np.random.default_rng(seed)
     draws = np.empty((4, n_tuples))
     u_brute = np.empty(n_tuples)
@@ -295,10 +292,10 @@ def argmin_bruteforce_check(seed=0, n_tuples=1000, resolution=1e-4):
         H = 0.5 * alpha * grid * grid + p * grid
         u_brute[k] = grid[int(np.argmin(H))]
     mesh = build_mesh(n_tuples, 3, 1, 1.0, 1.0, 1.0)
-    p, alpha, lo, hi = (np.broadcast_to(d, TimeField.shape(mesh)) for d in draws)
-    u_clamp = _damped_clamp(TimeField.zeros(mesh), p / -alpha, TimeField(mesh, lo),
-                            TimeField(mesh, hi), theta=1.0)
-    worst = float(np.max(np.abs(u_brute - u_clamp.values[1, 0])))
+    p, alpha, lo, hi = (np.broadcast_to(d, IntervalField.shape(mesh)) for d in draws)
+    u_clamp = _damped_clamp(IntervalField.zeros(mesh), p / -alpha, IntervalField(mesh, lo),
+                            IntervalField(mesh, hi), theta=1.0)
+    worst = float(np.max(np.abs(u_brute - u_clamp.values[0, 0])))
     return OracleReport(name="argmin_bruteforce", error=worst, tolerance=1e-4,
                         context={"tuples": n_tuples, "seed": seed})
 

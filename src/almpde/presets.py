@@ -7,7 +7,7 @@ not set explicitly.
 
 import numpy as np
 
-from .grid import TimeField, ControlBounds, space_slice_from_function
+from .grid import IntervalField, TimeField, ControlBounds, space_slice_from_function
 from .operators import DiffusionCoefficients
 from .cost import ProblemSpec
 from .solvers import solve_forward
@@ -49,7 +49,7 @@ def build_unconstrained_decay(mesh):
     operator and its factor.
     """
     coeffs = DiffusionCoefficients.unit(mesh)
-    y_free = solve_forward(mesh, coeffs.operator(), TimeField.zeros(mesh), None,
+    y_free = solve_forward(mesh, coeffs.operator(), IntervalField.zeros(mesh), None,
                            _sine_bump(mesh))
     return ProblemSpec(
         mesh=mesh,

@@ -9,13 +9,14 @@ scatters the boundary control with arc-length weights (the natural flux
 load of the finite-volume closure).  The backward sweep transposes the same
 propagator:
 
-    p_nt = e + dt K^{-1} M mu_nt,   K p_m = M p_{m+1} + dt M mu_m,  m = nt-1..0,
+    p_nt = e + dt K^{-1} M mu_nt,   K p_m = M p_{m+1} + dt M mu_m,  m = nt-1..1,
 
 with K = M + dt A and e = y_nt - y_d the terminal mismatch.  p_nt is the
 gradient of the sub-problem objective in y_nt pulled back through K: the
 mismatch term plus the penalty of the last slice, which the right-endpoint
 penalty charges (see `cost.subproblem_objective`).  That correction is one
 extra solve, skipped when mu_nt is zero because it is then exactly zero.
+p, like mu and the controls, holds only the unknowns m = 1..nt.
 
 Both sweeps run one march loop, over the systems K x_m = M x_{m-1} + s_m
 with the sources s = dt (M u + B v) forward and s = dt M mu backward, built
@@ -64,7 +65,7 @@ of the cost of `ndarray.any` at 5x5.  The first row's address from
 
 import numpy as np
 
-from .grid import TimeField
+from .grid import IntervalField, TimeField, operand
 from .lapack import address, pbtrs
 
 
@@ -98,14 +99,14 @@ def _march(op, x, a_x0=None):
     z -= a_x0
     mass, solve = op.flat_mass, op.solve
     carry = np.empty(x0.size)
-    row_address, stride = address(z[0]), z.strides[0]
+    row_address, stride = address(x0), x.strides[0]
     prev = None
     for row in z:
         if prev is not None:
             np.multiply(mass, prev, out=carry)
             row += carry
-        pbtrs(solve, row_address)
         row_address += stride
+        pbtrs(solve, row_address)
         prev = row
     z += x0
 
@@ -122,8 +123,9 @@ def _check(mesh, op, slice_, name):
 def solve_forward(mesh, op, u, v, y0, a_y0=None):
     """March the state equation forward from the initial slice y0.
 
-    u is a TimeField source, v an optional BoundaryTimeField flux (None means
-    homogeneous Neumann), y0 a (ny, nx) array.  Returns the state TimeField.
+    u is the source (an IntervalField, or any constant field: `operand`), v
+    an optional BoundaryTimeField flux (None means homogeneous Neumann), y0
+    a (ny, nx) array.  Returns the state TimeField.
     a_y0, when given, is `start_term(op, y0)` of this y0, and the sweep
     applies no stencil; the result has the same bits either way.
     The loads of steps 1..nt are formed in the slices they are marched in.
@@ -131,18 +133,19 @@ def solve_forward(mesh, op, u, v, y0, a_y0=None):
     y0 = _check(mesh, op, y0, "initial")
     y = np.empty(TimeField.shape(mesh))
     load = y[1:]
-    np.multiply(op.load_mass, u.values[1:], out=load)
+    np.multiply(op.load_mass, operand(u), out=load)
     if v is not None:
-        load[:, mesh.boundary_j, mesh.boundary_i] += op.load_arc * v.values[1:]
+        load[:, mesh.boundary_j, mesh.boundary_i] += op.load_arc * operand(v)
     y[0] = y0
     _march(op, y.reshape(mesh.nt + 1, -1), a_y0)
     return TimeField._wrap(mesh, y)
 
 
 def solve_adjoint(mesh, op, mu, terminal, a_terminal=None):
-    """March the adjoint equation backward from the corrected terminal slice.
+    """March the adjoint equation backward from the corrected terminal slice
+    down to p_1; returns p on m = 1..nt, an IntervalField.
 
-    mu is the TimeField source (the multiplier candidate) and terminal the
+    mu is the IntervalField source (the multiplier candidate) and terminal the
     (ny, nx) terminal mismatch y_nt - y_d; the slice p_nt starts from is
     terminal + dt K^{-1} M mu_nt.  The boundary closure is homogeneous.
     The sources are formed in the slices of p, in time order, and the march
@@ -155,7 +158,7 @@ def solve_adjoint(mesh, op, mu, terminal, a_terminal=None):
     0.336 -> 0.346 (+3.0%, higher in 10 of 10 pairs, BENCH_no_scipy.json).
     """
     terminal = _check(mesh, op, terminal, "terminal")
-    p = np.empty(TimeField.shape(mesh))
+    p = np.empty(IntervalField.shape(mesh))
     np.multiply(op.load_mass, mu.values, out=p)
     last = p[-1]
     if np.count_nonzero(last):
@@ -164,5 +167,5 @@ def solve_adjoint(mesh, op, mu, terminal, a_terminal=None):
         a_terminal = None
     else:
         last[...] = terminal
-    _march(op, p.reshape(mesh.nt + 1, -1)[::-1], a_terminal)
-    return TimeField._wrap(mesh, p)
+    _march(op, p.reshape(mesh.nt, -1)[::-1], a_terminal)
+    return IntervalField._wrap(mesh, p)

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from almpde.grid import build_mesh, TimeField
+from almpde.grid import build_mesh, IntervalField
 from almpde.operators import DiffusionCoefficients, assemble_operator
 from almpde.cost import subproblem_objective
 from almpde.solvers import solve_forward
@@ -82,7 +82,7 @@ def test_criterion_3_adjoint_and_gradient_correctness():
 
 def _sec5_subproblem(mu_level=10.0):
     mesh = build_mesh(5, 5, 4, 1.0, 1.0, 1.0)
-    return build_paper_example_sec5(mesh), TimeField.constant(mesh, mu_level)
+    return build_paper_example_sec5(mesh), IntervalField.constant(mesh, mu_level)
 
 
 @lru_cache(maxsize=None)
@@ -94,7 +94,6 @@ def _dense_oracle(rho, mu_level=10.0):
 
 
 def _oracle_match(rho, msa_cfg, mu_level=10.0):
-    """Controls compared on the unknown slices m = 1..nt."""
     spec, mu = _sec5_subproblem(mu_level)
     res = msa_solve(spec, rho, mu, config=msa_cfg)
     u_o, cost_o = _dense_oracle(rho, mu_level)
@@ -114,11 +113,11 @@ def test_criterion_4_oracle_equivalence_rho_1():
 
 def test_criterion_4_oracle_equivalence_rho_1_interior_controls():
     """The same comparison at penalty 1 from the multiplier 1, where the
-    optimal controls lie inside their bounds: at mu = 10 every control on
-    m = 1..nt sits at the bound -1, so that leg compares no interior value."""
+    optimal controls lie inside their bounds: at mu = 10 every control sits
+    at the bound -1, so that leg compares no interior value."""
     res, diff, cost_m, cost_o = _oracle_match(1.0, MsaConfig(eps1=1e-9, max_inner=300),
                                               mu_level=1.0)
-    interior = np.abs(res.u.values[1:]) < 1.0
+    interior = np.abs(res.u.values) < 1.0
     ok = res.converged and interior.any() and diff <= 1e-3 and cost_m <= cost_o + 1e-6
     verdict(4, f"rho=1 mu=1 argmin-vs-oracle control gap {diff:.1e} with "
                f"{int(interior.sum())} of {interior.size} controls interior, "
@@ -185,14 +184,14 @@ def test_criterion_6_degenerate_correctness():
     assert np.all(trace.final_result.mu_bar.values == 0.0)
 
     op = assemble_operator(DiffusionCoefficients.unit(mesh))
-    y = solve_forward(mesh, op, TimeField.zeros(mesh), None,
+    y = solve_forward(mesh, op, IntervalField.zeros(mesh), None,
                       np.full(mesh.shape_space, 2.5))
     assert np.abs(y.values - 2.5).max() == 0.0
 
     rng = np.random.default_rng(3)
     m = build_mesh(17, 17, 20, 1.0, 1.0, 0.5)
     op = assemble_operator(DiffusionCoefficients.unit(m))
-    y = solve_forward(m, op, TimeField.zeros(m), None,
+    y = solve_forward(m, op, IntervalField.zeros(m), None,
                       rng.uniform(0.5, 2.0, m.shape_space))
     masses = np.array([np.sum(m.w_space * y.values[k]) for k in range(m.nt + 1)])
     drift = np.abs(masses - masses[0]).max() / abs(masses[0])

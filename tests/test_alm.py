@@ -13,8 +13,8 @@ import pytest
 from almpde import alm, cost, grid, msa, operators
 from almpde.config import build_run, parse_config
 from almpde.cost import cost_J, multiplier_candidate, multiplier_square, penalty
-from almpde.grid import (build_mesh, BoundaryTimeField, ControlBounds, TimeField,
-                         space_slice_from_function)
+from almpde.grid import (build_mesh, BoundaryTimeField, ControlBounds, IntervalField,
+                         TimeField, space_slice_from_function)
 from almpde.msa import MsaConfig
 from almpde.alm import (AlmConfig, AlmState, AlmTraceRow, alm_step, alm_run,
                         TRACE_COLUMNS, format_trace_row)
@@ -123,12 +123,13 @@ def test_run_terminates_on_tolerance(sec5_spec):
 
 
 def test_initial_slice_does_not_drive_the_outer_loop(sec5_spec):
-    # y0 touches psi at the centre; the initial slice carries no multiplier,
-    # so mu0 = 10 there cannot hold the residual up and force rho increases
+    # y0 touches psi at the centre; the multiplier holds only the slices
+    # m = 1..nt, so mu0 = 10 cannot hold the residual up on the initial
+    # slice and force rho increases
     trace = alm_run(sec5_spec, AlmConfig(mu0=10.0))
     assert trace.termination == "tolerance_met"
     assert all(row.rho == 1.0 for row in trace.rows)
-    assert np.all(trace.final_result.mu_bar.values[0] == 0.0)
+    assert trace.final_result.mu_bar.values.shape == IntervalField.shape(sec5_spec.mesh)
 
 
 def run_config(tmp_path, lines):
@@ -229,7 +230,7 @@ def test_state_holds_only_what_the_loop_carries(unit_mesh):
     assert (state.rho, state.R_plus, state.n, state.k) == (2.0, 5.0, 0, 0)
     assert np.all(state.mu.values == 3.0)
     with pytest.raises(ValueError, match="multiplier must be nonnegative"):
-        AlmState(mu=TimeField.constant(unit_mesh, -1.0), rho=1.0,
+        AlmState(mu=IntervalField.constant(unit_mesh, -1.0), rho=1.0,
                  R_plus=1.0, n=0, k=0)
     with pytest.raises(ValueError, match="rho must be positive"):
         AlmState(mu=state.mu, rho=0.0, R_plus=1.0, n=0, k=0)
@@ -324,6 +325,28 @@ def test_run_factors_the_step_matrix_once(tmp_path, monkeypatch):
     alm_run(spec, config)
     assert len(calls) == 1
     assert op.solve is spec.operator().solve
+
+
+def test_paper_run_makes_one_banded_solve_per_step_of_the_unknowns(sec5_spec, monkeypatch):
+    # 54 forward sweeps of nt = 4 steps, 67 adjoint sweeps of nt - 1 = 3
+    # steps down to p_1, and the adjoint's terminal correction in the 22
+    # sweeps whose mu_bar_nt is not zero
+    from almpde import solvers
+
+    calls = {"pbtrs": 0, "forward": 0, "adjoint": 0}
+
+    def counted(name, fn):
+        def run(*args):
+            calls[name] += 1
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(solvers, "pbtrs", counted("pbtrs", solvers.pbtrs))
+    monkeypatch.setattr(msa, "solve_forward", counted("forward", msa.solve_forward))
+    monkeypatch.setattr(msa, "solve_adjoint", counted("adjoint", msa.solve_adjoint))
+    alm_run(sec5_spec, AlmConfig(mu0=10.0))
+    assert (calls["forward"], calls["adjoint"]) == (54, 67)
+    assert calls["pbtrs"] == 54 * 4 + 67 * 3 + 22 == 439
 
 
 def test_run_sweeps_once_per_update_and_reuses_the_warm_state(tmp_path, monkeypatch):

@@ -10,7 +10,8 @@ from almpde.alm import AlmConfig, TRACE_COLUMNS
 from almpde.cli import main
 from almpde.config import parse_config, build_run, ConfigError
 from almpde.grid import (build_mesh, load_time_field, dump_space_slice,
-                         dump_time_field, TimeField)
+                         dump_time_field, load_boundary_field, TimeField, IntervalField,
+                         BoundaryTimeField)
 from almpde.msa import MsaConfig
 
 
@@ -153,6 +154,8 @@ def test_custom_problem_from_field_files(tmp_path):
     dump_space_slice(y0, "y0", tmp_path / "y0.csv", mesh)
     dump_space_slice(yd, "yd", tmp_path / "yd.csv", mesh)
     dump_time_field(TimeField(mesh, psi), "psi", tmp_path / "psi.csv")
+    # a control bound has the rows m = 1..nt
+    dump_time_field(IntervalField(mesh, psi[1:]), "ub", tmp_path / "ub.csv")
 
     def build(name, lines):
         return build_run(parse_config(write_config(tmp_path / name, [
@@ -191,18 +194,23 @@ def test_custom_problem_from_field_files(tmp_path):
         "problem.psi_file = psi.csv",
         "problem.alpha = 2.5", "problem.beta = 0.4",
         "problem.ua = -0.3", "problem.vb = 0.7",
-        "problem.ub_file = psi.csv",
+        "problem.ub_file = ub.csv",
         "problem.a22 = 1.7",
         "problem.boundary_control = true",
     ])
     assert np.array_equal(spec.psi.values, psi)
     assert spec.alpha == 2.5 and spec.beta == 0.4
     b = spec.bounds
-    assert np.array_equal(b.ub.values, psi)
+    assert np.array_equal(b.ub.values, psi[1:])
     for bound, value in ((b.ua, -0.3), (b.va, -1.0), (b.vb, 0.7)):
         assert np.all(bound.values == value)
     assert np.all(spec.coeffs.a11 == 1.0) and np.all(spec.coeffs.a22 == 1.7)
     assert spec.boundary_control_enabled
+
+    # a bound file with a row for m = 0, the layout of a node field, is
+    # rejected, naming the rows a bound has
+    with pytest.raises(ValueError, match=r"expected the rows m = 1\.\.4, got the rows m = 0, 1,"):
+        build("old.cfg", ["problem.ua_file = psi.csv"])
 
 
 def test_preset_overrides(tmp_path):
@@ -234,16 +242,27 @@ def test_run_command_sec5(sec5_config, tmp_path):
 
 
 def test_run_command_dumps_fields(tmp_path):
+    # the state has the rows m = 0..nt, the unknowns the rows m = 1..nt
     cfg = write_config(tmp_path / "c.cfg", [
         "problem.preset = unconstrained_decay",
+        "problem.boundary_control = true",
         f"run.output_dir = {tmp_path / 'out'}",
         "run.dump_fields = true",
     ])
     assert main(["run", "--config", cfg]) == 0
     mesh = build_mesh(5, 5, 4, 1.0, 1.0, 1.0)
-    for name in ("y_final", "u_final", "mu_final", "p_final"):
-        f = load_time_field(tmp_path / "out" / f"{name}.csv", mesh)
+    out = tmp_path / "out"
+    for name, kind in (("y_final", TimeField), ("u_final", IntervalField),
+                       ("mu_final", IntervalField), ("p_final", IntervalField)):
+        rows = [line.split(",")[0] for line in (out / f"{name}.csv").read_text().splitlines()]
+        first = 0 if kind is TimeField else 1
+        assert rows[1:] == [str(m) for m in range(first, mesh.nt + 1)], name
+        f = load_time_field(out / f"{name}.csv", kind, mesh)
         assert np.all(np.isfinite(f.values))
+    rows = [line.split(",")[0] for line in (out / "v_final.csv").read_text().splitlines()]
+    assert rows[1:] == [str(m) for m in range(1, mesh.nt + 1)]
+    v = load_boundary_field(out / "v_final.csv", mesh)
+    assert v.values.shape == BoundaryTimeField.shape(mesh) and np.all(np.isfinite(v.values))
 
 
 def test_run_command_unconstrained_one_iteration(tmp_path):

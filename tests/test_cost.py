@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from almpde import cost, operators
-from almpde.grid import build_mesh, TimeField, BoundaryTimeField, ControlBounds
+from almpde.grid import build_mesh, TimeField, IntervalField, BoundaryTimeField, ControlBounds
 from almpde.operators import DiffusionCoefficients
 from almpde.solvers import solve_forward
 from almpde.alm import AlmConfig, alm_run
@@ -26,26 +26,26 @@ def make_spec(mesh, psi_level=1.0, alpha=1.0, beta=1.0, y_d=None, boundary=False
 def test_cost_zero_at_target(unit_mesh):
     spec = make_spec(unit_mesh)
     y = TimeField.zeros(unit_mesh)
-    assert cost_J(spec, y, TimeField.zeros(unit_mesh)) == 0.0
+    assert cost_J(spec, y, IntervalField.zeros(unit_mesh)) == 0.0
 
 
 def test_cost_terminal_mismatch(unit_mesh):
     spec = make_spec(unit_mesh)
     y = TimeField.constant(unit_mesh, 1.0)  # y(T) - y_d = 1 on the unit square
-    assert cost_J(spec, y, TimeField.zeros(unit_mesh)) == pytest.approx(0.5, rel=1e-13)
+    assert cost_J(spec, y, IntervalField.zeros(unit_mesh)) == pytest.approx(0.5, rel=1e-13)
 
 
 def test_cost_control_term(unit_mesh):
     spec = make_spec(unit_mesh, alpha=1.0)
     y = TimeField.zeros(unit_mesh)
-    assert cost_J(spec, y, TimeField.constant(unit_mesh, 1.0)) == pytest.approx(0.5, rel=1e-13)
+    assert cost_J(spec, y, IntervalField.constant(unit_mesh, 1.0)) == pytest.approx(0.5, rel=1e-13)
 
 
 def test_cost_boundary_term(unit_mesh):
     spec = make_spec(unit_mesh, beta=2.0, boundary=True)
     v = BoundaryTimeField.constant(unit_mesh, 1.0)
     # (beta/2) * perimeter * T = 1 * 4
-    assert cost_J(spec, TimeField.zeros(unit_mesh), TimeField.zeros(unit_mesh), v) \
+    assert cost_J(spec, TimeField.zeros(unit_mesh), IntervalField.zeros(unit_mesh), v) \
         == pytest.approx(4.0, rel=1e-13)
 
 
@@ -61,9 +61,9 @@ def l_rho(spec, y, u, mu, rho):
 def test_penalty_vanishes_when_feasible(unit_mesh):
     spec = make_spec(unit_mesh, psi_level=0.5)
     y = TimeField.constant(unit_mesh, -1.0)
-    u = TimeField.constant(unit_mesh, 0.3)
+    u = IntervalField.constant(unit_mesh, 0.3)
     J = cost_J(spec, y, u)
-    L = l_rho(spec, y, u, TimeField.zeros(unit_mesh), 3.0)
+    L = l_rho(spec, y, u, IntervalField.zeros(unit_mesh), 3.0)
     assert L == pytest.approx(J, rel=1e-13)
 
 
@@ -71,9 +71,9 @@ def test_penalty_hand_value_violation(unit_mesh):
     # y - psi = 0.5, mu = 0, rho = 2: penalty (1/4) * (2*0.5)^2 = 0.25
     spec = make_spec(unit_mesh, psi_level=0.0)
     y = TimeField.constant(unit_mesh, 0.5)
-    u = TimeField.zeros(unit_mesh)
+    u = IntervalField.zeros(unit_mesh)
     J = cost_J(spec, y, u)
-    L = l_rho(spec, y, u, TimeField.zeros(unit_mesh), 2.0)
+    L = l_rho(spec, y, u, IntervalField.zeros(unit_mesh), 2.0)
     assert L - J == pytest.approx(0.25, rel=1e-12)
 
 
@@ -81,17 +81,17 @@ def test_penalty_hand_value_with_multiplier(unit_mesh):
     # y - psi = -1, mu = 10, rho = 2: (1/4)(8^2 - 10^2) = -9
     spec = make_spec(unit_mesh, psi_level=0.0)
     y = TimeField.constant(unit_mesh, -1.0)
-    u = TimeField.zeros(unit_mesh)
+    u = IntervalField.zeros(unit_mesh)
     J = cost_J(spec, y, u)
-    L = l_rho(spec, y, u, TimeField.constant(unit_mesh, 10.0), 2.0)
+    L = l_rho(spec, y, u, IntervalField.constant(unit_mesh, 10.0), 2.0)
     assert L - J == pytest.approx(-9.0, rel=1e-12)
 
 
 def test_penalty_monotone_in_rho(unit_mesh):
     rng = np.random.default_rng(0)
     spec = make_spec(unit_mesh, psi_level=0.0)
-    u = TimeField.zeros(unit_mesh)
-    mu0 = TimeField.zeros(unit_mesh)
+    u = IntervalField.zeros(unit_mesh)
+    mu0 = IntervalField.zeros(unit_mesh)
     for _ in range(20):
         y = TimeField(unit_mesh,
                       rng.standard_normal((unit_mesh.nt + 1, unit_mesh.ny, unit_mesh.nx)))
@@ -103,8 +103,8 @@ def test_penalty_monotone_in_rho(unit_mesh):
 def test_lagrangian_at_zero_multiplier_dominates_cost(unit_mesh):
     rng = np.random.default_rng(1)
     spec = make_spec(unit_mesh, psi_level=0.2)
-    u = TimeField.zeros(unit_mesh)
-    mu0 = TimeField.zeros(unit_mesh)
+    u = IntervalField.zeros(unit_mesh)
+    mu0 = IntervalField.zeros(unit_mesh)
     for _ in range(10):
         y = TimeField(unit_mesh,
                       rng.standard_normal((unit_mesh.nt + 1, unit_mesh.ny, unit_mesh.nx)))
@@ -121,7 +121,7 @@ def test_lagrangian_at_zero_multiplier_dominates_cost(unit_mesh):
 def test_multiplier_candidate_inactive(unit_mesh):
     psi = TimeField.constant(unit_mesh, 1.0)
     y = TimeField.constant(unit_mesh, -10.0)  # y <= psi - mu/rho
-    mu = TimeField.constant(unit_mesh, 2.0)
+    mu = IntervalField.constant(unit_mesh, 2.0)
     out = multiplier_candidate(y, psi, mu, 1.0)
     assert np.all(out.values == 0.0)
 
@@ -129,20 +129,18 @@ def test_multiplier_candidate_inactive(unit_mesh):
 def test_multiplier_candidate_hand_value(unit_mesh):
     psi = TimeField.zeros(unit_mesh)
     y = TimeField.constant(unit_mesh, -1.0)
-    mu = TimeField.constant(unit_mesh, 10.0)
+    mu = IntervalField.constant(unit_mesh, 10.0)
     out = multiplier_candidate(y, psi, mu, 2.0).values
-    assert np.all(out[1:] == 8.0)
-    # the initial slice is data and carries no multiplier
-    assert np.all(out[0] == 0.0)
+    assert out.shape == IntervalField.shape(unit_mesh) and np.all(out == 8.0)
 
 
 def test_multiplier_candidate_fixed_point_on_contact(unit_mesh):
     psi = TimeField.constant(unit_mesh, 0.7)
     y = TimeField.constant(unit_mesh, 0.7)
-    mu = TimeField.constant(unit_mesh, 10.0)
+    mu = IntervalField.constant(unit_mesh, 10.0)
     for rho in (0.1, 1.0, 50.0):
         out = multiplier_candidate(y, psi, mu, rho).values
-        assert np.all(out[1:] == 10.0) and np.all(out[0] == 0.0)
+        assert out.shape == IntervalField.shape(unit_mesh) and np.all(out == 10.0)
 
 
 def test_multiplier_candidate_nonnegative_random(unit_mesh):
@@ -151,13 +149,13 @@ def test_multiplier_candidate_nonnegative_random(unit_mesh):
     for _ in range(20):
         y = TimeField(unit_mesh, rng.standard_normal(shape))
         psi = TimeField(unit_mesh, rng.standard_normal(shape))
-        mu = TimeField(unit_mesh, np.abs(rng.standard_normal(shape)))
+        mu = IntervalField(unit_mesh, np.abs(rng.standard_normal(IntervalField.shape(unit_mesh))))
         out = multiplier_candidate(y, psi, mu, rng.uniform(0.1, 10))
         assert np.all(out.values >= 0.0)
 
 
-def _materialised(mesh, c):
-    return TimeField(mesh, np.full(TimeField.shape(mesh), c))
+def _materialised(mesh, c, kind=TimeField):
+    return kind(mesh, np.full(kind.shape(mesh), c))
 
 
 @pytest.mark.parametrize("rho", [1.0, 2.0 ** 20])
@@ -176,7 +174,7 @@ def test_constant_multiplier_candidate_has_the_materialised_bits(rho, mu_level):
         one_above = below.copy()
         one_above[3, 1, 2] = psi_level + 1e-9                  # one positive candidate
         initial_above = below.copy()
-        initial_above[0] = psi_level + 1.0                     # slice 0 carries none
+        initial_above[0] = psi_level + 1.0                     # y_0 carries none
         signed = below.copy()
         signed[1, :, :] = -0.0                                 # y - psi may be -0.0
         states = (below, touching, one_above, initial_above, signed,
@@ -184,18 +182,19 @@ def test_constant_multiplier_candidate_has_the_materialised_bits(rho, mu_level):
         for values in states:
             y = TimeField(mesh, values)
             full = multiplier_candidate(y, _materialised(mesh, psi_level),
-                                        _materialised(mesh, mu_level), rho).values
+                                        _materialised(mesh, mu_level, IntervalField), rho).values
             out = multiplier_candidate(y, TimeField.constant(mesh, psi_level),
-                                       TimeField.constant(mesh, mu_level), rho).values
+                                       IntervalField.constant(mesh, mu_level), rho).values
             assert out.tobytes() == full.tobytes()
             assert (not any(out.strides)) == (not (full > 0.0).any())
 
 
 def test_integrals_of_a_constant_zero_are_zero_with_the_materialised_bits(unit_mesh):
     rng = np.random.default_rng(3)
-    r = -np.abs(rng.standard_normal(TimeField.shape(unit_mesh)))
+    r = -np.abs(rng.standard_normal(IntervalField.shape(unit_mesh)))
     for c in (0.0, -0.0):
-        zero, full = TimeField.constant(unit_mesh, c).values, _materialised(unit_mesh, c).values
+        zero = IntervalField.constant(unit_mesh, c).values
+        full = _materialised(unit_mesh, c, IntervalField).values
         for a, b in ((zero, r), (r, zero), (zero, zero)):
             fa = full if a is zero else a
             fb = full if b is zero else b
@@ -214,13 +213,13 @@ def test_constant_obstacle_residuals_match_the_materialised_ones(unit_mesh):
         for values in (rng.standard_normal(shape), psi_level - np.abs(rng.standard_normal(shape)),
                        np.full(shape, -0.0)):
             y = TimeField(unit_mesh, values)
-            for mu_bar in (TimeField.zeros(unit_mesh), TimeField.constant(unit_mesh, 0.25),
-                           TimeField(unit_mesh, np.abs(values))):
+            for mu_bar in (IntervalField.zeros(unit_mesh), IntervalField.constant(unit_mesh, 0.25),
+                           IntervalField(unit_mesh, np.abs(values[1:]))):
                 got = (cost._feasibility(y, TimeField.constant(unit_mesh, psi_level)),
                        cost._complementarity(y, TimeField.constant(unit_mesh, psi_level), mu_bar))
                 want = (cost._feasibility(y, _materialised(unit_mesh, psi_level)),
                         cost._complementarity(y, _materialised(unit_mesh, psi_level),
-                                              TimeField(unit_mesh, mu_bar.values)))
+                                              IntervalField(unit_mesh, mu_bar.values)))
                 assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
@@ -230,25 +229,25 @@ def _feasibility_and_complementarity(y, psi_level, mu_bar):
     """The two summands of the residual index R, as `kkt_residuals` gives
     them, for a constant obstacle psi_level."""
     spec = make_spec(y.mesh, psi_level=psi_level)
-    zero = TimeField.zeros(y.mesh)
+    zero = IntervalField.zeros(y.mesh)
     res = kkt_residuals(spec, y, zero, None, zero, mu_bar)
     return res.feasibility, res.complementarity
 
 
 def test_residual_index_zero_when_feasible_and_complementary(unit_mesh):
     y = TimeField.constant(unit_mesh, 0.5)
-    assert _feasibility_and_complementarity(y, 1.0, TimeField.zeros(unit_mesh)) == (0.0, 0.0)
+    assert _feasibility_and_complementarity(y, 1.0, IntervalField.zeros(unit_mesh)) == (0.0, 0.0)
 
 
 def test_residual_index_sup_term(unit_mesh):
     y = TimeField.constant(unit_mesh, 0.1)
-    feas, compl = _feasibility_and_complementarity(y, 0.0, TimeField.zeros(unit_mesh))
+    feas, compl = _feasibility_and_complementarity(y, 0.0, IntervalField.zeros(unit_mesh))
     assert feas == pytest.approx(0.1, rel=1e-13) and compl == 0.0
 
 
 def test_residual_index_complementarity_term(unit_mesh):
     y = TimeField.constant(unit_mesh, -0.5)
-    mu_bar = TimeField.constant(unit_mesh, 2.0)
+    mu_bar = IntervalField.constant(unit_mesh, 2.0)
     feas, compl = _feasibility_and_complementarity(y, 0.0, mu_bar)
     assert feas == 0.0 and compl == pytest.approx(1.0, rel=1e-13)
 
@@ -256,7 +255,7 @@ def test_residual_index_complementarity_term(unit_mesh):
 def test_residual_uses_positive_part_of_violation(unit_mesh):
     # strictly feasible states contribute nothing to the sup term
     y = TimeField.constant(unit_mesh, -3.0)
-    assert _feasibility_and_complementarity(y, 1.0, TimeField.zeros(unit_mesh)) == (0.0, 0.0)
+    assert _feasibility_and_complementarity(y, 1.0, IntervalField.zeros(unit_mesh)) == (0.0, 0.0)
 
 
 # ----------------------------------------------------------- kkt residuals
@@ -264,10 +263,10 @@ def test_residual_uses_positive_part_of_violation(unit_mesh):
 def test_kkt_projection_fixed_point(unit_mesh):
     spec = make_spec(unit_mesh, psi_level=10.0, alpha=2.0)
     rng = np.random.default_rng(3)
-    p = TimeField(unit_mesh, rng.standard_normal((unit_mesh.nt + 1, unit_mesh.ny, unit_mesh.nx)))
-    u = TimeField(unit_mesh, np.clip(-p.values / spec.alpha, -1.0, 1.0))
+    p = IntervalField(unit_mesh, rng.standard_normal(IntervalField.shape(unit_mesh)))
+    u = IntervalField(unit_mesh, np.clip(-p.values / spec.alpha, -1.0, 1.0))
     y = TimeField.zeros(unit_mesh)
-    res = kkt_residuals(spec, y, u, None, p, TimeField.zeros(unit_mesh))
+    res = kkt_residuals(spec, y, u, None, p, IntervalField.zeros(unit_mesh))
     assert res.stationarity_u == 0.0
     assert res.stationarity_v == 0.0
     assert res.feasibility == 0.0
@@ -277,15 +276,16 @@ def test_kkt_projection_fixed_point(unit_mesh):
 def test_kkt_matches_bruteforce_recomputation(unit_mesh):
     rng = np.random.default_rng(4)
     spec = make_spec(unit_mesh, psi_level=0.3, alpha=1.7)
-    shape = (unit_mesh.nt + 1, unit_mesh.ny, unit_mesh.nx)
-    y = TimeField(unit_mesh, rng.standard_normal(shape))
-    u = TimeField(unit_mesh, rng.uniform(-1, 1, shape))
-    p = TimeField(unit_mesh, rng.standard_normal(shape))
-    mu_bar = TimeField(unit_mesh, np.abs(rng.standard_normal(shape)))
+    y = TimeField(unit_mesh, rng.standard_normal(TimeField.shape(unit_mesh)))
+    shape = IntervalField.shape(unit_mesh)
+    u = IntervalField(unit_mesh, rng.uniform(-1, 1, shape))
+    p = IntervalField(unit_mesh, rng.standard_normal(shape))
+    mu_bar = IntervalField(unit_mesh, np.abs(rng.standard_normal(shape)))
     res = kkt_residuals(spec, y, u, None, p, mu_bar)
 
     # independent recomputation with explicit node loops over the unknown
-    # slices m = 1..nt, right-endpoint rule in time
+    # slices m = 1..nt, right-endpoint rule in time; row k - 1 of an
+    # unknown is the slice m = k
     m = unit_mesh
     stat2 = 0.0
     compl2 = 0.0
@@ -294,9 +294,10 @@ def test_kkt_matches_bruteforce_recomputation(unit_mesh):
         for j in range(m.ny):
             for i in range(m.nx):
                 w = m.dt * m.w_space[j, i]
-                target = min(max(-p.values[k, j, i] / spec.alpha, -1.0), 1.0)
-                stat2 += w * (u.values[k, j, i] - target) ** 2
-                compl2 += w * mu_bar.values[k, j, i] * (spec.psi.values[k, j, i] - y.values[k, j, i])
+                target = min(max(-p.values[k - 1, j, i] / spec.alpha, -1.0), 1.0)
+                stat2 += w * (u.values[k - 1, j, i] - target) ** 2
+                compl2 += w * mu_bar.values[k - 1, j, i] * (spec.psi.values[k, j, i]
+                                                            - y.values[k, j, i])
                 feas2 = max(feas2, y.values[k, j, i] - spec.psi.values[k, j, i])
     assert res.stationarity_u == pytest.approx(np.sqrt(stat2), rel=1e-12)
     assert res.complementarity == pytest.approx(abs(compl2), rel=1e-12)
@@ -311,34 +312,33 @@ def test_kkt_boundary_stationarity_matches_bruteforce(unit_mesh):
                        TimeField.constant(m, 10.0), 1.0, 2.3,
                        ControlBounds.constant(m, -1.0, 1.0, va=-0.5, vb=0.5),
                        boundary_control_enabled=True)
-    shape = (m.nt + 1, m.ny, m.nx)
-    p = TimeField(m, rng.standard_normal(shape))
-    v = BoundaryTimeField(m, rng.uniform(-0.5, 0.5, (m.nt + 1, m.n_boundary)))
-    res = kkt_residuals(spec, TimeField.zeros(m), TimeField.zeros(m), v, p,
-                        TimeField.zeros(m))
+    p = IntervalField(m, rng.standard_normal(IntervalField.shape(m)))
+    v = BoundaryTimeField(m, rng.uniform(-0.5, 0.5, BoundaryTimeField.shape(m)))
+    res = kkt_residuals(spec, TimeField.zeros(m), IntervalField.zeros(m), v, p,
+                        IntervalField.zeros(m))
     stat2 = 0.0
     for k in range(1, m.nt + 1):
         for b in range(m.n_boundary):
-            pb = p.values[k, m.boundary_j[b], m.boundary_i[b]]
+            pb = p.values[k - 1, m.boundary_j[b], m.boundary_i[b]]
             target = min(max(-pb / spec.beta, -0.5), 0.5)
-            stat2 += m.dt * m.w_arc[b] * (v.values[k, b] - target) ** 2
+            stat2 += m.dt * m.w_arc[b] * (v.values[k - 1, b] - target) ** 2
     assert res.stationarity_v == pytest.approx(np.sqrt(stat2), rel=1e-12)
 
 
 def test_kkt_boundary_stationarity_zero_when_disabled(unit_mesh):
     # without boundary control there is no v, and no v-stationarity
     spec = make_spec(unit_mesh)
-    res = kkt_residuals(spec, TimeField.zeros(unit_mesh), TimeField.zeros(unit_mesh), None,
-                        TimeField.constant(unit_mesh, 5.0), TimeField.zeros(unit_mesh))
+    res = kkt_residuals(spec, TimeField.zeros(unit_mesh), IntervalField.zeros(unit_mesh), None,
+                        IntervalField.constant(unit_mesh, 5.0), IntervalField.zeros(unit_mesh))
     assert res.stationarity_v == 0.0
 
 
 def test_residual_zero_implies_kkt_zero_terms(unit_mesh):
     spec = make_spec(unit_mesh, psi_level=1.0)
     y = TimeField.constant(unit_mesh, 0.2)
-    mu_bar = TimeField.zeros(unit_mesh)
-    res = kkt_residuals(spec, y, TimeField.zeros(unit_mesh), None,
-                        TimeField.zeros(unit_mesh), mu_bar)
+    mu_bar = IntervalField.zeros(unit_mesh)
+    res = kkt_residuals(spec, y, IntervalField.zeros(unit_mesh), None,
+                        IntervalField.zeros(unit_mesh), mu_bar)
     assert res.feasibility == 0.0 and res.complementarity == 0.0
 
 
@@ -416,8 +416,8 @@ def test_given_state_and_candidate_give_the_same_values(sec5_spec, unit_mesh):
     # the loop hands over what it already has; the result must not depend
     # on whether the function computes it itself
     rng = np.random.default_rng(5)
-    u = TimeField(unit_mesh, rng.uniform(-1, 1, (unit_mesh.nt + 1, unit_mesh.ny, unit_mesh.nx)))
-    mu, rho = TimeField.constant(unit_mesh, 0.5), 3.0
+    u = IntervalField(unit_mesh, rng.uniform(-1, 1, IntervalField.shape(unit_mesh)))
+    mu, rho = IntervalField.constant(unit_mesh, 0.5), 3.0
     y = solve_forward(unit_mesh, sec5_spec.operator(), u, None, sec5_spec.y0)
     mu_bar = multiplier_candidate(y, sec5_spec.psi, mu, rho)
     assert (subproblem_objective(sec5_spec, rho, mu, u, y=y, mu_bar=mu_bar,
@@ -476,3 +476,13 @@ def test_free_decay_preset_assembles_once(unit_mesh, monkeypatch):
     spec = build_unconstrained_decay(unit_mesh)
     alm_run(spec, AlmConfig())
     assert len(calls) == 1
+
+
+def test_objective_without_a_state_reads_v_only_with_boundary_control(sec5_spec, unit_mesh):
+    # the paper preset has no boundary control: a v passed in is neither
+    # charged nor swept, so Phi is the same with or without it
+    u, mu = IntervalField.zeros(unit_mesh), IntervalField.zeros(unit_mesh)
+    v = BoundaryTimeField.constant(unit_mesh, 1.0)
+    without = subproblem_objective(sec5_spec, 1.0, mu, u)
+    assert without == pytest.approx(0.0661, abs=1e-4)
+    assert subproblem_objective(sec5_spec, 1.0, mu, u, v) == without

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from almpde.cost import inner
-from almpde.grid import (TimeField, BoundaryTimeField, ControlBounds,
+from almpde.grid import (TimeField, IntervalField, BoundaryTimeField, ControlBounds,
                          build_mesh, clamp, integrate_omega_t, operand,
                          extract_boundary,
                          dump_time_field, load_time_field,
@@ -153,10 +153,10 @@ def test_control_bounds_reject_inverted_intervals(unit_mesh):
         with pytest.raises(ValueError, match=match):
             ControlBounds.constant(unit_mesh, lo, hi, va, vb)
     # one node is enough
-    ub = np.ones(TimeField.shape(unit_mesh))
+    ub = np.ones(IntervalField.shape(unit_mesh))
     ub[2, 1, 3] = -2.0
     with pytest.raises(ValueError, match="ua > ub"):
-        ControlBounds(TimeField.constant(unit_mesh, -1.0), TimeField(unit_mesh, ub),
+        ControlBounds(IntervalField.constant(unit_mesh, -1.0), IntervalField(unit_mesh, ub),
                       BoundaryTimeField.constant(unit_mesh, -1.0),
                       BoundaryTimeField.constant(unit_mesh, 1.0))
 
@@ -187,7 +187,7 @@ def test_field_rejects_nonfinite(unit_mesh):
     vals[1, 1, 1] = np.nan
     with pytest.raises(ValueError, match="finite"):
         TimeField(unit_mesh, vals)
-    bvals = np.zeros((unit_mesh.nt + 1, unit_mesh.n_boundary))
+    bvals = np.zeros(BoundaryTimeField.shape(unit_mesh))
     bvals[0, 2] = np.inf
     with pytest.raises(ValueError, match="BoundaryTimeField values must be finite"):
         BoundaryTimeField(unit_mesh, bvals)
@@ -195,7 +195,8 @@ def test_field_rejects_nonfinite(unit_mesh):
 
 def test_control_bounds_validation(unit_mesh):
     with pytest.raises(ValueError, match="ua > ub"):
-        ControlBounds(TimeField.constant(unit_mesh, 1.0), TimeField.constant(unit_mesh, -1.0),
+        ControlBounds(IntervalField.constant(unit_mesh, 1.0),
+                      IntervalField.constant(unit_mesh, -1.0),
                       BoundaryTimeField.constant(unit_mesh, -1.0),
                       BoundaryTimeField.constant(unit_mesh, 1.0))
     # degenerate (pinned) intervals are allowed
@@ -203,32 +204,63 @@ def test_control_bounds_validation(unit_mesh):
 
 
 def test_extract_boundary(unit_mesh):
-    f = TimeField.from_function(unit_mesh, lambda x, y, t: x + 10 * y + 100 * t)
-    g = extract_boundary(f)
+    nodes = TimeField.from_function(unit_mesh, lambda x, y, t: x + 10 * y + 100 * t)
+    g = extract_boundary(IntervalField(unit_mesh, nodes.values[1:]))
+    assert isinstance(g, BoundaryTimeField)
     xb = unit_mesh.x[unit_mesh.boundary_i]
     yb = unit_mesh.y[unit_mesh.boundary_j]
-    for m in (0, unit_mesh.nt):
-        assert np.allclose(g.values[m], xb + 10 * yb + 100 * unit_mesh.t[m], atol=1e-15)
+    for m in (1, unit_mesh.nt):
+        assert np.allclose(g.values[m - 1], xb + 10 * yb + 100 * unit_mesh.t[m], atol=1e-15)
 
 
 # ---------------------------------------------------------------- field io
 
+def _rows(path):
+    """The row indices m and times t of a field dump."""
+    lines = path.read_text().splitlines()[1:]
+    return [int(ln.split(",")[0]) for ln in lines], [float(ln.split(",")[1]) for ln in lines]
+
+
 def test_time_field_csv_roundtrip(tmp_path, unit_mesh):
+    # a node field has the rows m = 0..nt, an unknown the rows m = 1..nt
     rng = np.random.default_rng(3)
-    f = TimeField(unit_mesh, rng.standard_normal((unit_mesh.nt + 1, unit_mesh.ny, unit_mesh.nx)))
-    path = tmp_path / "f.csv"
-    dump_time_field(f, "f", path)
-    g = load_time_field(path, unit_mesh)
-    assert np.array_equal(f.values, g.values)
+    nt = unit_mesh.nt
+    for kind, first in ((TimeField, 0), (IntervalField, 1)):
+        f = kind(unit_mesh, rng.standard_normal(kind.shape(unit_mesh)))
+        path = tmp_path / f"{kind.__name__}.csv"
+        dump_time_field(f, "f", path)
+        assert _rows(path) == (list(range(first, nt + 1)), list(unit_mesh.t[first:]))
+        g = load_time_field(path, kind, unit_mesh)
+        assert type(g) is kind and g.values.tobytes() == f.values.tobytes()
+
+
+def test_load_rejects_a_dump_of_the_other_kind(tmp_path, unit_mesh):
+    # e.g. a control bound file written with a row for m = 0
+    nt = unit_mesh.nt
+    for kind, other, rows in (
+            (IntervalField, TimeField, "m = 1..4, got the rows m = 0, 1, 2, 3, 4"),
+            (TimeField, IntervalField, "m = 0..4, got the rows m = 1, 2, 3, 4")):
+        path = tmp_path / f"{other.__name__}.csv"
+        dump_time_field(other.constant(unit_mesh, 0.5), "f", path)
+        with pytest.raises(ValueError, match=f"expected the rows {rows}"):
+            load_time_field(path, kind, unit_mesh)
+    # a boundary dump with a row for m = 0
+    path = tmp_path / "b.csv"
+    path.write_text(f"field,b,nb,{unit_mesh.n_boundary},nt,{nt}\n" + "".join(
+        f"{m},{unit_mesh.t[m]},{','.join(['0'] * unit_mesh.n_boundary)}\n"
+        for m in range(nt + 1)))
+    with pytest.raises(ValueError, match="expected the rows m = 1..4, got the rows m = 0, 1,"):
+        load_boundary_field(path, unit_mesh)
 
 
 def test_boundary_field_csv_roundtrip(tmp_path, unit_mesh):
     rng = np.random.default_rng(4)
-    f = BoundaryTimeField(unit_mesh, rng.standard_normal((unit_mesh.nt + 1, unit_mesh.n_boundary)))
+    f = BoundaryTimeField(unit_mesh, rng.standard_normal(BoundaryTimeField.shape(unit_mesh)))
     path = tmp_path / "b.csv"
     dump_boundary_field(f, "b", path)
+    assert _rows(path) == (list(range(1, unit_mesh.nt + 1)), list(unit_mesh.t[1:]))
     g = load_boundary_field(path, unit_mesh)
-    assert np.array_equal(f.values, g.values)
+    assert g.values.tobytes() == f.values.tobytes()
 
 
 def test_space_slice_csv_roundtrip(tmp_path, unit_mesh):
@@ -246,7 +278,7 @@ def test_load_rejects_wrong_dims(tmp_path, unit_mesh):
     dump_time_field(f, "f", path)
     other = build_mesh(5, 5, 3, 1, 1, 1)
     with pytest.raises(ValueError, match="do not match"):
-        load_time_field(path, other)
+        load_time_field(path, TimeField, other)
 
 
 def test_constructor_copies_and_wrap_freezes_in_place(unit_mesh):
@@ -257,7 +289,7 @@ def test_constructor_copies_and_wrap_freezes_in_place(unit_mesh):
     assert not np.shares_memory(f.values, vals) and vals.flags.writeable
     g = TimeField._wrap(unit_mesh, vals)
     assert g.values is vals and not vals.flags.writeable
-    bad = np.ones((unit_mesh.nt + 1, unit_mesh.n_boundary))
+    bad = np.ones(BoundaryTimeField.shape(unit_mesh))
     bad[1, 0] = np.inf
     with pytest.raises(ValueError, match="BoundaryTimeField values must be finite"):
         BoundaryTimeField._wrap(unit_mesh, bad)
@@ -329,7 +361,7 @@ def test_finite_field_whose_squares_overflow_is_accepted_without_a_warning(unit_
 
 # constants whose squares and sums round, so a change of summation order shows
 AWKWARD = (0.1, 1.0 / 3.0, -0.7, 10.0, 1e6, 0.0, -0.0)
-KINDS = (TimeField, BoundaryTimeField)
+KINDS = (TimeField, IntervalField, BoundaryTimeField)
 
 
 def _materialised(kind, mesh, c):
@@ -355,7 +387,7 @@ def test_constant_views_compute_like_materialised_arrays(dims):
     nx, ny, nt = dims
     mesh = build_mesh(nx, ny, nt, 1.0, 1.0, 1.0)
     rng = np.random.default_rng(nx * nt)
-    for kind, w in ((TimeField, mesh.w_space), (BoundaryTimeField, mesh.w_arc)):
+    for kind, w in ((IntervalField, mesh.w_space), (BoundaryTimeField, mesh.w_arc)):
         r = rng.standard_normal(kind.shape(mesh))
         for c in AWKWARD:
             view, full = kind.constant(mesh, c).values, _materialised(kind, mesh, c).values
@@ -418,12 +450,16 @@ def test_constant_field_copies_are_contiguous(unit_mesh):
 
 
 def test_constant_field_csv_roundtrip(tmp_path, unit_mesh):
+    def load_boundary(path, kind, mesh):
+        return load_boundary_field(path, mesh)
+
     for kind, dump, load in ((TimeField, dump_time_field, load_time_field),
-                             (BoundaryTimeField, dump_boundary_field, load_boundary_field)):
+                             (IntervalField, dump_time_field, load_time_field),
+                             (BoundaryTimeField, dump_boundary_field, load_boundary)):
         for c in AWKWARD:
             path = tmp_path / f"{kind.__name__}.csv"
             dump(kind.constant(unit_mesh, c), "c", path)
-            g = load(path, unit_mesh)
+            g = load(path, kind, unit_mesh)
             assert g.values.flags.c_contiguous
             assert g.values.tobytes() == np.full(kind.shape(unit_mesh), c).tobytes()
 

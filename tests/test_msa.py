@@ -4,8 +4,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from almpde.grid import (build_mesh, TimeField, BoundaryTimeField, ControlBounds, clamp,
-                         extract_boundary, space_slice_from_function)
+from almpde.grid import (build_mesh, TimeField, IntervalField, BoundaryTimeField, ControlBounds,
+                         clamp, extract_boundary, space_slice_from_function)
 from almpde import msa
 from almpde.msa import MsaConfig, MsaDivergenceError, MsaResult, msa_solve
 from almpde.alm import AlmConfig, alm_run
@@ -17,7 +17,7 @@ from almpde.presets import (build_unconstrained_decay, build_boundary_control_de
 
 
 def const(mesh, c):
-    return TimeField.constant(mesh, c)
+    return IntervalField.constant(mesh, c)
 
 
 def bconst(mesh, c):
@@ -27,9 +27,9 @@ def bconst(mesh, c):
 # -------------------------------------------------- the solver's full step
 
 def full_step(x, p, weight, lo, hi):
-    """The solver's damped step at theta = 1 on m = 1..nt: the pointwise
-    argmin clip(-p / weight, lo, hi) of the control Hamiltonian."""
-    return msa._damped_clamp(x, p.values / -weight, lo, hi, 1.0).values[1:]
+    """The solver's damped step at theta = 1: the pointwise argmin
+    clip(-p / weight, lo, hi) of the control Hamiltonian."""
+    return msa._damped_clamp(x, p.values / -weight, lo, hi, 1.0).values
 
 
 def test_argmin_u_values(unit_mesh):
@@ -63,9 +63,9 @@ def test_argmin_beats_random_perturbations(unit_mesh):
     # exact pointwise minimality of the full step over the admissible box,
     # for the control Hamiltonian alpha/2 u^2 + p u
     rng = np.random.default_rng(0)
-    shape = TimeField.shape(unit_mesh)
+    shape = IntervalField.shape(unit_mesh)
     for _ in range(5):
-        p = TimeField(unit_mesh, 3 * rng.standard_normal(shape))
+        p = IntervalField(unit_mesh, 3 * rng.standard_normal(shape))
         alpha = rng.uniform(0.2, 5.0)
         lo = rng.uniform(-2.0, -0.1)
         hi = rng.uniform(0.1, 2.0)
@@ -73,7 +73,7 @@ def test_argmin_beats_random_perturbations(unit_mesh):
         u_star = full_step(const(unit_mesh, 0.0), p, alpha, bounds.ua, bounds.ub)
 
         def hamiltonian(u):
-            return 0.5 * alpha * u * u + p.values[1:] * u
+            return 0.5 * alpha * u * u + p.values * u
 
         for _ in range(100):
             u_try = rng.uniform(lo, hi, u_star.shape)
@@ -83,14 +83,12 @@ def test_argmin_beats_random_perturbations(unit_mesh):
 # --------------------------------------------------------------- gradients
 
 def shifted(x):
-    """x moved by 1 on m = 1..nt; slice 0, which no step changes, kept."""
-    values = np.array(x.values)
-    values[1:] += 1.0
-    return type(x)(x.mesh, values)
+    """x moved by 1."""
+    return type(x)(x.mesh, x.values + 1.0)
 
 
 def test_grad_u_values(unit_mesh):
-    # the step products of s = 1 on m = 1..nt (|Omega| = T = 1): weight,
+    # the step products of s = 1 (|Omega| = T = 1): weight,
     # the Armijo slope <dt M (alpha u + p), s> = alpha u + p, and p
     w = unit_mesh.dt * unit_mesh.w_space
     for u, p, alpha, grad in ((0.0, 0.0, 1.0, 0.0), (1.0, 2.0, 1.0, 3.0),
@@ -112,18 +110,17 @@ def test_grad_v_values(unit_mesh):
 
 
 def test_stationarity_is_the_sup_of_the_absolute_residual(unit_mesh):
-    # max(max r, -min r) over m = 1..nt gives the bits of max |r|; slice 0
-    # does not count, and a zero sup is +0 also when every r is -0
+    # max(max r, -min r) gives the bits of max |r|, and a zero sup is +0
+    # also when every r is -0
     rng = np.random.default_rng(41)
-    shape = TimeField.shape(unit_mesh)
+    shape = IntervalField.shape(unit_mesh)
     lo, hi = const(unit_mesh, -0.5), const(unit_mesh, 0.5)
     for _ in range(20):
-        x = TimeField(unit_mesh, rng.uniform(-0.5, 0.5, shape))
+        x = IntervalField(unit_mesh, rng.uniform(-0.5, 0.5, shape))
         target = rng.standard_normal(shape)
-        target[0] = 1e3
-        reference = np.abs(x.values - np.clip(target, -0.5, 0.5))[1:].max()
+        reference = np.abs(x.values - np.clip(target, -0.5, 0.5)).max()
         assert msa._stationarity(x, target, lo, hi) == reference
-    gap = msa._stationarity(TimeField.zeros(unit_mesh), np.full(shape, -0.0), lo, hi)
+    gap = msa._stationarity(IntervalField.zeros(unit_mesh), np.full(shape, -0.0), lo, hi)
     assert gap == 0.0 and np.copysign(1.0, gap) == 1.0
 
 
@@ -135,19 +132,19 @@ def test_grad_u_matches_finite_differences(sec5_spec, unit_mesh):
     rng = np.random.default_rng(1)
     spec, mu, rho = sec5_spec, const(unit_mesh, 10.0), 1.0
     op = spec.operator()
-    shape = TimeField.shape(unit_mesh)
+    shape = IntervalField.shape(unit_mesh)
     h = 1e-3
     for _ in range(10):
-        u = TimeField(unit_mesh, rng.uniform(-1.0, 1.0, shape))
+        u = IntervalField(unit_mesh, rng.uniform(-1.0, 1.0, shape))
         s = rng.standard_normal(shape)
-        s[0] = 0.0
         y = solve_forward(unit_mesh, op, u, None, spec.y0)
         p = solve_adjoint(unit_mesh, op, multiplier_candidate(y, spec.psi, mu, rho),
                           y.values[-1] - spec.y_d)
-        _, slope, _ = msa._step_products(u, TimeField(unit_mesh, u.values + s),
+        _, slope, _ = msa._step_products(u, IntervalField(unit_mesh, u.values + s),
                                          op.load_mass, spec.alpha, p)
-        fd = (subproblem_objective(spec, rho, mu, TimeField(unit_mesh, u.values + h * s))
-              - subproblem_objective(spec, rho, mu, TimeField(unit_mesh, u.values - h * s))) / (2 * h)
+        fd = (subproblem_objective(spec, rho, mu, IntervalField(unit_mesh, u.values + h * s))
+              - subproblem_objective(spec, rho, mu, IntervalField(unit_mesh, u.values - h * s))
+              ) / (2 * h)
         assert abs(fd - slope) <= 1e-6 * max(abs(slope), 1.0)
 
 
@@ -185,7 +182,7 @@ def start_from(spec, u, v=None):
 def test_msa_inactive_obstacle_converges_immediately():
     mesh = build_mesh(5, 5, 4, 1.0, 1.0, 1.0)
     spec = build_unconstrained_decay(mesh)
-    res = msa_solve(spec, 1.0, TimeField.zeros(mesh))
+    res = msa_solve(spec, 1.0, IntervalField.zeros(mesh))
     # y_d is the free-decay terminal, so p = 0 and u = 0 is stationary: the
     # residual test passes before any update
     assert res.converged and res.inner_iters == 0 and res.final_gap == 0.0
@@ -198,27 +195,25 @@ def test_msa_fixed_point_init_terminates_one_iteration(monkeypatch):
     mesh = build_mesh(5, 5, 4, 1.0, 1.0, 1.0)
     spec = build_unconstrained_decay(mesh)
     calls = count_sweeps(monkeypatch)
-    res = msa_solve(spec, 1.0, TimeField.zeros(mesh))
+    res = msa_solve(spec, 1.0, IntervalField.zeros(mesh))
     assert res.converged and res.inner_iters == 0 and res.final_gap == 0.0
     assert [name for name, _, _ in calls] == ["forward", "adjoint"]
 
 
 def test_msa_converges_from_nonstationary_init():
     # on the shorter horizon the update map contracts (the space-time constant
-    # mode carries eigenvalue -T), so a start at u = 0.5 on m = 1..nt must
-    # converge to u = 0
+    # mode carries eigenvalue -T), so a start at u = 0.5 must converge to
+    # u = 0
     mesh = build_mesh(5, 5, 4, 1.0, 1.0, 0.5)
     spec = build_unconstrained_decay(mesh)
-    values = np.full(TimeField.shape(mesh), 0.5)
-    values[0] = 0.0
-    res = msa_solve(spec, 1.0, TimeField.zeros(mesh),
-                    warm=start_from(spec, TimeField(mesh, values)))
+    res = msa_solve(spec, 1.0, IntervalField.zeros(mesh),
+                    warm=start_from(spec, IntervalField.constant(mesh, 0.5)))
     assert res.converged
     assert np.abs(res.u.values).max() <= 1e-3
 
 
 def test_msa_result_consistency(sec5_spec, unit_mesh):
-    mu = TimeField.constant(unit_mesh, 10.0)
+    mu = IntervalField.constant(unit_mesh, 10.0)
     res = msa_solve(sec5_spec, 1.0, mu, config=MsaConfig(eps1=1e-6, max_inner=200))
     assert res.converged
     b = sec5_spec.bounds
@@ -232,7 +227,7 @@ def test_msa_nonconvergence_is_nonfatal(sec5_spec, unit_mesh):
     # at this penalty strength the solve needs about 13 updates to reach
     # eps1 = 1e-6; stopped at max_inner = 5 the result must still be finite,
     # in bounds, and flagged unconverged
-    mu = TimeField.constant(unit_mesh, 10.0)
+    mu = IntervalField.constant(unit_mesh, 10.0)
     res = msa_solve(sec5_spec, 8.0, mu, config=MsaConfig(eps1=1e-6, max_inner=5))
     assert not res.converged
     assert res.inner_iters == 5
@@ -246,7 +241,7 @@ def test_line_search_failure_is_nonfatal(sec5_spec, unit_mesh, monkeypatch):
     # started, unconverged, with the state of the controls it returns
     monkeypatch.setattr(msa, "subproblem_objective", lambda *args, **kwargs: 0.0)
     calls = count_sweeps(monkeypatch)
-    mu = TimeField.constant(unit_mesh, 10.0)
+    mu = IntervalField.constant(unit_mesh, 10.0)
     res = msa_solve(sec5_spec, 8.0, mu)
     trials = int(np.floor(np.log2(1.0 / msa.THETA_MIN))) + 1
     assert [name for name, _, _ in calls] == ["forward", "adjoint"] + ["forward"] * (trials + 1)
@@ -262,9 +257,9 @@ def test_msa_projected_gradient_mode(sec5_spec, unit_mesh, monkeypatch):
     # at rho = 8 the plain clamp two-cycles.  The loop starts from the clamp,
     # and every update it accepts (the trial followed by an adjoint sweep)
     # lowers the sub-problem objective: it is a descent method on Phi.
-    mu, rho = TimeField.constant(unit_mesh, 10.0), 8.0
+    mu, rho = IntervalField.constant(unit_mesh, 10.0), 8.0
     op = sec5_spec.operator()
-    y = solve_forward(unit_mesh, op, TimeField.zeros(unit_mesh), None, sec5_spec.y0)
+    y = solve_forward(unit_mesh, op, IntervalField.zeros(unit_mesh), None, sec5_spec.y0)
     p = solve_adjoint(unit_mesh, op, multiplier_candidate(y, sec5_spec.psi, mu, rho),
                       y.values[-1] - sec5_spec.y_d)
     calls = count_sweeps(monkeypatch)
@@ -275,7 +270,7 @@ def test_msa_projected_gradient_mode(sec5_spec, unit_mesh, monkeypatch):
     first_trial = calls[2][1].values
     bounds = sec5_spec.bounds
     clamp = np.clip(-p.values / sec5_spec.alpha, bounds.ua.values, bounds.ub.values)
-    assert np.all(first_trial[1:] == clamp[1:])
+    assert np.all(first_trial == clamp)
     accepted = [u for (name, u, _), (after, _, _) in zip(calls, calls[1:])
                 if name == "forward" and after == "adjoint"]
     assert len(accepted) == res.inner_iters + 1
@@ -294,12 +289,9 @@ def test_full_step_is_the_hamiltonian_clamp(monkeypatch):
     spec = ProblemSpec(mesh, demo.coeffs, demo.y0, demo.y_d, demo.psi,
                        alpha=0.7, beta=0.3, bounds=b, boundary_control_enabled=True)
     rng = np.random.default_rng(4)
-    # slice 0 at the projection of 0, as a cold start has it
-    u0 = rng.uniform(-0.08, 0.08, (mesh.nt + 1, mesh.ny, mesh.nx))
-    v0 = rng.uniform(-1.5, 1.5, (mesh.nt + 1, mesh.n_boundary))
-    u0[0], v0[0] = 0.0, 0.0
-    u0, v0 = TimeField(mesh, u0), BoundaryTimeField(mesh, v0)
-    mu, rho = TimeField.zeros(mesh), 1.0
+    u0 = IntervalField(mesh, rng.uniform(-0.08, 0.08, IntervalField.shape(mesh)))
+    v0 = BoundaryTimeField(mesh, rng.uniform(-1.5, 1.5, BoundaryTimeField.shape(mesh)))
+    mu, rho = IntervalField.zeros(mesh), 1.0
 
     op = spec.operator()
     y = solve_forward(mesh, op, u0, v0, spec.y0)
@@ -315,11 +307,8 @@ def test_full_step_is_the_hamiltonian_clamp(monkeypatch):
     # some nodes of each control are interior, so the test is not only of clip
     assert np.any((u_star > b.ua.values) & (u_star < b.ub.values))
     assert np.any((v_star > b.va.values) & (v_star < b.vb.values))
-    # the update covers the unknown slices m = 1..nt; slice 0 stays where
-    # it started
-    assert np.all(full_u.values[1:] == u_star[1:])
-    assert np.all(full_v.values[1:] == v_star[1:])
-    assert np.all(full_u.values[0] == 0.0) and np.all(full_v.values[0] == 0.0)
+    assert np.all(full_u.values == u_star)
+    assert np.all(full_v.values == v_star)
 
     # a shorter trial step is a projected-gradient step of length theta / alpha
     theta = 0.3
@@ -329,9 +318,9 @@ def test_full_step_is_the_hamiltonian_clamp(monkeypatch):
                    b.ua.values, b.ub.values)
     v_pg = np.clip(v0.values - (theta / spec.beta) * (spec.beta * v0.values + pb.values),
                    b.va.values, b.vb.values)
-    assert np.abs(damped_u.values[1:] - u_pg[1:]).max() <= 1e-14
-    assert np.abs(damped_v.values[1:] - v_pg[1:]).max() <= 1e-14
-    assert np.abs(damped_u.values[1:] - u_star[1:]).max() > 1e-3
+    assert np.abs(damped_u.values - u_pg).max() <= 1e-14
+    assert np.abs(damped_v.values - v_pg).max() <= 1e-14
+    assert np.abs(damped_u.values - u_star).max() > 1e-3
 
 
 def test_terminal_slice_penalty_lowers_the_terminal_violation():
@@ -347,7 +336,7 @@ def test_terminal_slice_penalty_lowers_the_terminal_violation():
                        bounds=ControlBounds.constant(mesh, -10.0, 10.0))
     violation = []
     for rho in (1.0, 4.0, 16.0):
-        res = msa_solve(spec, rho, TimeField.zeros(mesh), config=MsaConfig())
+        res = msa_solve(spec, rho, IntervalField.zeros(mesh), config=MsaConfig())
         assert res.converged
         violation.append(float(np.max(np.maximum(res.y.values[-1] - 0.3, 0.0))))
     assert violation[0] > violation[1] > violation[2]
@@ -364,7 +353,7 @@ def test_msa_solve_holds_no_extra_field_at_peak():
     mesh = build_mesh(65, 65, 64, 1.0, 1.0, 1.0)
     spec = build_paper_example_sec5(mesh)
     spec.operator()
-    mu = TimeField.constant(mesh, 10.0)
+    mu = IntervalField.constant(mesh, 10.0)
     msa_solve(spec, 1.0, mu, config=MsaConfig(max_inner=1))
     tracemalloc.start()
     try:
@@ -378,7 +367,7 @@ def test_msa_solve_holds_no_extra_field_at_peak():
 @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.2, 1.0), (-1.0, -0.3), (-0.0, 1.0),
                                     (-1.0, -0.0), (0.0, 0.0)])
 def test_cold_start_with_constant_bounds_is_the_constant_projection_of_zero(unit_mesh, lo, hi):
-    for kind in (TimeField, BoundaryTimeField):
+    for kind in (IntervalField, BoundaryTimeField):
         bounds = kind.constant(unit_mesh, lo), kind.constant(unit_mesh, hi)
         full = [kind(unit_mesh, b.values) for b in bounds]
         zeros = np.zeros(kind.shape(unit_mesh))
@@ -412,8 +401,8 @@ def test_slack_solve_holds_no_field_for_its_multiplier_or_cold_start():
 
     coeffs = DiffusionCoefficients(mesh, np.exp(0.5 * smooth()), np.exp(0.5 * smooth()))
     y0 = smooth()
-    y_d = solve_forward(mesh, coeffs.operator(), TimeField.zeros(mesh), None, y0).values[-1]
-    spec = ProblemSpec(mesh, coeffs, y0, y_d, const(mesh, 1e6), alpha=1.0, beta=1.0,
+    y_d = solve_forward(mesh, coeffs.operator(), IntervalField.zeros(mesh), None, y0).values[-1]
+    spec = ProblemSpec(mesh, coeffs, y0, y_d, TimeField.constant(mesh, 1e6), alpha=1.0, beta=1.0,
                        bounds=ControlBounds.constant(mesh, -1.0, 1.0))
     tracemalloc.start()
     try:
@@ -453,7 +442,7 @@ def test_final_evaluation_error_is_a_divergence(sec5_spec, unit_mesh, monkeypatc
 
     monkeypatch.setattr(msa, "solve_forward", failing_forward)
     with pytest.raises(MsaDivergenceError, match="iteration 2: bad sweep"):
-        msa_solve(sec5_spec, 1.0, TimeField.zeros(unit_mesh), config=MsaConfig(max_inner=1))
+        msa_solve(sec5_spec, 1.0, IntervalField.zeros(unit_mesh), config=MsaConfig(max_inner=1))
 
 
 def test_line_search_allows_for_the_rounding_of_phi(sec5_spec, unit_mesh):
@@ -461,7 +450,7 @@ def test_line_search_allows_for_the_rounding_of_phi(sec5_spec, unit_mesh):
     # the rounding of Phi; an Armijo test without an allowance for it
     # rejected good steps and cycled theta between about 1 and 1e-4 for all
     # 300 updates, ending unconverged at a gap of 1.2e-8
-    res = msa_solve(sec5_spec, 1.0, TimeField.zeros(unit_mesh),
+    res = msa_solve(sec5_spec, 1.0, IntervalField.zeros(unit_mesh),
                     config=MsaConfig(eps1=1e-9, max_inner=300))
     assert res.converged and res.final_gap <= 1e-9
     assert res.inner_iters <= 10
@@ -471,8 +460,8 @@ def test_warm_start_reuses_the_state_of_its_controls(sec5_spec, unit_mesh, monke
     # a warm start from an earlier result is bit for bit the start from its
     # controls with their state recomputed, and neither takes a forward
     # sweep before its first adjoint sweep
-    first = msa_solve(sec5_spec, 1.0, TimeField.constant(unit_mesh, 10.0))
-    mu = TimeField.constant(unit_mesh, 2.0)
+    first = msa_solve(sec5_spec, 1.0, IntervalField.constant(unit_mesh, 10.0))
+    mu = IntervalField.constant(unit_mesh, 2.0)
     given = start_from(sec5_spec, first.u, first.v)
     assert np.array_equal(given.y.values, first.y.values)
     calls = count_sweeps(monkeypatch)
@@ -496,9 +485,9 @@ def test_library_built_fields_are_read_only_and_own_their_values(sec5_spec, unit
     # restriction hand over arrays they built themselves, without a copy
     mesh, b = unit_mesh, sec5_spec.bounds
     op = sec5_spec.operator()
-    u = TimeField.constant(mesh, 0.5)
+    u = IntervalField.constant(mesh, 0.5)
     v = BoundaryTimeField.constant(mesh, 0.25)
-    mu = TimeField.constant(mesh, 3.0)
+    mu = IntervalField.constant(mesh, 3.0)
     y = solve_forward(mesh, op, u, v, sec5_spec.y0)
     terminal = y.values[-1] - sec5_spec.y_d
     p = solve_adjoint(mesh, op, mu, terminal)
@@ -530,4 +519,4 @@ def test_nonfinite_sweep_is_a_divergence(unit_mesh):
                        bounds=ControlBounds.constant(unit_mesh, huge, huge))
     with np.errstate(over="ignore"), pytest.raises(
             MsaDivergenceError, match="iteration 1: TimeField values must be finite"):
-        msa_solve(spec, 1.0, TimeField.zeros(unit_mesh))
+        msa_solve(spec, 1.0, IntervalField.zeros(unit_mesh))

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from almpde.grid import build_mesh, TimeField, ControlBounds, l2_norm_omega_t
+from almpde.grid import build_mesh, TimeField, IntervalField, ControlBounds
 from almpde.cost import ProblemSpec
 from almpde.oracles import (OracleReport, analytic_decay_oracle,
                             decay_refinement_oracle, adjoint_identity_check,
                             projected_gradient_oracle, argmin_bruteforce_check,
-                            run_checks, ORACLE_CHECKS)
+                            control_distance, run_checks, ORACLE_CHECKS)
 from almpde.presets import build_unconstrained_decay
 
 
@@ -56,22 +56,22 @@ def test_adjoint_identity_closed_form_control_term():
     mesh = build_mesh(5, 5, 4, 1.0, 1.0, 1.0)
     base = build_unconstrained_decay(mesh)
     rng = np.random.default_rng(0)
-    shape = (mesh.nt + 1, mesh.ny, mesh.nx)
-    u = TimeField(mesh, rng.uniform(-0.5, 0.5, shape))
+    shape = IntervalField.shape(mesh)
+    u = IntervalField(mesh, rng.uniform(-0.5, 0.5, shape))
     y_u = solve_forward(mesh, base.operator(), u, None, base.y0)
     spec = ProblemSpec(mesh, base.coeffs, base.y0, y_u.values[-1].copy(), base.psi,
                        alpha=1.3, beta=1.0, bounds=base.bounds)
-    du = TimeField(mesh, rng.uniform(-1, 1, shape))
-    mu = TimeField.zeros(mesh)
+    du = IntervalField(mesh, rng.uniform(-1, 1, shape))
+    mu = IntervalField.zeros(mesh)
     # every term is exactly quadratic, so central differences carry no
     # truncation error; a large step avoids roundoff amplification
     h = 1e-2
-    up = TimeField(mesh, u.values + h * du.values)
-    um = TimeField(mesh, u.values - h * du.values)
+    up = IntervalField(mesh, u.values + h * du.values)
+    um = IntervalField(mesh, u.values - h * du.values)
     fd = (subproblem_objective(spec, 1.0, mu, up)
           - subproblem_objective(spec, 1.0, mu, um)) / (2 * h)
     closed = spec.alpha * mesh.dt * sum(
-        np.sum(mesh.w_space * u.values[m] * du.values[m]) for m in range(1, mesh.nt + 1))
+        np.sum(mesh.w_space * u.values[m] * du.values[m]) for m in range(mesh.nt))
     assert abs(fd - closed) / max(abs(closed), 1e-12) <= 1e-10
 
 
@@ -99,9 +99,9 @@ def test_argmin_bruteforce():
 def test_projected_gradient_oracle_free_decay_gives_zero_control():
     mesh = build_mesh(5, 5, 4, 1.0, 1.0, 1.0)
     spec = build_unconstrained_decay(mesh)
-    u, v, cost = projected_gradient_oracle(spec, 1.0, TimeField.zeros(mesh),
+    u, v, cost = projected_gradient_oracle(spec, 1.0, IntervalField.zeros(mesh),
                                            iters=10000, lr=1e-3)
-    assert l2_norm_omega_t(u) <= 1e-3
+    assert control_distance(mesh, u, IntervalField.zeros(mesh)) <= 1e-3
 
 
 def test_projected_gradient_oracle_respects_pinned_bounds():
@@ -109,7 +109,7 @@ def test_projected_gradient_oracle_respects_pinned_bounds():
     base = build_unconstrained_decay(mesh)
     spec = ProblemSpec(mesh, base.coeffs, base.y0, base.y_d, base.psi, 1.0, 1.0,
                        ControlBounds.constant(mesh, 0.0, 0.0))
-    u, v, cost = projected_gradient_oracle(spec, 1.0, TimeField.zeros(mesh),
+    u, v, cost = projected_gradient_oracle(spec, 1.0, IntervalField.zeros(mesh),
                                            iters=100, lr=1e-3)
     assert np.all(u.values == 0.0)
 
@@ -118,7 +118,7 @@ def test_projected_gradient_oracle_grid_guard():
     mesh = build_mesh(17, 17, 4, 1.0, 1.0, 1.0)
     spec = build_unconstrained_decay(mesh)
     with pytest.raises(ValueError, match="restricted"):
-        projected_gradient_oracle(spec, 1.0, TimeField.zeros(mesh), iters=1)
+        projected_gradient_oracle(spec, 1.0, IntervalField.zeros(mesh), iters=1)
 
 
 def test_run_checks_selection_and_failure(monkeypatch):

@@ -33,8 +33,8 @@ def test_unconstrained_decay_target_matches_free_run(unit_mesh):
     # the target is the uncontrolled terminal state, so u = 0 is optimal and
     # the terminal mismatch at u = 0 vanishes
     from almpde.solvers import solve_forward
-    from almpde.grid import TimeField
-    y = solve_forward(unit_mesh, spec.operator(), TimeField.zeros(unit_mesh), None, spec.y0)
+    from almpde.grid import IntervalField
+    y = solve_forward(unit_mesh, spec.operator(), IntervalField.zeros(unit_mesh), None, spec.y0)
     assert np.abs(y.values[-1] - spec.y_d).max() <= 1e-12
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from almpde.grid import (build_mesh, TimeField, BoundaryTimeField,
+from almpde.grid import (build_mesh, TimeField, IntervalField, BoundaryTimeField,
                          space_slice_from_function, l2_norm_omega_t)
 from almpde.operators import DiffusionCoefficients, FluxStencil, assemble_operator
 from almpde.solvers import solve_forward, solve_adjoint, start_term
@@ -37,25 +37,29 @@ def test_constant_state_is_preserved(case):
     const = np.full(m.shape_space, 3.0)
     # a steady slice has an exactly zero defect, so both sweeps are exact
     for flux in (None, BoundaryTimeField.zeros(m)):
-        y = solve_forward(m, op, TimeField.zeros(m), flux, const)
+        y = solve_forward(m, op, IntervalField.zeros(m), flux, const)
         assert np.abs(y.values - 3.0).max() == 0.0
-    p = solve_adjoint(m, op, TimeField.zeros(m), const)
+    p = solve_adjoint(m, op, IntervalField.zeros(m), const)
     assert np.abs(p.values - 3.0).max() == 0.0
 
 
 def test_constant_source_ramps_exactly(unit_mesh):
     op = unit_op(unit_mesh)
-    y = solve_forward(unit_mesh, op, TimeField.constant(unit_mesh, 2.0), None,
+    y = solve_forward(unit_mesh, op, IntervalField.constant(unit_mesh, 2.0), None,
                       np.zeros(unit_mesh.shape_space))
     for m in range(unit_mesh.nt + 1):
         assert np.abs(y.values[m] - 2.0 * m * unit_mesh.dt).max() <= 1e-12
+    # a constant source is read as its one number, whatever its field's kind
+    y_nodes = solve_forward(unit_mesh, op, TimeField.constant(unit_mesh, 2.0), None,
+                            np.zeros(unit_mesh.shape_space))
+    assert y_nodes.values.tobytes() == y.values.tobytes()
 
 
 def test_cosine_decay_within_five_percent():
     m = build_mesh(33, 33, 64, 1.0, 1.0, 0.1)
     op = unit_op(m)
     y0 = space_slice_from_function(m, lambda x, y: np.cos(np.pi * x) + 0.0 * y)
-    y = solve_forward(m, op, TimeField.zeros(m), None, y0)
+    y = solve_forward(m, op, IntervalField.zeros(m), None, y0)
     exact = TimeField.from_function(
         m, lambda x, y_, t: np.exp(-np.pi ** 2 * t) * np.cos(np.pi * x) + 0.0 * y_)
     err = l2_norm_omega_t(TimeField(m, y.values - exact.values)) / l2_norm_omega_t(exact)
@@ -67,7 +71,7 @@ def test_cosine_decay_on_rectangle_with_anisotropy():
     m = build_mesh(33, 9, 64, 2.0, 1.0, 0.2)
     op = assemble_operator(DiffusionCoefficients(m, 2.0, 0.7))
     y0 = space_slice_from_function(m, lambda x, y: np.cos(np.pi * x / 2.0) + 0.0 * y)
-    y = solve_forward(m, op, TimeField.zeros(m), None, y0)
+    y = solve_forward(m, op, IntervalField.zeros(m), None, y0)
     rate = 2.0 * (np.pi / 2.0) ** 2
     exact = TimeField.from_function(
         m, lambda x, y_, t: np.exp(-rate * t) * np.cos(np.pi * x / 2.0) + 0.0 * y_)
@@ -80,7 +84,7 @@ def test_mean_conservation():
     m = build_mesh(17, 17, 20, 1.0, 1.0, 0.5)
     op = unit_op(m)
     y0 = rng.uniform(0.5, 2.0, m.shape_space)
-    y = solve_forward(m, op, TimeField.zeros(m), None, y0)
+    y = solve_forward(m, op, IntervalField.zeros(m), None, y0)
     masses = np.array([np.sum(m.w_space * y.values[k]) for k in range(m.nt + 1)])
     assert np.abs(masses - masses[0]).max() / abs(masses[0]) <= 1e-10
 
@@ -89,7 +93,7 @@ def test_discrete_maximum_principle():
     rng = np.random.default_rng(4)
     m = build_mesh(17, 17, 12, 1.0, 1.0, 0.2)
     op = unit_op(m)
-    y = solve_forward(m, op, TimeField.zeros(m), None,
+    y = solve_forward(m, op, IntervalField.zeros(m), None,
                       rng.uniform(-1.0, 1.0, m.shape_space))
     sups = [np.abs(y.values[k]).max() for k in range(m.nt + 1)]
     assert all(sups[k + 1] <= sups[k] + 1e-12 for k in range(m.nt))
@@ -100,7 +104,7 @@ def test_boundary_flux_mass_ramp(unit_mesh):
     # the discrete system
     op = unit_op(unit_mesh)
     v = BoundaryTimeField.constant(unit_mesh, 0.7)
-    y = solve_forward(unit_mesh, op, TimeField.zeros(unit_mesh), v,
+    y = solve_forward(unit_mesh, op, IntervalField.zeros(unit_mesh), v,
                       np.zeros(unit_mesh.shape_space))
     perim = 2 * (unit_mesh.lx + unit_mesh.ly)
     for m in range(unit_mesh.nt + 1):
@@ -111,32 +115,43 @@ def test_boundary_flux_mass_ramp(unit_mesh):
 def test_forward_shape_validation(unit_mesh):
     op = unit_op(unit_mesh)
     with pytest.raises(ValueError, match="initial slice"):
-        solve_forward(unit_mesh, op, TimeField.zeros(unit_mesh), None, np.zeros((3, 3)))
+        solve_forward(unit_mesh, op, IntervalField.zeros(unit_mesh), None, np.zeros((3, 3)))
 
 
 # ------------------------------------------------------------ adjoint solve
 
 def test_adjoint_zero_data(unit_mesh):
     op = unit_op(unit_mesh)
-    p = solve_adjoint(unit_mesh, op, TimeField.zeros(unit_mesh),
+    p = solve_adjoint(unit_mesh, op, IntervalField.zeros(unit_mesh),
                       np.zeros(unit_mesh.shape_space))
-    assert np.all(p.values == 0.0)
+    assert p.values.shape == IntervalField.shape(unit_mesh) and np.all(p.values == 0.0)
 
 
 def test_adjoint_constant_source_ramps_backward(unit_mesh):
     op = unit_op(unit_mesh)
-    p = solve_adjoint(unit_mesh, op, TimeField.constant(unit_mesh, 1.5),
+    p = solve_adjoint(unit_mesh, op, IntervalField.constant(unit_mesh, 1.5),
                       np.zeros(unit_mesh.shape_space))
-    # the terminal correction dt K^{-1} M mu_nt adds one step's source
-    for m in range(unit_mesh.nt + 1):
-        assert np.abs(p.values[m] - 1.5 * (unit_mesh.nt - m + 1) * unit_mesh.dt).max() <= 1e-12
+    # the terminal correction dt K^{-1} M mu_nt adds one step's source; the
+    # sweep stops at p_1, in row 0
+    for m in range(1, unit_mesh.nt + 1):
+        assert np.abs(p.values[m - 1] - 1.5 * (unit_mesh.nt - m + 1) * unit_mesh.dt).max() <= 1e-12
+
+
+def test_one_step_adjoint_is_its_corrected_terminal_slice():
+    # with nt = 1 the sweep has no step, only the terminal slice p_1
+    m = build_mesh(5, 5, 1, 1.0, 1.0, 0.25)
+    op = unit_op(m)
+    terminal = np.full(m.shape_space, 0.5)
+    p = solve_adjoint(m, op, IntervalField.constant(m, 2.0), terminal)
+    assert p.values.shape == (1, 5, 5)
+    assert np.abs(p.values[0] - (0.5 + 2.0 * m.dt)).max() <= 1e-14
 
 
 def test_adjoint_terminal_assignment(unit_mesh):
     op = unit_op(unit_mesh)
     rng = np.random.default_rng(5)
     terminal = rng.standard_normal(unit_mesh.shape_space)
-    p = solve_adjoint(unit_mesh, op, TimeField.zeros(unit_mesh), terminal)
+    p = solve_adjoint(unit_mesh, op, IntervalField.zeros(unit_mesh), terminal)
     assert np.array_equal(p.values[-1], terminal)
 
 
@@ -147,15 +162,14 @@ def test_discrete_adjoint_transpose_identity():
     rng = np.random.default_rng(7)
     m = build_mesh(7, 6, 5, 1.3, 0.9, 0.7)
     op = assemble_operator(DiffusionCoefficients(m, 1.5, 0.8))
-    du = TimeField(m, rng.standard_normal((m.nt + 1, m.ny, m.nx)))
-    w = TimeField(m, rng.standard_normal((m.nt + 1, m.ny, m.nx)))
+    du = IntervalField(m, rng.standard_normal(IntervalField.shape(m)))
+    w = IntervalField(m, rng.standard_normal(IntervalField.shape(m)))
     terminal = rng.standard_normal(m.shape_space)
     dy = solve_forward(m, op, du, None, np.zeros(m.shape_space))
     q = solve_adjoint(m, op, w, terminal)
-    lhs = m.dt * sum(np.sum(m.w_space * q.values[k] * du.values[k])
-                     for k in range(1, m.nt + 1))
-    rhs = m.dt * sum(np.sum(m.w_space * w.values[k] * dy.values[k])
-                     for k in range(1, m.nt + 1))
+    # row k of an unknown is the slice m = k + 1
+    lhs = m.dt * sum(np.sum(m.w_space * q.values[k] * du.values[k]) for k in range(m.nt))
+    rhs = m.dt * sum(np.sum(m.w_space * w.values[k] * dy.values[k + 1]) for k in range(m.nt))
     rhs += np.sum(terminal * (m.w_space * dy.values[-1] + m.dt * apply_a(op, dy.values[-1])))
     assert abs(lhs - rhs) / max(abs(lhs), 1e-30) <= 1e-8
 
@@ -166,7 +180,7 @@ def test_grid_convergence_of_decay_error():
         m = build_mesh(nx, nx, nt, 1.0, 1.0, 0.1)
         op = unit_op(m)
         y0 = space_slice_from_function(m, lambda x, y: np.cos(np.pi * x) + 0.0 * y)
-        y = solve_forward(m, op, TimeField.zeros(m), None, y0)
+        y = solve_forward(m, op, IntervalField.zeros(m), None, y0)
         exact = TimeField.from_function(
             m, lambda x, y_, t: np.exp(-np.pi ** 2 * t) * np.cos(np.pi * x) + 0.0 * y_)
         errs.append(l2_norm_omega_t(TimeField(m, y.values - exact.values))
@@ -193,14 +207,15 @@ def test_factored_steps_match_dense_solve():
     def rel_err(x, ref):
         return np.abs(x.ravel() - ref).max() / np.abs(ref).max()
 
-    u = TimeField(m, rng.standard_normal((m.nt + 1, m.ny, m.nx)))
+    # row k - 1 of an unknown is the slice m = k
+    u = IntervalField(m, rng.standard_normal(IntervalField.shape(m)))
     y = solve_forward(m, op, u, None, rng.standard_normal(m.shape_space))
     for k in range(1, m.nt + 1):
-        assert rel_err(y.values[k], dense_step(y.values[k - 1], u.values[k])) <= 1e-12
+        assert rel_err(y.values[k], dense_step(y.values[k - 1], u.values[k - 1])) <= 1e-12
 
-    mu = TimeField(m, rng.standard_normal((m.nt + 1, m.ny, m.nx)))
+    mu = IntervalField(m, rng.standard_normal(IntervalField.shape(m)))
     p = solve_adjoint(m, op, mu, rng.standard_normal(m.shape_space))
-    for k in range(m.nt):
+    for k in range(m.nt - 1):
         assert rel_err(p.values[k], dense_step(p.values[k + 1], mu.values[k])) <= 1e-12
 
 
@@ -227,22 +242,22 @@ def test_long_sweeps_match_dense_solve(nx, nt, data):
     K = np.diag(m.w_space.ravel()) + m.dt * op.csr.toarray()
     mass = m.w_space.ravel()
     if data == "rough":
-        field, slice_ = (lambda: rng.standard_normal((nt + 1,) + m.shape_space),
+        field, slice_ = (lambda: rng.standard_normal((nt,) + m.shape_space),
                          lambda: rng.standard_normal(m.shape_space))
     else:
-        field, slice_ = lambda: _smooth_field(m, rng, nt + 1), lambda: _smooth_field(m, rng)
+        field, slice_ = lambda: _smooth_field(m, rng, nt), lambda: _smooth_field(m, rng)
 
     def max_err(x, prev, sources):
         ref = np.linalg.solve(K, (mass * (prev + m.dt * sources)).T).T
         return np.abs(x - ref).max() / np.abs(x).max()
 
-    u = TimeField(m, field())
+    u = IntervalField(m, field())
     y = solve_forward(m, op, u, None, slice_()).values.reshape(nt + 1, -1)
-    assert max_err(y[1:], y[:-1], u.values.reshape(nt + 1, -1)[1:]) <= 1e-13
+    assert max_err(y[1:], y[:-1], u.values.reshape(nt, -1)) <= 1e-13
 
-    mu = TimeField(m, field())
-    p = solve_adjoint(m, op, mu, slice_()).values.reshape(nt + 1, -1)
-    assert max_err(p[:-1], p[1:], mu.values.reshape(nt + 1, -1)[:-1]) <= 1e-13
+    mu = IntervalField(m, field())
+    p = solve_adjoint(m, op, mu, slice_()).values.reshape(nt, -1)
+    assert max_err(p[:-1], p[1:], mu.values.reshape(nt, -1)[:-1]) <= 1e-13
 
 
 def test_each_sweep_applies_the_stencil_once(monkeypatch):
@@ -259,11 +274,11 @@ def test_each_sweep_applies_the_stencil_once(monkeypatch):
         return apply(self, x, out)
 
     monkeypatch.setattr(FluxStencil, "apply", counted)
-    shape = (m.nt + 1,) + m.shape_space
-    u = TimeField(m, rng.standard_normal(shape))
+    shape = IntervalField.shape(m)
+    u = IntervalField(m, rng.standard_normal(shape))
     y0 = rng.standard_normal(m.shape_space)
     a_y0 = start_term(op, y0)
-    for flux in (None, BoundaryTimeField(m, rng.standard_normal((m.nt + 1, m.n_boundary)))):
+    for flux in (None, BoundaryTimeField(m, rng.standard_normal(BoundaryTimeField.shape(m)))):
         calls.clear()
         solve_forward(m, op, u, flux, y0)
         assert len(calls) == 1
@@ -271,7 +286,7 @@ def test_each_sweep_applies_the_stencil_once(monkeypatch):
         calls.clear()
         solve_forward(m, op, u, flux, y0, a_y0)
         assert calls == []
-    mu = TimeField(m, rng.uniform(0.5, 1.0, shape))
+    mu = IntervalField(m, rng.uniform(0.5, 1.0, shape))
     assert np.all(mu.values[-1] != 0.0)
     calls.clear()
     solve_adjoint(m, op, mu, rng.standard_normal(m.shape_space))
@@ -285,14 +300,14 @@ def test_forward_sweep_with_start_term_is_bit_identical(case):
     op = CONSTANT_STATE_CASES[case]()
     m = op.mesh
     rng = np.random.default_rng(29)
-    u = TimeField(m, rng.standard_normal((m.nt + 1,) + m.shape_space))
+    u = IntervalField(m, rng.standard_normal(IntervalField.shape(m)))
     y0 = rng.standard_normal(m.shape_space)
     a_y0 = start_term(op, y0)
     assert a_y0.shape == (m.nx * m.ny,)
     # the stencil's conductances are scaled by dt before the differences
     reference = m.dt * apply_a(op, y0).ravel()
     assert np.abs(a_y0 - reference).max() <= 1e-14 * np.abs(reference).max()
-    for flux in (None, BoundaryTimeField(m, rng.standard_normal((m.nt + 1, m.n_boundary)))):
+    for flux in (None, BoundaryTimeField(m, rng.standard_normal(BoundaryTimeField.shape(m)))):
         plain = solve_forward(m, op, u, flux, y0)
         assert np.array_equal(solve_forward(m, op, u, flux, y0, a_y0).values, plain.values)
 
@@ -302,9 +317,9 @@ def test_sweeps_reject_operator_of_another_mesh(unit_mesh):
     op = unit_op(other)
     zeros = np.zeros(unit_mesh.shape_space)
     with pytest.raises(ValueError, match="different mesh"):
-        solve_forward(unit_mesh, op, TimeField.zeros(unit_mesh), None, zeros)
+        solve_forward(unit_mesh, op, IntervalField.zeros(unit_mesh), None, zeros)
     with pytest.raises(ValueError, match="different mesh"):
-        solve_adjoint(unit_mesh, op, TimeField.zeros(unit_mesh), zeros)
+        solve_adjoint(unit_mesh, op, IntervalField.zeros(unit_mesh), zeros)
 
 
 def test_cached_step_buffers_carry_no_state():
@@ -313,13 +328,14 @@ def test_cached_step_buffers_carry_no_state():
     rng = np.random.default_rng(17)
     m = build_mesh(7, 4, 5, 1.3, 0.7, 0.9)
     op = varcoef_op(m, 19)
-    u = TimeField(m, rng.standard_normal((m.nt + 1, m.ny, m.nx)))
+    shape = IntervalField.shape(m)
+    u = IntervalField(m, rng.standard_normal(shape))
     y0 = rng.standard_normal(m.shape_space)
     first = solve_forward(m, op, u, None, y0)
-    solve_adjoint(m, op, TimeField(m, 1e3 * rng.standard_normal((m.nt + 1, m.ny, m.nx))),
+    solve_adjoint(m, op, IntervalField(m, 1e3 * rng.standard_normal(shape)),
                   1e3 * rng.standard_normal(m.shape_space))
-    solve_forward(m, op, TimeField(m, 1e3 * rng.standard_normal((m.nt + 1, m.ny, m.nx))),
-                  BoundaryTimeField(m, 1e3 * rng.standard_normal((m.nt + 1, m.n_boundary))),
+    solve_forward(m, op, IntervalField(m, 1e3 * rng.standard_normal(shape)),
+                  BoundaryTimeField(m, 1e3 * rng.standard_normal(BoundaryTimeField.shape(m))),
                   1e3 * rng.standard_normal(m.shape_space))
     again = solve_forward(m, op, u, None, y0)
     fresh = solve_forward(m, varcoef_op(m, 19), u, None, y0)

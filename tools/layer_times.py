@@ -122,7 +122,8 @@ def measure(n, nt, repeat):
     import numpy as np
     from almpde.cost import (ProblemSpec, kkt_residuals, multiplier_candidate,
                              multiplier_square, subproblem_objective)
-    from almpde.grid import BoundaryTimeField, ControlBounds, TimeField, build_mesh
+    from almpde.grid import (BoundaryTimeField, ControlBounds, IntervalField, TimeField,
+                             build_mesh)
     from almpde.lapack import address, pbtrs
     from almpde.msa import MsaConfig, msa_solve
     from almpde.operators import DiffusionCoefficients, assemble_operator
@@ -132,14 +133,14 @@ def measure(n, nt, repeat):
     mesh = build_mesh(n, n, nt, 1.0, 1.0, 0.5)
     coeffs = DiffusionCoefficients(mesh, rng.uniform(0.5, 2.0, mesh.shape_space),
                                    rng.uniform(0.5, 2.0, mesh.shape_space))
-    shape = (nt + 1,) + mesh.shape_space
-    u = TimeField(mesh, rng.standard_normal(shape))
-    mu = TimeField(mesh, rng.uniform(0.0, 1.0, shape))
+    shape = IntervalField.shape(mesh)
+    u = IntervalField(mesh, rng.standard_normal(shape))
+    mu = IntervalField(mesh, rng.uniform(0.0, 1.0, shape))
     y0 = rng.standard_normal(mesh.shape_space)
     terminal = rng.standard_normal(mesh.shape_space)
     rhs = rng.standard_normal(mesh.ny * mesh.nx)
     buf = np.empty_like(rhs)
-    v = BoundaryTimeField(mesh, rng.standard_normal((nt + 1, mesh.n_boundary)))
+    v = BoundaryTimeField(mesh, rng.standard_normal(BoundaryTimeField.shape(mesh)))
 
     factor_s = float("inf")
     for _ in range(max(repeat, 3)):
