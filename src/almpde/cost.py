@@ -21,11 +21,12 @@ rather than penalized.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .grid import IntervalField, clamp, extract_boundary, is_zero, operand
-from .solvers import solve_forward
+from .solvers import solve_forward, start_term
 
 try:
     # einsum's C entry point: numpy's wrapper instead raised paper_sec5's
@@ -55,8 +56,8 @@ class ProblemSpec:
 
     y0 and y_d are held as read-only copies of the slices given: a later
     change to the caller's arrays can neither change the problem nor get
-    round the check of y0 against psi(., 0), and the inner solver may keep
-    dt A y0 for as long as it solves the problem.  The coefficients, psi and
+    round the check of y0 against psi(., 0), and `a_y0`, dt A y0, is taken
+    once per problem.  The coefficients, psi and
     both pairs of bounds must live on the problem's mesh (`Mesh.compatible`),
     so that a mismatch fails here, not in the first sweep.  `controls` holds
     a `Control` per control, u first, then v only with boundary control.
@@ -105,6 +106,13 @@ class ProblemSpec:
         """The operator of the coefficients (`DiffusionCoefficients.operator`):
         problems built on one coefficients object share it and its factor."""
         return self.coeffs.operator()
+
+    @cached_property
+    def a_y0(self):
+        """dt A y0 (`solvers.start_term`), taken at the first read and kept,
+        as the operator keeps its factor: every forward sweep of every inner
+        solve of the problem starts from y0."""
+        return start_term(self.operator(), self.y0)
 
 
 def _dot(a, b):

@@ -48,12 +48,15 @@ field under constant bounds), or warm, from the controls and state y of an
 MsaResult, which costs no forward sweep; the outer loop starts every
 sub-problem but the first from the last result.
 
-Each quantity is computed once: each control's restriction of p and target
--p/a once per adjoint; a trial's three step products as BLAS dots with one
-dt-weighted step; integral mu^2 and dt A y0 (`start_term`) once per
-sub-problem; dt A e of the terminal mismatch e once per state, by the
-objective, for the adjoint sweep from e.  Phi takes the state and
-multiplier candidate the loop already has, so it costs no sweep.
+Each quantity is computed once: each control's restriction of p once per
+adjoint, and its target -p/a too, formed again only where a residual or a
+rejected trial has overwritten it (`_Part`); a trial's dt-weighted step
+w s once, which gives its three step products as BLAS dots and, when the
+trial is accepted, the new adjoint's <w s, p>; integral mu^2 once per
+sub-problem and dt A y0 once per problem (`ProblemSpec.a_y0`); dt A e of
+the terminal mismatch e once per state, by the objective, for the adjoint
+sweep from e.  Phi takes the state and multiplier candidate the loop
+already has, so it costs no sweep.
 """
 
 from dataclasses import dataclass, fields
@@ -63,7 +66,7 @@ import numpy as np
 from .grid import IntervalField, TimeField, BoundaryTimeField, clamp, is_zero, operand
 from .cost import (_dot, multiplier_candidate, multiplier_square, projection_residual,
                    subproblem_objective)
-from .solvers import solve_forward, solve_adjoint, start_term
+from .solvers import solve_forward, solve_adjoint
 
 
 class MsaDivergenceError(RuntimeError):
@@ -165,16 +168,17 @@ def _stationarity(x, target, lo, hi, scratch=None):
                    -float(np.minimum.reduce(r, axis=None))))
 
 
-def _step_products(x, x_new, weights, weight, p, scratch=None):
+def _step_products(x, x_new, weights, weight, p, scratch=None, out=None):
     """(weight <s, s>, <weight x + p, s>, <p, s>) for the step s = x_new - x,
     <,> the control's integral with the quadrature weights `weights`: the
     step's squared length in the scaled metric, the derivative of Phi along
     it, and the part of that derivative the next adjoint changes.  All three
     are BLAS dots (`cost._dot`) with one weighted step w s, s formed in
-    scratch when given.  For a constant zero x (a cold start) <w x, s> is
-    dropped: the dot would first copy x's zero-stride view."""
+    scratch and w s in out, arrays of x's shape, when given.  For a constant
+    zero x (a cold start) <w x, s> is dropped: the dot would first copy x's
+    zero-stride view."""
     s = np.subtract(x_new.values, x.values, out=scratch)
-    ws = s * weights
+    ws = np.multiply(s, weights, out=out)
     ss = _dot(ws, s)
     ps = _dot(ws, p.values)
     slope = ps if is_zero(x.values) else weight * _dot(ws, x.values) + ps
@@ -183,38 +187,57 @@ def _step_products(x, x_new, weights, weight, p, scratch=None):
 
 class _Part:
     """One control in one solve: its `cost.Control` fields, dt-weighted
-    weights `load`, value x, trial new, restricted adjoint p, and the arrays
-    `target` (-p / weight) and `scratch`, held for this call only: fresh
-    arrays raised boundary_fine's solve_ref 0.565 -> 0.604 (+7.1%, 536 ->
-    1,680 minor page faults per solve, BENCH_no_scipy.json)."""
+    weights `load`, value x, trial new, restricted adjoint p, and two work
+    arrays of x's shape, held for this call only: fresh arrays raised
+    boundary_fine's solve_ref 0.565 -> 0.604 (+7.1%, 536 -> 1,680 minor page
+    faults per solve, BENCH_no_scipy.json).
+
+    - `target` is allocated with the part.  Each stationarity test forms
+      -p / weight in it, and a trial's damped clamp reads it there.  A trial
+      then overwrites it with its weighted step w s, from which `accept`
+      takes the new p's <w s, p>.
+    - `scratch` is allocated at the part's first trial, and holds the
+      clamp's theta target and the step s.  A stationarity test before it
+      exists forms its residual in `target`'s own array, so a solve whose
+      start is stationary holds one work array per control.
+
+    `formed` tells whether `target` holds -p / weight; a trial re-forms it
+    from p when it does not (the first trial after a residual formed there,
+    or a retry after a rejected trial)."""
 
     __slots__ = ("lo", "hi", "weight", "restrict", "load", "x", "new", "p", "target",
-                 "scratch")
+                 "scratch", "formed")
 
     def __init__(self, control, x, dt):
         self.lo, self.hi, self.weight = control.lo, control.hi, control.weight
         self.restrict, self.load = control.restrict, dt * control.w
         self.x = _initial_control(self.lo, self.hi) if x is None else x
-        self.new = self.p = None
+        self.new = self.p = self.scratch = None
         self.target = np.empty(self.x.values.shape)
-        self.scratch = np.empty(self.x.values.shape)
+        self.formed = False
 
     def gap(self):
         """The stationarity residual of x; forms the trials' target."""
         np.divide(self.p.values, -self.weight, out=self.target)
-        return _stationarity(self.x, self.target, self.lo, self.hi, self.scratch)
+        self.formed = self.scratch is not None
+        return _stationarity(self.x, self.target, self.lo, self.hi,
+                             self.scratch if self.formed else self.target)
 
     def trial(self, theta):
         """The step products (`_step_products`) of the trial new at theta."""
+        if self.scratch is None:
+            self.scratch = np.empty(self.target.shape)
+        if not self.formed:
+            np.divide(self.p.values, -self.weight, out=self.target)
         self.new = _damped_clamp(self.x, self.target, self.lo, self.hi, theta, self.scratch)
-        return _step_products(self.x, self.new, self.load, self.weight, self.p, self.scratch)
+        self.formed = False
+        return _step_products(self.x, self.new, self.load, self.weight, self.p, self.scratch,
+                              self.target)
 
     def accept(self):
         """Make the trial current; returns the new p's <p, new - x>."""
-        ws = np.subtract(self.new.values, self.x.values, out=self.scratch)
-        ws *= self.load
         self.x, self.new = self.new, None
-        return _dot(ws, self.p.values)
+        return _dot(self.target, self.p.values)
 
 
 def msa_solve(spec, rho, mu, config=None, warm=None):
@@ -234,19 +257,15 @@ def msa_solve(spec, rho, mu, config=None, warm=None):
     y, start = (None, (None, None)) if warm is None else (warm.y, (warm.u, warm.v))
     parts = [_Part(c, x, mesh.dt) for c, x in zip(spec.controls, start)]
     values = [part.x for part in parts]
-    a_y0 = None
 
     def state(values, iteration, y=None):
         """(y, mu_bar, Phi, dt A e) at the controls' values, e the terminal
-        mismatch; y, when given, is their state.  The first forward sweep
-        takes dt A y0 (`start_term`), and the later ones reuse it."""
-        nonlocal a_y0
+        mismatch; y, when given, is their state.  The forward sweeps take
+        dt A y0 from the spec (`ProblemSpec.a_y0`)."""
         u, v = (*values, None)[:2]      # v is None without boundary control
         try:
             if y is None:
-                if a_y0 is None:
-                    a_y0 = start_term(op, spec.y0)
-                y = solve_forward(mesh, op, u, v, spec.y0, a_y0)
+                y = solve_forward(mesh, op, u, v, spec.y0, spec.a_y0)
             mu_bar = multiplier_candidate(y, spec.psi, mu, rho)
         except ValueError as exc:
             raise MsaDivergenceError(iteration, str(exc)) from exc

@@ -132,7 +132,7 @@ class DiscreteOperator:
 
     Built with the operator, from the edge conductances cx, cy: `stencil`,
     the dt-scaled FluxStencil, applied once per sweep to its starting slice
-    (or once per inner solve to y0, `solvers.start_term`); `load_mass`
+    (or once per problem to y0, `solvers.start_term`); `load_mass`
     (ny, nx) and `load_arc` (n_boundary,), dt M and dt W, the weights that
     turn a control into its load; and `flat_mass` (n,), M in node order,
     which each step multiplies the previous deviation from the starting

@@ -30,8 +30,9 @@ starting slice x_0 (y0 forward, the corrected p_nt backward):
 and returns x_m = x_0 + z_m.  dt A x_0 is the sweep's only stencil
 application, subtracted from all sources in one vectorised operation.  A
 forward sweep can be handed it precomputed (`start_term`): every forward
-sweep of an inner solve starts from the problem's y0, so `msa_solve` takes
-it once, with the same bits as a sweep that applies the stencil.  So can
+sweep of every inner solve starts from the problem's y0, so the problem
+takes it once (`cost.ProblemSpec.a_y0`), with the same bits as a sweep that
+applies the stencil.  So can
 an adjoint sweep whose p_nt is the terminal mismatch e itself (mu_nt = 0):
 the sub-problem objective has just taken dt A e.  Each step is then one
 diagonal multiply-add and one in-place solve with the operator's banded
@@ -74,9 +75,11 @@ def start_term(op, x0):
     sweep starting from x0 subtracts from its source (see `_march`).
 
     A caller that marches from one x0 again and again takes it once and
-    hands it to `solve_forward`; x0 must not change in between.  Applying
-    the stencil in every forward sweep instead raised paper_sec5's solve_ref
-    0.323 -> 0.332 (+2.9%, higher in 9 of 10 pairs, BENCH_ablation.json).
+    hands it to `solve_forward`; x0 must not change in between.  A problem
+    takes it once for all its sub-problems (`cost.ProblemSpec.a_y0`).
+    Applying the stencil in every forward sweep instead raised paper_sec5's
+    solve_ref 0.323 -> 0.332 (+2.9%, higher in 9 of 10 pairs,
+    BENCH_ablation.json).
     """
     x0 = np.ravel(x0)
     return op.stencil.apply(x0, np.empty(x0.size))

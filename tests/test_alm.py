@@ -374,9 +374,8 @@ def test_run_sweeps_once_per_update_and_reuses_the_warm_state(tmp_path, monkeypa
 
 
 def test_run_applies_the_stencil_once_per_sweep_and_objective(tmp_path, monkeypatch):
-    # dt A y0 is taken once per sub-problem that sweeps forward: 13 of the 14,
-    # since the second one starts stationary from the first one's state and
-    # takes no update.  The 67 sub-problem objectives take dt A of the
+    # dt A y0 is taken once per problem, by the spec, for all 14
+    # sub-problems.  The 67 sub-problem objectives take dt A of the
     # terminal mismatch once each.  45 of the 67 adjoint sweeps have
     # mu_nt = 0, start from that mismatch and take its dt A over; the other
     # 22 start from the corrected slice and apply the stencil to it
@@ -392,7 +391,7 @@ def test_run_applies_the_stencil_once_per_sweep_and_objective(tmp_path, monkeypa
     cfg.write_text("problem.preset = paper_example_sec5\n")
     trace = alm_run(*build_run(parse_config(str(cfg))))
     assert [row.inner_iters for row in trace.rows][:2] == [1, 0]
-    assert len(calls) == 13 + 67 + 22
+    assert len(calls) == 1 + 67 + 22
 
 
 def test_run_takes_the_integral_of_mu_squared_once_per_outer_iteration(tmp_path, monkeypatch):

@@ -86,6 +86,15 @@ def test_boundary_geometry_matches_loop_reference(dims):
     assert m.w_arc.tolist() == w
 
 
+@pytest.mark.parametrize("dims", [(3, 3), (5, 9), (33, 17)])
+def test_arc_weights_match_the_roll_formula_bit_for_bit(dims):
+    # the cyclic differences are taken by slicing, not np.roll
+    m = build_mesh(*dims, 2, 1.3, 0.7, 1.0)
+    bi, bj = m.boundary_i, m.boundary_j
+    seg = np.abs(np.roll(bi, -1) - bi) * m.hx + np.abs(np.roll(bj, -1) - bj) * m.hy
+    assert m.w_arc.tobytes() == (0.5 * (np.roll(seg, 1) + seg)).tobytes()
+
+
 # ------------------------------------------------------------- integration
 
 def test_integrate_omega_t_constants(unit_mesh):

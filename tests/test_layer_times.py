@@ -40,7 +40,7 @@ def test_one_tree_writes_every_layer_per_round(tmp_path, capsys):
     record = json.loads(out.read_text())
     layers = record["results"]["tree0"]["5x4"]
     assert set(layers) == set(layer_times.LAYERS)
-    assert {"solve_us", "objective_us", "kkt_us", "update_us"} <= set(layers)
+    assert {"solve_us", "objective_us", "kkt_us", "update_us", "start_fields"} <= set(layers)
     assert all(len(values) == 2 and min(values) > 0 for values in layers.values())
     # step_us is the two sweeps' time per implicit step
     for forward, adjoint, step in zip(layers["forward_us"], layers["adjoint_us"],

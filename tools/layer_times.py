@@ -5,7 +5,8 @@
         [--out layer_times.json]
 
 For each size n x nt (an n x n grid on the unit square, nt steps to T = 0.5,
-variable coefficients and data drawn from a fixed seed) it times eight layers:
+variable coefficients and data drawn from a fixed seed) it times eight layers
+and measures the working set of a stationary start:
 
 - ``factor_ms``: operator factorization, the first `solve` of a freshly
   assembled operator (assembly, stencil and weights not included); it
@@ -31,6 +32,12 @@ variable coefficients and data drawn from a fixed seed) it times eight layers:
   update (one trial's clamp, forward sweep, candidate and objective, and
   more when a trial is rejected) and the new adjoint sweep and stationarity
   test, as each outer iteration's inner solve does.
+- ``start_fields``: the ``tracemalloc`` peak of one `msa_solve` whose cold
+  start is stationary, in fields of 8 (nt + 1) n^2 bytes, after a first
+  such solve.  The problem is varcoef_batch's: an obstacle never reached
+  (psi = 1e6), no boundary control, and the target the free-decay terminal
+  of the initial slice, so the solve takes one forward and one adjoint
+  sweep and its stationarity test, and no update.
 
 Besides the layers, ``update_minflt`` is the mean number of minor page
 faults (``ru_minflt``) per inner iteration, over one loop of about 20 ms of
@@ -64,9 +71,10 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 LAYERS = ("factor_ms", "solve_us", "forward_us", "adjoint_us", "step_us", "objective_us",
-          "kkt_us", "update_us")
+          "kkt_us", "update_us", "start_fields")
 FAULTS = "update_minflt"
 DEFAULT_SIZES = "5x4,17x16,33x32,65x64"
 LOOP_S = 0.02
@@ -116,9 +124,19 @@ def _faults(fn):
     return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / number
 
 
+def _peak_bytes(fn):
+    """The `tracemalloc` peak of one call of fn, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def measure(n, nt, repeat):
-    """The eight layer times and the update's page faults at one size, for
-    the almpde on the import path."""
+    """The eight layer times, the stationary start's working set and the
+    update's page faults at one size, for the almpde on the import path."""
     import numpy as np
     from almpde.cost import (ProblemSpec, kkt_residuals, multiplier_candidate,
                              multiplier_square, subproblem_objective)
@@ -178,11 +196,24 @@ def measure(n, nt, repeat):
         return msa_solve(spec, rho, mu, config=one, warm=warm)
 
     update_s = _best(update, repeat)
+
+    free = solve_forward(mesh, coeffs.operator(), IntervalField.zeros(mesh), None, y0).values[-1]
+    slack = ProblemSpec(mesh, coeffs, y0, free, TimeField.constant(mesh, 1e6), alpha=1.0,
+                        beta=1.0, bounds=ControlBounds.constant(mesh, -1.0, 1.0))
+
+    def start():
+        return msa_solve(slack, rho, IntervalField.zeros(mesh))
+
+    first = start()
+    if first.inner_iters or first.final_gap:
+        raise RuntimeError(f"the slack start at {n}x{nt} is not stationary")
+    start_bytes = _peak_bytes(start)
     return {"factor_ms": 1e3 * factor_s, "solve_us": 1e6 * solve_s,
             "forward_us": 1e6 * forward_s, "adjoint_us": 1e6 * adjoint_s,
             "step_us": 1e6 * (forward_s + adjoint_s) / (2 * nt),
             "objective_us": 1e6 * objective_s, "kkt_us": 1e6 * kkt_s,
-            "update_us": 1e6 * update_s, FAULTS: _faults(update)}
+            "update_us": 1e6 * update_s,
+            "start_fields": start_bytes / (8 * (nt + 1) * n * n), FAULTS: _faults(update)}
 
 
 def worker(sizes, repeat):
