@@ -56,11 +56,11 @@ class ProblemSpec:
 
     y0 and y_d are held as read-only copies of the slices given: a later
     change to the caller's arrays can neither change the problem nor get
-    round the check of y0 against psi(., 0), and `a_y0`, dt A y0, is taken
-    once per problem.  The coefficients, psi and
-    both pairs of bounds must live on the problem's mesh (`Mesh.compatible`),
-    so that a mismatch fails here, not in the first sweep.  `controls` holds
-    a `Control` per control, u first, then v only with boundary control.
+    round the check of y0 against psi(., 0), and `a_y0`, dt A y0, can be
+    taken once per problem.  The coefficients, psi and both pairs of bounds
+    must live on the problem's mesh (`Mesh.compatible`), so that a mismatch
+    fails here, not in the first sweep.  `controls` holds a `Control` per
+    control, u first, then v only with boundary control.
     """
 
     def __init__(self, mesh, coeffs, y0, y_d, psi, alpha, beta, bounds,

@@ -197,7 +197,7 @@ class _Part:
       then overwrites it with its weighted step w s, from which `accept`
       takes the new p's <w s, p>.
     - `scratch` is allocated at the part's first trial, and holds the
-      clamp's theta target and the step s.  A stationarity test before it
+      clamp's theta * target and the step s.  A stationarity test before it
       exists forms its residual in `target`'s own array, so a solve whose
       start is stationary holds one work array per control.
 
@@ -217,7 +217,8 @@ class _Part:
         self.formed = False
 
     def gap(self):
-        """The stationarity residual of x; forms the trials' target."""
+        """The stationarity residual of x; forms the trials' target, and the
+        residual in scratch, or in the target's array before a first trial."""
         np.divide(self.p.values, -self.weight, out=self.target)
         self.formed = self.scratch is not None
         return _stationarity(self.x, self.target, self.lo, self.hi,

@@ -32,11 +32,11 @@ application, subtracted from all sources in one vectorised operation.  A
 forward sweep can be handed it precomputed (`start_term`): every forward
 sweep of every inner solve starts from the problem's y0, so the problem
 takes it once (`cost.ProblemSpec.a_y0`), with the same bits as a sweep that
-applies the stencil.  So can
-an adjoint sweep whose p_nt is the terminal mismatch e itself (mu_nt = 0):
-the sub-problem objective has just taken dt A e.  Each step is then one
-diagonal multiply-add and one in-place solve with the operator's banded
-Cholesky factor of K, stored as U (K = U^T U) in the upper band layout.
+applies the stencil.  So can an adjoint sweep whose p_nt is the terminal
+mismatch e itself (mu_nt = 0): the sub-problem objective has just taken
+dt A e.  Each step is then one diagonal multiply-add and one in-place solve
+with the operator's banded Cholesky factor of K, stored as U (K = U^T U) in
+the upper band layout.
 dt A x_0 is evaluated in difference form (`FluxStencil`), so for a
 constant starting slice it is exactly zero: with zero sources every z_m is
 then exactly zero, and constant states are preserved bit-exactly for any

@@ -49,7 +49,7 @@ psi (the largest value of the initial slice) and constant control bounds,
 at seeded controls, with the state and adjoint of those controls; all read
 psi and the bounds.
 
-Each value is the minimum over --repeat repeats of a loop long enough to
+Each time is the minimum over --repeat repeats of a loop long enough to
 read (about 20 ms).  Every round runs one subprocess per tree with the
 tree's ``src`` first on the import path and one BLAS/OpenMP thread, as
 perfbench/run.py pins them: with two threads, the first 65x65
