@@ -7,9 +7,6 @@ updated only on outer iterations whose sub-problem solve converged and
 sufficiently reduced the combined feasibility/complementarity residual.
 Sub-problems are solved by damped steps toward the pointwise Hamiltonian
 minimizer, with a Barzilai-Borwein step and Armijo backtracking.
-
-The verification oracles are imported from `almpde.oracles` on their own:
-they take scipy.linalg, and a process that only solves never imports scipy.
 """
 
 from .grid import (Mesh, TimeField, IntervalField, BoundaryTimeField, ControlBounds,

@@ -21,6 +21,7 @@ import sys
 from .grid import dump_time_field, dump_boundary_field
 from .alm import alm_run, format_trace_row, TRACE_COLUMNS
 from .config import parse_config, build_run, describe_defaults, ConfigError
+from .oracles import run_checks
 
 OUTPUT_ROOT_ENV = "ALMPDE_OUTPUT_ROOT"
 
@@ -54,10 +55,10 @@ def cmd_run(args):
     try:
         config = parse_config(args.config)
         spec, alm_config = build_run(config)
+        outdir = _output_dir(config.raw["run.output_dir"])
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    outdir = _output_dir(config.raw["run.output_dir"])
     try:
         trace = _run_traced(spec, alm_config, os.path.join(outdir, "trace.csv"))
     except Exception as exc:
@@ -90,16 +91,13 @@ def cmd_run(args):
 
 
 def cmd_verify(args):
-    # imported here: the oracles take scipy.linalg, which a run does not need
-    from .oracles import run_checks
-
     names = args.check if args.check else None
     try:
+        outdir = _output_dir(args.output)
         reports = run_checks(names=names)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    outdir = _output_dir(args.output)
     csv_path = os.path.join(outdir, "verify_report.csv")
     with open(csv_path, "w") as fh:
         fh.write("check,error,tolerance,pass\n")
@@ -135,11 +133,11 @@ def cmd_sweep(args):
         return 1
     try:
         config = parse_config(args.config)
-    except ConfigError as exc:
+        outdir = _output_dir(config.raw["run.output_dir"] + "_sweep")
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     key = SWEEP_PARAMS[args.param]
-    outdir = _output_dir(config.raw["run.output_dir"] + "_sweep")
     summary = []
     for sval in values:
         tag = f"{args.param}={sval}"

@@ -159,6 +159,9 @@ def _validate(raw, path):
     for key in ("problem.alpha", "problem.beta", "problem.a11", "problem.a22"):
         if raw[key] is not None:
             _require(raw[key] > 0, f"{key} must be positive, got {raw[key]}")
+    for key in ("problem.psi", "problem.ua", "problem.ub"):
+        _require(raw[key] is None or raw[key + "_file"] is None,
+                 f"{key} and {key}_file are both set; give one of them")
     for key, val in raw.items():
         if type(val) is float and not math.isfinite(val):
             raise ConfigError(f"{key} must be finite")

@@ -10,7 +10,7 @@ mass matrix of the trapezoidal space weights.
 A is applied in difference form (`FluxStencil`): every flux is an edge
 conductance times the difference of the two nodal values it joins, so a
 constant slice gives exactly zero, for any coefficients.  A matrix-form
-product (banded BLAS, CSR) sums products of the matrix entries instead and
+product (banded BLAS, the dense `matrix`) sums products of the matrix entries instead and
 leaves rounding of about 1e-15 on such a slice.
 
 Every implicit-Euler step solves with the same SPD matrix M + dt A.  In
@@ -142,8 +142,8 @@ class DiscreteOperator:
     the Cholesky factor U of M + dt A = U^T U in LAPACK's upper band layout,
     Fortran-ordered (row nx - d holds the entries d places above the
     diagonal, so column j holds U[j - nx : j + 1, j]); `solve`, the argument
-    block of `lapack.pbtrs` with that factor; and `csr`, A as a CSR matrix,
-    for whole-matrix checks.
+    block of `lapack.pbtrs` with that factor; and `matrix`, A as a dense
+    array, for whole-matrix checks.
     """
 
     def __init__(self, mesh, cx, cy):
@@ -187,30 +187,23 @@ class DiscreteOperator:
         return band
 
     @cached_property
-    def csr(self):
-        # imported here: only the dense oracle and the tests take A whole,
-        # and importing scipy.sparse adds about 1.5 MB to a process that
-        # only solves
-        import scipy.sparse as sp
+    def matrix(self):
+        """A as a dense (n, n) array, summed edge by edge from cx and cy.
 
+        Each edge of conductance c between nodes k and l adds c to A[k, k]
+        and A[l, l] and puts -c at A[k, l] and A[l, k].  Within one edge
+        direction no node appears twice on one side, so every sum below is
+        over distinct entries.
+        """
         nx, ny = self.mesh.nx, self.mesh.ny
         idx = np.arange(nx * ny).reshape(ny, nx)
-        rows, cols, vals = [], [], []
-
-        def add_edges(r1, r2, c):
-            r1 = r1.ravel()
-            r2 = r2.ravel()
-            c = c.ravel()
-            rows.extend([r1, r2, r1, r2])
-            cols.extend([r2, r1, r1, r2])
-            vals.extend([-c, -c, c, c])
-
-        add_edges(idx[:, :-1], idx[:, 1:], self.cx)
-        add_edges(idx[:-1, :], idx[1:, :], self.cy)
-        A = sp.coo_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(nx * ny, nx * ny))
-        return A.tocsr()
+        A = np.zeros((nx * ny, nx * ny))
+        for k, l, c in ((idx[:, :-1], idx[:, 1:], self.cx),
+                        (idx[:-1, :], idx[1:, :], self.cy)):
+            A[k, l] = A[l, k] = -c
+            A[k, k] += c
+            A[l, l] += c
+        return A
 
 
 def _upper_layout(lower):

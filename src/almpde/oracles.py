@@ -2,8 +2,8 @@
 
 These checks anchor the main build against routes that do not share its
 numerics: separation-of-variables decay solutions for the time stepper,
-central finite differences for the adjoint gradient, dense
-Cholesky-factorized projected gradient descent for the sub-problem solver,
+central finite differences for the adjoint gradient, projected gradient
+descent with a dense inverse of the step matrix for the sub-problem solver,
 and brute-force interval search for the pointwise Hamiltonian argmin that
 the inner solver's clamp computes.
 """
@@ -11,7 +11,6 @@ the inner solver's clamp computes.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .grid import (TimeField, IntervalField, BoundaryTimeField, ControlBounds,
                    build_mesh, l2_norm_omega_t, space_slice_from_function)
@@ -159,8 +158,8 @@ def adjoint_identity_sweep(n_seeds=20, seed0=0):
 def projected_gradient_oracle(spec, rho, mu, iters=100000, lr=1e-3):
     """Minimize the sub-problem objective by dense projected gradient descent.
 
-    Uses its own Cholesky-factorized dense solves of the CSR assembly and
-    plain pointwise gradient steps u <- clip(u - lr (alpha u + p)), so it
+    Steps with its own dense inverse of M + dt A, taken from the dense
+    assembly `DiscreteOperator.matrix`, and plain pointwise gradient steps u <- clip(u - lr (alpha u + p)), so it
     shares neither the banded step factor nor the update rule with
     msa_solve.  The problem is written out here again: the unknowns are the
     controls on m = 1..nt (row m - 1), the penalty charges the states
@@ -177,10 +176,10 @@ def projected_gradient_oracle(spec, rho, mu, iters=100000, lr=1e-3):
                          f"got {(mesh.nx, mesh.ny, mesh.nt)}")
     op = spec.operator()
     n = mesh.nx * mesh.ny
-    A = op.csr.toarray()
+    A = op.matrix
     mass = mesh.w_space.ravel()
-    K = np.diag(mass) + mesh.dt * A
-    cho = sla.cho_factor(K)
+    # K^{-1} for K = M + dt A, formed once by numpy's dense LU
+    K_inv = np.linalg.inv(np.diag(mass) + mesh.dt * A)
     dt = mesh.dt
     b = spec.bounds
     with_v = spec.boundary_control_enabled
@@ -207,16 +206,16 @@ def projected_gradient_oracle(spec, rho, mu, iters=100000, lr=1e-3):
                 load = np.zeros(n)
                 load[bidx] = mesh.w_arc * v[m - 1]
                 rhs += dt * load
-            y[m] = sla.cho_solve(cho, rhs)
+            y[m] = K_inv @ rhs
         return y
 
     def adjoint(y):
         """p on m = 1..nt (row m - 1)."""
         mb = np.maximum(rho * (y[1:] - psi[1:]) + mu_flat, 0.0)
         p = np.empty((mesh.nt, n))
-        p[-1] = y[mesh.nt] - yd + dt * sla.cho_solve(cho, mass * mb[-1])
+        p[-1] = y[mesh.nt] - yd + dt * (K_inv @ (mass * mb[-1]))
         for m in range(mesh.nt - 2, -1, -1):
-            p[m] = sla.cho_solve(cho, mass * (p[m + 1] + dt * mb[m]))
+            p[m] = K_inv @ (mass * (p[m + 1] + dt * mb[m]))
         return p
 
     for _ in range(iters):

@@ -439,10 +439,9 @@ def test_run_takes_the_residuals_once_per_outer_iteration(tmp_path, monkeypatch)
 
 def test_a_solving_process_does_not_import_scipy(tmp_path):
     # the solves call LAPACK in the library numpy links (`almpde.lapack`),
-    # and only the oracles and the tests take scipy (the dense oracle the
-    # whole stiffness matrix, `DiscreteOperator.csr`), so importing the
-    # package and its command line and running the paper preset leaves
-    # every scipy module unimported, and the resident set without them
+    # so importing the package and its command line and running the paper
+    # preset leaves every scipy module unimported, and the resident set
+    # without them; `test_dependencies` checks the oracles the same way
     cfg = tmp_path / "sec5.cfg"
     cfg.write_text("problem.preset = paper_example_sec5\n")
     code = ("import sys\n"

@@ -227,6 +227,19 @@ def test_preset_overrides(tmp_path):
     assert alm.mu0 == 3.0
 
 
+@pytest.mark.parametrize("key", ["problem.psi", "problem.ua", "problem.ub"])
+def test_a_constant_and_a_file_for_one_field_are_rejected(tmp_path, key):
+    # the file would win and the constant be dropped unseen; the error comes
+    # from the parse, before any file is read
+    path = write_config(tmp_path / "both.cfg", [
+        "problem.preset = paper_example_sec5",
+        f"{key} = 0.9",
+        f"{key}_file = missing.csv",
+    ])
+    with pytest.raises(ConfigError, match=f"^{key} and {key}_file are both set"):
+        parse_config(path)
+
+
 # --------------------------------------------------------------------- run
 
 def test_run_command_sec5(sec5_config, tmp_path):
@@ -334,6 +347,27 @@ def test_output_root_env_var(tmp_path, monkeypatch):
     ])
     assert main(["run", "--config", cfg]) == 0
     assert (tmp_path / "root" / "rel_out" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command, output", [
+    ("run", ""), ("run", "a_file"), ("sweep", "a_file/sub"), ("verify", "")])
+def test_an_output_directory_that_cannot_be_made_is_an_error_line(
+        tmp_path, monkeypatch, capsys, command, output):
+    # an empty path, or one that names a file or runs through one
+    monkeypatch.delenv("ALMPDE_OUTPUT_ROOT", raising=False)
+    (tmp_path / "a_file").write_text("")
+    if output:
+        output = str(tmp_path / output)
+    cfg = write_config(tmp_path / "c.cfg", [
+        "problem.preset = unconstrained_decay",
+        f"run.output_dir = {output}",
+    ])
+    argv = {"run": ["run", "--config", cfg],
+            "sweep": ["sweep", "--config", cfg, "--param", "tau", "--values", "0.9"],
+            "verify": ["verify", "--check", "argmin_bruteforce", "--output", output]}
+    assert main(argv[command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 # ------------------------------------------------------------------ verify

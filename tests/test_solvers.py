@@ -198,7 +198,7 @@ def test_factored_steps_match_dense_solve():
     co = DiffusionCoefficients(m, rng.uniform(0.5, 2.0, m.shape_space),
                                rng.uniform(0.5, 2.0, m.shape_space))
     op = assemble_operator(co)
-    K = np.diag(m.w_space.ravel()) + m.dt * op.csr.toarray()
+    K = np.diag(m.w_space.ravel()) + m.dt * op.matrix
     mass = m.w_space.ravel()
 
     def dense_step(prev, source):
@@ -239,7 +239,7 @@ def test_long_sweeps_match_dense_solve(nx, nt, data):
     rng = np.random.default_rng(23)
     m = build_mesh(nx, nx, nt, 1.0, 1.0, 1.0)
     op = varcoef_op(m, 29)
-    K = np.diag(m.w_space.ravel()) + m.dt * op.csr.toarray()
+    K = np.diag(m.w_space.ravel()) + m.dt * op.matrix
     mass = m.w_space.ravel()
     if data == "rough":
         field, slice_ = (lambda: rng.standard_normal((nt,) + m.shape_space),
