@@ -10,8 +10,8 @@ mass matrix of the trapezoidal space weights.
 A is applied in difference form (`FluxStencil`): every flux is an edge
 conductance times the difference of the two nodal values it joins, so a
 constant slice gives exactly zero, for any coefficients.  A matrix-form
-product (banded BLAS, the dense `matrix`) sums products of the matrix entries instead and
-leaves rounding of about 1e-15 on such a slice.
+product (banded BLAS, the dense `matrix`) sums products of the matrix
+entries instead and leaves rounding of about 1e-15 on such a slice.
 
 Every implicit-Euler step solves with the same SPD matrix M + dt A.  In
 row-major node order its nonzeros lie on the diagonal, one row below it
@@ -192,8 +192,9 @@ class DiscreteOperator:
 
         Each edge of conductance c between nodes k and l adds c to A[k, k]
         and A[l, l] and puts -c at A[k, l] and A[l, k].  Within one edge
-        direction no node appears twice on one side, so every sum below is
-        over distinct entries.
+        direction no node appears twice on one side, so each fancy-indexed
+        `+=` below adds every edge: one with a repeated index would drop
+        all but one of its terms.
         """
         nx, ny = self.mesh.nx, self.mesh.ny
         idx = np.arange(nx * ny).reshape(ny, nx)

@@ -158,12 +158,13 @@ def adjoint_identity_sweep(n_seeds=20, seed0=0):
 def projected_gradient_oracle(spec, rho, mu, iters=100000, lr=1e-3):
     """Minimize the sub-problem objective by dense projected gradient descent.
 
-    Steps with its own dense inverse of M + dt A, taken from the dense
-    assembly `DiscreteOperator.matrix`, and plain pointwise gradient steps u <- clip(u - lr (alpha u + p)), so it
-    shares neither the banded step factor nor the update rule with
-    msa_solve.  The problem is written out here again: the unknowns are the
-    controls on m = 1..nt (row m - 1), the penalty charges the states
-    y_1..y_nt with the right-endpoint rule, and the adjoint's terminal slice
+    Steps with its own dense inverse of M + dt A, from the dense assembly
+    `DiscreteOperator.matrix`, and plain pointwise gradient steps
+    u <- clip(u - lr (alpha u + p)), so it shares none of the stencil, the
+    banded step factor and the update rule with msa_solve.  The problem is
+    written out here again: the unknowns are the controls on m = 1..nt
+    (row m - 1), the penalty charges the states y_1..y_nt with the
+    right-endpoint rule, and the adjoint's terminal slice
     carries that penalty's last-slice term, p_nt = e + dt K^{-1} M mu_bar_nt.
     Stops after `iters` steps, or earlier once no control moves by more than
     ORACLE_STALL_STEP in a step.  Restricted to small grids.  Returns

@@ -3,8 +3,8 @@
 The imports of `src/almpde/*.py` are read with `ast`: every imported top-level
 module that is neither in the standard library nor the package itself must
 be declared in `pyproject.toml`'s `[project] dependencies`, and every declared
-package must be imported.  A subprocess then checks that the oracles, the
-only routes that once took scipy, run without loading any of it.
+package must be imported.  A subprocess then checks that the dense oracle,
+which takes A whole and solves with it densely, loads no scipy module.
 """
 
 import ast
