@@ -13,40 +13,76 @@ constant slice gives exactly zero, for any coefficients.  A matrix-form
 product (banded BLAS, the dense `matrix`) sums products of the matrix
 entries instead and leaves rounding of about 1e-15 on such a slice.
 
-Every implicit-Euler step solves with the same SPD matrix M + dt A.  In
-row-major node order its nonzeros lie on the diagonal, one row below it
-(x-coupling) and nx rows below it (y-coupling), so it is held as a banded
-Cholesky factor.  The factor is computed once, as L in the lower band
-layout (LAPACK `pbtrf` with uplo = L, `lapack.pbtrf_lower`; factoring in
-the upper layout took 6.3 ms against 5.2 ms with the copy at 65x65), and
-stored as its transpose U = L^T in LAPACK's upper band layout (Anderson
-et al., LAPACK Users' Guide, 3rd ed., SIAM 1999, Sec. 5.3.3).  A solve
-with it (LAPACK `pbtrs`) is then two banded triangular solves (`tbsv`)
-with U^T and U.  The lower layout needs L and L^T instead, and OpenBLAS's
-lower-transposed `tbsv` is about twice as slow as the other three
-variants: 29.5 us against 12.7-14.1 us at 33x33 (one thread, OpenBLAS
-0.3.31, Xeon), so a whole solve takes 26 us instead of 42 us.  The stored band is Fortran-ordered, as LAPACK takes it.
+Every implicit-Euler step solves with the same SPD matrix K = M + dt A, and
+a sweep marches the deviation z_m = x_m - x_0 from its starting slice x_0:
 
-A sweep applies dt A once, to its starting slice, and takes every step with
-the factor and the mass M alone (see `solvers`).  The DiscreteOperator
-holds all a sweep reads.  The dt-scaled stencil, the dt-weighted mass and
-arc weights the sweeps form their loads with and the flat mass M their
-steps carry the deviation with are built with it (10-15 us at 5x5-33x33).
-The factor and the argument block its solves are called with are built on
-its first sweep and reused for every later one, so that setting up a
-problem does not factor: at 33x33 the factorization (0.6-0.8 ms) would
-nearly double the boundary demo's set-up.
+    K z_m = M z_{m-1} + (s_m - dt A x_0),    z_0 = 0,    x_m = x_0 + z_m
+
+(see `solvers`).  An operator marches in one of two ways, chosen when it is
+assembled (`assemble_operator`) from the coefficients alone:
+
+- **Separable** (`SeparableOperator`), when a11 and a22 are each constant
+  on the mesh.  K is then the Kronecker sum a11 M_y (x) K_x + a22 K_y (x)
+  M_x + M_y (x) M_x of 1-D trapezoidal masses and Neumann stiffnesses, and
+  the 1-D generalized eigenvectors, K_x v = lambda M_x v, are the DCT-I
+  cosines (fast diagonalization: Lynch, Rice & Thomas, Numer. Math. 6,
+  1964).  In closed form, with h = hx and n = nx,
+
+      V_x[i, k] = c_k cos(pi k i / (n - 1)),
+      lambda_k = (4 / h^2) sin^2(pi k / (2 (n - 1))),
+
+  c_k = (h (n - 1))^(-1/2) for k = 0 and n - 1 and sqrt 2 times that
+  otherwise, so that V_x^T M_x V_x = I; likewise along y.  With V = V_y (x)
+  V_x, V^T K V = I + dt (a11 Lambda_x (+) a22 Lambda_y), so in the
+  coordinates z = V zh each step is diagonal:
+
+      zh_m = d * (zh_{m-1} + V^T s'_m),    d = 1 / (1 + dt (a11 lambda_x (+) a22 lambda_y)),
+
+  and a whole sweep is four GEMMs over all its slices at once (V^T s' and
+  V zh, each one product along x and one along y) around that recurrence.
+  Zero sources transform to exact zeros, so a constant slice stays
+  bit-exact here too.
+- **Banded** (`BandedOperator`), for every other problem: one banded
+  Cholesky solve per step.
+
+Each path is the faster one somewhere.  For a 65x65x64 sweep the batched
+GEMMs took 4.8-5.4 ms against 13.6-16.5 ms for the banded steps (one
+thread, OpenBLAS 0.3.31, 2-core Xeon VM), and the banded path is the only
+one that handles variable coefficients.  There is no option: the
+coefficients decide.
+
+On the banded path, in row-major node order the nonzeros of K lie on the
+diagonal, one row below it (x-coupling) and nx rows below it (y-coupling),
+so it is held as a banded Cholesky factor.  The factor is computed once,
+as L in the lower band layout (LAPACK `pbtrf` with uplo = L,
+`lapack.pbtrf_lower`; factoring in the upper layout took 6.3 ms against
+5.2 ms with the copy at 65x65), and stored as its transpose U = L^T in
+LAPACK's upper band layout (Anderson et al., LAPACK Users' Guide, 3rd ed.,
+SIAM 1999, Sec. 5.3.3).  A solve with it (LAPACK `pbtrs`) is then two
+banded triangular solves (`tbsv`) with U^T and U.  The lower layout needs
+L and L^T instead, and OpenBLAS's lower-transposed `tbsv` is about twice as
+slow as the other three variants: 29.5 us against 12.7-14.1 us at 33x33
+(one thread, OpenBLAS 0.3.31, Xeon), so a whole solve takes 26 us instead
+of 42 us.  The stored band is Fortran-ordered, as LAPACK takes it.
+
+The DiscreteOperator holds all a sweep reads.  The dt-scaled stencil, the
+dt-weighted mass and arc weights the sweeps form their loads with and the
+flat mass M are built with it (10-15 us at 5x5-33x33).  What a path steps
+with, the banded factor or the separable basis and its work array, is built
+on the operator's first sweep and reused for every later one, so that
+setting up a problem does not factor: at 33x33 the factorization
+(0.6-0.8 ms) would nearly double the boundary demo's set-up.
 
 An operator depends only on the mesh and the coefficients, so each
 DiffusionCoefficients object assembles it once (`operator`): every problem
-built on that object shares the operator, its factor included.
+built on that object shares the operator, its factor or basis included.
 """
 
 from functools import cached_property
 
 import numpy as np
 
-from .lapack import pbtrf_lower, pbtrs_block
+from .lapack import address, pbtrf_lower, pbtrs, pbtrs_block
 
 
 class DiffusionCoefficients:
@@ -134,16 +170,12 @@ class DiscreteOperator:
     the dt-scaled FluxStencil, applied once per sweep to its starting slice
     (or once per problem to y0, `solvers.start_term`); `load_mass`
     (ny, nx) and `load_arc` (n_boundary,), dt M and dt W, the weights that
-    turn a control into its load; and `flat_mass` (n,), M in node order,
-    which each step multiplies the previous deviation from the starting
-    slice by.
+    turn a control into its load; and `flat_mass` (n,), M in node order.
+    `matrix`, A as a dense array for whole-matrix checks, is built on its
+    first use and kept (`functools.cached_property`).
 
-    Built on the first use and kept (`functools.cached_property`): `factor`,
-    the Cholesky factor U of M + dt A = U^T U in LAPACK's upper band layout,
-    Fortran-ordered (row nx - d holds the entries d places above the
-    diagonal, so column j holds U[j - nx : j + 1, j]); `solve`, the argument
-    block of `lapack.pbtrs` with that factor; and `matrix`, A as a dense
-    array, for whole-matrix checks.
+    The sweeps march through `march` and `march_adjoint`, which each step
+    path (`BandedOperator`, `SeparableOperator`) defines.
     """
 
     def __init__(self, mesh, cx, cy):
@@ -157,6 +189,42 @@ class DiscreteOperator:
         self.load_mass = dt * mesh.w_space
         self.load_arc = dt * mesh.w_arc
         self.flat_mass = mesh.w_space.ravel()
+
+    def _start_term(self, x0, a_x0):
+        """dt A x0 of a flat slice: a_x0 when given, else from the stencil."""
+        return self.stencil.apply(x0, np.empty(x0.size)) if a_x0 is None else a_x0
+
+    @cached_property
+    def matrix(self):
+        """A as a dense (n, n) array, summed edge by edge from cx and cy.
+
+        Each edge of conductance c between nodes k and l adds c to A[k, k]
+        and A[l, l] and puts -c at A[k, l] and A[l, k].  Within one edge
+        direction no node appears twice on one side, so each fancy-indexed
+        `+=` below adds every edge: one with a repeated index would drop
+        all but one of its terms.
+        """
+        nx, ny = self.mesh.nx, self.mesh.ny
+        idx = np.arange(nx * ny).reshape(ny, nx)
+        A = np.zeros((nx * ny, nx * ny))
+        for k, l, c in ((idx[:, :-1], idx[:, 1:], self.cx),
+                        (idx[:-1, :], idx[1:, :], self.cy)):
+            A[k, l] = A[l, k] = -c
+            A[k, k] += c
+            A[l, l] += c
+        return A
+
+
+class BandedOperator(DiscreteOperator):
+    """The banded step path: each step solves with the Cholesky factor of
+    M + dt A.
+
+    Built on the first sweep and kept: `factor`, the Cholesky factor U of
+    M + dt A = U^T U in LAPACK's upper band layout, Fortran-ordered (row
+    nx - d holds the entries d places above the diagonal, so column j holds
+    U[j - nx : j + 1, j]); and `solve`, the argument block of `lapack.pbtrs`
+    with that factor.
+    """
 
     @cached_property
     def factor(self):
@@ -186,25 +254,142 @@ class DiscreteOperator:
         band[nx, :nx * (ny - 1)] = -dt * self.cy.ravel()
         return band
 
-    @cached_property
-    def matrix(self):
-        """A as a dense (n, n) array, summed edge by edge from cx and cy.
+    def march(self, x, a_x0):
+        """Implicit-Euler steps over the rows of x, (steps + 1, n) in
+        marching order.
 
-        Each edge of conductance c between nodes k and l adds c to A[k, k]
-        and A[l, l] and puts -c at A[k, l] and A[l, k].  Within one edge
-        direction no node appears twice on one side, so each fancy-indexed
-        `+=` below adds every edge: one with a repeated index would drop
-        all but one of its terms.
+        On entry row 0 holds the starting slice x0 and row m >= 1 the source
+        of step m; on exit row m holds the slice after step m.  The rows
+        after x0 first hold the deviations z_m = x_m - x0, solved in place,
+        each step one diagonal multiply-add and one `pbtrs`.  a_x0 is
+        dt A x0 (`solvers.start_term`), applied here when None.  Each row
+        is C-contiguous, and rows lie one stride apart (a negative one when
+        x runs backward through its array).
         """
-        nx, ny = self.mesh.nx, self.mesh.ny
-        idx = np.arange(nx * ny).reshape(ny, nx)
-        A = np.zeros((nx * ny, nx * ny))
-        for k, l, c in ((idx[:, :-1], idx[:, 1:], self.cx),
-                        (idx[:-1, :], idx[1:, :], self.cy)):
-            A[k, l] = A[l, k] = -c
-            A[k, k] += c
-            A[l, l] += c
-        return A
+        x0, z = x[0], x[1:]
+        z -= self._start_term(x0, a_x0)
+        mass, solve = self.flat_mass, self.solve
+        carry = np.empty(x0.size)
+        row_address, stride = address(x0), x.strides[0]
+        prev = None
+        for row in z:
+            if prev is not None:
+                np.multiply(mass, prev, out=carry)
+                row += carry
+            row_address += stride
+            pbtrs(solve, row_address)
+            prev = row
+        z += x0
+
+    def march_adjoint(self, p, terminal, a_terminal):
+        """The adjoint sweep over p, (nt, n) in time order: row m - 1 holds
+        the source of p_m on entry and p_m on exit.
+
+        p_nt = terminal + K^{-1} s_nt is solved in place (skipped when
+        s_nt is zero: it is then exactly the terminal slice), and the march
+        runs from it over p reversed.  a_terminal, dt A terminal, is used
+        only in the second case, where p_nt is the terminal slice.
+        """
+        last = p[-1]
+        if np.count_nonzero(last):
+            pbtrs(self.solve, address(last))
+            last += terminal
+            a_terminal = None
+        else:
+            last[...] = terminal
+        self.march(p[::-1], a_terminal)
+
+
+class SeparableOperator(DiscreteOperator):
+    """The separable step path, for constant a11 and a22: each sweep steps
+    in the closed-form eigenbasis of M + dt A (module docstring).
+
+    Built on the first sweep and kept: `basis`, the 1-D bases V_x (nx, nx)
+    and V_y (ny, ny), the step's diagonal d (ny, nx) (`separable_basis`)
+    and one (nt, ny, nx) work array, which holds the slices between the
+    GEMMs along x and along y: `np.matmul` cannot write in place, and a
+    temporary per sweep would raise a solve's peak memory by a field.
+    """
+
+    def __init__(self, mesh, cx, cy, a11, a22):
+        super().__init__(mesh, cx, cy)
+        self.a11 = a11
+        self.a22 = a22
+
+    @cached_property
+    def basis(self):
+        mesh = self.mesh
+        return (*separable_basis(mesh, self.a11, self.a22),
+                np.empty((mesh.nt,) + mesh.shape_space))
+
+    def _steps(self, z, reverse):
+        """Solve the deviation steps in place in z, (nt, n): on entry row k
+        holds the source s' of a step, on exit its deviation, marching from
+        row 0 to row nt - 1, or the other way when reverse is true."""
+        vx, vy, d, work = self.basis
+        nx = vx.shape[0]
+        rows, modes = z.reshape(-1, nx), z.reshape(work.shape)
+        # V^T s' = V_y^T (s' V_x) slice by slice; the GEMM along x takes all
+        # slices as one matrix
+        np.matmul(rows, vx, out=work.reshape(-1, nx))
+        np.matmul(vy.T, work, out=modes)
+        prev = None
+        for row in (modes[::-1] if reverse else modes):
+            if prev is not None:
+                row += prev
+            row *= d
+            prev = row
+        np.matmul(vy, modes, out=work)
+        np.matmul(work.reshape(-1, nx), vx.T, out=rows)
+
+    def march(self, x, a_x0):
+        """Implicit-Euler steps over the rows of x, (nt + 1, n) in time
+        order, as `BandedOperator.march` takes them (rows C-contiguous and
+        one positive stride apart)."""
+        x0, z = x[0], x[1:]
+        z -= self._start_term(x0, a_x0)
+        self._steps(z, False)
+        z += x0
+
+    def march_adjoint(self, p, terminal, a_terminal):
+        """The adjoint sweep over p, as `BandedOperator.march_adjoint` takes
+        it, marching the deviation from the terminal slice e itself.
+
+        p_nt is then an ordinary step from e whose source is
+        s_nt + dt A e, so only the rows m < nt subtract dt A e (a_terminal,
+        from the stencil when None): the terminal correction costs no
+        solve of its own.  The GEMMs run over p in time order, and only the
+        recurrence runs backward; numpy buffers a GEMM that writes into a
+        view with a negative stride.
+        """
+        p[:-1] -= self._start_term(terminal, a_terminal)
+        self._steps(p, True)
+        p += terminal
+
+
+def separable_basis(mesh, a11, a22):
+    """(V_x, V_y, d): the M-orthonormal cosine bases along x and y and the
+    diagonal 1 / (1 + dt (a11 lambda_x (+) a22 lambda_y)) of one step in
+    their coordinates, (ny, nx) (module docstring)."""
+    vx, lam_x = _cosine_basis(mesh.nx, mesh.hx)
+    vy, lam_y = _cosine_basis(mesh.ny, mesh.hy)
+    return vx, vy, 1.0 / (1.0 + mesh.dt * (a11 * lam_x + a22 * lam_y[:, None]))
+
+
+def _cosine_basis(n, h):
+    """(V, lambda) of the 1-D Neumann stiffness L / h on n nodes of spacing h
+    against the trapezoidal mass h diag(1/2, 1, ..., 1, 1/2).
+
+    k i is reduced modulo 2 (n - 1), the cosine's period, in integers
+    before it is scaled, so every angle lies in [0, 2 pi): the plain
+    product reaches pi (n - 1), whose rounding is (n - 1) / 2 times as
+    large.
+    """
+    k = np.arange(n)
+    angle = (np.pi / (n - 1)) * (np.outer(k, k) % (2 * (n - 1)))
+    c = np.full(n, np.sqrt(2.0 / (h * (n - 1))))
+    c[[0, -1]] = np.sqrt(1.0 / (h * (n - 1)))
+    return c * np.cos(angle), (4.0 / h ** 2) * np.sin((np.pi / (2 * (n - 1))) * k) ** 2
 
 
 def _upper_layout(lower):
@@ -230,7 +415,9 @@ def assemble_operator(coeffs):
 
     Edge conductances combine the arithmetic mean of the nodal coefficient
     with the transverse dual-cell width (halved along the boundary rows and
-    columns), divided by the edge length.
+    columns), divided by the edge length.  The step path is chosen here:
+    a `SeparableOperator` when a11 and a22 are each constant on the mesh,
+    a `BandedOperator` otherwise.
     """
     mesh = coeffs.mesh
     nx, ny, hx, hy = mesh.nx, mesh.ny, mesh.hx, mesh.hy
@@ -238,9 +425,11 @@ def assemble_operator(coeffs):
     wx[0] = wx[-1] = 0.5
     wy = np.ones(ny)
     wy[0] = wy[-1] = 0.5
-    a11_edge = 0.5 * (coeffs.a11[:, :-1] + coeffs.a11[:, 1:])
-    a22_edge = 0.5 * (coeffs.a22[:-1, :] + coeffs.a22[1:, :])
+    a11, a22 = coeffs.a11, coeffs.a22
+    a11_edge = 0.5 * (a11[:, :-1] + a11[:, 1:])
+    a22_edge = 0.5 * (a22[:-1, :] + a22[1:, :])
     cx = a11_edge * (hy * wy[:, None]) / hx   # (ny, nx-1)
     cy = a22_edge * (hx * wx[None, :]) / hy   # (ny-1, nx)
-    return DiscreteOperator(mesh, cx, cy)
-
+    if (a11 == a11[0, 0]).all() and (a22 == a22[0, 0]).all():
+        return SeparableOperator(mesh, cx, cy, float(a11[0, 0]), float(a22[0, 0]))
+    return BandedOperator(mesh, cx, cy)

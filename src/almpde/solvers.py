@@ -14,29 +14,29 @@ propagator:
 with K = M + dt A and e = y_nt - y_d the terminal mismatch.  p_nt is the
 gradient of the sub-problem objective in y_nt pulled back through K: the
 mismatch term plus the penalty of the last slice, which the right-endpoint
-penalty charges (see `cost.subproblem_objective`).  That correction is one
-extra solve, skipped when mu_nt is zero because it is then exactly zero.
-p, like mu and the controls, holds only the unknowns m = 1..nt.
+penalty charges (see `cost.subproblem_objective`).  p, like mu and the
+controls, holds only the unknowns m = 1..nt.
 
-Both sweeps run one march loop, over the systems K x_m = M x_{m-1} + s_m
-with the sources s = dt (M u + B v) forward and s = dt M mu backward, built
-for all time levels at once from the operator's dt-weighted mass and arc
-weights (`load_mass`, `load_arc`), in the slices of the array the sweep
-returns.  The loop marches the deviation z_m = x_m - x_0 from the sweep's
-starting slice x_0 (y0 forward, the corrected p_nt backward):
+Both sweeps solve the systems K x_m = M x_{m-1} + s_m, with the sources
+s = dt (M u + B v) forward and s = dt M mu backward, built for all time
+levels at once from the operator's dt-weighted mass and arc weights
+(`load_mass`, `load_arc`), in the slices of the array the sweep returns.
+The operator marches them (`DiscreteOperator.march`, `march_adjoint`), in
+the deviation z_m = x_m - x_0 from the sweep's starting slice x_0:
 
     K z_m = M z_{m-1} + (s_m - dt A x_0),    z_0 = 0,
 
-and returns x_m = x_0 + z_m.  dt A x_0 is the sweep's only stencil
-application, subtracted from all sources in one vectorised operation.  A
-forward sweep can be handed it precomputed (`start_term`): every forward
-sweep of every inner solve starts from the problem's y0, so the problem
-takes it once (`cost.ProblemSpec.a_y0`), with the same bits as a sweep that
-applies the stencil.  So can an adjoint sweep whose p_nt is the terminal
-mismatch e itself (mu_nt = 0): the sub-problem objective has just taken
-dt A e.  Each step is then one diagonal multiply-add and one in-place solve
-with the operator's banded Cholesky factor of K, stored as U (K = U^T U) in
-the upper band layout.
+and returns x_m = x_0 + z_m.  Its step path, banded Cholesky solves or the
+separable eigenbasis for constant coefficients, was fixed when it was
+assembled (see `operators`), so a sweep does not ask which.  dt A x_0 is
+the sweep's only stencil application, subtracted from all sources in one
+vectorised operation.  A forward sweep can be handed it precomputed
+(`start_term`): every forward sweep of every inner solve starts from the
+problem's y0, so the problem takes it once (`cost.ProblemSpec.a_y0`), with
+the same bits as a sweep that applies the stencil.  So can an adjoint
+sweep (`a_terminal`): the sub-problem objective has just taken dt A e.  The
+banded path uses it when mu_nt is zero and it starts from e itself; the
+separable path always marches from e, with p_nt one more step.
 dt A x_0 is evaluated in difference form (`FluxStencil`), so for a
 constant starting slice it is exactly zero: with zero sources every z_m is
 then exactly zero, and constant states are preserved bit-exactly for any
@@ -45,34 +45,33 @@ dt A x, leaves them off by rounding (about 1e-15).
 Each step's rounding is relative to the size of z and x_0, so a slice is
 accurate to a few 1e-15 of the sweep's largest value (checked against dense
 solves over 512 steps), not of its own size when it has decayed far below
-x_0.  The operator holds the stencil, the weights and, from its first
-sweep on, the factor.  The sweeps take dt from the operator, so it must
-have been assembled on the sweep's mesh.
+x_0.  The sweeps take dt from the operator, so it must have been assembled
+on the sweep's mesh.
 
 Each sweep writes its slices straight into the array of the field it
-returns (the backward one in reverse time order), and the field takes that
-array over without a copy.  Its finiteness check stays: a sweep that
-overflows raises ValueError.
+returns, and the field takes that array over without a copy.  Its
+finiteness check stays: a sweep that overflows raises ValueError.
 
-On the small grids a sweep costs its calls more than its arithmetic: at
-5x5x4 each of the four banded solves takes about 1 us, and so does each
-numpy operation around them.  So the sweeps form their sources in place,
-call LAPACK's `pbtrs` through the operator's argument block `solve`
-(`lapack.pbtrs`), with the address of each row stepped from the first one
-by the row stride, and test mu_nt with `np.count_nonzero`, about a quarter
-of the cost of `ndarray.any` at 5x5.  The first row's address from
-`lapack.address` takes about 0.6 us, against 2.0 us for `.ctypes.data`.
+On the small grids a banded sweep costs its calls more than its
+arithmetic: at 5x5x4 each of the four banded solves takes about 1 us, and
+so does each numpy operation around them.  So the sweeps form their
+sources in place, the banded path calls LAPACK's `pbtrs` through the
+operator's argument block `solve` (`lapack.pbtrs`), with the address of
+each row stepped from the first one by the row stride, and tests mu_nt
+with `np.count_nonzero`, about a quarter of the cost of `ndarray.any` at
+5x5.  The first row's address from `lapack.address` takes about 0.6 us,
+against 2.0 us for `.ctypes.data`.
 """
 
 import numpy as np
 
 from .grid import IntervalField, TimeField, operand
-from .lapack import address, pbtrs
 
 
 def start_term(op, x0):
     """dt A x0 of a (ny, nx) slice x0, flattened: the term each step of a
-    sweep starting from x0 subtracts from its source (see `_march`).
+    sweep starting from x0 subtracts from its source (see the module
+    docstring).
 
     A caller that marches from one x0 again and again takes it once and
     hands it to `solve_forward`; x0 must not change in between.  A problem
@@ -83,35 +82,6 @@ def start_term(op, x0):
     """
     x0 = np.ravel(x0)
     return op.stencil.apply(x0, np.empty(x0.size))
-
-
-def _march(op, x, a_x0=None):
-    """Implicit-Euler steps with the operator op over the rows of x,
-    (steps + 1, n) in marching order.
-
-    On entry row 0 holds the starting slice x0 and row m >= 1 the source of
-    step m; on exit row m holds the slice after step m.  The rows after x0
-    first hold the deviations z_m = x_m - x0, solved in place.  a_x0 is
-    dt A x0 (`start_term`), applied here when not given.  Each row is
-    C-contiguous, and rows lie one stride apart (a negative one when x runs
-    backward through its array).
-    """
-    x0, z = x[0], x[1:]
-    if a_x0 is None:
-        a_x0 = op.stencil.apply(x0, np.empty(x0.size))
-    z -= a_x0
-    mass, solve = op.flat_mass, op.solve
-    carry = np.empty(x0.size)
-    row_address, stride = address(x0), x.strides[0]
-    prev = None
-    for row in z:
-        if prev is not None:
-            np.multiply(mass, prev, out=carry)
-            row += carry
-        row_address += stride
-        pbtrs(solve, row_address)
-        prev = row
-    z += x0
 
 
 def _check(mesh, op, slice_, name):
@@ -140,7 +110,7 @@ def solve_forward(mesh, op, u, v, y0, a_y0=None):
     if v is not None:
         load[:, mesh.boundary_j, mesh.boundary_i] += op.load_arc * operand(v)
     y[0] = y0
-    _march(op, y.reshape(mesh.nt + 1, -1), a_y0)
+    op.march(y.reshape(mesh.nt + 1, -1), a_y0)
     return TimeField._wrap(mesh, y)
 
 
@@ -151,24 +121,17 @@ def solve_adjoint(mesh, op, mu, terminal, a_terminal=None):
     mu is the IntervalField source (the multiplier candidate) and terminal the
     (ny, nx) terminal mismatch y_nt - y_d; the slice p_nt starts from is
     terminal + dt K^{-1} M mu_nt.  The boundary closure is homogeneous.
-    The sources are formed in the slices of p, in time order, and the march
-    runs over p reversed; the correction is solved in place in p_nt.
+    The sources are formed in the slices of p, in time order, and the
+    operator marches over them (`DiscreteOperator.march_adjoint`).
     a_terminal, when given, is dt A terminal, flattened, as the sub-problem
-    objective takes it (`cost.subproblem_objective`).  When mu_nt is zero,
-    p_nt is the terminal slice itself and the march starts from it, so
-    it applies no stencil; the result has the same bits either way.  Taking
-    dt A e again in those sweeps instead raised paper_sec5's solve_ref
-    0.336 -> 0.346 (+3.0%, higher in 10 of 10 pairs, BENCH_no_scipy.json).
+    objective takes it (`cost.subproblem_objective`); a sweep that needs it
+    then applies no stencil, and the result has the same bits either way.
+    Taking dt A e again in those sweeps instead raised paper_sec5's
+    solve_ref 0.336 -> 0.346 (+3.0%, higher in 10 of 10 pairs,
+    BENCH_no_scipy.json).
     """
     terminal = _check(mesh, op, terminal, "terminal")
     p = np.empty(IntervalField.shape(mesh))
     np.multiply(op.load_mass, mu.values, out=p)
-    last = p[-1]
-    if np.count_nonzero(last):
-        pbtrs(op.solve, address(last))
-        last += terminal
-        a_terminal = None
-    else:
-        last[...] = terminal
-    _march(op, p.reshape(mesh.nt, -1)[::-1], a_terminal)
+    op.march_adjoint(p.reshape(mesh.nt, -1), terminal.ravel(), a_terminal)
     return IntervalField._wrap(mesh, p)

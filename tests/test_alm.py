@@ -12,10 +12,11 @@ import pytest
 
 from almpde import alm, cost, grid, msa, operators
 from almpde.config import build_run, parse_config
-from almpde.cost import cost_J, multiplier_candidate, multiplier_square, penalty
+from almpde.cost import ProblemSpec, cost_J, multiplier_candidate, multiplier_square, penalty
 from almpde.grid import (build_mesh, BoundaryTimeField, ControlBounds, IntervalField,
                          TimeField, space_slice_from_function)
 from almpde.msa import MsaConfig
+from almpde.operators import DiffusionCoefficients
 from almpde.alm import (AlmConfig, AlmState, AlmTraceRow, alm_step, alm_run,
                         TRACE_COLUMNS, format_trace_row)
 from almpde.presets import (build_boundary_control_demo, build_paper_example_sec5,
@@ -303,50 +304,81 @@ def test_every_untraceable_patch_is_still_missing():
     assert all(name in traced and not _defines(*name) for name in UNTRACEABLE_PATCHES)
 
 
-def test_run_factors_the_step_matrix_once(tmp_path, monkeypatch):
-    calls = []
-    factor = operators.pbtrf_lower
+def varcoef_sec5_spec():
+    """The paper example's data on its 5x5x4 mesh with seeded variable
+    coefficients, so that its operator steps on the banded path."""
+    mesh = build_mesh(5, 5, 4, 1.0, 1.0, 1.0)
+    rng = np.random.default_rng(3)
+    base = build_paper_example_sec5(mesh)
+    coeffs = DiffusionCoefficients(mesh, rng.uniform(0.5, 2.0, mesh.shape_space),
+                                   rng.uniform(0.5, 2.0, mesh.shape_space))
+    return ProblemSpec(mesh, coeffs, base.y0, base.y_d, base.psi, base.alpha, base.beta,
+                       base.bounds)
 
-    def counting_factor(*args, **kwargs):
-        calls.append(1)
-        return factor(*args, **kwargs)
 
-    monkeypatch.setattr(operators, "pbtrf_lower", counting_factor)
-    cfg = tmp_path / "sec5.cfg"
-    cfg.write_text("problem.preset = paper_example_sec5\n")
-    spec, config = build_run(parse_config(str(cfg)))
+def counted_calls(monkeypatch, calls, targets):
+    """Count the calls of each (owner, name) in targets under that name."""
+    for owner, name in targets:
+        fn = getattr(owner, name)
+
+        def run(*args, _name=name, _fn=fn):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(owner, name, run)
+
+
+def test_run_factors_the_step_matrix_once(monkeypatch):
+    # the banded path: the paper example with seeded variable coefficients
+    calls = {"pbtrf_lower": 0}
+    counted_calls(monkeypatch, calls, [(operators, "pbtrf_lower")])
+    spec = varcoef_sec5_spec()
     operators.assemble_operator(spec.coeffs)
     op = spec.operator()
+    assert type(op) is operators.BandedOperator
     # set-up builds the stencil and the load weights, and leaves the factor
     # and its argument block to the first sweep
-    assert calls == []
+    assert calls == {"pbtrf_lower": 0}
     assert "factor" not in vars(op) and "solve" not in vars(op)
     assert "stencil" in vars(op) and "load_mass" in vars(op)
-    alm_run(spec, config)
-    assert len(calls) == 1
+    alm_run(spec, AlmConfig(mu0=10.0))
+    assert calls == {"pbtrf_lower": 1}
     assert op.solve is spec.operator().solve
 
 
-def test_paper_run_makes_one_banded_solve_per_step_of_the_unknowns(sec5_spec, monkeypatch):
-    # 54 forward sweeps of nt = 4 steps, 67 adjoint sweeps of nt - 1 = 3
-    # steps down to p_1, and the adjoint's terminal correction in the 22
-    # sweeps whose mu_bar_nt is not zero
-    from almpde import solvers
+def test_paper_run_builds_one_basis_and_no_banded_factor(tmp_path, monkeypatch):
+    # the paper preset has unit coefficients, so its operator takes the
+    # separable path: one basis, built on the first sweep, and no banded
+    # factor or solve
+    calls = {"separable_basis": 0, "pbtrf_lower": 0, "pbtrs": 0}
+    counted_calls(monkeypatch, calls, [(operators, name) for name in calls])
+    cfg = tmp_path / "sec5.cfg"
+    cfg.write_text("problem.preset = paper_example_sec5\n")
+    spec, config = build_run(parse_config(str(cfg)))
+    op = spec.operator()
+    assert type(op) is operators.SeparableOperator
+    assert "basis" not in vars(op) and calls["separable_basis"] == 0
+    trace = alm_run(spec, config)
+    assert (len(trace.rows), sum(row.inner_iters for row in trace.rows)) == (14, 53)
+    assert calls == {"separable_basis": 1, "pbtrf_lower": 0, "pbtrs": 0}
+    assert op.basis is spec.operator().basis and "factor" not in vars(op)
 
-    calls = {"pbtrs": 0, "forward": 0, "adjoint": 0}
 
-    def counted(name, fn):
-        def run(*args):
-            calls[name] += 1
-            return fn(*args)
-        return run
-
-    monkeypatch.setattr(solvers, "pbtrs", counted("pbtrs", solvers.pbtrs))
-    monkeypatch.setattr(msa, "solve_forward", counted("forward", msa.solve_forward))
-    monkeypatch.setattr(msa, "solve_adjoint", counted("adjoint", msa.solve_adjoint))
-    alm_run(sec5_spec, AlmConfig(mu0=10.0))
-    assert (calls["forward"], calls["adjoint"]) == (54, 67)
-    assert calls["pbtrs"] == 54 * 4 + 67 * 3 + 22 == 439
+def test_paper_run_makes_one_banded_solve_per_step_of_the_unknowns(monkeypatch):
+    # the paper example with seeded variable coefficients takes 13 outer and
+    # 50 inner iterations and rejects no trial, so it makes 50 + 1 = 51
+    # forward sweeps of nt = 4 steps and 50 + 13 = 63 adjoint sweeps of
+    # nt - 1 = 3 steps down to p_1, as in
+    # `test_run_sweeps_once_per_update_and_reuses_the_warm_state`; 22 of the
+    # adjoint sweeps have mu_bar_nt != 0 and take a terminal correction
+    spec = varcoef_sec5_spec()
+    calls = {"pbtrs": 0, "solve_forward": 0, "solve_adjoint": 0}
+    counted_calls(monkeypatch, calls, [(operators, "pbtrs"), (msa, "solve_forward"),
+                                       (msa, "solve_adjoint")])
+    trace = alm_run(spec, AlmConfig(mu0=10.0))
+    assert (len(trace.rows), sum(row.inner_iters for row in trace.rows)) == (13, 50)
+    assert (calls["solve_forward"], calls["solve_adjoint"]) == (51, 63)
+    assert calls["pbtrs"] == 51 * 4 + 63 * 3 + 22 == 415
 
 
 def test_run_sweeps_once_per_update_and_reuses_the_warm_state(tmp_path, monkeypatch):
@@ -374,11 +406,14 @@ def test_run_sweeps_once_per_update_and_reuses_the_warm_state(tmp_path, monkeypa
 
 
 def test_run_applies_the_stencil_once_per_sweep_and_objective(tmp_path, monkeypatch):
-    # dt A y0 is taken once per problem, by the spec, for all 14
-    # sub-problems.  The 67 sub-problem objectives take dt A of the
-    # terminal mismatch once each.  45 of the 67 adjoint sweeps have
-    # mu_nt = 0, start from that mismatch and take its dt A over; the other
-    # 22 start from the corrected slice and apply the stencil to it
+    # dt A y0 is taken once per problem, by the spec, for all sub-problems,
+    # and each sub-problem objective takes dt A of the terminal mismatch once.
+    # On the separable path (the paper preset, 14 outer iterations, 67
+    # objectives) every adjoint sweep marches from that mismatch and takes
+    # its dt A over: 1 + 67.  On the banded path (seeded coefficients, 13
+    # outer iterations, 63 objectives) the 22 adjoint sweeps whose mu_nt is
+    # not zero start from the corrected slice and apply the stencil to it:
+    # 1 + 63 + 22
     calls = []
     apply = operators.FluxStencil.apply
 
@@ -391,7 +426,11 @@ def test_run_applies_the_stencil_once_per_sweep_and_objective(tmp_path, monkeypa
     cfg.write_text("problem.preset = paper_example_sec5\n")
     trace = alm_run(*build_run(parse_config(str(cfg))))
     assert [row.inner_iters for row in trace.rows][:2] == [1, 0]
-    assert len(calls) == 1 + 67 + 22
+    assert len(calls) == 1 + 67
+    calls.clear()
+    trace = alm_run(varcoef_sec5_spec(), AlmConfig(mu0=10.0))
+    assert len(trace.rows) == 13
+    assert len(calls) == 1 + 63 + 22
 
 
 def test_run_takes_the_integral_of_mu_squared_once_per_outer_iteration(tmp_path, monkeypatch):

@@ -445,7 +445,7 @@ def test_specs_on_one_coefficients_object_share_one_operator(unit_mesh, monkeypa
                         1.0, 1.0, ControlBounds.constant(unit_mesh, -1.0, 1.0))
             for level in (0.0, 0.5))
     assert a.operator() is b.operator()
-    assert a.operator().solve is b.operator().solve
+    assert a.operator().basis is b.operator().basis
     assert len(calls) == 1
 
 

@@ -38,17 +38,26 @@ def test_one_tree_writes_every_layer_per_round(tmp_path, capsys):
     assert layer_times.main(["--tree", str(_ROOT), "--sizes", "5x4", "--rounds", "2",
                              "--repeat", "1", "--out", str(out)]) == 0
     record = json.loads(out.read_text())
-    layers = record["results"]["tree0"]["5x4"]
-    assert set(layers) == set(layer_times.LAYERS)
-    assert {"solve_us", "objective_us", "kkt_us", "update_us", "start_fields"} <= set(layers)
-    assert all(len(values) == 2 and min(values) > 0 for values in layers.values())
-    # step_us is the two sweeps' time per implicit step
-    for forward, adjoint, step in zip(layers["forward_us"], layers["adjoint_us"],
-                                      layers["step_us"]):
-        assert step == pytest.approx((forward + adjoint) / 8)
-    # one inner iteration takes two adjoint sweeps and at least one forward
-    # sweep besides its objectives: it is timed longer than any one sweep
-    for forward, adjoint, update in zip(layers["forward_us"], layers["adjoint_us"],
-                                        layers["update_us"]):
-        assert update > max(forward, adjoint)
-    assert "tree0  5x4" in capsys.readouterr().out
+    # one row per coefficient kind: variable coefficients on the banded
+    # path, constant ones on the separable path, which has no banded solve
+    results = record["results"]["tree0"]
+    assert set(results) == {"5x4-var", "5x4-const"}
+    assert results["5x4-const"]["solve_us"] == [None, None]
+    printed = capsys.readouterr().out
+    for size, layers in results.items():
+        assert set(layers) == set(layer_times.LAYERS)
+        assert {"solve_us", "objective_us", "kkt_us", "update_us", "start_fields"} <= set(layers)
+        assert all(len(values) == 2 for values in layers.values())
+        assert all(min(values) > 0 for layer, values in layers.items()
+                   if size == "5x4-var" or layer != "solve_us")
+        # step_us is the two sweeps' time per implicit step
+        for forward, adjoint, step in zip(layers["forward_us"], layers["adjoint_us"],
+                                          layers["step_us"]):
+            assert step == pytest.approx((forward + adjoint) / 8)
+        # one inner iteration takes two adjoint sweeps and at least one
+        # forward sweep besides its objectives: it is timed longer than any
+        # one sweep
+        for forward, adjoint, update in zip(layers["forward_us"], layers["adjoint_us"],
+                                            layers["update_us"]):
+            assert update > max(forward, adjoint)
+        assert f"tree0  {size}" in printed

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from almpde.config import build_run, parse_config
 from almpde.grid import build_mesh, space_slice_from_function
-from almpde.operators import DiffusionCoefficients, assemble_operator
+from almpde.operators import (BandedOperator, DiffusionCoefficients, SeparableOperator,
+                              assemble_operator, separable_basis)
 
 from conftest import apply_a
 
@@ -125,3 +127,39 @@ def test_step_factor_is_upper_band_of_the_step_matrix():
     # a C-ordered band is copied by the LAPACK wrapper on every solve: 44 us
     # against 26 us per solve at 33x33, 367 us against 136 us at 65x65
     assert band.flags.f_contiguous
+
+
+def test_constant_coefficients_select_the_separable_path(tmp_path):
+    # the step path follows from the coefficients alone: each of a11 and
+    # a22 constant on the mesh, given as a number or as an array, selects
+    # the separable path; one coefficient that varies selects the banded one
+    m = build_mesh(7, 4, 3, 1.2, 0.7, 0.6)
+    varying = np.linspace(0.5, 2.0, m.nx * m.ny).reshape(m.shape_space)
+    constant = np.full(m.shape_space, 1.7)
+    for a11, a22 in ((1.0, 1.0), (1.7, 0.6), (constant, 0.6), (constant, constant)):
+        assert type(assemble_operator(DiffusionCoefficients(m, a11, a22))) is SeparableOperator
+    for a11, a22 in ((varying, 1.0), (1.0, varying), (constant, varying)):
+        assert type(assemble_operator(DiffusionCoefficients(m, a11, a22))) is BandedOperator
+    cfg = tmp_path / "a11.cfg"
+    cfg.write_text("problem.preset = paper_example_sec5\nproblem.a11 = 2\n")
+    spec, _ = build_run(parse_config(str(cfg)))
+    op = spec.operator()
+    assert type(op) is SeparableOperator and (op.a11, op.a22) == (2.0, 1.0)
+
+
+def test_separable_basis_diagonalizes_the_step_matrix():
+    # V = V_y (x) V_x in row-major node order: V^T M V = I and
+    # V^T (M + dt A) V = diag(1 / d), on a rectangle with nx != ny, hx != hy
+    # and a11 != a22, so that a mixed-up axis or coefficient shows
+    m = build_mesh(7, 4, 3, 1.2, 0.7, 0.6)
+    op = assemble_operator(DiffusionCoefficients(m, 1.7, 0.6))
+    vx, vy, d = separable_basis(m, 1.7, 0.6)
+    V = np.kron(vy, vx)
+    M = np.diag(m.w_space.ravel())
+    assert np.abs(V.T @ M @ V - np.eye(V.shape[0])).max() <= 1e-14
+    K = V.T @ (M + m.dt * op.matrix) @ V
+    assert np.abs(K - np.diag(1.0 / d.ravel())).max() <= 1e-14 * np.abs(K).max()
+    # the basis and its work array are built on the first sweep, not with
+    # the operator
+    assert "basis" not in vars(op)
+    assert op.basis[3].shape == (m.nt,) + m.shape_space

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,12 +26,21 @@ def varcoef_op(m, seed):
         m, rng.uniform(0.5, 2.0, m.shape_space), rng.uniform(0.5, 2.0, m.shape_space)))
 
 
+def const_op(m):
+    """a11 = 1.7 and a22 = 0.6: the separable path with unequal coefficients."""
+    return assemble_operator(DiffusionCoefficients(m, 1.7, 0.6))
+
+
 CONSTANT_STATE_CASES = {
     # h = dt = 0.25 and unit coefficients: every product is exact here
     "unit_5x5": lambda: unit_op(build_mesh(5, 5, 4, 1.0, 1.0, 1.0)),
     # seeded coefficients on a rectangle: the conductances round, so a defect
     # taken in matrix form (sums of products of matrix entries) is not zero
     "varcoef_7x4": lambda: varcoef_op(build_mesh(7, 4, 5, 1.3, 0.7, 0.9), 13),
+    # constant coefficients on that rectangle, on the separable path: the
+    # GEMMs of the eigenbasis sum products too, and zero sources must still
+    # give exact zeros
+    "const_7x4": lambda: const_op(build_mesh(7, 4, 5, 1.3, 0.7, 0.9)),
 }
 
 
@@ -192,12 +206,20 @@ def test_grid_convergence_of_decay_error():
 
 def test_factored_steps_match_dense_solve():
     # variable coefficients on a rectangle (nx != ny), so a y-coupling stored
-    # at the wrong band offset cannot go unnoticed
+    # at the wrong band offset cannot go unnoticed; then the separable path,
+    # on the unit square and with unequal constant coefficients on that
+    # rectangle, so that a mixed-up axis cannot go unnoticed either
     rng = np.random.default_rng(11)
     m = build_mesh(7, 4, 3, 1.2, 0.7, 0.6)
     co = DiffusionCoefficients(m, rng.uniform(0.5, 2.0, m.shape_space),
                                rng.uniform(0.5, 2.0, m.shape_space))
-    op = assemble_operator(co)
+    for op in (assemble_operator(co), unit_op(build_mesh(5, 5, 4, 1.0, 1.0, 1.0)),
+               const_op(m)):
+        _check_steps_against_dense_solve(op, rng)
+
+
+def _check_steps_against_dense_solve(op, rng):
+    m = op.mesh
     K = np.diag(m.w_space.ravel()) + m.dt * op.matrix
     mass = m.w_space.ravel()
 
@@ -213,8 +235,12 @@ def test_factored_steps_match_dense_solve():
     for k in range(1, m.nt + 1):
         assert rel_err(y.values[k], dense_step(y.values[k - 1], u.values[k - 1])) <= 1e-12
 
+    # p_nt is the terminal slice plus its correction dt K^{-1} M mu_nt
     mu = IntervalField(m, rng.standard_normal(IntervalField.shape(m)))
-    p = solve_adjoint(m, op, mu, rng.standard_normal(m.shape_space))
+    terminal = rng.standard_normal(m.shape_space)
+    p = solve_adjoint(m, op, mu, terminal)
+    corrected = terminal.ravel() + np.linalg.solve(K, m.dt * mass * mu.values[-1].ravel())
+    assert rel_err(p.values[-1], corrected) <= 1e-12
     for k in range(m.nt - 1):
         assert rel_err(p.values[k], dense_step(p.values[k + 1], mu.values[k])) <= 1e-12
 
@@ -235,10 +261,19 @@ def test_long_sweeps_match_dense_solve(nx, nt, data):
     # every step of a long sweep against a dense solve from the slice the
     # sweep computed before it; the error is measured against the sweep's
     # largest value, since each step is solved as a deviation from the
-    # sweep's starting slice
+    # sweep's starting slice.  Banded path: seeded coefficients on the
+    # square; separable path: the unit square, and a11 = 1.7, a22 = 0.6 on
+    # a rectangle with about half as many rows
     rng = np.random.default_rng(23)
     m = build_mesh(nx, nx, nt, 1.0, 1.0, 1.0)
-    op = varcoef_op(m, 29)
+    for op in (varcoef_op(m, 29), unit_op(m),
+               const_op(build_mesh(nx, nx // 2 + 2, nt, 1.0, 0.7, 1.0))):
+        _check_long_sweeps(op, data, rng)
+
+
+def _check_long_sweeps(op, data, rng):
+    m = op.mesh
+    nt = m.nt
     K = np.diag(m.w_space.ravel()) + m.dt * op.matrix
     mass = m.w_space.ravel()
     if data == "rough":
@@ -323,11 +358,18 @@ def test_sweeps_reject_operator_of_another_mesh(unit_mesh):
 
 
 def test_cached_step_buffers_carry_no_state():
-    # the operator keeps its step stencil, buffers and factor between sweeps;
+    # the operator keeps its step stencil, buffers and step data between sweeps;
     # sweeps on other data in between must not change a repeated sweep
-    rng = np.random.default_rng(17)
     m = build_mesh(7, 4, 5, 1.3, 0.7, 0.9)
-    op = varcoef_op(m, 19)
+    # the banded path's factor and the separable path's basis and work array
+    for make_op in (lambda: varcoef_op(m, 19), lambda: const_op(m)):
+        _check_repeated_sweep(make_op)
+
+
+def _check_repeated_sweep(make_op):
+    rng = np.random.default_rng(17)
+    op = make_op()
+    m = op.mesh
     shape = IntervalField.shape(m)
     u = IntervalField(m, rng.standard_normal(shape))
     y0 = rng.standard_normal(m.shape_space)
@@ -338,6 +380,33 @@ def test_cached_step_buffers_carry_no_state():
                   BoundaryTimeField(m, 1e3 * rng.standard_normal(BoundaryTimeField.shape(m))),
                   1e3 * rng.standard_normal(m.shape_space))
     again = solve_forward(m, op, u, None, y0)
-    fresh = solve_forward(m, varcoef_op(m, 19), u, None, y0)
+    fresh = solve_forward(m, make_op(), u, None, y0)
     assert np.array_equal(again.values, first.values)
     assert np.array_equal(fresh.values, first.values)
+
+
+def test_blas_threads_do_not_change_a_separable_sweep_up_to_65x65x64():
+    # the separable sweep's GEMMs may sum in another order when OpenBLAS
+    # splits them between threads: a 129x129x32 sweep differs between one
+    # and two threads (OpenBLAS 0.3.31, 2-core VM), while up to the ladder's
+    # top size, 65x65x64, the bytes are the same (README, "Linear solves")
+    code = ("import hashlib\n"
+            "import numpy as np\n"
+            "from almpde.grid import build_mesh, IntervalField\n"
+            "from almpde.operators import DiffusionCoefficients, assemble_operator\n"
+            "from almpde.solvers import solve_forward\n"
+            "m = build_mesh(65, 65, 64, 1.0, 1.0, 0.5)\n"
+            "rng = np.random.default_rng(5)\n"
+            "u = IntervalField(m, rng.standard_normal(IntervalField.shape(m)))\n"
+            "op = assemble_operator(DiffusionCoefficients.unit(m))\n"
+            "y = solve_forward(m, op, u, None, rng.standard_normal(m.shape_space))\n"
+            "print(type(op).__name__, hashlib.sha256(y.values.tobytes()).hexdigest())\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        out.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, check=True).stdout.split())
+    assert out[0][0] == "SeparableOperator"
+    assert out[0] == out[1]

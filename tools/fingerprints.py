@@ -18,11 +18,19 @@ digests when it computes the same unknowns.  The set is:
   full and tiny sizes;
 - each problem of varcoef_batch with seeds 1 and 2, at full and tiny sizes.
 
+Each run also has a second digest, of its decisions: the sha256 of k, n,
+rho, success and inner_iters of every trace row and of the termination.  A
+change that moves only last bits (a sum taken in another order) changes
+the first digest of a run but not the second, and it is judged on the
+second.
+
 Each tree runs the set in one subprocess, with the tree's ``src`` and
 ``perfbench`` first on the import path and one BLAS/OpenMP thread, as
 perfbench/run.py pins them.  With one tree, one line per run is printed:
-its name and digest.  With two, each line gives both digests, the runs whose
-digests differ are listed, and the exit status is 1 if there is one.
+its name, digest and decision digest.  With two, each line gives both
+digests of each tree (first tree first), then the runs whose digests differ
+are listed, and then those whose decisions differ.  The exit status is 1 if
+a digest differs, whether or not the decisions do.
 
 The set takes about 1.2 s per tree on a 2-core VM.  Config files are
 written to a temporary directory; nothing under either tree is written.
@@ -59,6 +67,8 @@ PRESET_RUNS = (
 # (workload, seed) of the benchmark inputs, each at full and tiny sizes
 WORKLOAD_RUNS = (("paper_sec5", 0), ("boundary_fine", 0), ("varcoef_batch", 1),
                  ("varcoef_batch", 2))
+# the trace row columns that the decision digest covers, with the termination
+DECISION_COLUMNS = ("k", "n", "rho", "success", "inner_iters")
 
 
 def digest(trace):
@@ -78,9 +88,17 @@ def digest(trace):
     return h.hexdigest()
 
 
+def decision_digest(trace):
+    """sha256 of a trace's decisions: `DECISION_COLUMNS` of every row and
+    the termination."""
+    rows = tuple(tuple(repr(getattr(row, column)) for column in DECISION_COLUMNS)
+                 for row in trace.rows)
+    return hashlib.sha256(repr((rows, trace.termination)).encode()).hexdigest()
+
+
 def worker():
-    """[(name, digest)] of every run, for the almpde and perfbench on the
-    import path."""
+    """[(name, digest, decision digest)] of every run, for the almpde and
+    perfbench on the import path."""
     import workloads
     from almpde import alm, config
 
@@ -91,7 +109,8 @@ def worker():
             with open(path, "w") as fh:
                 fh.write(f"problem.preset = {preset}\n")
             spec, alm_config = config.build_run(config.parse_config(path, lines))
-            out.append((name, digest(alm.alm_run(spec, alm_config))))
+            trace = alm.alm_run(spec, alm_config)
+            out.append((name, digest(trace), decision_digest(trace)))
         for workload, seed in WORKLOAD_RUNS:
             for tiny in (False, True):
                 inputs = workloads.make_inputs(workload, seed, workdir, tiny=tiny)
@@ -99,7 +118,7 @@ def worker():
                     spec, alm_config = workloads.setup(inp)
                     trace = alm.alm_run(spec, alm_config)
                     name = f"{workload}-{seed}{'-tiny' if tiny else ''}-{inp.label}"
-                    out.append((name, digest(trace)))
+                    out.append((name, digest(trace), decision_digest(trace)))
     return out
 
 
@@ -118,7 +137,8 @@ def worker_env(tree):
 
 
 def run_tree(tree):
-    """[(name, digest)] of every run in one tree, from a subprocess."""
+    """[(name, digest, decision digest)] of every run in one tree, from a
+    subprocess."""
     cmd = [sys.executable, "-c", "import json, fingerprints; "
            "print(json.dumps(fingerprints.worker()))"]
     proc = subprocess.run(cmd, env=worker_env(tree), capture_output=True, text=True)
@@ -134,19 +154,23 @@ def main(argv=None):
         return 2
     runs = [run_tree(tree) for tree in trees]
     if len(runs) == 1:
-        for name, value in runs[0]:
-            print(name, value)
+        for run in runs[0]:
+            print(*run)
         return 0
     first, second = runs
-    if [name for name, _ in first] != [name for name, _ in second]:
+    if [run[0] for run in first] != [run[0] for run in second]:
         print("the two trees run different sets", file=sys.stderr)
         return 1
-    differ = []
-    for (name, a), (_, b) in zip(first, second):
-        print(name, a, b)
+    differ, decisions_differ = [], []
+    for (name, a, a_decisions), (_, b, b_decisions) in zip(first, second):
+        print(name, a, b, a_decisions, b_decisions)
         if a != b:
             differ.append(name)
-    print(f"{len(differ)} of {len(first)} runs differ" + "".join(f"\n  {n}" for n in differ))
+        if a_decisions != b_decisions:
+            decisions_differ.append(name)
+    for names, what in ((differ, ""), (decisions_differ, " in their decisions")):
+        print(f"{len(names)} of {len(first)} runs differ{what}"
+              + "".join(f"\n  {n}" for n in names))
     return 1 if differ else 0
 
 

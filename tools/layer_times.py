@@ -5,16 +5,22 @@
         [--out layer_times.json]
 
 For each size n x nt (an n x n grid on the unit square, nt steps to T = 0.5,
-variable coefficients and data drawn from a fixed seed) it times eight layers
-and measures the working set of a stationary start:
+data drawn from a fixed seed) it measures two rows, one per step path of
+the operator (`operators.assemble_operator` chooses it from the
+coefficients): ``<n>x<nt>-var`` with seeded variable coefficients, on the
+banded path, and ``<n>x<nt>-const`` with unit coefficients, as the presets
+have, on the separable path.  Each row times eight layers and measures the
+working set of a stationary start:
 
-- ``factor_ms``: operator factorization, the first `solve` of a freshly
-  assembled operator (assembly, stencil and weights not included); it
-  includes the copy of the factor into the layout the solves take it in
-  and the argument block;
+- ``factor_ms``: the step data built on the first sweep of a freshly
+  assembled operator (assembly, stencil and weights not included): on the
+  banded path the factorization, the copy of the factor into the layout the
+  solves take it in and the argument block (`solve`); on the separable path
+  the eigenbasis and its work array (`basis`);
 - ``solve_us``: one banded solve, `lapack.pbtrs` with the operator's
   argument block on a seeded vector, copied into the solve's buffer before
-  each call (the copy is included; under 1 us at 65x65);
+  each call (the copy is included; under 1 us at 65x65).  None on the
+  separable path, whose sweep takes all its steps in four GEMMs;
 - ``forward_us``: one forward sweep, `solve_forward` with a seeded control
   and initial slice and no boundary flux;
 - ``adjoint_us``: one adjoint sweep, `solve_adjoint` with a seeded nonzero
@@ -79,6 +85,9 @@ FAULTS = "update_minflt"
 DEFAULT_SIZES = "5x4,17x16,33x32,65x64"
 LOOP_S = 0.02
 SEED = 0
+# the coefficient kinds, each one row per size: (row suffix, the operator
+# attribute that holds its step data)
+KINDS = (("var", "solve"), ("const", "basis"))
 # perfbench/run.py's THREAD_VARS, each set to 1 in the worker's environment
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMBA_NUM_THREADS")
@@ -134,9 +143,10 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-def measure(n, nt, repeat):
+def measure(n, nt, kind, repeat):
     """The eight layer times, the stationary start's working set and the
-    update's page faults at one size, for the almpde on the import path."""
+    update's page faults at one size and coefficient kind (`KINDS`), for the
+    almpde on the import path."""
     import numpy as np
     from almpde.cost import (ProblemSpec, kkt_residuals, multiplier_candidate,
                              multiplier_square, subproblem_objective)
@@ -149,8 +159,12 @@ def measure(n, nt, repeat):
 
     rng = np.random.default_rng(SEED)
     mesh = build_mesh(n, n, nt, 1.0, 1.0, 0.5)
-    coeffs = DiffusionCoefficients(mesh, rng.uniform(0.5, 2.0, mesh.shape_space),
-                                   rng.uniform(0.5, 2.0, mesh.shape_space))
+    # the variable coefficients are drawn on both rows, so the data that
+    # follows is the same on both
+    a11, a22 = (rng.uniform(0.5, 2.0, mesh.shape_space) for _ in range(2))
+    step_data = dict(KINDS)[kind]
+    coeffs = (DiffusionCoefficients(mesh, a11, a22) if kind == "var"
+              else DiffusionCoefficients.unit(mesh))
     shape = IntervalField.shape(mesh)
     u = IntervalField(mesh, rng.standard_normal(shape))
     mu = IntervalField(mesh, rng.uniform(0.0, 1.0, shape))
@@ -164,17 +178,19 @@ def measure(n, nt, repeat):
     for _ in range(max(repeat, 3)):
         op = assemble_operator(coeffs)
         start = time.perf_counter()
-        block = op.solve
+        getattr(op, step_data)
         factor_s = min(factor_s, time.perf_counter() - start)
-    buf_address = address(buf)
+    solve_us = None
+    if step_data == "solve":
+        block, buf_address = op.solve, address(buf)
 
-    def solve():
-        # the solve overwrites its vector, and solving in place again and
-        # again would grow it to overflow, so each call starts from rhs
-        buf[:] = rhs
-        pbtrs(block, buf_address)
+        def solve():
+            # the solve overwrites its vector, and solving in place again and
+            # again would grow it to overflow, so each call starts from rhs
+            buf[:] = rhs
+            pbtrs(block, buf_address)
 
-    solve_s = _best(solve, repeat)
+        solve_us = 1e6 * _best(solve, repeat)
     forward_s = _best(lambda: solve_forward(mesh, op, u, None, y0), repeat)
     adjoint_s = _best(lambda: solve_adjoint(mesh, op, mu, terminal), repeat)
 
@@ -208,7 +224,7 @@ def measure(n, nt, repeat):
     if first.inner_iters or first.final_gap:
         raise RuntimeError(f"the slack start at {n}x{nt} is not stationary")
     start_bytes = _peak_bytes(start)
-    return {"factor_ms": 1e3 * factor_s, "solve_us": 1e6 * solve_s,
+    return {"factor_ms": 1e3 * factor_s, "solve_us": solve_us,
             "forward_us": 1e6 * forward_s, "adjoint_us": 1e6 * adjoint_s,
             "step_us": 1e6 * (forward_s + adjoint_s) / (2 * nt),
             "objective_us": 1e6 * objective_s, "kkt_us": 1e6 * kkt_s,
@@ -217,9 +233,10 @@ def measure(n, nt, repeat):
 
 
 def worker(sizes, repeat):
-    """One round in this process: {"n x nt": layer times and faults} for
-    every size."""
-    return {f"{n}x{nt}": measure(n, nt, repeat) for n, nt in sizes}
+    """One round in this process: {"<n>x<nt>-<kind>": layer times and
+    faults} for every size and coefficient kind."""
+    return {f"{n}x{nt}-{kind}": measure(n, nt, kind, repeat)
+            for n, nt in sizes for kind, _ in KINDS}
 
 
 def worker_env(tree):
@@ -265,17 +282,24 @@ def collect(args):
 
 
 def table(record):
-    """Text lines: per tree and size, the median of each layer over the
-    rounds, then the update's page faults in every round."""
+    """Text lines: per tree, size and coefficient kind, the median of each
+    layer over the rounds (a dash for a layer the path does not have), then
+    the update's page faults in every round."""
     lines = [f"{label} = {tree}" for label, tree in record["trees"].items()]
-    lines.append("tree   size      " + "".join(f"{layer:>13}" for layer in LAYERS)
+    lines.append("tree   size        " + "".join(f"{layer:>13}" for layer in LAYERS)
                  + f"  {FAULTS} per round")
     for label, sizes in record["results"].items():
         for size, layers in sizes.items():
-            lines.append(f"{label:<6} {size:<9} " + "".join(
-                f"{statistics.median(layers[layer]):>13.4g}" for layer in LAYERS)
+            lines.append(f"{label:<6} {size:<11} " + "".join(
+                f"{_median(layers[layer]):>13}" for layer in LAYERS)
                 + "  " + " ".join(f"{f:.4g}" for f in record[FAULTS][label][size]))
     return lines
+
+
+def _median(values):
+    """The median of one layer's rounds, as text; a dash when the path does
+    not have the layer (None)."""
+    return "-" if None in values else f"{statistics.median(values):.4g}"
 
 
 def parse_args(argv):
