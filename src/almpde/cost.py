@@ -104,13 +104,14 @@ class ProblemSpec:
 
     def operator(self):
         """The operator of the coefficients (`DiffusionCoefficients.operator`):
-        problems built on one coefficients object share it and its factor."""
+        problems built on one coefficients object share it and its step
+        data (factor or basis)."""
         return self.coeffs.operator()
 
     @cached_property
     def a_y0(self):
         """dt A y0 (`solvers.start_term`), taken at the first read and kept,
-        as the operator keeps its factor: every forward sweep of every inner
+        as the operator keeps its step data: every forward sweep of every inner
         solve of the problem starts from y0."""
         return start_term(self.operator(), self.y0)
 

@@ -22,9 +22,10 @@ a sweep marches the deviation z_m = x_m - x_0 from its starting slice x_0:
 assembled (`assemble_operator`) from the coefficients alone:
 
 - **Separable** (`SeparableOperator`), when a11 and a22 are each constant
-  on the mesh.  K is then the Kronecker sum a11 M_y (x) K_x + a22 K_y (x)
-  M_x + M_y (x) M_x of 1-D trapezoidal masses and Neumann stiffnesses, and
-  the 1-D generalized eigenvectors, K_x v = lambda M_x v, are the DCT-I
+  on the mesh.  K is then a Kronecker sum, M = M_y (x) M_x and
+  A = a11 M_y (x) K_x + a22 K_y (x) M_x, of 1-D trapezoidal masses and
+  Neumann stiffnesses, and the 1-D generalized eigenvectors,
+  K_x v = lambda M_x v, are the DCT-I
   cosines (fast diagonalization: Lynch, Rice & Thomas, Numer. Math. 6,
   1964).  In closed form, with h = hx and n = nx,
 
@@ -267,7 +268,11 @@ class BandedOperator(DiscreteOperator):
         x runs backward through its array).
         """
         x0, z = x[0], x[1:]
-        z -= self._start_term(x0, a_x0)
+        # a_x0 is held to the end: freed before `carry` is allocated, it
+        # moved the heap layout, and varcoef_batch's peak_rss_mb read
+        # 50.8 MB against 48.7 MB
+        a_x0 = self._start_term(x0, a_x0)
+        z -= a_x0
         mass, solve = self.flat_mass, self.solve
         carry = np.empty(x0.size)
         row_address, stride = address(x0), x.strides[0]
@@ -305,10 +310,11 @@ class SeparableOperator(DiscreteOperator):
     in the closed-form eigenbasis of M + dt A (module docstring).
 
     Built on the first sweep and kept: `basis`, the 1-D bases V_x (nx, nx)
-    and V_y (ny, ny), the step's diagonal d (ny, nx) (`separable_basis`)
-    and one (nt, ny, nx) work array, which holds the slices between the
-    GEMMs along x and along y: `np.matmul` cannot write in place, and a
-    temporary per sweep would raise a solve's peak memory by a field.
+    and V_y (ny, ny) with their transposes, the step's diagonal d (ny, nx)
+    (`separable_basis`) and one (nt, ny, nx) work array, also as
+    (nt ny, nx) rows, which holds the slices between the GEMMs along x and
+    along y: `np.matmul` cannot write in place, and a temporary per sweep
+    would raise a solve's peak memory by a field.
     """
 
     def __init__(self, mesh, cx, cy, a11, a22):
@@ -319,20 +325,21 @@ class SeparableOperator(DiscreteOperator):
     @cached_property
     def basis(self):
         mesh = self.mesh
-        return (*separable_basis(mesh, self.a11, self.a22),
-                np.empty((mesh.nt,) + mesh.shape_space))
+        vx, vy, d = separable_basis(mesh, self.a11, self.a22)
+        work = np.empty((mesh.nt,) + mesh.shape_space)
+        return vx, vx.T, vy, vy.T, d, work, work.reshape(-1, mesh.nx)
 
     def _steps(self, z, reverse):
-        """Solve the deviation steps in place in z, (nt, n): on entry row k
-        holds the source s' of a step, on exit its deviation, marching from
-        row 0 to row nt - 1, or the other way when reverse is true."""
-        vx, vy, d, work = self.basis
-        nx = vx.shape[0]
-        rows, modes = z.reshape(-1, nx), z.reshape(work.shape)
+        """Solve the deviation steps in place in z, (nt, n) and C-contiguous
+        (its reshapes must be views): on entry row k holds the source s' of
+        a step, on exit its deviation, marching from row 0 to row nt - 1, or
+        the other way when reverse is true."""
+        vx, vx_t, vy, vy_t, d, work, work_rows = self.basis
+        rows, modes = z.reshape(work_rows.shape), z.reshape(work.shape)
         # V^T s' = V_y^T (s' V_x) slice by slice; the GEMM along x takes all
         # slices as one matrix
-        np.matmul(rows, vx, out=work.reshape(-1, nx))
-        np.matmul(vy.T, work, out=modes)
+        np.matmul(rows, vx, out=work_rows)
+        np.matmul(vy_t, work, out=modes)
         prev = None
         for row in (modes[::-1] if reverse else modes):
             if prev is not None:
@@ -340,12 +347,11 @@ class SeparableOperator(DiscreteOperator):
             row *= d
             prev = row
         np.matmul(vy, modes, out=work)
-        np.matmul(work.reshape(-1, nx), vx.T, out=rows)
+        np.matmul(work_rows, vx_t, out=rows)
 
     def march(self, x, a_x0):
         """Implicit-Euler steps over the rows of x, (nt + 1, n) in time
-        order, as `BandedOperator.march` takes them (rows C-contiguous and
-        one positive stride apart)."""
+        order and C-contiguous, as `BandedOperator.march` takes them."""
         x0, z = x[0], x[1:]
         z -= self._start_term(x0, a_x0)
         self._steps(z, False)
@@ -359,8 +365,8 @@ class SeparableOperator(DiscreteOperator):
         s_nt + dt A e, so only the rows m < nt subtract dt A e (a_terminal,
         from the stencil when None): the terminal correction costs no
         solve of its own.  The GEMMs run over p in time order, and only the
-        recurrence runs backward; numpy buffers a GEMM that writes into a
-        view with a negative stride.
+        recurrence runs backward: a view that runs backward through p is no
+        one matrix, so reshaping it for the GEMM along x would copy it.
         """
         p[:-1] -= self._start_term(terminal, a_terminal)
         self._steps(p, True)

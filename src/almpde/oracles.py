@@ -161,7 +161,8 @@ def projected_gradient_oracle(spec, rho, mu, iters=100000, lr=1e-3):
     Steps with its own dense inverse of M + dt A, from the dense assembly
     `DiscreteOperator.matrix`, and plain pointwise gradient steps
     u <- clip(u - lr (alpha u + p)), so it shares none of the stencil, the
-    banded step factor and the update rule with msa_solve.  The problem is
+    step paths (banded factor or separable basis) and the update rule with
+    msa_solve.  The problem is
     written out here again: the unknowns are the controls on m = 1..nt
     (row m - 1), the penalty charges the states y_1..y_nt with the
     right-endpoint rule, and the adjoint's terminal slice

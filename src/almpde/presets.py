@@ -46,7 +46,7 @@ def build_unconstrained_decay(mesh):
 
     The optimal control is u = 0, so the outer loop finishes in one success
     with a zero residual.  The target's sweep and the problem share one
-    operator and its factor.
+    operator and its step data.
     """
     coeffs = DiffusionCoefficients.unit(mesh)
     y_free = solve_forward(mesh, coeffs.operator(), IntervalField.zeros(mesh), None,

@@ -162,4 +162,4 @@ def test_separable_basis_diagonalizes_the_step_matrix():
     # the basis and its work array are built on the first sweep, not with
     # the operator
     assert "basis" not in vars(op)
-    assert op.basis[3].shape == (m.nt,) + m.shape_space
+    assert op.basis[5].shape == (m.nt,) + m.shape_space
