@@ -353,7 +353,8 @@ class SeparableOperator(DiscreteOperator):
         """Implicit-Euler steps over the rows of x, (nt + 1, n) in time
         order and C-contiguous, as `BandedOperator.march` takes them."""
         x0, z = x[0], x[1:]
-        z -= self._start_term(x0, a_x0)
+        a_x0 = self._start_term(x0, a_x0)
+        z -= a_x0
         self._steps(z, False)
         z += x0
 
@@ -368,7 +369,8 @@ class SeparableOperator(DiscreteOperator):
         recurrence runs backward: a view that runs backward through p is no
         one matrix, so reshaping it for the GEMM along x would copy it.
         """
-        p[:-1] -= self._start_term(terminal, a_terminal)
+        a_terminal = self._start_term(terminal, a_terminal)
+        p[:-1] -= a_terminal
         self._steps(p, True)
         p += terminal
 
