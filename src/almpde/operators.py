@@ -25,9 +25,9 @@ assembled (`assemble_operator`) from the coefficients alone:
   on the mesh.  K is then a Kronecker sum, M = M_y (x) M_x and
   A = a11 M_y (x) K_x + a22 K_y (x) M_x, of 1-D trapezoidal masses and
   Neumann stiffnesses, and the 1-D generalized eigenvectors,
-  K_x v = lambda M_x v, are the DCT-I
-  cosines (fast diagonalization: Lynch, Rice & Thomas, Numer. Math. 6,
-  1964).  In closed form, with h = hx and n = nx,
+  K_x v = lambda M_x v, are the DCT-I cosines (fast diagonalization:
+  Lynch, Rice & Thomas, Numer. Math. 6, 1964).  In closed form, with
+  h = hx and n = nx,
 
       V_x[i, k] = c_k cos(pi k i / (n - 1)),
       lambda_k = (4 / h^2) sin^2(pi k / (2 (n - 1))),
@@ -37,7 +37,8 @@ assembled (`assemble_operator`) from the coefficients alone:
   V_x, V^T K V = I + dt (a11 Lambda_x (+) a22 Lambda_y), so in the
   coordinates z = V zh each step is diagonal:
 
-      zh_m = d * (zh_{m-1} + V^T s'_m),    d = 1 / (1 + dt (a11 lambda_x (+) a22 lambda_y)),
+      zh_m = d * (zh_{m-1} + V^T s'_m),
+      d = 1 / (1 + dt (a11 lambda_x (+) a22 lambda_y)),
 
   and a whole sweep is four GEMMs over all its slices at once (V^T s' and
   V zh, each one product along x and one along y) around that recurrence.
@@ -46,11 +47,12 @@ assembled (`assemble_operator`) from the coefficients alone:
 - **Banded** (`BandedOperator`), for every other problem: one banded
   Cholesky solve per step.
 
-Each path is the faster one somewhere.  For a 65x65x64 sweep the batched
-GEMMs took 4.8-5.4 ms against 13.6-16.5 ms for the banded steps (one
-thread, OpenBLAS 0.3.31, 2-core Xeon VM), and the banded path is the only
-one that handles variable coefficients.  There is no option: the
-coefficients decide.
+Where both apply, the separable sweep is the faster: with unit
+coefficients a 65x65x64 forward sweep took 4.3 ms against 13.4 ms for the
+banded steps, and a 33x33x32 one 0.35 ms against 1.38 ms (medians of
+`tools/layer_times.py`, one thread, numpy 2.4.6's OpenBLAS 0.3.31, 2-core
+Xeon VM).  The banded path is the only one that handles variable
+coefficients.  There is no option: the coefficients decide.
 
 On the banded path, in row-major node order the nonzeros of K lie on the
 diagonal, one row below it (x-coupling) and nx rows below it (y-coupling),

@@ -5,12 +5,12 @@
         [--out layer_times.json]
 
 For each size n x nt (an n x n grid on the unit square, nt steps to T = 0.5,
-data drawn from a fixed seed) it measures two rows, one per step path of
-the operator (`operators.assemble_operator` chooses it from the
-coefficients): ``<n>x<nt>-var`` with seeded variable coefficients, on the
-banded path, and ``<n>x<nt>-const`` with unit coefficients, as the presets
-have, on the separable path.  Each row times eight layers and measures the
-working set of a stationary start:
+data drawn from a fixed seed) it measures two rows, one per kind of
+coefficients, which `operators.assemble_operator` chooses the step path
+from: ``<n>x<nt>-var`` with seeded variable coefficients (banded path) and
+``<n>x<nt>-const`` with unit coefficients, as the presets have (separable
+path; a tree without it marches them on its banded path).  Each row times
+eight layers and measures the working set of a stationary start:
 
 - ``factor_ms``: the step data built on the first sweep of a freshly
   assembled operator (assembly, stencil and weights not included): on the
@@ -85,9 +85,8 @@ FAULTS = "update_minflt"
 DEFAULT_SIZES = "5x4,17x16,33x32,65x64"
 LOOP_S = 0.02
 SEED = 0
-# the coefficient kinds, each one row per size: (row suffix, the operator
-# attribute that holds its step data)
-KINDS = (("var", "solve"), ("const", "basis"))
+# the coefficient kinds, each one row per size: seeded variable and unit
+KINDS = ("var", "const")
 # perfbench/run.py's THREAD_VARS, each set to 1 in the worker's environment
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMBA_NUM_THREADS")
@@ -162,9 +161,11 @@ def measure(n, nt, kind, repeat):
     # the variable coefficients are drawn on both rows, so the data that
     # follows is the same on both
     a11, a22 = (rng.uniform(0.5, 2.0, mesh.shape_space) for _ in range(2))
-    step_data = dict(KINDS)[kind]
     coeffs = (DiffusionCoefficients(mesh, a11, a22) if kind == "var"
               else DiffusionCoefficients.unit(mesh))
+    # the attribute that builds the step data of the path the tree takes
+    # (looked up on the class: on an operator it would build the data)
+    step_data = "solve" if hasattr(type(coeffs.operator()), "solve") else "basis"
     shape = IntervalField.shape(mesh)
     u = IntervalField(mesh, rng.standard_normal(shape))
     mu = IntervalField(mesh, rng.uniform(0.0, 1.0, shape))
@@ -236,7 +237,7 @@ def worker(sizes, repeat):
     """One round in this process: {"<n>x<nt>-<kind>": layer times and
     faults} for every size and coefficient kind."""
     return {f"{n}x{nt}-{kind}": measure(n, nt, kind, repeat)
-            for n, nt in sizes for kind, _ in KINDS}
+            for n, nt in sizes for kind in KINDS}
 
 
 def worker_env(tree):
