@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import IntervalField, clamp, extract_boundary, is_zero, operand
-from .solvers import solve_forward, start_term
+from .solvers import solve_forward
 
 try:
     # einsum's C entry point: numpy's wrapper instead raised paper_sec5's
@@ -110,10 +110,10 @@ class ProblemSpec:
 
     @cached_property
     def a_y0(self):
-        """dt A y0 (`solvers.start_term`), taken at the first read and kept,
-        as the operator keeps its step data: every forward sweep of every inner
-        solve of the problem starts from y0."""
-        return start_term(self.operator(), self.y0)
+        """dt A y0 (`DiscreteOperator.start_term`), taken at the first read
+        and kept, as the operator keeps its step data: every forward sweep of
+        every inner solve of the problem starts from y0."""
+        return self.operator().start_term(self.y0)
 
 
 def _dot(a, b):

@@ -18,8 +18,11 @@ a sweep marches the deviation z_m = x_m - x_0 from its starting slice x_0:
 
     K z_m = M z_{m-1} + (s_m - dt A x_0),    z_0 = 0,    x_m = x_0 + z_m
 
-(see `solvers`).  An operator marches in one of two ways, chosen when it is
-assembled (`assemble_operator`) from the coefficients alone:
+(see `solvers`).  The march around the steps, forming the sources s_m -
+dt A x_0 and adding x_0 back, is one for every operator
+(`DiscreteOperator.march`, `march_adjoint`).  Only the steps differ, in one
+of two ways chosen when the operator is assembled (`assemble_operator`)
+from the coefficients alone:
 
 - **Separable** (`SeparableOperator`), when a11 and a22 are each constant
   on the mesh.  K is then a Kronecker sum, M = M_y (x) M_x and
@@ -166,19 +169,23 @@ class FluxStencil:
 
 
 class DiscreteOperator:
-    """5-point flux stencil with Neumann closure, and what the implicit-Euler
-    sweeps step with.
+    """5-point flux stencil with Neumann closure, and the implicit-Euler
+    sweeps over it.
 
     Built with the operator, from the edge conductances cx, cy: `stencil`,
     the dt-scaled FluxStencil, applied once per sweep to its starting slice
-    (or once per problem to y0, `solvers.start_term`); `load_mass`
-    (ny, nx) and `load_arc` (n_boundary,), dt M and dt W, the weights that
-    turn a control into its load; and `flat_mass` (n,), M in node order.
+    (or once per problem to y0, `start_term`); `load_mass` (ny, nx) and
+    `load_arc` (n_boundary,), dt M and dt W, the weights that turn a
+    control into its load; and `flat_mass` (n,), M in node order.
     `matrix`, A as a dense array for whole-matrix checks, is built on its
     first use and kept (`functools.cached_property`).
 
-    The sweeps march through `march` and `march_adjoint`, which each step
-    path (`BandedOperator`, `SeparableOperator`) defines.
+    The sweeps march through `march` and `march_adjoint`, defined here for
+    both step paths.  A path (`BandedOperator`, `SeparableOperator`)
+    supplies only its steps, `_steps(z, reverse)`: it solves the deviation
+    steps in place in z, (nt, n) and C-contiguous, where on entry row k
+    holds the source s' of a step and on exit its deviation, marching from
+    row 0 to row nt - 1, or the other way when reverse is true.
     """
 
     def __init__(self, mesh, cx, cy):
@@ -193,9 +200,53 @@ class DiscreteOperator:
         self.load_arc = dt * mesh.w_arc
         self.flat_mass = mesh.w_space.ravel()
 
-    def _start_term(self, x0, a_x0):
-        """dt A x0 of a flat slice: a_x0 when given, else from the stencil."""
-        return self.stencil.apply(x0, np.empty(x0.size)) if a_x0 is None else a_x0
+    def start_term(self, x0):
+        """dt A x0 of a slice x0, flattened: the term each step of a sweep
+        starting from x0 subtracts from its source (module docstring of
+        `solvers`).
+
+        A caller that marches from one x0 again and again takes it once and
+        hands it to `march`; x0 must not change in between.  A problem
+        takes it once for all its sub-problems (`cost.ProblemSpec.a_y0`).
+        Applying the stencil in every forward sweep instead raised
+        paper_sec5's solve_ref 0.323 -> 0.332 (+2.9%, higher in 9 of 10
+        pairs, BENCH_ablation.json).
+        """
+        x0 = np.ravel(x0)
+        return self.stencil.apply(x0, np.empty(x0.size))
+
+    def march(self, x, a_x0):
+        """Implicit-Euler steps over the rows of x, (nt + 1, n) in time
+        order and C-contiguous.
+
+        On entry row 0 holds the starting slice x0 and row m >= 1 the source
+        of step m; on exit row m holds the slice after step m.  The rows
+        after x0 hold the deviations z_m = x_m - x0 while the path steps
+        them.  a_x0 is dt A x0 (`start_term`), taken here when None.
+        """
+        x0, z = x[0], x[1:]
+        # a_x0 is held to the end: freed before the banded steps allocate
+        # their carry, it moved the heap layout, and varcoef_batch's
+        # peak_rss_mb read 50.8 MB against 48.7 MB
+        a_x0 = self.start_term(x0) if a_x0 is None else a_x0
+        z -= a_x0
+        self._steps(z, False)
+        z += x0
+
+    def march_adjoint(self, p, terminal, a_terminal):
+        """The adjoint sweep over p, (nt, n) in time order and C-contiguous:
+        row m - 1 holds the source s_m of p_m on entry and p_m on exit.
+
+        It marches backward the deviation from the terminal slice e itself.
+        p_nt = e + K^{-1} s_nt is then an ordinary step from e whose source
+        is s_nt + dt A e, so only the rows m < nt subtract dt A e
+        (a_terminal, taken here when None): the terminal correction costs
+        one step and no solve or stencil of its own.
+        """
+        a_terminal = self.start_term(terminal) if a_terminal is None else a_terminal
+        p[:-1] -= a_terminal
+        self._steps(p, True)
+        p += terminal
 
     @cached_property
     def matrix(self):
@@ -257,54 +308,23 @@ class BandedOperator(DiscreteOperator):
         band[nx, :nx * (ny - 1)] = -dt * self.cy.ravel()
         return band
 
-    def march(self, x, a_x0):
-        """Implicit-Euler steps over the rows of x, (steps + 1, n) in
-        marching order.
-
-        On entry row 0 holds the starting slice x0 and row m >= 1 the source
-        of step m; on exit row m holds the slice after step m.  The rows
-        after x0 first hold the deviations z_m = x_m - x0, solved in place,
-        each step one diagonal multiply-add and one `pbtrs`.  a_x0 is
-        dt A x0 (`solvers.start_term`), applied here when None.  Each row
-        is C-contiguous, and rows lie one stride apart (a negative one when
-        x runs backward through its array).
-        """
-        x0, z = x[0], x[1:]
-        # a_x0 is held to the end: freed before `carry` is allocated, it
-        # moved the heap layout, and varcoef_batch's peak_rss_mb read
-        # 50.8 MB against 48.7 MB
-        a_x0 = self._start_term(x0, a_x0)
-        z -= a_x0
+    def _steps(self, z, reverse):
+        """The deviation steps in z (`DiscreteOperator`), each one diagonal
+        multiply-add and one `pbtrs`.  Each row is C-contiguous, and the
+        address of the row solved steps by the rows' stride (a negative one
+        in reverse)."""
+        rows = z[::-1] if reverse else z
         mass, solve = self.flat_mass, self.solve
-        carry = np.empty(x0.size)
-        row_address, stride = address(x0), x.strides[0]
+        carry = np.empty(z.shape[1])
+        row_address, stride = address(rows[0]), rows.strides[0]
         prev = None
-        for row in z:
+        for row in rows:
             if prev is not None:
                 np.multiply(mass, prev, out=carry)
                 row += carry
-            row_address += stride
             pbtrs(solve, row_address)
+            row_address += stride
             prev = row
-        z += x0
-
-    def march_adjoint(self, p, terminal, a_terminal):
-        """The adjoint sweep over p, (nt, n) in time order: row m - 1 holds
-        the source of p_m on entry and p_m on exit.
-
-        p_nt = terminal + K^{-1} s_nt is solved in place (skipped when
-        s_nt is zero: it is then exactly the terminal slice), and the march
-        runs from it over p reversed.  a_terminal, dt A terminal, is used
-        only in the second case, where p_nt is the terminal slice.
-        """
-        last = p[-1]
-        if np.count_nonzero(last):
-            pbtrs(self.solve, address(last))
-            last += terminal
-            a_terminal = None
-        else:
-            last[...] = terminal
-        self.march(p[::-1], a_terminal)
 
 
 class SeparableOperator(DiscreteOperator):
@@ -332,10 +352,11 @@ class SeparableOperator(DiscreteOperator):
         return vx, vx.T, vy, vy.T, d, work, work.reshape(-1, mesh.nx)
 
     def _steps(self, z, reverse):
-        """Solve the deviation steps in place in z, (nt, n) and C-contiguous
-        (its reshapes must be views): on entry row k holds the source s' of
-        a step, on exit its deviation, marching from row 0 to row nt - 1, or
-        the other way when reverse is true."""
+        """The deviation steps in z (`DiscreteOperator`), whose reshapes
+        must be views.  The GEMMs run over z in time order, and only the
+        recurrence runs in reverse: a view that runs backward through z is
+        no one matrix, so reshaping it for the GEMM along x would copy it.
+        """
         vx, vx_t, vy, vy_t, d, work, work_rows = self.basis
         rows, modes = z.reshape(work_rows.shape), z.reshape(work.shape)
         # V^T s' = V_y^T (s' V_x) slice by slice; the GEMM along x takes all
@@ -350,31 +371,6 @@ class SeparableOperator(DiscreteOperator):
             prev = row
         np.matmul(vy, modes, out=work)
         np.matmul(work_rows, vx_t, out=rows)
-
-    def march(self, x, a_x0):
-        """Implicit-Euler steps over the rows of x, (nt + 1, n) in time
-        order and C-contiguous, as `BandedOperator.march` takes them."""
-        x0, z = x[0], x[1:]
-        a_x0 = self._start_term(x0, a_x0)
-        z -= a_x0
-        self._steps(z, False)
-        z += x0
-
-    def march_adjoint(self, p, terminal, a_terminal):
-        """The adjoint sweep over p, as `BandedOperator.march_adjoint` takes
-        it, marching the deviation from the terminal slice e itself.
-
-        p_nt is then an ordinary step from e whose source is
-        s_nt + dt A e, so only the rows m < nt subtract dt A e (a_terminal,
-        from the stencil when None): the terminal correction costs no
-        solve of its own.  The GEMMs run over p in time order, and only the
-        recurrence runs backward: a view that runs backward through p is no
-        one matrix, so reshaping it for the GEMM along x would copy it.
-        """
-        a_terminal = self._start_term(terminal, a_terminal)
-        p[:-1] -= a_terminal
-        self._steps(p, True)
-        p += terminal
 
 
 def separable_basis(mesh, a11, a22):

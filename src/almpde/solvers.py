@@ -28,15 +28,17 @@ the deviation z_m = x_m - x_0 from the sweep's starting slice x_0:
 
 and returns x_m = x_0 + z_m.  Its step path, banded Cholesky solves or the
 separable eigenbasis for constant coefficients, was fixed when it was
-assembled (see `operators`), so a sweep does not ask which.  dt A x_0 is
-the sweep's only stencil application, subtracted from all sources in one
-vectorised operation.  A forward sweep can be handed it precomputed
-(`start_term`): every forward sweep of every inner solve starts from the
-problem's y0, so the problem takes it once (`cost.ProblemSpec.a_y0`), with
-the same bits as a sweep that applies the stencil.  So can an adjoint
-sweep (`a_terminal`): the sub-problem objective has just taken dt A e.  The
-banded path uses it when mu_nt is zero and it starts from e itself; the
-separable path always marches from e, with p_nt one more step.
+assembled (see `operators`), so a sweep does not ask which, and the march
+around the steps is the same for both.  dt A x_0 is the sweep's only
+stencil application, subtracted from all sources in one vectorised
+operation.  A forward sweep can be handed it precomputed
+(`DiscreteOperator.start_term`): every forward sweep of every inner solve
+starts from the problem's y0, so the problem takes it once
+(`cost.ProblemSpec.a_y0`), with the same bits as a sweep that applies the
+stencil.  So can an adjoint sweep (`a_terminal`): the sub-problem objective
+has just taken dt A e.  The adjoint sweep always marches from e itself,
+and p_nt is one more step: its source s_nt keeps dt A e, which the rows
+m < nt subtract.
 dt A x_0 is evaluated in difference form (`FluxStencil`), so for a
 constant starting slice it is exactly zero: with zero sources every z_m is
 then exactly zero, and constant states are preserved bit-exactly for any
@@ -57,31 +59,14 @@ arithmetic: at 5x5x4 each of the four banded solves takes about 1 us, and
 so does each numpy operation around them.  So the sweeps form their
 sources in place, the banded path calls LAPACK's `pbtrs` through the
 operator's argument block `solve` (`lapack.pbtrs`), with the address of
-each row stepped from the first one by the row stride, and tests mu_nt
-with `np.count_nonzero`, about a quarter of the cost of `ndarray.any` at
-5x5.  The first row's address from `lapack.address` takes about 0.6 us,
-against 2.0 us for `.ctypes.data`.
+each row stepped from the first one by the row stride.  The first row's
+address from `lapack.address` takes about 0.6 us, against 2.0 us for
+`.ctypes.data`.
 """
 
 import numpy as np
 
 from .grid import IntervalField, TimeField, operand
-
-
-def start_term(op, x0):
-    """dt A x0 of a (ny, nx) slice x0, flattened: the term each step of a
-    sweep starting from x0 subtracts from its source (see the module
-    docstring).
-
-    A caller that marches from one x0 again and again takes it once and
-    hands it to `solve_forward`; x0 must not change in between.  A problem
-    takes it once for all its sub-problems (`cost.ProblemSpec.a_y0`).
-    Applying the stencil in every forward sweep instead raised paper_sec5's
-    solve_ref 0.323 -> 0.332 (+2.9%, higher in 9 of 10 pairs,
-    BENCH_ablation.json).
-    """
-    x0 = np.ravel(x0)
-    return op.stencil.apply(x0, np.empty(x0.size))
 
 
 def _check(mesh, op, slice_, name):
@@ -99,7 +84,7 @@ def solve_forward(mesh, op, u, v, y0, a_y0=None):
     u is the source (an IntervalField, or any constant field: `operand`), v
     an optional BoundaryTimeField flux (None means homogeneous Neumann), y0
     a (ny, nx) array.  Returns the state TimeField.
-    a_y0, when given, is `start_term(op, y0)` of this y0, and the sweep
+    a_y0, when given, is `op.start_term(y0)` of this y0, and the sweep
     applies no stencil; the result has the same bits either way.
     The loads of steps 1..nt are formed in the slices they are marched in.
     """
@@ -115,18 +100,18 @@ def solve_forward(mesh, op, u, v, y0, a_y0=None):
 
 
 def solve_adjoint(mesh, op, mu, terminal, a_terminal=None):
-    """March the adjoint equation backward from the corrected terminal slice
-    down to p_1; returns p on m = 1..nt, an IntervalField.
+    """March the adjoint equation backward from the terminal mismatch down
+    to p_1; returns p on m = 1..nt, an IntervalField.
 
     mu is the IntervalField source (the multiplier candidate) and terminal the
-    (ny, nx) terminal mismatch y_nt - y_d; the slice p_nt starts from is
-    terminal + dt K^{-1} M mu_nt.  The boundary closure is homogeneous.
+    (ny, nx) terminal mismatch y_nt - y_d; p_nt = terminal + dt K^{-1} M mu_nt
+    is the first step from it.  The boundary closure is homogeneous.
     The sources are formed in the slices of p, in time order, and the
     operator marches over them (`DiscreteOperator.march_adjoint`).
     a_terminal, when given, is dt A terminal, flattened, as the sub-problem
-    objective takes it (`cost.subproblem_objective`); a sweep that needs it
-    then applies no stencil, and the result has the same bits either way.
-    Taking dt A e again in those sweeps instead raised paper_sec5's
+    objective takes it (`cost.subproblem_objective`); the sweep then applies
+    no stencil, and the result has the same bits either way.
+    Taking dt A e again in the sweep instead raised paper_sec5's
     solve_ref 0.336 -> 0.346 (+3.0%, higher in 10 of 10 pairs,
     BENCH_no_scipy.json).
     """

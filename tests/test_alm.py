@@ -368,9 +368,9 @@ def test_paper_run_makes_one_banded_solve_per_step_of_the_unknowns(monkeypatch):
     # the paper example with seeded variable coefficients takes 13 outer and
     # 50 inner iterations and rejects no trial, so it makes 50 + 1 = 51
     # forward sweeps of nt = 4 steps and 50 + 13 = 63 adjoint sweeps of
-    # nt - 1 = 3 steps down to p_1, as in
-    # `test_run_sweeps_once_per_update_and_reuses_the_warm_state`; 22 of the
-    # adjoint sweeps have mu_bar_nt != 0 and take a terminal correction
+    # nt = 4 steps, from the terminal mismatch down to p_1, as in
+    # `test_run_sweeps_once_per_update_and_reuses_the_warm_state`: p_nt is
+    # one ordinary step, whether mu_bar_nt is zero or not
     spec = varcoef_sec5_spec()
     calls = {"pbtrs": 0, "solve_forward": 0, "solve_adjoint": 0}
     counted_calls(monkeypatch, calls, [(operators, "pbtrs"), (msa, "solve_forward"),
@@ -378,7 +378,7 @@ def test_paper_run_makes_one_banded_solve_per_step_of_the_unknowns(monkeypatch):
     trace = alm_run(spec, AlmConfig(mu0=10.0))
     assert (len(trace.rows), sum(row.inner_iters for row in trace.rows)) == (13, 50)
     assert (calls["solve_forward"], calls["solve_adjoint"]) == (51, 63)
-    assert calls["pbtrs"] == 51 * 4 + 63 * 3 + 22 == 415
+    assert calls["pbtrs"] == 51 * 4 + 63 * 4 == 456
 
 
 def test_run_sweeps_once_per_update_and_reuses_the_warm_state(tmp_path, monkeypatch):
@@ -408,12 +408,10 @@ def test_run_sweeps_once_per_update_and_reuses_the_warm_state(tmp_path, monkeypa
 def test_run_applies_the_stencil_once_per_sweep_and_objective(tmp_path, monkeypatch):
     # dt A y0 is taken once per problem, by the spec, for all sub-problems,
     # and each sub-problem objective takes dt A of the terminal mismatch once.
-    # On the separable path (the paper preset, 14 outer iterations, 67
-    # objectives) every adjoint sweep marches from that mismatch and takes
-    # its dt A over: 1 + 67.  On the banded path (seeded coefficients, 13
-    # outer iterations, 63 objectives) the 22 adjoint sweeps whose mu_nt is
-    # not zero start from the corrected slice and apply the stencil to it:
-    # 1 + 63 + 22
+    # Every adjoint sweep marches from that mismatch and takes its dt A
+    # over, so no sweep applies the stencil: 1 + 67 on the paper preset
+    # (separable path, 14 outer iterations, 67 objectives) and 1 + 63 with
+    # seeded coefficients (banded path, 13 outer iterations, 63 objectives)
     calls = []
     apply = operators.FluxStencil.apply
 
@@ -430,7 +428,7 @@ def test_run_applies_the_stencil_once_per_sweep_and_objective(tmp_path, monkeypa
     calls.clear()
     trace = alm_run(varcoef_sec5_spec(), AlmConfig(mu0=10.0))
     assert len(trace.rows) == 13
-    assert len(calls) == 1 + 63 + 22
+    assert len(calls) == 1 + 63
 
 
 def test_run_takes_the_integral_of_mu_squared_once_per_outer_iteration(tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from almpde.grid import (build_mesh, TimeField, IntervalField, BoundaryTimeField,
                          space_slice_from_function, l2_norm_omega_t)
 from almpde.operators import DiffusionCoefficients, FluxStencil, assemble_operator
-from almpde.solvers import solve_forward, solve_adjoint, start_term
+from almpde.solvers import solve_forward, solve_adjoint
 
 from conftest import apply_a
 
@@ -141,51 +141,65 @@ def test_adjoint_zero_data(unit_mesh):
     assert p.values.shape == IntervalField.shape(unit_mesh) and np.all(p.values == 0.0)
 
 
+# the adjoint tests below run on both step paths: unit coefficients select
+# the separable one, seeded variable coefficients the banded one
+ADJOINT_PATHS = (unit_op, lambda m: varcoef_op(m, 41))
+
+
 def test_adjoint_constant_source_ramps_backward(unit_mesh):
-    op = unit_op(unit_mesh)
-    p = solve_adjoint(unit_mesh, op, IntervalField.constant(unit_mesh, 1.5),
-                      np.zeros(unit_mesh.shape_space))
-    # the terminal correction dt K^{-1} M mu_nt adds one step's source; the
-    # sweep stops at p_1, in row 0
-    for m in range(1, unit_mesh.nt + 1):
-        assert np.abs(p.values[m - 1] - 1.5 * (unit_mesh.nt - m + 1) * unit_mesh.dt).max() <= 1e-12
+    for make_op in ADJOINT_PATHS:
+        op = make_op(unit_mesh)
+        p = solve_adjoint(unit_mesh, op, IntervalField.constant(unit_mesh, 1.5),
+                          np.zeros(unit_mesh.shape_space))
+        # the terminal correction dt K^{-1} M mu_nt adds one step's source;
+        # the sweep stops at p_1, in row 0
+        for m in range(1, unit_mesh.nt + 1):
+            ramp = 1.5 * (unit_mesh.nt - m + 1) * unit_mesh.dt
+            assert np.abs(p.values[m - 1] - ramp).max() <= 1e-12
 
 
 def test_one_step_adjoint_is_its_corrected_terminal_slice():
-    # with nt = 1 the sweep has no step, only the terminal slice p_1
+    # with nt = 1 the sweep is one step, from the terminal slice to p_1
     m = build_mesh(5, 5, 1, 1.0, 1.0, 0.25)
-    op = unit_op(m)
-    terminal = np.full(m.shape_space, 0.5)
-    p = solve_adjoint(m, op, IntervalField.constant(m, 2.0), terminal)
-    assert p.values.shape == (1, 5, 5)
-    assert np.abs(p.values[0] - (0.5 + 2.0 * m.dt)).max() <= 1e-14
+    for make_op in ADJOINT_PATHS:
+        op = make_op(m)
+        terminal = np.full(m.shape_space, 0.5)
+        p = solve_adjoint(m, op, IntervalField.constant(m, 2.0), terminal)
+        assert p.values.shape == (1, 5, 5)
+        assert np.abs(p.values[0] - (0.5 + 2.0 * m.dt)).max() <= 1e-14
 
 
 def test_adjoint_terminal_assignment(unit_mesh):
-    op = unit_op(unit_mesh)
     rng = np.random.default_rng(5)
     terminal = rng.standard_normal(unit_mesh.shape_space)
-    p = solve_adjoint(unit_mesh, op, IntervalField.zeros(unit_mesh), terminal)
-    assert np.array_equal(p.values[-1], terminal)
+    for make_op in ADJOINT_PATHS:
+        op = make_op(unit_mesh)
+        p = solve_adjoint(unit_mesh, op, IntervalField.zeros(unit_mesh), terminal)
+        assert np.array_equal(p.values[-1], terminal)
 
 
 def test_discrete_adjoint_transpose_identity():
     # <q, du>_dtM over steps equals <w, dy>_dtM over the slices m = 1..nt plus
     # the terminal pairing in the (M + dt A) inner product; both sides
-    # evaluated with independent loops
+    # evaluated with independent loops.  Unequal constant coefficients and
+    # seeded variable ones, over one step and over five
     rng = np.random.default_rng(7)
-    m = build_mesh(7, 6, 5, 1.3, 0.9, 0.7)
-    op = assemble_operator(DiffusionCoefficients(m, 1.5, 0.8))
-    du = IntervalField(m, rng.standard_normal(IntervalField.shape(m)))
-    w = IntervalField(m, rng.standard_normal(IntervalField.shape(m)))
-    terminal = rng.standard_normal(m.shape_space)
-    dy = solve_forward(m, op, du, None, np.zeros(m.shape_space))
-    q = solve_adjoint(m, op, w, terminal)
-    # row k of an unknown is the slice m = k + 1
-    lhs = m.dt * sum(np.sum(m.w_space * q.values[k] * du.values[k]) for k in range(m.nt))
-    rhs = m.dt * sum(np.sum(m.w_space * w.values[k] * dy.values[k + 1]) for k in range(m.nt))
-    rhs += np.sum(terminal * (m.w_space * dy.values[-1] + m.dt * apply_a(op, dy.values[-1])))
-    assert abs(lhs - rhs) / max(abs(lhs), 1e-30) <= 1e-8
+    for nt in (1, 5):
+        m = build_mesh(7, 6, nt, 1.3, 0.9, 0.7)
+        for op in (assemble_operator(DiffusionCoefficients(m, 1.5, 0.8)), varcoef_op(m, 41)):
+            du = IntervalField(m, rng.standard_normal(IntervalField.shape(m)))
+            w = IntervalField(m, rng.standard_normal(IntervalField.shape(m)))
+            terminal = rng.standard_normal(m.shape_space)
+            dy = solve_forward(m, op, du, None, np.zeros(m.shape_space))
+            q = solve_adjoint(m, op, w, terminal)
+            # row k of an unknown is the slice m = k + 1
+            lhs = m.dt * sum(np.sum(m.w_space * q.values[k] * du.values[k])
+                             for k in range(m.nt))
+            rhs = m.dt * sum(np.sum(m.w_space * w.values[k] * dy.values[k + 1])
+                             for k in range(m.nt))
+            rhs += np.sum(terminal * (m.w_space * dy.values[-1]
+                                      + m.dt * apply_a(op, dy.values[-1])))
+            assert abs(lhs - rhs) / max(abs(lhs), 1e-30) <= 1e-8
 
 
 def test_grid_convergence_of_decay_error():
@@ -312,7 +326,7 @@ def test_each_sweep_applies_the_stencil_once(monkeypatch):
     shape = IntervalField.shape(m)
     u = IntervalField(m, rng.standard_normal(shape))
     y0 = rng.standard_normal(m.shape_space)
-    a_y0 = start_term(op, y0)
+    a_y0 = op.start_term(y0)
     for flux in (None, BoundaryTimeField(m, rng.standard_normal(BoundaryTimeField.shape(m)))):
         calls.clear()
         solve_forward(m, op, u, flux, y0)
@@ -337,7 +351,7 @@ def test_forward_sweep_with_start_term_is_bit_identical(case):
     rng = np.random.default_rng(29)
     u = IntervalField(m, rng.standard_normal(IntervalField.shape(m)))
     y0 = rng.standard_normal(m.shape_space)
-    a_y0 = start_term(op, y0)
+    a_y0 = op.start_term(y0)
     assert a_y0.shape == (m.nx * m.ny,)
     # the stencil's conductances are scaled by dt before the differences
     reference = m.dt * apply_a(op, y0).ravel()

@@ -24,7 +24,7 @@ eight layers and measures the working set of a stationary start:
 - ``forward_us``: one forward sweep, `solve_forward` with a seeded control
   and initial slice and no boundary flux;
 - ``adjoint_us``: one adjoint sweep, `solve_adjoint` with a seeded nonzero
-  multiplier (so its terminal correction is taken) and terminal slice;
+  multiplier and terminal slice;
 - ``step_us``: the two sweeps' time per implicit step, (forward + adjoint)
   / (2 nt), the measure of perfbench's ``solvers.step_us``;
 - ``objective_us``: one `subproblem_objective`, with the state, multiplier
