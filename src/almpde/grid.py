@@ -372,19 +372,27 @@ def dump_space_slice(values, name, path, mesh):
 
 
 def _read_dump(path, dims, first, last):
-    """The rows m = first..last of the dump at path, one array row each; its
-    header must give the dims."""
+    """The rows m = first..last of the dump at path, each one slice's values
+    as the header's dims say; every error message begins with the path."""
     with open(path) as fh:
         lines = [ln.rstrip("\n").split(",") for ln in fh if ln.strip()]
     if not lines or len(lines[0]) < 2 or lines[0][0] != "field":
         raise ValueError(f"{path}: malformed field dump header")
-    meta = {key: int(val) for key, val in zip(lines[0][2::2], lines[0][3::2])}
+    try:
+        meta = {key: int(val) for key, val in zip(lines[0][2::2], lines[0][3::2])}
+        rows = [[float(v) for v in row[2:]] for row in lines[1:]]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if any(meta.get(key) != value for key, value in dims.items()):
         raise ValueError(f"{path}: dump dims {meta} do not match {dims}")
-    if [int(row[0]) for row in lines[1:]] != list(range(first, last + 1)):
+    if [row[0] for row in lines[1:]] != [str(m) for m in range(first, last + 1)]:
         raise ValueError(f"{path}: expected the rows m = {first}..{last}, got the rows "
                          f"m = {', '.join(row[0] for row in lines[1:])}")
-    return np.array([[float(v) for v in row[2:]] for row in lines[1:]])
+    size = math.prod(value for key, value in dims.items() if key != "nt")
+    for m, row in enumerate(rows, first):
+        if len(row) != size:
+            raise ValueError(f"{path}: row m = {m} holds {len(row)} values, expected {size}")
+    return np.array(rows)
 
 
 def _load(path, cls, mesh, dims):

@@ -43,19 +43,17 @@ from the coefficients alone:
       zh_m = d * (zh_{m-1} + V^T s'_m),
       d = 1 / (1 + dt (a11 lambda_x (+) a22 lambda_y)),
 
-  and a whole sweep is four GEMMs over all its slices at once (V^T s' and
+  and a whole sweep is four GEMMs batched over its slices (V^T s' and
   V zh, each one product along x and one along y) around that recurrence.
   Zero sources transform to exact zeros, so a constant slice stays
   bit-exact here too.
 - **Banded** (`BandedOperator`), for every other problem: one banded
   Cholesky solve per step.
 
-Where both apply, the separable sweep is the faster: with unit
-coefficients a 65x65x64 forward sweep took 4.3 ms against 13.4 ms for the
-banded steps, and a 33x33x32 one 0.35 ms against 1.38 ms (medians of
-`tools/layer_times.py`, one thread, numpy 2.4.6's OpenBLAS 0.3.31, 2-core
-Xeon VM).  The banded path is the only one that handles variable
-coefficients.  There is no option: the coefficients decide.
+Where both apply, the separable sweep is the faster: a forward sweep took
+0.25 ms against 1.0 ms for the banded steps at 33x33x32, and 2.9 ms against
+10.2 ms at 65x65x64 (medians of `tools/layer_times.py`, one thread,
+OpenBLAS 0.3.31, 2-core Xeon VM).  There is no option: the coefficients decide.
 
 On the banded path, in row-major node order the nonzeros of K lie on the
 diagonal, one row below it (x-coupling) and nx rows below it (y-coupling),
@@ -71,13 +69,12 @@ slow as the other three variants: 29.5 us against 12.7-14.1 us at 33x33
 (one thread, OpenBLAS 0.3.31, Xeon), so a whole solve takes 26 us instead
 of 42 us.  The stored band is Fortran-ordered, as LAPACK takes it.
 
-The DiscreteOperator holds all a sweep reads.  The dt-scaled stencil, the
-dt-weighted mass and arc weights the sweeps form their loads with and the
-flat mass M are built with it (10-15 us at 5x5-33x33).  What a path steps
-with, the banded factor or the separable basis and its work array, is built
-on the operator's first sweep and reused for every later one, so that
-setting up a problem does not factor: at 33x33 the factorization
-(0.6-0.8 ms) would nearly double the boundary demo's set-up.
+The DiscreteOperator holds all a sweep reads: the dt-scaled stencil, the
+load weights and the flat mass M, built with it (10-15 us at 5x5-33x33),
+and what its path steps with, the banded factor or the separable basis,
+built on its first sweep and kept, so that setting up a problem does not
+factor: at 33x33 the factorization (0.6-0.8 ms) would nearly double the
+boundary demo's set-up.
 
 An operator depends only on the mesh and the coefficients, so each
 DiffusionCoefficients object assembles it once (`operator`): every problem
@@ -331,12 +328,11 @@ class SeparableOperator(DiscreteOperator):
     """The separable step path, for constant a11 and a22: each sweep steps
     in the closed-form eigenbasis of M + dt A (module docstring).
 
-    Built on the first sweep and kept: `basis`, the 1-D bases V_x (nx, nx)
-    and V_y (ny, ny) with their transposes, the step's diagonal d (ny, nx)
-    (`separable_basis`) and one (nt, ny, nx) work array, also as
-    (nt ny, nx) rows, which holds the slices between the GEMMs along x and
-    along y: `np.matmul` cannot write in place, and a temporary per sweep
-    would raise a solve's peak memory by a field.
+    Built on the first sweep and kept: `basis`, V_x (nx, nx) and V_x^T as
+    its own C-contiguous array, V_y (ny, ny) and V_y^T, the step's diagonal
+    d (ny, nx) (`separable_basis`) and one (nt, ny, nx) work array for the
+    slices between the GEMMs along x and along y (`np.matmul` cannot write
+    in place; a temporary per sweep would raise a solve's peak by a field).
     """
 
     def __init__(self, mesh, cx, cy, a11, a22):
@@ -349,19 +345,15 @@ class SeparableOperator(DiscreteOperator):
         mesh = self.mesh
         vx, vy, d = separable_basis(mesh, self.a11, self.a22)
         work = np.empty((mesh.nt,) + mesh.shape_space)
-        return vx, vx.T, vy, vy.T, d, work, work.reshape(-1, mesh.nx)
+        return vx, np.ascontiguousarray(vx.T), vy, vy.T, d, work
 
     def _steps(self, z, reverse):
-        """The deviation steps in z (`DiscreteOperator`), whose reshapes
-        must be views.  The GEMMs run over z in time order, and only the
-        recurrence runs in reverse: a view that runs backward through z is
-        no one matrix, so reshaping it for the GEMM along x would copy it.
-        """
-        vx, vx_t, vy, vy_t, d, work, work_rows = self.basis
-        rows, modes = z.reshape(work_rows.shape), z.reshape(work.shape)
-        # V^T s' = V_y^T (s' V_x) slice by slice; the GEMM along x takes all
-        # slices as one matrix
-        np.matmul(rows, vx, out=work_rows)
+        """The deviation steps in z (`DiscreteOperator`): four GEMMs batched
+        over its slices in time order, and the recurrence in either order."""
+        vx, vx_t, vy, vy_t, d, work = self.basis
+        modes = z.reshape(work.shape)
+        # V^T s' = V_y^T (s' V_x) slice by slice
+        np.matmul(modes, vx, out=work)
         np.matmul(vy_t, work, out=modes)
         prev = None
         for row in (modes[::-1] if reverse else modes):
@@ -370,7 +362,7 @@ class SeparableOperator(DiscreteOperator):
             row *= d
             prev = row
         np.matmul(vy, modes, out=work)
-        np.matmul(work_rows, vx_t, out=rows)
+        np.matmul(work, vx_t, out=modes)
 
 
 def separable_basis(mesh, a11, a22):

@@ -323,6 +323,49 @@ def test_run_command_exit_1_on_missing_config():
     assert main(["run", "--config", "/no/such/file.cfg"]) == 1
 
 
+def _break_header(text):
+    return text.replace("nx,5", "nx,five", 1)
+
+
+def _break_entry(text):
+    lines = text.splitlines()
+    row = lines[1].split(",")
+    row[4] = "abc"
+    lines[1] = ",".join(row)
+    return "\n".join(lines) + "\n"
+
+
+def _drop_last_value(text, line=1):
+    lines = text.splitlines()
+    lines[line] = lines[line].rsplit(",", 1)[0]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name, breaks, message", [
+    ("y0", _break_header, "invalid literal for int"),
+    ("y0", _break_entry, "could not convert string to float: 'abc'"),
+    ("y0", _drop_last_value, "row m = 0 holds 24 values, expected 25"),
+    ("psi", lambda text: _drop_last_value(text, 3), "row m = 2 holds 24 values, expected 25"),
+], ids=["header_value", "entry", "short_row", "short_row_of_a_time_field"])
+def test_a_malformed_field_dump_is_an_error_line_naming_its_file(tmp_path, capsys, name,
+                                                                  breaks, message):
+    mesh = build_mesh(5, 5, 4, 1.0, 1.0, 1.0)
+    for field in ("y0", "yd"):
+        dump_space_slice(np.zeros(mesh.shape_space), field, tmp_path / f"{field}.csv", mesh)
+    dump_time_field(TimeField.constant(mesh, 1.0), "psi", tmp_path / "psi.csv")
+    path = tmp_path / f"{name}.csv"
+    path.write_text(breaks(path.read_text()))
+    cfg = write_config(tmp_path / "c.cfg", [
+        "mesh.nx = 5", "mesh.ny = 5", "mesh.nt = 4",
+        "mesh.lx = 1", "mesh.ly = 1", "mesh.T = 1",
+        "problem.y0_file = y0.csv", "problem.yd_file = yd.csv", "problem.psi_file = psi.csv",
+        f"run.output_dir = {tmp_path / 'out'}",
+    ])
+    assert main(["run", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err and err.count("\n") == 1
+
+
 def test_run_outputs_are_deterministic(tmp_path):
     cfg1 = write_config(tmp_path / "a.cfg", [
         "problem.preset = paper_example_sec5",

@@ -61,3 +61,20 @@ def test_one_tree_writes_every_layer_per_round(tmp_path, capsys):
                                             layers["update_us"]):
             assert update > max(forward, adjoint)
         assert f"tree0  {size}" in printed
+    # under the table, each row's largest round-to-round spread of its timed
+    # layers: a change smaller than that is not resolved
+    assert "largest round-to-round spread (max/min - 1) of the timed layers" in printed
+    for size, layers in results.items():
+        value, layer = layer_times.spread(layers)
+        timed = [values for name, values in layers.items()
+                 if name != "start_fields" and None not in values]
+        assert value == max(max(values) / min(values) - 1 for values in timed) >= 0
+        assert layer != "start_fields" and not (size == "5x4-const" and layer == "solve_us")
+        assert f"tree0  {size:<11} {100 * value:>8.1f}%  {layer}\n" in printed
+
+
+def test_spread_is_the_widest_timed_layer():
+    layers = dict.fromkeys(layer_times.LAYERS, [1.0, 1.0])
+    layers.update(solve_us=[None, None], kkt_us=[2.0, 3.0], update_us=[4.0, 5.0],
+                  start_fields=[1.0, 9.0])
+    assert layer_times.spread(layers) == (0.5, "kkt_us")

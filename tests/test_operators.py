@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -163,3 +165,25 @@ def test_separable_basis_diagonalizes_the_step_matrix():
     # the operator
     assert "basis" not in vars(op)
     assert op.basis[5].shape == (m.nt,) + m.shape_space
+
+
+def test_separable_sweep_runs_its_gemms_per_slice_against_contiguous_bases():
+    # the GEMMs along x run slice by slice against V_x^T: against the
+    # transposed view a batched product took 69-72 us instead of 36-37 us at
+    # 33x33x32 (one thread, OpenBLAS 0.3.31)
+    m = build_mesh(33, 33, 32, 1.0, 1.0, 0.5)
+    op = assemble_operator(DiffusionCoefficients(m, 1.7, 0.6))
+    vx, vx_t = op.basis[:2]
+    assert vx_t.flags.c_contiguous and np.array_equal(vx_t, vx.T)
+    # warm steps write into z and the work array and allocate no field:
+    # less than one slice in both directions
+    z = np.random.default_rng(3).standard_normal((m.nt, m.nx * m.ny))
+    op._steps(z, False)
+    tracemalloc.start()
+    try:
+        op._steps(z, False)
+        op._steps(z, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m.nx * m.ny

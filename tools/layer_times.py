@@ -63,7 +63,10 @@ factorization of a fresh process stalled for 0.84-0.94 s in 3 of 22
 processes (2-core VM, OpenBLAS 0.3.31).  With two trees the order alternates
 between rounds (the first tree first in even rounds), so a drift of the
 host's speed does not favour one side.  A table of the per-tree medians over
-the rounds is printed, and the rounds themselves go to --out as JSON.
+the rounds is printed, and under it each row's largest round-to-round spread
+over its timed layers (max/min - 1): two trees whose medians differ by less
+than that are not told apart by the run.  The rounds themselves go to --out
+as JSON.
 
 Only the standard library and numpy are used; no file under either tree is
 written.
@@ -285,7 +288,9 @@ def collect(args):
 def table(record):
     """Text lines: per tree, size and coefficient kind, the median of each
     layer over the rounds (a dash for a layer the path does not have), then
-    the update's page faults in every round."""
+    the update's page faults in every round.  Under it, per row, the largest
+    round-to-round spread of its timed layers (`spread`): a difference
+    between two trees smaller than that is not resolved."""
     lines = [f"{label} = {tree}" for label, tree in record["trees"].items()]
     lines.append("tree   size        " + "".join(f"{layer:>13}" for layer in LAYERS)
                  + f"  {FAULTS} per round")
@@ -294,7 +299,19 @@ def table(record):
             lines.append(f"{label:<6} {size:<11} " + "".join(
                 f"{_median(layers[layer]):>13}" for layer in LAYERS)
                 + "  " + " ".join(f"{f:.4g}" for f in record[FAULTS][label][size]))
+    lines.append("largest round-to-round spread (max/min - 1) of the timed layers")
+    for label, sizes in record["results"].items():
+        for size, layers in sizes.items():
+            value, layer = spread(layers)
+            lines.append(f"{label:<6} {size:<11} {100 * value:>8.1f}%  {layer}")
     return lines
+
+
+def spread(layers):
+    """(max/min - 1, layer) of the timed layer whose rounds spread the most;
+    start_fields is a size, and a layer the path does not have is skipped."""
+    return max((max(values) / min(values) - 1.0, layer) for layer, values in layers.items()
+               if layer != "start_fields" and None not in values)
 
 
 def _median(values):
