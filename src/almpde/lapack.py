@@ -17,6 +17,15 @@ in that order, and the first pattern under which both routines resolve is
 taken.  If none does, importing this module raises ImportError: the solver
 has no other solve path.
 
+Importing this module also sets numpy's BLAS to one thread, for the whole
+process, so that results do not depend on the host's core count: with two
+OpenBLAS threads a 129x129x32 separable sweep, and `np.vdot` over a 65x65x64
+field, gave other bytes.  The setter is the first of `THREAD_SETTERS` that
+the same handle resolves, and `THREAD_SETTER` names it.  A build that
+exports none (not OpenBLAS) keeps its own thread count, and THREAD_SETTER
+is None: the solves are right with any count, so import does not fail, but
+the last bits then follow that library's own setting.
+
 Every argument goes by reference, and a Fortran character argument (`uplo`)
 carries a hidden length after the last one.  A solve's arguments are built
 once per factor (`pbtrs_block`) and only the right-hand side's address is
@@ -32,6 +41,9 @@ import numpy.linalg._umath_linalg as _umath_linalg
 # (name pattern, LAPACK integer type), in the order they are tried
 SYMBOLS = (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64),
            ("{}_", ctypes.c_int32))
+# the BLAS thread-count setters, in the order they are tried
+THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                  "openblas_set_num_threads")
 # the hidden length of the one-character argument uplo
 _UPLO_LENGTH = ctypes.c_size_t(1)
 
@@ -53,7 +65,21 @@ def _lookup():
         f"exports none of {', '.join(pattern.format('dpbtrf') for pattern, _ in SYMBOLS)}")
 
 
+def _pin_one_thread():
+    """Set numpy's BLAS to one thread with the first `THREAD_SETTERS` symbol
+    it exports; returns that symbol's name, or None if there is none."""
+    library = ctypes.CDLL(_umath_linalg.__file__)
+    for name in THREAD_SETTERS:
+        setter = getattr(library, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = (ctypes.c_int,), None
+            setter(1)
+            return name
+    return None
+
+
 _pbtrf, _pbtrs, _int = _lookup()
+THREAD_SETTER = _pin_one_thread()
 
 
 def _ref(value):

@@ -20,7 +20,10 @@ a sweep marches the deviation z_m = x_m - x_0 from its starting slice x_0:
 
 (see `solvers`).  The march around the steps, forming the sources s_m -
 dt A x_0 and adding x_0 back, is one for every operator
-(`DiscreteOperator.march`, `march_adjoint`).  Only the steps differ, in one
+(`DiscreteOperator.march`, `march_adjoint`), and so is the rule for a
+constant control or multiplier: its one source slice is formed once, and
+the steps get the distinct slices, one forward and two backward (s - dt A e
+in the rows m < nt, s in the p_nt row).  Only the steps differ, in one
 of two ways chosen when the operator is assembled (`assemble_operator`)
 from the coefficients alone:
 
@@ -45,8 +48,10 @@ from the coefficients alone:
 
   and a whole sweep is four GEMMs batched over its slices (V^T s' and
   V zh, each one product along x and one along y) around that recurrence.
-  Zero sources transform to exact zeros, so a constant slice stays
-  bit-exact here too.
+  A sweep whose rows share their source (a constant control or
+  multiplier, `DiscreteOperator.march`) transforms each distinct slice
+  once and makes only the two GEMMs back.  Zero sources transform to
+  exact zeros, so a constant slice stays bit-exact here too.
 - **Banded** (`BandedOperator`), for every other problem: one banded
   Cholesky solve per step.
 
@@ -179,10 +184,13 @@ class DiscreteOperator:
 
     The sweeps march through `march` and `march_adjoint`, defined here for
     both step paths.  A path (`BandedOperator`, `SeparableOperator`)
-    supplies only its steps, `_steps(z, reverse)`: it solves the deviation
-    steps in place in z, (nt, n) and C-contiguous, where on entry row k
-    holds the source s' of a step and on exit its deviation, marching from
-    row 0 to row nt - 1, or the other way when reverse is true.
+    supplies only its steps, `_steps(z, reverse, shared=1)`: it solves the
+    deviation steps in place in z, (nt, n) and C-contiguous, where on entry
+    row k holds the source s' of a step and on exit its deviation, marching
+    from row 0 to row nt - 1, or the other way when reverse is true.  The
+    rows 1 .. shared - 1 share row 0's source and hold nothing on entry; a
+    constant control or multiplier makes such a sweep (`march`,
+    `march_adjoint`).
     """
 
     def __init__(self, mesh, cx, cy):
@@ -212,7 +220,7 @@ class DiscreteOperator:
         x0 = np.ravel(x0)
         return self.stencil.apply(x0, np.empty(x0.size))
 
-    def march(self, x, a_x0):
+    def march(self, x, a_x0, constant=False):
         """Implicit-Euler steps over the rows of x, (nt + 1, n) in time
         order and C-contiguous.
 
@@ -220,17 +228,23 @@ class DiscreteOperator:
         of step m; on exit row m holds the slice after step m.  The rows
         after x0 hold the deviations z_m = x_m - x0 while the path steps
         them.  a_x0 is dt A x0 (`start_term`), taken here when None.
+        When constant is true every step has the source of row 1, and only
+        row 1 holds it on entry: all nt rows share one slice s_1 - dt A x0.
         """
         x0, z = x[0], x[1:]
         # a_x0 is held to the end: freed before the banded steps allocate
         # their carry, it moved the heap layout, and varcoef_batch's
         # peak_rss_mb read 50.8 MB against 48.7 MB
         a_x0 = self.start_term(x0) if a_x0 is None else a_x0
-        z -= a_x0
-        self._steps(z, False)
+        if constant:
+            z[0] -= a_x0
+            self._steps(z, False, len(z))
+        else:
+            z -= a_x0
+            self._steps(z, False)
         z += x0
 
-    def march_adjoint(self, p, terminal, a_terminal):
+    def march_adjoint(self, p, terminal, a_terminal, constant=False):
         """The adjoint sweep over p, (nt, n) in time order and C-contiguous:
         row m - 1 holds the source s_m of p_m on entry and p_m on exit.
 
@@ -239,10 +253,18 @@ class DiscreteOperator:
         is s_nt + dt A e, so only the rows m < nt subtract dt A e
         (a_terminal, taken here when None): the terminal correction costs
         one step and no solve or stencil of its own.
+        When constant is true every s_m is the slice s of row 0, and only
+        row 0 holds it on entry.  The steps then see two distinct slices:
+        s - dt A e, shared by the rows m < nt, and s in the p_nt row.
         """
         a_terminal = self.start_term(terminal) if a_terminal is None else a_terminal
-        p[:-1] -= a_terminal
-        self._steps(p, True)
+        if constant:
+            p[-1] = p[0]
+            p[:-1][:1] -= a_terminal    # row 0, unless it is the p_nt row
+            self._steps(p, True, len(p) - 1)
+        else:
+            p[:-1] -= a_terminal
+            self._steps(p, True)
         p += terminal
 
     @cached_property
@@ -305,11 +327,14 @@ class BandedOperator(DiscreteOperator):
         band[nx, :nx * (ny - 1)] = -dt * self.cy.ravel()
         return band
 
-    def _steps(self, z, reverse):
+    def _steps(self, z, reverse, shared=1):
         """The deviation steps in z (`DiscreteOperator`), each one diagonal
         multiply-add and one `pbtrs`.  Each row is C-contiguous, and the
         address of the row solved steps by the rows' stride (a negative one
-        in reverse)."""
+        in reverse).  A shared source is copied into its rows first: every
+        row is still one solve."""
+        if shared > 1:
+            z[1:shared] = z[0]
         rows = z[::-1] if reverse else z
         mass, solve = self.flat_mass, self.solve
         carry = np.empty(z.shape[1])
@@ -347,14 +372,25 @@ class SeparableOperator(DiscreteOperator):
         work = np.empty((mesh.nt,) + mesh.shape_space)
         return vx, np.ascontiguousarray(vx.T), vy, vy.T, d, work
 
-    def _steps(self, z, reverse):
+    def _steps(self, z, reverse, shared=1):
         """The deviation steps in z (`DiscreteOperator`): four GEMMs batched
-        over its slices in time order, and the recurrence in either order."""
+        over its slices in time order, and the recurrence in either order.
+
+        The basis is linear, so a source shared by several rows is
+        transformed once, through work[0], and its modal slice copied into
+        them: a sweep with one or two distinct sources makes two batched
+        GEMMs, the two back out of the basis."""
         vx, vx_t, vy, vy_t, d, work = self.basis
         modes = z.reshape(work.shape)
         # V^T s' = V_y^T (s' V_x) slice by slice
-        np.matmul(modes, vx, out=work)
-        np.matmul(vy_t, work, out=modes)
+        if shared > 1:
+            for row in (modes[0], *modes[shared:]):
+                np.matmul(row, vx, out=work[0])
+                np.matmul(vy_t, work[0], out=row)
+            modes[1:shared] = modes[0]
+        else:
+            np.matmul(modes, vx, out=work)
+            np.matmul(vy_t, work, out=modes)
         prev = None
         for row in (modes[::-1] if reverse else modes):
             if prev is not None:

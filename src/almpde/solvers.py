@@ -50,6 +50,20 @@ solves over 512 steps), not of its own size when it has decayed far below
 x_0.  The sweeps take dt from the operator, so it must have been assembled
 on the sweep's mesh.
 
+A constant control (u, and v when there is one) or a constant multiplier
+gives every step the same source, and `operand(f).ndim == 0` tells so at
+no extra cost: the load multiply reads that operand anyway.  The sweep
+then forms the one slice in its own first row of sources, not nt of them,
+and the march passes the steps its distinct slices (`constant` of
+`DiscreteOperator.march`, `march_adjoint`): forward, one slice shared by
+all nt rows; backward, s - dt A e shared by the rows m < nt, and s itself
+in the p_nt row.  The separable path transforms each distinct slice once
+(`SeparableOperator._steps`), the banded path copies it into its rows and
+still solves every step.  The result has the bits of the sweep over the
+materialised field.  An inactive obstacle makes every adjoint sweep of its
+sub-problem such a sweep (the zero multiplier candidate), and a cold start
+under constant bounds its first forward sweep.
+
 Each sweep writes its slices straight into the array of the field it
 returns, and the field takes that array over without a copy.  Its
 finiteness check stays: a sweep that overflows raises ValueError.
@@ -86,16 +100,20 @@ def solve_forward(mesh, op, u, v, y0, a_y0=None):
     a (ny, nx) array.  Returns the state TimeField.
     a_y0, when given, is `op.start_term(y0)` of this y0, and the sweep
     applies no stencil; the result has the same bits either way.
-    The loads of steps 1..nt are formed in the slices they are marched in.
+    The loads of steps 1..nt are formed in the slices they are marched in,
+    or once, in row 1, when u and v are constant (module docstring).
     """
     y0 = _check(mesh, op, y0, "initial")
     y = np.empty(TimeField.shape(mesh))
-    load = y[1:]
-    np.multiply(op.load_mass, operand(u), out=load)
+    u = operand(u)
+    v = None if v is None else operand(v)
+    constant = u.ndim == 0 and (v is None or v.ndim == 0)
+    load = y[1:2] if constant else y[1:]
+    np.multiply(op.load_mass, u, out=load)
     if v is not None:
-        load[:, mesh.boundary_j, mesh.boundary_i] += op.load_arc * operand(v)
+        load[:, mesh.boundary_j, mesh.boundary_i] += op.load_arc * v
     y[0] = y0
-    op.march(y.reshape(mesh.nt + 1, -1), a_y0)
+    op.march(y.reshape(mesh.nt + 1, -1), a_y0, constant)
     return TimeField._wrap(mesh, y)
 
 
@@ -106,8 +124,9 @@ def solve_adjoint(mesh, op, mu, terminal, a_terminal=None):
     mu is the IntervalField source (the multiplier candidate) and terminal the
     (ny, nx) terminal mismatch y_nt - y_d; p_nt = terminal + dt K^{-1} M mu_nt
     is the first step from it.  The boundary closure is homogeneous.
-    The sources are formed in the slices of p, in time order, and the
-    operator marches over them (`DiscreteOperator.march_adjoint`).
+    The sources are formed in the slices of p, in time order, or once, in
+    row 0, when mu is constant (module docstring), and the operator marches
+    over them (`DiscreteOperator.march_adjoint`).
     a_terminal, when given, is dt A terminal, flattened, as the sub-problem
     objective takes it (`cost.subproblem_objective`); the sweep then applies
     no stencil, and the result has the same bits either way.
@@ -117,6 +136,8 @@ def solve_adjoint(mesh, op, mu, terminal, a_terminal=None):
     """
     terminal = _check(mesh, op, terminal, "terminal")
     p = np.empty(IntervalField.shape(mesh))
-    np.multiply(op.load_mass, mu.values, out=p)
-    op.march_adjoint(p.reshape(mesh.nt, -1), terminal.ravel(), a_terminal)
+    mu = operand(mu)
+    constant = mu.ndim == 0
+    np.multiply(op.load_mass, mu, out=p[:1] if constant else p)
+    op.march_adjoint(p.reshape(mesh.nt, -1), terminal.ravel(), a_terminal, constant)
     return IntervalField._wrap(mesh, p)

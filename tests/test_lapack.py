@@ -79,3 +79,10 @@ def test_numpy_blas_runs_one_thread_under_the_test_suite():
         pytest.skip("numpy's BLAS is not OpenBLAS")
     get_num_threads.argtypes, get_num_threads.restype = [], ctypes.c_int
     assert get_num_threads() == 1
+
+
+def test_a_build_without_a_thread_setter_keeps_its_own_count(monkeypatch):
+    # the pin is best effort: a BLAS that exports no setter is left as it
+    # is, and importing does not fail
+    monkeypatch.setattr(lapack, "THREAD_SETTERS", ("no_such_set_num_threads_",))
+    assert lapack._pin_one_thread() is None

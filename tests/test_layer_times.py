@@ -46,7 +46,8 @@ def test_one_tree_writes_every_layer_per_round(tmp_path, capsys):
     printed = capsys.readouterr().out
     for size, layers in results.items():
         assert set(layers) == set(layer_times.LAYERS)
-        assert {"solve_us", "objective_us", "kkt_us", "update_us", "start_fields"} <= set(layers)
+        assert {"solve_us", "objective_us", "kkt_us", "update_us", "start_fields",
+                "cold_forward_us", "free_adjoint_us"} <= set(layers)
         assert all(len(values) == 2 for values in layers.values())
         assert all(min(values) > 0 for layer, values in layers.items()
                    if size == "5x4-var" or layer != "solve_us")

@@ -399,28 +399,122 @@ def _check_repeated_sweep(make_op):
     assert np.array_equal(fresh.values, first.values)
 
 
-def test_blas_threads_do_not_change_a_separable_sweep_up_to_65x65x64():
-    # the separable sweep's GEMMs may sum in another order when OpenBLAS
-    # splits them between threads: a 129x129x32 sweep differs between one
-    # and two threads (OpenBLAS 0.3.31, 2-core VM), while up to the ladder's
-    # top size, 65x65x64, the bytes are the same (README, "Linear solves")
-    code = ("import hashlib\n"
+# ------------------------------------------------------------ constant sources
+
+def _materialised(field):
+    """The same field with its values in a contiguous array of its own."""
+    return type(field)(field.mesh, field.values)
+
+
+@pytest.mark.parametrize("nt", [1, 2, 5])
+def test_constant_source_sweeps_give_the_bits_of_the_materialised_field(nt):
+    # a constant control or multiplier is formed in one slice and, on the
+    # separable path, transformed once; the sweep must give the bits of the
+    # same sweep over every slice.  Both paths; nt = 1 leaves the adjoint
+    # only its terminal row, nt = 2 one row besides it
+    m = build_mesh(7, 6, nt, 1.3, 0.9, 0.7)
+    rng = np.random.default_rng(43)
+    y0 = rng.standard_normal(m.shape_space)
+    terminal = rng.standard_normal(m.shape_space)
+    for make_op in ADJOINT_PATHS:
+        op = make_op(m)
+        for value in (0.0, -0.8):
+            u = IntervalField.constant(m, value)
+            for v in (None, BoundaryTimeField.constant(m, 0.45)):
+                y = solve_forward(m, op, u, v, y0)
+                reference = solve_forward(m, op, _materialised(u),
+                                          None if v is None else _materialised(v), y0)
+                assert np.array_equal(y.values, reference.values)
+            mu = IntervalField.constant(m, abs(value))
+            p = solve_adjoint(m, op, mu, terminal)
+            assert np.array_equal(p.values, solve_adjoint(m, op, _materialised(mu),
+                                                          terminal).values)
+        # a constant control beside a varying flux is not a constant source
+        v = BoundaryTimeField(m, rng.standard_normal(BoundaryTimeField.shape(m)))
+        assert np.array_equal(solve_forward(m, op, u, v, y0).values,
+                              solve_forward(m, op, _materialised(u), v, y0).values)
+
+
+def test_constant_source_separable_sweep_transforms_its_source_once(monkeypatch):
+    # the basis is linear, so the source of a constant control, or the two
+    # distinct slices of a constant multiplier's adjoint (s - dt A e and the
+    # terminal row's s), go into the basis one slice at a time: two GEMMs
+    # over the sweep's nt slices, the two back out, instead of four
+    m = build_mesh(9, 9, 6, 1.0, 1.0, 0.5)
+    op = unit_op(m)
+    rng = np.random.default_rng(47)
+    y0 = rng.standard_normal(m.shape_space)
+    terminal = rng.standard_normal(m.shape_space)
+    seeded = IntervalField(m, rng.standard_normal(IntervalField.shape(m)))
+    solve_forward(m, op, seeded, None, y0)   # the basis is built outside the count
+    batched = []
+    matmul = np.matmul
+
+    def counted(a, b, out):
+        batched.append(out.ndim == 3 and out.shape[0] == m.nt)
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    for sweep, products in (
+            (lambda: solve_forward(m, op, seeded, None, y0), 4),
+            (lambda: solve_adjoint(m, op, seeded, terminal), 4),
+            (lambda: solve_forward(m, op, IntervalField.constant(m, 0.3),
+                                   BoundaryTimeField.constant(m, 0.2), y0), 2),
+            (lambda: solve_adjoint(m, op, IntervalField.zeros(m), terminal), 2),
+            (lambda: solve_adjoint(m, op, IntervalField.constant(m, 1.5), terminal), 2)):
+        batched.clear()
+        sweep()
+        assert sum(batched) == products
+
+
+def test_constant_source_banded_sweep_still_solves_every_step(monkeypatch):
+    # on the banded path the one slice is copied into the rows: each of the
+    # nt steps is still one pbtrs
+    from almpde import operators
+    m = build_mesh(7, 6, 5, 1.3, 0.9, 0.7)
+    op = varcoef_op(m, 41)
+    calls = []
+    pbtrs = operators.pbtrs
+
+    def counted(block, address):
+        calls.append(1)
+        return pbtrs(block, address)
+
+    monkeypatch.setattr(operators, "pbtrs", counted)
+    solve_forward(m, op, IntervalField.constant(m, 0.3), None, np.zeros(m.shape_space))
+    solve_adjoint(m, op, IntervalField.zeros(m), np.ones(m.shape_space))
+    assert len(calls) == 2 * m.nt
+
+
+def test_one_blas_thread_is_pinned_so_a_129x129x32_separable_sweep_has_one_set_of_bytes():
+    # a separable sweep's GEMMs sum in another order when OpenBLAS splits
+    # them between threads: at 129x129x32 the bytes of one and two threads
+    # differ (OpenBLAS 0.3.31, 2-core VM).  `lapack` sets one thread at
+    # import, so a process with no thread variable, or with two threads
+    # asked for, gives the bytes of OPENBLAS_NUM_THREADS=1
+    from almpde import lapack
+    assert lapack.THREAD_SETTER == lapack.THREAD_SETTERS[0]
+    code = ("import ctypes, hashlib\n"
             "import numpy as np\n"
+            "import numpy.linalg._umath_linalg as umath_linalg\n"
             "from almpde.grid import build_mesh, IntervalField\n"
             "from almpde.operators import DiffusionCoefficients, assemble_operator\n"
             "from almpde.solvers import solve_forward\n"
-            "m = build_mesh(65, 65, 64, 1.0, 1.0, 0.5)\n"
+            "m = build_mesh(129, 129, 32, 1.0, 1.0, 0.5)\n"
             "rng = np.random.default_rng(5)\n"
             "u = IntervalField(m, rng.standard_normal(IntervalField.shape(m)))\n"
             "op = assemble_operator(DiffusionCoefficients.unit(m))\n"
             "y = solve_forward(m, op, u, None, rng.standard_normal(m.shape_space))\n"
-            "print(type(op).__name__, hashlib.sha256(y.values.tobytes()).hexdigest())\n")
+            "threads = ctypes.CDLL(umath_linalg.__file__).scipy_openblas_get_num_threads64_()\n"
+            "print(type(op).__name__, threads, hashlib.sha256(y.values.tobytes()).hexdigest())\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {name: value for name, value in os.environ.items()
+            if not name.endswith("_NUM_THREADS")}
+    base["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
     out = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""),
-                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    for threads in (None, "1", "2"):
+        env = dict(base) if threads is None else dict(base, OPENBLAS_NUM_THREADS=threads)
         out.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                   text=True, check=True).stdout.split())
-    assert out[0][0] == "SeparableOperator"
-    assert out[0] == out[1]
+    assert out[0][:2] == ["SeparableOperator", "1"]
+    assert out[0] == out[1] == out[2]

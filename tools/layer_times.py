@@ -10,7 +10,7 @@ coefficients, which `operators.assemble_operator` chooses the step path
 from: ``<n>x<nt>-var`` with seeded variable coefficients (banded path) and
 ``<n>x<nt>-const`` with unit coefficients, as the presets have (separable
 path; a tree without it marches them on its banded path).  Each row times
-eight layers and measures the working set of a stationary start:
+ten layers and measures the working set of a stationary start:
 
 - ``factor_ms``: the step data built on the first sweep of a freshly
   assembled operator (assembly, stencil and weights not included): on the
@@ -23,8 +23,16 @@ eight layers and measures the working set of a stationary start:
   separable path, whose sweep takes all its steps in four GEMMs;
 - ``forward_us``: one forward sweep, `solve_forward` with a seeded control
   and initial slice and no boundary flux;
+- ``cold_forward_us``: one forward sweep from that initial slice with a
+  constant control and a constant boundary flux, as a cold start takes
+  under constant bounds: every step has the same source;
 - ``adjoint_us``: one adjoint sweep, `solve_adjoint` with a seeded nonzero
   multiplier and terminal slice;
+- ``free_adjoint_us``: one adjoint sweep from that terminal slice with the
+  zero multiplier (`IntervalField.zeros`), as every sub-problem whose
+  obstacle is inactive takes it.  ``forward_us`` and ``adjoint_us`` keep
+  their seeded fields, so they time the sweeps over nt distinct sources
+  that these two bypass;
 - ``step_us``: the two sweeps' time per implicit step, (forward + adjoint)
   / (2 nt), the measure of perfbench's ``solvers.step_us``;
 - ``objective_us``: one `subproblem_objective`, with the state, multiplier
@@ -82,8 +90,8 @@ import sys
 import time
 import tracemalloc
 
-LAYERS = ("factor_ms", "solve_us", "forward_us", "adjoint_us", "step_us", "objective_us",
-          "kkt_us", "update_us", "start_fields")
+LAYERS = ("factor_ms", "solve_us", "forward_us", "cold_forward_us", "adjoint_us",
+          "free_adjoint_us", "step_us", "objective_us", "kkt_us", "update_us", "start_fields")
 FAULTS = "update_minflt"
 DEFAULT_SIZES = "5x4,17x16,33x32,65x64"
 LOOP_S = 0.02
@@ -146,7 +154,7 @@ def _peak_bytes(fn):
 
 
 def measure(n, nt, kind, repeat):
-    """The eight layer times, the stationary start's working set and the
+    """The ten layer times, the stationary start's working set and the
     update's page faults at one size and coefficient kind (`KINDS`), for the
     almpde on the import path."""
     import numpy as np
@@ -197,6 +205,11 @@ def measure(n, nt, kind, repeat):
         solve_us = 1e6 * _best(solve, repeat)
     forward_s = _best(lambda: solve_forward(mesh, op, u, None, y0), repeat)
     adjoint_s = _best(lambda: solve_adjoint(mesh, op, mu, terminal), repeat)
+    u_cold = IntervalField.constant(mesh, 0.5)
+    v_cold = BoundaryTimeField.constant(mesh, -0.25)
+    cold_forward_s = _best(lambda: solve_forward(mesh, op, u_cold, v_cold, y0), repeat)
+    zero = IntervalField.zeros(mesh)
+    free_adjoint_s = _best(lambda: solve_adjoint(mesh, op, zero, terminal), repeat)
 
     rho = 1.0
     spec = ProblemSpec(mesh, coeffs, y0, terminal, TimeField.constant(mesh, y0.max()),
@@ -229,7 +242,8 @@ def measure(n, nt, kind, repeat):
         raise RuntimeError(f"the slack start at {n}x{nt} is not stationary")
     start_bytes = _peak_bytes(start)
     return {"factor_ms": 1e3 * factor_s, "solve_us": solve_us,
-            "forward_us": 1e6 * forward_s, "adjoint_us": 1e6 * adjoint_s,
+            "forward_us": 1e6 * forward_s, "cold_forward_us": 1e6 * cold_forward_s,
+            "adjoint_us": 1e6 * adjoint_s, "free_adjoint_us": 1e6 * free_adjoint_s,
             "step_us": 1e6 * (forward_s + adjoint_s) / (2 * nt),
             "objective_us": 1e6 * objective_s, "kkt_us": 1e6 * kkt_s,
             "update_us": 1e6 * update_s,
@@ -292,12 +306,14 @@ def table(record):
     round-to-round spread of its timed layers (`spread`): a difference
     between two trees smaller than that is not resolved."""
     lines = [f"{label} = {tree}" for label, tree in record["trees"].items()]
-    lines.append("tree   size        " + "".join(f"{layer:>13}" for layer in LAYERS)
+    # each column one wider than its name, and at least 13
+    widths = [max(13, len(layer) + 1) for layer in LAYERS]
+    lines.append("tree   size        " + "".join(f"{layer:>{w}}" for layer, w in zip(LAYERS, widths))
                  + f"  {FAULTS} per round")
     for label, sizes in record["results"].items():
         for size, layers in sizes.items():
             lines.append(f"{label:<6} {size:<11} " + "".join(
-                f"{_median(layers[layer]):>13}" for layer in LAYERS)
+                f"{_median(layers[layer]):>{w}}" for layer, w in zip(LAYERS, widths))
                 + "  " + " ".join(f"{f:.4g}" for f in record[FAULTS][label][size]))
     lines.append("largest round-to-round spread (max/min - 1) of the timed layers")
     for label, sizes in record["results"].items():
