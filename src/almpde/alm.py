@@ -32,9 +32,9 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .grid import IntervalField, operand
+from .grid import IntervalField
 from .cost import cost_J, kkt_residuals, penalty
-from .msa import MsaConfig, msa_solve, require_finite_fields
+from .msa import MsaConfig, msa_solve, require_finite_fields, require_penalty_and_multiplier
 
 
 @dataclass
@@ -78,10 +78,7 @@ class AlmState:
     k: int
 
     def __post_init__(self):
-        if (operand(self.mu) < 0).any():
-            raise ValueError("multiplier must be nonnegative")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        require_penalty_and_multiplier(self.rho, self.mu)
 
     @classmethod
     def initial(cls, mesh, config):

@@ -36,6 +36,10 @@ class Mesh:
     """
 
     def __init__(self, nx, ny, nt, lx, ly, T):
+        # int() alone truncated a count: 5.9 nodes built a mesh of 5
+        for name, count in (("nx", nx), ("ny", ny), ("nt", nt)):
+            if not float(count).is_integer():
+                raise ValueError(f"{name} must be an integer, got {count!r}")
         nx, ny, nt = int(nx), int(ny), int(nt)
         if nx < 3 or ny < 3:
             raise ValueError(f"need at least 3 nodes per spatial axis, got nx={nx}, ny={ny}")

@@ -111,6 +111,16 @@ def require_finite_fields(config):
             raise ValueError(f"{f.name} must be finite")
 
 
+def require_penalty_and_multiplier(rho, mu):
+    """Reject a penalty rho outside (0, inf) or a multiplier field mu with a
+    negative entry, the sub-problems `msa_solve` is not defined for.  A
+    constant mu is read as its one number (`operand`)."""
+    if not 0 < rho < np.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
+    if (operand(mu) < 0).any():
+        raise ValueError("multiplier must be nonnegative")
+
+
 @dataclass
 class MsaResult:
     y: TimeField
@@ -249,7 +259,10 @@ def msa_solve(spec, rho, mu, config=None, warm=None):
     y is the state of its controls, starts from them and saves the first
     forward sweep.  Non-convergence, at max_inner or in the line search, is
     reported through the converged flag, not an exception.
+    A rho or mu outside the sub-problem's domain raises ValueError before
+    any sweep (`require_penalty_and_multiplier`).
     """
+    require_penalty_and_multiplier(rho, mu)
     if config is None:
         config = MsaConfig()
     mesh = spec.mesh

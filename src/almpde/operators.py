@@ -13,19 +13,11 @@ constant slice gives exactly zero, for any coefficients.  A matrix-form
 product (banded BLAS, the dense `matrix`) sums products of the matrix
 entries instead and leaves rounding of about 1e-15 on such a slice.
 
-Every implicit-Euler step solves with the same SPD matrix K = M + dt A, and
-a sweep marches the deviation z_m = x_m - x_0 from its starting slice x_0:
-
-    K z_m = M z_{m-1} + (s_m - dt A x_0),    z_0 = 0,    x_m = x_0 + z_m
-
-(see `solvers`).  The march around the steps, forming the sources s_m -
-dt A x_0 and adding x_0 back, is one for every operator
-(`DiscreteOperator.march`, `march_adjoint`), and so is the rule for a
-constant control or multiplier: its one source slice is formed once, and
-the steps get the distinct slices, one forward and two backward (s - dt A e
-in the rows m < nt, s in the p_nt row).  Only the steps differ, in one
-of two ways chosen when the operator is assembled (`assemble_operator`)
-from the coefficients alone:
+Every implicit-Euler step solves with the same SPD matrix K = M + dt A.
+The sweeps (`solvers`) form the sources and march the deviation from
+their starting slice; an operator solves the deviation steps
+(`DiscreteOperator.steps`), in one of two ways chosen when it is
+assembled (`assemble_operator`) from the coefficients alone:
 
 - **Separable** (`SeparableOperator`), when a11 and a22 are each constant
   on the mesh.  K is then a Kronecker sum, M = M_y (x) M_x and
@@ -48,10 +40,10 @@ from the coefficients alone:
 
   and a whole sweep is four GEMMs batched over its slices (V^T s' and
   V zh, each one product along x and one along y) around that recurrence.
-  A sweep whose rows share their source (a constant control or
-  multiplier, `DiscreteOperator.march`) transforms each distinct slice
-  once and makes only the two GEMMs back.  Zero sources transform to
-  exact zeros, so a constant slice stays bit-exact here too.
+  Steps whose rows share their source (a constant control or
+  multiplier) transform each distinct slice once and make only the two
+  GEMMs back.  Zero sources transform to exact zeros, so a constant slice
+  stays bit-exact here too.
 - **Banded** (`BandedOperator`), for every other problem: one banded
   Cholesky solve per step.
 
@@ -172,7 +164,7 @@ class FluxStencil:
 
 class DiscreteOperator:
     """5-point flux stencil with Neumann closure, and the implicit-Euler
-    sweeps over it.
+    steps over it.
 
     Built with the operator, from the edge conductances cx, cy: `stencil`,
     the dt-scaled FluxStencil, applied once per sweep to its starting slice
@@ -182,15 +174,14 @@ class DiscreteOperator:
     `matrix`, A as a dense array for whole-matrix checks, is built on its
     first use and kept (`functools.cached_property`).
 
-    The sweeps march through `march` and `march_adjoint`, defined here for
-    both step paths.  A path (`BandedOperator`, `SeparableOperator`)
-    supplies only its steps, `_steps(z, reverse, shared=1)`: it solves the
-    deviation steps in place in z, (nt, n) and C-contiguous, where on entry
-    row k holds the source s' of a step and on exit its deviation, marching
-    from row 0 to row nt - 1, or the other way when reverse is true.  The
-    rows 1 .. shared - 1 share row 0's source and hold nothing on entry; a
-    constant control or multiplier makes such a sweep (`march`,
-    `march_adjoint`).
+    Each step path (`BandedOperator`, `SeparableOperator`) supplies its
+    step data and `steps(z, reverse, shared)`, the deviation steps of a
+    sweep (`solvers`).  z is (nt, n) and C-contiguous, and the steps run in
+    place: on entry each row holds the source s' of a step, on exit its
+    deviation z, K z = M z_prev + s' with z_prev the row stepped before it
+    (zero for the first), from row 0 to row nt - 1, or the other way when
+    reverse is true.  The rows 1 .. shared - 1 share row 0's source and
+    hold nothing on entry.
     """
 
     def __init__(self, mesh, cx, cy):
@@ -210,8 +201,8 @@ class DiscreteOperator:
         starting from x0 subtracts from its source (module docstring of
         `solvers`).
 
-        A caller that marches from one x0 again and again takes it once and
-        hands it to `march`; x0 must not change in between.  A problem
+        A caller that sweeps from one x0 again and again takes it once and
+        hands it to the sweep; x0 must not change in between.  A problem
         takes it once for all its sub-problems (`cost.ProblemSpec.a_y0`).
         Applying the stencil in every forward sweep instead raised
         paper_sec5's solve_ref 0.323 -> 0.332 (+2.9%, higher in 9 of 10
@@ -219,53 +210,6 @@ class DiscreteOperator:
         """
         x0 = np.ravel(x0)
         return self.stencil.apply(x0, np.empty(x0.size))
-
-    def march(self, x, a_x0, constant=False):
-        """Implicit-Euler steps over the rows of x, (nt + 1, n) in time
-        order and C-contiguous.
-
-        On entry row 0 holds the starting slice x0 and row m >= 1 the source
-        of step m; on exit row m holds the slice after step m.  The rows
-        after x0 hold the deviations z_m = x_m - x0 while the path steps
-        them.  a_x0 is dt A x0 (`start_term`), taken here when None.
-        When constant is true every step has the source of row 1, and only
-        row 1 holds it on entry: all nt rows share one slice s_1 - dt A x0.
-        """
-        x0, z = x[0], x[1:]
-        # a_x0 is held to the end: freed before the banded steps allocate
-        # their carry, it moved the heap layout, and varcoef_batch's
-        # peak_rss_mb read 50.8 MB against 48.7 MB
-        a_x0 = self.start_term(x0) if a_x0 is None else a_x0
-        if constant:
-            z[0] -= a_x0
-            self._steps(z, False, len(z))
-        else:
-            z -= a_x0
-            self._steps(z, False)
-        z += x0
-
-    def march_adjoint(self, p, terminal, a_terminal, constant=False):
-        """The adjoint sweep over p, (nt, n) in time order and C-contiguous:
-        row m - 1 holds the source s_m of p_m on entry and p_m on exit.
-
-        It marches backward the deviation from the terminal slice e itself.
-        p_nt = e + K^{-1} s_nt is then an ordinary step from e whose source
-        is s_nt + dt A e, so only the rows m < nt subtract dt A e
-        (a_terminal, taken here when None): the terminal correction costs
-        one step and no solve or stencil of its own.
-        When constant is true every s_m is the slice s of row 0, and only
-        row 0 holds it on entry.  The steps then see two distinct slices:
-        s - dt A e, shared by the rows m < nt, and s in the p_nt row.
-        """
-        a_terminal = self.start_term(terminal) if a_terminal is None else a_terminal
-        if constant:
-            p[-1] = p[0]
-            p[:-1][:1] -= a_terminal    # row 0, unless it is the p_nt row
-            self._steps(p, True, len(p) - 1)
-        else:
-            p[:-1] -= a_terminal
-            self._steps(p, True)
-        p += terminal
 
     @cached_property
     def matrix(self):
@@ -327,14 +271,20 @@ class BandedOperator(DiscreteOperator):
         band[nx, :nx * (ny - 1)] = -dt * self.cy.ravel()
         return band
 
-    def _steps(self, z, reverse, shared=1):
+    def steps(self, z, reverse, shared):
         """The deviation steps in z (`DiscreteOperator`), each one diagonal
-        multiply-add and one `pbtrs`.  Each row is C-contiguous, and the
-        address of the row solved steps by the rows' stride (a negative one
-        in reverse).  A shared source is copied into its rows first: every
-        row is still one solve."""
-        if shared > 1:
-            z[1:shared] = z[0]
+        multiply-add and one `pbtrs`.  A shared source is copied into its
+        rows first: every row is still one solve.
+
+        A banded sweep costs its calls more than its arithmetic on the small
+        grids, so each step calls LAPACK's `pbtrs` through the argument block
+        `solve` (`lapack.pbtrs`), with the address of the row solved stepped
+        from the first one by the rows' stride (a negative one in reverse).
+        Per step at 17x17x16, 33x33x32 and 65x65x64, the sizes varcoef_batch
+        takes this path at (one thread, best of 5, 2-core VM): 7.4 / 28.7 /
+        152 us, against 8.7 / 29.8 / 156 us for `.ctypes.data` per call and
+        13.4 / 34.0 / 162 us for arguments built per call."""
+        z[1:shared] = z[0]
         rows = z[::-1] if reverse else z
         mass, solve = self.flat_mass, self.solve
         carry = np.empty(z.shape[1])
@@ -372,7 +322,7 @@ class SeparableOperator(DiscreteOperator):
         work = np.empty((mesh.nt,) + mesh.shape_space)
         return vx, np.ascontiguousarray(vx.T), vy, vy.T, d, work
 
-    def _steps(self, z, reverse, shared=1):
+    def steps(self, z, reverse, shared):
         """The deviation steps in z (`DiscreteOperator`): four GEMMs batched
         over its slices in time order, and the recurrence in either order.
 

@@ -21,24 +21,26 @@ Both sweeps solve the systems K x_m = M x_{m-1} + s_m, with the sources
 s = dt (M u + B v) forward and s = dt M mu backward, built for all time
 levels at once from the operator's dt-weighted mass and arc weights
 (`load_mass`, `load_arc`), in the slices of the array the sweep returns.
-The operator marches them (`DiscreteOperator.march`, `march_adjoint`), in
-the deviation z_m = x_m - x_0 from the sweep's starting slice x_0:
+A sweep marches them in the deviation z_m = x_m - x_0 from its starting
+slice x_0:
 
     K z_m = M z_{m-1} + (s_m - dt A x_0),    z_0 = 0,
 
-and returns x_m = x_0 + z_m.  Its step path, banded Cholesky solves or the
-separable eigenbasis for constant coefficients, was fixed when it was
-assembled (see `operators`), so a sweep does not ask which, and the march
-around the steps is the same for both.  dt A x_0 is the sweep's only
-stencil application, subtracted from all sources in one vectorised
-operation.  A forward sweep can be handed it precomputed
-(`DiscreteOperator.start_term`): every forward sweep of every inner solve
+and returns x_m = x_0 + z_m.  It subtracts dt A x_0, its only stencil
+application, from all sources in one vectorised operation, has the
+operator solve the deviation steps in place (`DiscreteOperator.steps`)
+and adds x_0 back.  The operator's step path, banded Cholesky solves or
+the separable eigenbasis for constant coefficients, was fixed when it was
+assembled (see `operators`), so a sweep does not ask which.  A forward
+sweep can be handed dt A y0 precomputed (`a_y0`,
+`DiscreteOperator.start_term`): every forward sweep of every inner solve
 starts from the problem's y0, so the problem takes it once
 (`cost.ProblemSpec.a_y0`), with the same bits as a sweep that applies the
 stencil.  So can an adjoint sweep (`a_terminal`): the sub-problem objective
 has just taken dt A e.  The adjoint sweep always marches from e itself,
 and p_nt is one more step: its source s_nt keeps dt A e, which the rows
-m < nt subtract.
+m < nt subtract.  The terminal correction so costs one step and no solve
+or stencil of its own.
 dt A x_0 is evaluated in difference form (`FluxStencil`), so for a
 constant starting slice it is exactly zero: with zero sources every z_m is
 then exactly zero, and constant states are preserved bit-exactly for any
@@ -54,28 +56,21 @@ A constant control (u, and v when there is one) or a constant multiplier
 gives every step the same source, and `operand(f).ndim == 0` tells so at
 no extra cost: the load multiply reads that operand anyway.  The sweep
 then forms the one slice in its own first row of sources, not nt of them,
-and the march passes the steps its distinct slices (`constant` of
-`DiscreteOperator.march`, `march_adjoint`): forward, one slice shared by
-all nt rows; backward, s - dt A e shared by the rows m < nt, and s itself
-in the p_nt row.  The separable path transforms each distinct slice once
-(`SeparableOperator._steps`), the banded path copies it into its rows and
-still solves every step.  The result has the bits of the sweep over the
-materialised field.  An inactive obstacle makes every adjoint sweep of its
-sub-problem such a sweep (the zero multiplier candidate), and a cold start
-under constant bounds its first forward sweep.
+and passes the steps its distinct slices (`shared` of `steps`): forward,
+one slice s - dt A y0 shared by all nt rows; backward, s - dt A e shared
+by the rows m < nt, and s itself, copied into the p_nt row.  The separable
+path transforms each distinct slice once, the banded path copies it into
+its rows and still solves every step.  The result has the bits of the
+sweep over the materialised field.  An inactive obstacle makes every
+adjoint sweep of its sub-problem such a sweep (the zero multiplier
+candidate), and a cold start under constant bounds its first forward
+sweep.
 
 Each sweep writes its slices straight into the array of the field it
 returns, and the field takes that array over without a copy.  Its
 finiteness check stays: a sweep that overflows raises ValueError.
-
-On the small grids a banded sweep costs its calls more than its
-arithmetic: at 5x5x4 each of the four banded solves takes about 1 us, and
-so does each numpy operation around them.  So the sweeps form their
-sources in place, the banded path calls LAPACK's `pbtrs` through the
-operator's argument block `solve` (`lapack.pbtrs`), with the address of
-each row stepped from the first one by the row stride.  The first row's
-address from `lapack.address` takes about 0.6 us, against 2.0 us for
-`.ctypes.data`.
+The sweeps form their sources in place, since on the small grids a sweep
+costs its calls more than its arithmetic (`BandedOperator.steps`).
 """
 
 import numpy as np
@@ -113,7 +108,15 @@ def solve_forward(mesh, op, u, v, y0, a_y0=None):
     if v is not None:
         load[:, mesh.boundary_j, mesh.boundary_i] += op.load_arc * v
     y[0] = y0
-    op.march(y.reshape(mesh.nt + 1, -1), a_y0, constant)
+    z = y.reshape(mesh.nt + 1, -1)[1:]
+    # a_y0, a local, lives until the sweep returns: freed before the banded
+    # steps allocate their carry, it moved the heap layout, and
+    # varcoef_batch's peak_rss_mb read 50.8 MB against 48.7 MB
+    a_y0 = op.start_term(y0) if a_y0 is None else a_y0
+    sources = z[:1] if constant else z
+    sources -= a_y0
+    op.steps(z, False, mesh.nt if constant else 1)
+    z += y0.ravel()
     return TimeField._wrap(mesh, y)
 
 
@@ -122,11 +125,10 @@ def solve_adjoint(mesh, op, mu, terminal, a_terminal=None):
     to p_1; returns p on m = 1..nt, an IntervalField.
 
     mu is the IntervalField source (the multiplier candidate) and terminal the
-    (ny, nx) terminal mismatch y_nt - y_d; p_nt = terminal + dt K^{-1} M mu_nt
+    (ny, nx) terminal mismatch e = y_nt - y_d; p_nt = e + dt K^{-1} M mu_nt
     is the first step from it.  The boundary closure is homogeneous.
     The sources are formed in the slices of p, in time order, or once, in
-    row 0, when mu is constant (module docstring), and the operator marches
-    over them (`DiscreteOperator.march_adjoint`).
+    row 0, when mu is constant (module docstring).
     a_terminal, when given, is dt A terminal, flattened, as the sub-problem
     objective takes it (`cost.subproblem_objective`); the sweep then applies
     no stencil, and the result has the same bits either way.
@@ -139,5 +141,13 @@ def solve_adjoint(mesh, op, mu, terminal, a_terminal=None):
     mu = operand(mu)
     constant = mu.ndim == 0
     np.multiply(op.load_mass, mu, out=p[:1] if constant else p)
-    op.march_adjoint(p.reshape(mesh.nt, -1), terminal.ravel(), a_terminal, constant)
+    rows = p.reshape(mesh.nt, -1)
+    if constant:
+        rows[-1] = rows[0]
+    a_terminal = op.start_term(terminal) if a_terminal is None else a_terminal
+    # the rows m < nt, of which a constant mu has formed only row 0
+    early = rows[:-1][:1] if constant else rows[:-1]
+    early -= a_terminal
+    op.steps(rows, True, mesh.nt - 1 if constant else 1)
+    p += terminal
     return IntervalField._wrap(mesh, p)

@@ -59,3 +59,44 @@ def test_parse_output_reads_the_summary_line_and_extras():
     assert extras == {"solve_ref": 0.5, "failed_frac": 0.0}
     with pytest.raises(ValueError, match="no JSON"):
         ab_pairs.parse_output("solve_ref 0.5 ref\n")
+
+
+def test_verdict_is_regressed_beyond_the_bound_of_the_parent_median():
+    parent = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]
+    worse = ab_pairs.compare(parent, [1.3] * 10, "ref")
+    assert ab_pairs.verdict(worse, "lower", 0.25) == "regressed"
+    # within the bound, and the parent's runs spread less than it
+    assert ab_pairs.verdict(ab_pairs.compare(parent, [1.2] * 10, "ref"), "lower", 0.25) == "holds"
+    # for a higher-is-better metric the same numbers are a gain, and a fall
+    # beyond the bound is the regression
+    assert ab_pairs.verdict(worse, "higher", 0.25) == "holds"
+    fell = ab_pairs.compare(parent, [0.7] * 10, "ratio")
+    assert ab_pairs.verdict(fell, "higher", 0.25) == "regressed"
+
+
+def test_verdict_is_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    # the parent's quartiles 0.8 and 1.2 spread 40% of its median 1.0
+    parent = [0.7, 0.8, 0.8, 0.9, 1.0, 1.0, 1.1, 1.2, 1.2, 1.3]
+    spread = ab_pairs.compare(parent, [1.05] * 10, "s")
+    assert (spread["parent"]["q3"] - spread["parent"]["q1"]) / spread["parent"]["median"] > 0.25
+    assert ab_pairs.verdict(spread, "lower", 0.25) == "unresolved"
+    # unless every change run is better than every parent run
+    below = ab_pairs.compare(parent, [0.6] * 10, "s")
+    assert ab_pairs.verdict(below, "lower", 0.25) == "holds"
+    above = ab_pairs.compare(parent, [1.4] * 10, "s")
+    assert ab_pairs.verdict(above, "higher", 0.25) == "holds"
+    # a regression beyond the bound is one, however wide the spread
+    assert ab_pairs.verdict(ab_pairs.compare(parent, [1.3] * 10, "s"), "lower", 0.25) == "regressed"
+
+
+def test_verdict_of_a_count_that_reads_zero():
+    # varcoef_batch takes 0 inner iterations: equal zeros hold, any rise
+    # regresses
+    zeros = [0.0] * 10
+    assert ab_pairs.verdict(ab_pairs.compare(zeros, zeros, "count"), "lower", 0.1) == "holds"
+    assert ab_pairs.verdict(ab_pairs.compare(zeros, [1.0] * 10, "count"), "lower", 0.1) == "regressed"
+
+
+def test_declared_metrics_carry_direction_and_bound():
+    metrics = ab_pairs.declared_metrics(_PATH.parents[1])
+    assert metrics and all({"name", "better", "bound"} <= set(m) for m in metrics)

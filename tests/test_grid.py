@@ -39,6 +39,22 @@ def test_build_mesh_rejects_bad_input(args):
         build_mesh(*args)
 
 
+@pytest.mark.parametrize("position, name", [(0, "nx"), (1, "ny"), (2, "nt")])
+@pytest.mark.parametrize("bad", [5.9, 4.5, np.float64(7.25), np.nan, np.inf])
+def test_build_mesh_rejects_a_count_that_is_not_an_integer(position, name, bad):
+    # int() truncated them: 5.9 x 5 x 4.5 built a 5 x 5 x 4 mesh
+    args = [5, 5, 4, 1.0, 1.0, 1.0]
+    args[position] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        build_mesh(*args)
+
+
+def test_build_mesh_takes_integral_floats_and_numpy_integers():
+    m = build_mesh(5.0, np.int64(6), np.float64(4.0), 1.0, 1.0, 1.0)
+    assert (m.nx, m.ny, m.nt) == (5, 6, 4)
+    assert all(type(n) is int for n in (m.nx, m.ny, m.nt))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("position", [3, 4, 5])
 def test_build_mesh_rejects_nonfinite_extents(bad, position):

@@ -79,3 +79,61 @@ def test_spread_is_the_widest_timed_layer():
     layers.update(solve_us=[None, None], kkt_us=[2.0, 3.0], update_us=[4.0, 5.0],
                   start_fields=[1.0, 9.0])
     assert layer_times.spread(layers) == (0.5, "kkt_us")
+
+
+def test_each_timed_layer_has_its_own_spread():
+    layers = dict.fromkeys(layer_times.LAYERS, [1.0, 1.0])
+    layers.update(solve_us=[None, None], kkt_us=[2.0, 3.0], update_us=[4.0, 5.0],
+                  start_fields=[1.0, 9.0])
+    spreads = layer_times.layer_spreads(layers)
+    assert set(spreads) == set(layer_times.LAYERS)
+    assert spreads["kkt_us"] == 0.5 and spreads["update_us"] == 0.25
+    assert spreads["forward_us"] == 0.0
+    assert spreads["solve_us"] is None and spreads["start_fields"] is None
+
+
+def test_order_tells_whether_every_round_of_the_second_tree_is_below_or_above():
+    assert layer_times.order([3.0, 4.0, 5.0], [1.0, 2.0, 2.9]) == "lower"
+    assert layer_times.order([3.0, 4.0, 5.0], [5.1, 6.0, 9.0]) == "higher"
+    # one round on the other side, or a tie, is an overlap
+    assert layer_times.order([3.0, 4.0, 5.0], [1.0, 2.0, 3.5]) == "overlap"
+    assert layer_times.order([3.0, 4.0], [3.0, 2.0]) == "overlap"
+    assert layer_times.order([None, None], [None, None]) == "-"
+
+
+def test_two_tree_table_resolves_one_layer_behind_a_noisy_one():
+    # factor_ms spreads 100% in both trees, while every round of the second
+    # tree's free_adjoint_us lies below every round of the first
+    def rounds(free_adjoint):
+        layers = dict.fromkeys(layer_times.LAYERS, [10.0, 10.0, 10.0])
+        layers.update(factor_ms=[0.1, 0.2, 0.15], solve_us=[None] * 3,
+                      free_adjoint_us=free_adjoint)
+        return {"33x32-const": layers}
+
+    record = {"trees": {"tree0": "/a", "tree1": "/b"},
+              "results": {"tree0": rounds([250.0, 255.0, 260.0]),
+                          "tree1": rounds([165.0, 167.0, 170.0])},
+              layer_times.FAULTS: {"tree0": {"33x32-const": [0, 0, 0]},
+                                   "tree1": {"33x32-const": [0, 0, 0]}}}
+    lines = layer_times.table(record)
+    columns = lines[2].split()[2:]
+    assert columns[:len(layer_times.LAYERS)] == list(layer_times.LAYERS)
+
+    def row(title, label):
+        start = lines.index(title)
+        line = next(line for line in lines[start:] if line.startswith(label))
+        return dict(zip(layer_times.LAYERS, line.split()[2:]))
+
+    spreads = row("round-to-round spread (max/min - 1) of each timed layer", "tree1")
+    assert spreads["factor_ms"] == "100.0%" and spreads["free_adjoint_us"] == "3.0%"
+    assert spreads["solve_us"] == "-" and spreads["start_fields"] == "-"
+    widest = row("largest round-to-round spread (max/min - 1) of the timed layers", "tree1")
+    assert list(widest.values()) == ["100.0%", "factor_ms"]
+    orders = row("rounds of tree1 against every round of tree0 (lower, higher or overlap)",
+                 "tree1")
+    assert orders["free_adjoint_us"] == "lower" and orders["factor_ms"] == "overlap"
+    assert orders["solve_us"] == "-" and orders["forward_us"] == "overlap"
+    assert orders["start_fields"] == "-"
+    # with one tree there is nothing to order
+    one = dict(record, trees={"tree0": "/a"}, results={"tree0": record["results"]["tree0"]})
+    assert not any(line.startswith("rounds of") for line in layer_times.table(one))

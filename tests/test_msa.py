@@ -466,6 +466,31 @@ def test_msa_config_validation():
     assert [f.name for f in fields(MsaConfig)] == ["eps1", "max_inner"]
 
 
+@pytest.mark.parametrize("rho, mu", [
+    (-1.0, 0.0), (0.0, 0.0), (np.inf, 0.0), (np.nan, 0.0), (1.0, -3.0), (1.0, "one entry")])
+def test_msa_solve_rejects_a_penalty_or_multiplier_outside_its_domain_before_any_sweep(
+        monkeypatch, rho, mu):
+    # rho = -1 returned converged=True after 6 iterations, rho = 0 raised
+    # ZeroDivisionError in the penalty, and mu = -3 was taken
+    mesh = build_mesh(5, 5, 4, 1.0, 1.0, 1.0)
+    spec = build_paper_example_sec5(mesh)
+    if mu == "one entry":
+        values = np.full(IntervalField.shape(mesh), 0.5)
+        values[2, 1, 3] = -1e-12
+        mu = IntervalField(mesh, values)
+    else:
+        mu = const(mesh, mu)
+
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(msa, "solve_forward", no_sweep)
+    monkeypatch.setattr(msa, "solve_adjoint", no_sweep)
+    name = "rho" if rho != 1.0 else "multiplier"
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        msa_solve(spec, rho, mu)
+
+
 def test_final_evaluation_error_is_a_divergence(sec5_spec, unit_mesh, monkeypatch):
     # max_inner = 1: the sweep after the only update is the second one
     calls = []

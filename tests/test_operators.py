@@ -178,11 +178,11 @@ def test_separable_sweep_runs_its_gemms_per_slice_against_contiguous_bases():
     # warm steps write into z and the work array and allocate no field:
     # less than one slice in both directions
     z = np.random.default_rng(3).standard_normal((m.nt, m.nx * m.ny))
-    op._steps(z, False)
+    op.steps(z, False, 1)
     tracemalloc.start()
     try:
-        op._steps(z, False)
-        op._steps(z, True)
+        op.steps(z, False, 1)
+        op.steps(z, True, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -486,6 +486,40 @@ def test_constant_source_banded_sweep_still_solves_every_step(monkeypatch):
     assert len(calls) == 2 * m.nt
 
 
+@pytest.mark.parametrize("nt", [1, 2, 5])
+def test_each_sweep_makes_one_steps_call_with_its_direction_and_shared_rows(nt):
+    # the sweeps hand the operator's step path (nt, n) C-contiguous rows, in
+    # one call: forward from row 0, the adjoint reversed; a constant source
+    # shares row 0 with all nt forward rows, and with the rows m < nt of the
+    # adjoint (its p_nt row has a slice of its own)
+    m = build_mesh(7, 6, nt, 1.3, 0.9, 0.7)
+    rng = np.random.default_rng(53)
+    y0 = rng.standard_normal(m.shape_space)
+    terminal = rng.standard_normal(m.shape_space)
+    seeded = IntervalField(m, rng.uniform(0.0, 1.0, IntervalField.shape(m)))
+    for make_op in ADJOINT_PATHS:
+        op = make_op(m)
+        calls = []
+        steps = op.steps
+
+        def wrapped(z, reverse, shared):
+            assert z.shape == (nt, m.nx * m.ny) and z.flags.c_contiguous
+            calls.append((reverse, shared))
+            return steps(z, reverse, shared)
+
+        op.steps = wrapped
+        for sweep, expected in (
+                (lambda: solve_forward(m, op, seeded, None, y0), (False, 1)),
+                (lambda: solve_forward(m, op, IntervalField.constant(m, 0.3),
+                                       BoundaryTimeField.constant(m, 0.2), y0), (False, nt)),
+                (lambda: solve_adjoint(m, op, seeded, terminal), (True, 1)),
+                (lambda: solve_adjoint(m, op, IntervalField.zeros(m), terminal),
+                 (True, nt - 1))):
+            calls.clear()
+            sweep()
+            assert calls == [expected]
+
+
 def test_one_blas_thread_is_pinned_so_a_129x129x32_separable_sweep_has_one_set_of_bytes():
     # a separable sweep's GEMMs sum in another order when OpenBLAS splits
     # them between threads: at 129x129x32 the bytes of one and two threads

@@ -22,6 +22,14 @@ gets a verdict: it holds when the change wins at least nine tenths of the
 pairs and its median lies below the parent's by more than the parent's
 quartile spread.
 
+Every end-to-end metric also gets a no-regression verdict (`verdict`), from
+the direction (``better``) and ``bound`` the change tree's BENCHMARK.json
+declares for it: ``regressed`` when the change's median is worse than the
+parent's by more than bound times the parent's median; else ``unresolved``
+when the parent's quartile spread (q3 - q1) / median is wider than the
+bound and not every change run is better than every parent run; else
+``holds``.
+
 Only the standard library is used, and nothing under either tree is written
 but what perfbench/run.py writes itself (its git-ignored ``perfbench/out/``).
 """
@@ -68,6 +76,21 @@ def claim_holds(entry):
             and parent["median"] - change["median"] > parent["q3"] - parent["q1"])
 
 
+def verdict(entry, better, bound):
+    """The no-regression verdict of one metric's comparison: "regressed",
+    "unresolved" or "holds" (module docstring)."""
+    sign = 1.0 if better == "lower" else -1.0
+    parent, change = entry["parent"], entry["change"]
+    base = parent["median"]
+    if sign * (change["median"] - base) > bound * abs(base):
+        return "regressed"
+    width = parent["q3"] - parent["q1"]
+    noisy = width > bound * abs(base) if base else width > 0
+    if noisy and not all(sign * (c - p) < 0 for c in change["runs"] for p in parent["runs"]):
+        return "unresolved"
+    return "holds"
+
+
 def parse_output(text):
     """(JSON summary line, environment, extras) of one perfbench/run.py run.
 
@@ -103,14 +126,17 @@ def run_once(tree, workload, seed, seconds, trace):
 
 
 def declared_metrics(tree):
+    """The end-to-end metrics the tree's BENCHMARK.json declares, each a
+    dict with its name, unit, better and bound."""
     with open(os.path.join(tree, "BENCHMARK.json")) as fh:
-        return [entry["name"] for entry in json.load(fh)["end_to_end"]]
+        return json.load(fh)["end_to_end"]
 
 
 def run_pairs(args):
     """The workload's record: per-metric comparisons and run outcomes."""
     trees = {"parent": args.parent, "change": args.change}
-    names = declared_metrics(args.change)
+    metrics = declared_metrics(args.change)
+    names = [metric["name"] for metric in metrics]
     seeds = [args.seed_base + i for i in range(args.pairs)]
     runs = {side: [] for side in trees}
     environment = {}
@@ -124,10 +150,12 @@ def run_pairs(args):
             print(f"pair {i} seed {seed} {side}: " + ", ".join(
                 f"{n} {result['metrics'][n]['value']:.6g}" for n in names), file=sys.stderr)
     record = {"pairs": args.pairs, "seeds": seeds}
-    for name in names:
+    for metric in metrics:
+        name = metric["name"]
         unit = runs["change"][0][0]["metrics"][name]["unit"]
         record[name] = compare(*[[r["metrics"][name]["value"] for r, _ in runs[side]]
                                  for side in ("parent", "change")], unit)
+        record[name]["verdict"] = verdict(record[name], metric["better"], metric["bound"])
     record["failed_frac"] = {side: [extras.get("failed_frac") for _, extras in runs[side]]
                              for side in trees}
     for key in ("attempted", "correct"):
@@ -188,13 +216,15 @@ def main(argv=None):
     with open(out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
-    for name in declared_metrics(args.change):
+    for metric in declared_metrics(args.change):
+        name = metric["name"]
         entry = workload[name]
         print(f"{args.workload} {name}: parent {entry['parent']['median']:.6g} "
               f"({entry['parent']['q1']:.6g}-{entry['parent']['q3']:.6g}) -> change "
               f"{entry['change']['median']:.6g} ({entry['change']['q1']:.6g}-"
               f"{entry['change']['q3']:.6g}); change lower in "
-              f"{entry['change_lower_in_pairs']}/{args.pairs}, ties {entry['ties']}")
+              f"{entry['change_lower_in_pairs']}/{args.pairs}, ties {entry['ties']}; "
+              f"{entry['verdict']}")
     if "claim" in workload:
         print(f"claim {workload['claim']['metric']}: "
               f"{'holds' if workload['claim']['holds'] else 'does not hold'}")

@@ -71,10 +71,14 @@ factorization of a fresh process stalled for 0.84-0.94 s in 3 of 22
 processes (2-core VM, OpenBLAS 0.3.31).  With two trees the order alternates
 between rounds (the first tree first in even rounds), so a drift of the
 host's speed does not favour one side.  A table of the per-tree medians over
-the rounds is printed, and under it each row's largest round-to-round spread
-over its timed layers (max/min - 1): two trees whose medians differ by less
-than that are not told apart by the run.  The rounds themselves go to --out
-as JSON.
+the rounds is printed, then the round-to-round spread (max/min - 1) of each
+timed layer of each row, then each row's largest one and the layer it is
+from: two trees whose medians of a layer differ by less than that layer's
+spread are not told apart by its medians.  With two trees a last table
+gives, per row and layer, the order of the rounds (`order`): ``lower`` when
+every round of the second tree lies below every round of the first,
+``higher`` when every one lies above, ``overlap`` otherwise.  The rounds
+themselves go to --out as JSON.
 
 Only the standard library and numpy are used; no file under either tree is
 written.
@@ -302,32 +306,77 @@ def collect(args):
 def table(record):
     """Text lines: per tree, size and coefficient kind, the median of each
     layer over the rounds (a dash for a layer the path does not have), then
-    the update's page faults in every round.  Under it, per row, the largest
-    round-to-round spread of its timed layers (`spread`): a difference
-    between two trees smaller than that is not resolved."""
+    the update's page faults in every round.  Under it, per row, each timed
+    layer's round-to-round spread (`layer_spreads`) and the largest of them
+    (`spread`): a difference between two trees smaller than a layer's
+    spread is not resolved by its medians.  With two trees, last, per row
+    and layer the order of the second tree's rounds against the first's
+    (`order`)."""
     lines = [f"{label} = {tree}" for label, tree in record["trees"].items()]
     # each column one wider than its name, and at least 13
     widths = [max(13, len(layer) + 1) for layer in LAYERS]
-    lines.append("tree   size        " + "".join(f"{layer:>{w}}" for layer, w in zip(LAYERS, widths))
-                 + f"  {FAULTS} per round")
-    for label, sizes in record["results"].items():
-        for size, layers in sizes.items():
-            lines.append(f"{label:<6} {size:<11} " + "".join(
-                f"{_median(layers[layer]):>{w}}" for layer, w in zip(LAYERS, widths))
-                + "  " + " ".join(f"{f:.4g}" for f in record[FAULTS][label][size]))
+    header = "tree   size        " + "".join(f"{layer:>{w}}" for layer, w in zip(LAYERS, widths))
+    results = record["results"]
+
+    def rows(labels, cell, tail=lambda label, size: ""):
+        """One line per tree of labels and row, each layer's column
+        cell(label, size, layer), then tail(label, size)."""
+        return [f"{label:<6} {size:<11} " + "".join(
+            f"{cell(label, size, layer):>{w}}" for layer, w in zip(LAYERS, widths))
+            + tail(label, size) for label in labels for size in results[label]]
+
+    lines.append(header + f"  {FAULTS} per round")
+    lines += rows(results, lambda label, size, layer: _median(results[label][size][layer]),
+                  lambda label, size: "  " + " ".join(f"{f:.4g}"
+                                                      for f in record[FAULTS][label][size]))
+    lines += ["round-to-round spread (max/min - 1) of each timed layer", header]
+    lines += rows(results, lambda label, size, layer: _percent(
+        layer_spreads(results[label][size])[layer]))
     lines.append("largest round-to-round spread (max/min - 1) of the timed layers")
-    for label, sizes in record["results"].items():
+    for label, sizes in results.items():
         for size, layers in sizes.items():
             value, layer = spread(layers)
             lines.append(f"{label:<6} {size:<11} {100 * value:>8.1f}%  {layer}")
+    if len(results) == 2:
+        first, second = results
+        lines += [f"rounds of {second} against every round of {first} "
+                  "(lower, higher or overlap)", header]
+        # start_fields is a size, not a time
+        lines += rows([second], lambda label, size, layer: "-" if layer == "start_fields"
+                      else order(results[first][size][layer], results[second][size][layer]))
     return lines
 
 
+def layer_spreads(layers):
+    """{layer: max/min - 1 of its rounds} of every layer; None for
+    start_fields, a size, and for a layer the path does not have."""
+    return {layer: None if layer == "start_fields" or None in values
+            else max(values) / min(values) - 1.0 for layer, values in layers.items()}
+
+
 def spread(layers):
-    """(max/min - 1, layer) of the timed layer whose rounds spread the most;
-    start_fields is a size, and a layer the path does not have is skipped."""
-    return max((max(values) / min(values) - 1.0, layer) for layer, values in layers.items()
-               if layer != "start_fields" and None not in values)
+    """(max/min - 1, layer) of the timed layer whose rounds spread the most
+    (`layer_spreads`)."""
+    return max((value, layer) for layer, value in layer_spreads(layers).items()
+               if value is not None)
+
+
+def order(first, second):
+    """"lower" when every round of second lies below every round of first,
+    "higher" when every one lies above, "overlap" otherwise; "-" when the
+    path does not have the layer."""
+    if None in first or None in second:
+        return "-"
+    if max(second) < min(first):
+        return "lower"
+    if min(second) > max(first):
+        return "higher"
+    return "overlap"
+
+
+def _percent(value):
+    """A spread as a percentage, as text; a dash for None."""
+    return "-" if value is None else f"{100 * value:.1f}%"
 
 
 def _median(values):
