@@ -57,6 +57,19 @@ sub-problem and dt A y0 once per problem (`ProblemSpec.a_y0`); dt A e of
 the terminal mismatch e once per state, by the objective, for the adjoint
 sweep from e.  Phi takes the state and multiplier candidate the loop
 already has, so it costs no sweep.
+
+For the length of one call the loop holds two arrays (`out` of the
+sweeps): the first forward sweep that marches allocates the state array,
+and every later one writes into it, each trial and the state formed again
+after a failed line search; the first adjoint sweep allocates the adjoint
+array, and every later one writes into it.  No field over either array is
+in use then: the loop drops the current state before its trials, a
+rejected trial's state before the next theta, and p and each part's
+restriction of it before each adjoint sweep.  A warm start's y is the
+caller's and is never written, and the returned MsaResult owns its arrays.
+The trial controls and mu_bar stay fresh arrays: a trial's control goes to
+code the loop does not own (the sweeps, the objective, a caller's
+recorder), which may keep it.
 """
 
 from dataclasses import dataclass, fields
@@ -109,6 +122,25 @@ def require_finite_fields(config):
         value = getattr(config, f.name)
         if isinstance(value, float) and not np.isfinite(value):
             raise ValueError(f"{f.name} must be finite")
+
+
+def require_fields_on_mesh(spec, mu, warm):
+    """Reject a multiplier mu or a warm start (y, u, v) that is not a field
+    of its kind on spec's mesh (`Mesh.compatible`): an IntervalField mu, u,
+    a TimeField y, and v a BoundaryTimeField with boundary control, None
+    without.  Unchecked, one on another T was taken without an error."""
+    mesh = spec.mesh
+    checks = [("multiplier", mu, IntervalField)]
+    if warm is not None:
+        checks += [("warm.y", warm.y, TimeField), ("warm.u", warm.u, IntervalField)]
+        if spec.boundary_control_enabled:
+            checks.append(("warm.v", warm.v, BoundaryTimeField))
+        elif warm.v is not None:
+            raise ValueError("warm.v must be None without boundary control")
+    for name, field, kind in checks:
+        if not isinstance(field, kind) or not field.mesh.compatible(mesh):
+            raise ValueError(f"{name} must be a {kind.__name__} on the problem's mesh "
+                             f"{mesh!r}")
 
 
 def require_penalty_and_multiplier(rho, mu):
@@ -259,9 +291,12 @@ def msa_solve(spec, rho, mu, config=None, warm=None):
     y is the state of its controls, starts from them and saves the first
     forward sweep.  Non-convergence, at max_inner or in the line search, is
     reported through the converged flag, not an exception.
-    A rho or mu outside the sub-problem's domain raises ValueError before
-    any sweep (`require_penalty_and_multiplier`).
+    A mu or warm start that is not a field of its kind on the spec's mesh
+    (`require_fields_on_mesh`), or a rho or mu outside the sub-problem's
+    domain (`require_penalty_and_multiplier`), raises ValueError before any
+    sweep.
     """
+    require_fields_on_mesh(spec, mu, warm)
     require_penalty_and_multiplier(rho, mu)
     if config is None:
         config = MsaConfig()
@@ -271,15 +306,21 @@ def msa_solve(spec, rho, mu, config=None, warm=None):
     y, start = (None, (None, None)) if warm is None else (warm.y, (warm.u, warm.v))
     parts = [_Part(c, x, mesh.dt) for c, x in zip(spec.controls, start)]
     values = [part.x for part in parts]
+    y_out = p_out = None                # the held arrays (module docstring)
 
     def state(values, iteration, y=None):
         """(y, mu_bar, Phi, dt A e) at the controls' values, e the terminal
         mismatch; y, when given, is their state.  The forward sweeps take
-        dt A y0 from the spec (`ProblemSpec.a_y0`)."""
+        dt A y0 from the spec (`ProblemSpec.a_y0`) and write into y_out."""
+        nonlocal y_out
         u, v = (*values, None)[:2]      # v is None without boundary control
         try:
             if y is None:
-                y = solve_forward(mesh, op, u, v, spec.y0, spec.a_y0)
+                if y_out is not None:
+                    y_out.setflags(write=True)
+                y = solve_forward(mesh, op, u, v, spec.y0, spec.a_y0, out=y_out)
+                if y_out is None and y.values.base is None:  # not a constant
+                    y_out = y.values
             mu_bar = multiplier_candidate(y, spec.psi, mu, rho)
         except ValueError as exc:
             raise MsaDivergenceError(iteration, str(exc)) from exc
@@ -289,14 +330,19 @@ def msa_solve(spec, rho, mu, config=None, warm=None):
         return y, mu_bar, phi, a_e
 
     def adjoint(y, mu_bar, a_e, iteration):
-        """The adjoint p of (y, mu_bar), a_e dt A e of y's terminal mismatch;
-        each part's restriction of the old p is freed before the sweep."""
+        """The adjoint p of (y, mu_bar), a_e dt A e of y's terminal mismatch,
+        written into p_out; each part's restriction of the old p is freed
+        before the sweep."""
+        nonlocal p_out
         for part in parts:
             part.p = None
+        if p_out is not None:
+            p_out.setflags(write=True)
         try:
-            p = solve_adjoint(mesh, op, mu_bar, y.values[-1] - spec.y_d, a_e)
+            p = solve_adjoint(mesh, op, mu_bar, y.values[-1] - spec.y_d, a_e, out=p_out)
         except ValueError as exc:
             raise MsaDivergenceError(iteration, str(exc)) from exc
+        p_out = p.values
         for part in parts:
             part.p = part.restrict(p)
         return p

@@ -44,7 +44,8 @@ or stencil of its own.
 dt A x_0 is evaluated in difference form (`FluxStencil`), so for a
 constant starting slice it is exactly zero: with zero sources every z_m is
 then exactly zero, and constant states are preserved bit-exactly for any
-coefficients.  A plain K^{-1} (M x + s), or a matrix-form product for
+coefficients; a constant state from rest is returned without a march (see
+below).  A plain K^{-1} (M x + s), or a matrix-form product for
 dt A x, leaves them off by rounding (about 1e-15).
 Each step's rounding is relative to the size of z and x_0, so a slice is
 accurate to a few 1e-15 of the sweep's largest value (checked against dense
@@ -68,7 +69,20 @@ sweep.
 
 Each sweep writes its slices straight into the array of the field it
 returns, and the field takes that array over without a copy.  Its
-finiteness check stays: a sweep that overflows raises ValueError.
+finiteness check stays: a sweep that overflows raises ValueError.  That
+array is a new one, or `out`, an array of the field's shape that the caller
+holds and hands to sweep after sweep (the inner solve holds one for its
+states and one for its adjoints, `msa`).  The sweep overwrites all of out
+and returns it in its field, frozen again.  A field over out from an
+earlier sweep then reads the new values, so the caller hands out over only
+when no such field is still in use.
+
+A forward sweep from rest, with constant zero controls (u, and v when
+there is one, under the constant test above) and an initial slice that
+holds one number c, returns the constant field c and marches nothing: the
+march would add zero deviations to c, giving its bits in every slice.  A c
+of -0.0 keeps the march, whose zeros take either sign there.  A cold start
+from y0 = 0 inside boxes that contain 0 makes such a sweep.
 The sweeps form their sources in place, since on the small grids a sweep
 costs its calls more than its arithmetic (`BandedOperator.steps`).
 """
@@ -87,7 +101,17 @@ def _check(mesh, op, slice_, name):
     return slice_
 
 
-def solve_forward(mesh, op, u, v, y0, a_y0=None):
+def _array(out, shape):
+    """out, an array the caller holds for the sweep to write, checked to be
+    a C-contiguous float64 array of shape; a new array when out is None."""
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+    return out
+
+
+def solve_forward(mesh, op, u, v, y0, a_y0=None, out=None):
     """March the state equation forward from the initial slice y0.
 
     u is the source (an IntervalField, or any constant field: `operand`), v
@@ -97,12 +121,20 @@ def solve_forward(mesh, op, u, v, y0, a_y0=None):
     applies no stencil; the result has the same bits either way.
     The loads of steps 1..nt are formed in the slices they are marched in,
     or once, in row 1, when u and v are constant (module docstring).
+    From rest, constant zero controls and a constant y0 other than -0.0,
+    the result is that constant field, and no step is taken.
+    out, when given, is the array the state is written into (`_array`); no
+    field over it may still be in use.  A sweep from rest leaves it as it is.
     """
     y0 = _check(mesh, op, y0, "initial")
-    y = np.empty(TimeField.shape(mesh))
     u = operand(u)
     v = None if v is None else operand(v)
     constant = u.ndim == 0 and (v is None or v.ndim == 0)
+    if constant and u == 0.0 and (v is None or v == 0.0):
+        c = y0.item(0)
+        if (y0 == c).all() and not (c == 0.0 and np.signbit(y0).any()):
+            return TimeField.constant(mesh, c)
+    y = _array(out, TimeField.shape(mesh))
     load = y[1:2] if constant else y[1:]
     np.multiply(op.load_mass, u, out=load)
     if v is not None:
@@ -120,7 +152,7 @@ def solve_forward(mesh, op, u, v, y0, a_y0=None):
     return TimeField._wrap(mesh, y)
 
 
-def solve_adjoint(mesh, op, mu, terminal, a_terminal=None):
+def solve_adjoint(mesh, op, mu, terminal, a_terminal=None, out=None):
     """March the adjoint equation backward from the terminal mismatch down
     to p_1; returns p on m = 1..nt, an IntervalField.
 
@@ -135,9 +167,11 @@ def solve_adjoint(mesh, op, mu, terminal, a_terminal=None):
     Taking dt A e again in the sweep instead raised paper_sec5's
     solve_ref 0.336 -> 0.346 (+3.0%, higher in 10 of 10 pairs,
     BENCH_no_scipy.json).
+    out, when given, is the array p is written into (`_array`); no field
+    over it may still be in use.
     """
     terminal = _check(mesh, op, terminal, "terminal")
-    p = np.empty(IntervalField.shape(mesh))
+    p = _array(out, IntervalField.shape(mesh))
     mu = operand(mu)
     constant = mu.ndim == 0
     np.multiply(op.load_mass, mu, out=p[:1] if constant else p)

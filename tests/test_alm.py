@@ -321,9 +321,9 @@ def counted_calls(monkeypatch, calls, targets):
     for owner, name in targets:
         fn = getattr(owner, name)
 
-        def run(*args, _name=name, _fn=fn):
+        def run(*args, _name=name, _fn=fn, **kwargs):
             calls[_name] += 1
-            return _fn(*args)
+            return _fn(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, run)
 
@@ -388,9 +388,9 @@ def test_run_sweeps_once_per_update_and_reuses_the_warm_state(tmp_path, monkeypa
     calls = {"forward": 0, "adjoint": 0}
 
     def counted(name, sweep):
-        def run(*args):
+        def run(*args, **kwargs):
             calls[name] += 1
-            return sweep(*args)
+            return sweep(*args, **kwargs)
         return run
 
     monkeypatch.setattr(msa, "solve_forward", counted("forward", msa.solve_forward))

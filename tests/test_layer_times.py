@@ -137,3 +137,25 @@ def test_two_tree_table_resolves_one_layer_behind_a_noisy_one():
     # with one tree there is nothing to order
     one = dict(record, trees={"tree0": "/a"}, results={"tree0": record["results"]["tree0"]})
     assert not any(line.startswith("rounds of") for line in layer_times.table(one))
+
+
+def test_later_minflt_counts_the_faults_of_updates_3_to_6_of_one_solve(tmp_path, capsys):
+    # one value per row and round: at 5x4 the solve takes all 6 updates, so
+    # each row reads a number
+    out = tmp_path / "times.json"
+    assert layer_times.main(["--tree", str(_ROOT), "--sizes", "5x4", "--rounds", "1",
+                             "--repeat", "1", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    later = record[layer_times.LATER_FAULTS]["tree0"]
+    assert set(later) == {"5x4-var", "5x4-const"}
+    assert all(len(values) == 1 and isinstance(values[0], float)
+               for values in later.values())
+    printed = capsys.readouterr().out
+    title = next(line for line in printed.splitlines()
+                 if line.startswith(layer_times.LATER_FAULTS))
+    assert "updates 3-6" in title
+    # a row whose solve stopped before 6 updates reads a dash
+    record[layer_times.LATER_FAULTS]["tree0"]["5x4-var"] = [None]
+    lines = layer_times.table(record)
+    start = lines.index(title)
+    assert lines[start + 1].split() == ["tree0", "5x4-var", "-"]

@@ -155,13 +155,13 @@ def count_sweeps(monkeypatch):
     ("forward", u, v) and ("adjoint", None, None) entries, in call order."""
     calls = []
 
-    def forward(mesh, op, u, v, y0, a_y0):
+    def forward(mesh, op, u, v, y0, a_y0, **kwargs):
         calls.append(("forward", u, v))
-        return solve_forward(mesh, op, u, v, y0, a_y0)
+        return solve_forward(mesh, op, u, v, y0, a_y0, **kwargs)
 
-    def adjoint(*args):
+    def adjoint(*args, **kwargs):
         calls.append(("adjoint", None, None))
-        return solve_adjoint(*args)
+        return solve_adjoint(*args, **kwargs)
 
     monkeypatch.setattr(msa, "solve_forward", forward)
     monkeypatch.setattr(msa, "solve_adjoint", adjoint)
@@ -398,6 +398,40 @@ def test_msa_solve_holds_no_extra_field_at_peak():
     assert peak <= 16.9 * 2 ** 20
 
 
+def test_a_solve_writes_its_states_and_adjoints_into_two_held_arrays(monkeypatch):
+    # the boundary demo at 33^2 x 32, with 6 updates after a warm start:
+    # the first forward sweep and the first adjoint sweep each allocate an
+    # array, and every later sweep of its kind writes into it, none into an
+    # array of the warm result
+    spec = build_boundary_control_demo(build_mesh(33, 33, 32, 1.0, 1.0, 1.0))
+    mu = IntervalField.zeros(spec.mesh)
+    first = msa_solve(spec, 1.0, mu, config=MsaConfig(max_inner=2))
+    sweeps = {"forward": [], "adjoint": []}
+
+    def recorded(name, sweep):
+        def run(*args, out=None, **kwargs):
+            field = sweep(*args, out=out, **kwargs)
+            sweeps[name].append((out, field.values))
+            return field
+        return run
+
+    monkeypatch.setattr(msa, "solve_forward", recorded("forward", solve_forward))
+    monkeypatch.setattr(msa, "solve_adjoint", recorded("adjoint", solve_adjoint))
+    res = msa_solve(spec, 1.0, mu, config=MsaConfig(eps1=1e-12, max_inner=6), warm=first)
+    assert res.inner_iters == 6
+    warm_arrays = [first.y.values, first.u.values, first.v.values, first.p.values]
+    for name, returned in (("forward", res.y), ("adjoint", res.p)):
+        calls = sweeps[name]
+        assert len(calls) >= 6
+        held = calls[0][1]
+        assert calls[0][0] is None and held.base is None
+        assert all(out is held and values is held for out, values in calls[1:]), name
+        assert not any(np.shares_memory(held, a) for a in warm_arrays), name
+        assert returned.values is held and not held.flags.writeable
+    # the result's controls are fresh arrays, too
+    assert not any(np.shares_memory(res.u.values, a) for a in (res.y.values, res.p.values))
+
+
 @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.2, 1.0), (-1.0, -0.3), (-0.0, 1.0),
                                     (-1.0, -0.0), (0.0, 0.0)])
 def test_cold_start_with_constant_bounds_is_the_constant_projection_of_zero(unit_mesh, lo, hi):
@@ -491,15 +525,52 @@ def test_msa_solve_rejects_a_penalty_or_multiplier_outside_its_domain_before_any
         msa_solve(spec, rho, mu)
 
 
+def test_msa_solve_rejects_a_multiplier_or_warm_start_off_its_mesh_before_any_sweep(
+        monkeypatch):
+    # a multiplier built on T = 0.5 was taken for the T = 1 problem (converged
+    # after 5 updates), and so was a TimeField one; a warm start from T = 1
+    # returned converged=False after 0 updates, and one from 9^2 failed in
+    # the solve with numpy's "operands could not be broadcast"
+    mesh = build_mesh(9, 9, 8, 1.0, 1.0, 1.0)
+    spec = build_paper_example_sec5(mesh)
+    half = build_paper_example_sec5(build_mesh(9, 9, 8, 1.0, 1.0, 0.5))
+    small = build_paper_example_sec5(build_mesh(5, 5, 4, 1.0, 1.0, 1.0))
+    demo = build_boundary_control_demo(mesh)
+    zero = IntervalField.zeros(mesh)
+    own, from_demo = start_from(spec, zero), start_from(demo, zero)
+    from_half = start_from(half, IntervalField.zeros(half.mesh))
+    no_flux = MsaResult(**{**vars(from_demo), "v": None})
+    with_flux = MsaResult(**{**vars(own), "v": from_demo.v})
+    with_time_u = MsaResult(**{**vars(own), "u": TimeField.zeros(mesh)})
+    with_half_y = MsaResult(**{**vars(own), "y": from_half.y})
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(msa, "solve_forward", no_sweep)
+    monkeypatch.setattr(msa, "solve_adjoint", no_sweep)
+    for problem, mu, warm, name in (
+            (spec, IntervalField.zeros(half.mesh), None, "multiplier"),
+            (spec, TimeField.zeros(mesh), None, "multiplier"),
+            (half, IntervalField.zeros(half.mesh), own, "warm.y"),
+            (small, IntervalField.zeros(small.mesh), own, "warm.y"),
+            (spec, zero, with_half_y, "warm.y"),
+            (spec, zero, with_time_u, "warm.u"),
+            (demo, zero, no_flux, "warm.v"),
+            (spec, zero, with_flux, "warm.v")):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            msa_solve(problem, 1.0, mu, warm=warm)
+
+
 def test_final_evaluation_error_is_a_divergence(sec5_spec, unit_mesh, monkeypatch):
     # max_inner = 1: the sweep after the only update is the second one
     calls = []
 
-    def failing_forward(*args):
+    def failing_forward(*args, **kwargs):
         calls.append(1)
         if len(calls) == 2:
             raise ValueError("bad sweep")
-        return solve_forward(*args)
+        return solve_forward(*args, **kwargs)
 
     monkeypatch.setattr(msa, "solve_forward", failing_forward)
     with pytest.raises(MsaDivergenceError, match="iteration 2: bad sweep"):

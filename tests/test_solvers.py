@@ -486,6 +486,72 @@ def test_constant_source_banded_sweep_still_solves_every_step(monkeypatch):
     assert len(calls) == 2 * m.nt
 
 
+@pytest.mark.parametrize("make_op", ADJOINT_PATHS, ids=["unit", "varcoef"])
+def test_a_forward_sweep_from_rest_returns_its_constant_state_and_marches_nothing(make_op):
+    # zero controls and an initial slice that holds one number c: the march
+    # would add zero deviations to c, so the sweep returns the constant
+    # field, with the bits of the sweep over materialised zero controls
+    m = build_mesh(7, 6, 5, 1.3, 0.9, 0.7)
+    op = make_op(m)
+    calls = []
+    steps = op.steps
+
+    def counted(*args):
+        calls.append(1)
+        return steps(*args)
+
+    op.steps = counted
+    zeros = IntervalField(m, np.zeros(IntervalField.shape(m)))
+    flux_zeros = BoundaryTimeField(m, np.zeros(BoundaryTimeField.shape(m)))
+    for c in (0.0, 1.5, -2.0):
+        y0 = np.full(m.shape_space, c)
+        for v, v_zeros in ((None, None), (BoundaryTimeField.zeros(m), flux_zeros)):
+            calls.clear()
+            y = solve_forward(m, op, IntervalField.zeros(m), v, y0)
+            assert calls == [] and type(y) is TimeField
+            assert not any(y.values.strides) and y.values.item(0) == c
+            marched = solve_forward(m, op, zeros, v_zeros, y0)
+            assert calls == [1]
+            assert y.values.tobytes() == marched.values.tobytes()
+    # a -0.0 start, or a -0.0 entry in a +0.0 one, marches: the march's zeros
+    # take either sign there
+    for y0 in (np.full(m.shape_space, -0.0), np.where(np.eye(6, 7, 1) > 0, -0.0, 0.0)):
+        calls.clear()
+        y = solve_forward(m, op, IntervalField.zeros(m), None, y0)
+        assert calls == [1] and y.values.flags.c_contiguous
+    # so does a constant start with a nonzero constant control or flux
+    y0 = np.full(m.shape_space, 1.5)
+    for u, v in ((IntervalField.constant(m, 0.25), None),
+                 (IntervalField.zeros(m), BoundaryTimeField.constant(m, -0.5))):
+        calls.clear()
+        solve_forward(m, op, u, v, y0)
+        assert calls == [1]
+
+
+def test_sweeps_write_into_out_and_check_it(unit_mesh):
+    # out is the array of the returned field, with the bits of a sweep into
+    # a new array; one of another shape, dtype or layout is rejected
+    m = unit_mesh
+    rng = np.random.default_rng(59)
+    op = unit_op(m)
+    u = IntervalField(m, rng.standard_normal(IntervalField.shape(m)))
+    y0 = rng.standard_normal(m.shape_space)
+    terminal = rng.standard_normal(m.shape_space)
+    for sweep, shape in ((lambda out: solve_forward(m, op, u, None, y0, out=out),
+                          TimeField.shape(m)),
+                         (lambda out: solve_adjoint(m, op, u, terminal, out=out),
+                          IntervalField.shape(m))):
+        out = np.full(shape, np.nan)
+        field = sweep(out)
+        assert field.values is out and not out.flags.writeable
+        assert out.tobytes() == sweep(None).values.tobytes()
+        wide = np.empty(shape[:-1] + (2 * shape[-1],))
+        for bad in (np.empty(shape[1:]), np.empty(shape, dtype=np.float32),
+                    wide[..., ::2]):
+            with pytest.raises(ValueError, match="^out must be"):
+                sweep(bad)
+
+
 @pytest.mark.parametrize("nt", [1, 2, 5])
 def test_each_sweep_makes_one_steps_call_with_its_direction_and_shared_rows(nt):
     # the sweeps hand the operator's step path (nt, n) C-contiguous rows, in

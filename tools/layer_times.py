@@ -56,7 +56,16 @@ ten layers and measures the working set of a stationary start:
 Besides the layers, ``update_minflt`` is the mean number of minor page
 faults (``ru_minflt``) per inner iteration, over one loop of about 20 ms of
 them after the timed repeats: a fresh array above glibc's mmap threshold
-(128 KiB at start-up) costs one fault per page it touches.
+(128 KiB at start-up) costs one fault per page it touches.  Each of its
+``max_inner = 1`` calls is a new solve, with new arrays, so it cannot show
+what a solve holds from one update to the next: a solve that writes every
+sweep after its first into one held array still faults on the first touch
+of that array, and an acceptance of 0 on this column cannot be met by such
+holding.  ``later_minflt`` shows it: the faults per update over updates 3-6
+of one warm `msa_solve` of the same problem, with ``eps1 = 1e-12``, the
+mean faults of a ``max_inner = 6`` solve less those of a ``max_inner = 2``
+solve, over a loop of about 20 ms each, divided by 4.  It is None (printed
+``-``) when the solve takes fewer than 6 updates.
 
 The last three evaluate a problem with boundary control, a constant obstacle
 psi (the largest value of the initial slice) and constant control bounds,
@@ -97,6 +106,7 @@ import tracemalloc
 LAYERS = ("factor_ms", "solve_us", "forward_us", "cold_forward_us", "adjoint_us",
           "free_adjoint_us", "step_us", "objective_us", "kkt_us", "update_us", "start_fields")
 FAULTS = "update_minflt"
+LATER_FAULTS = "later_minflt"
 DEFAULT_SIZES = "5x4,17x16,33x32,65x64"
 LOOP_S = 0.02
 SEED = 0
@@ -159,8 +169,8 @@ def _peak_bytes(fn):
 
 def measure(n, nt, kind, repeat):
     """The ten layer times, the stationary start's working set and the
-    update's page faults at one size and coefficient kind (`KINDS`), for the
-    almpde on the import path."""
+    updates' page faults (`FAULTS`, `LATER_FAULTS`) at one size and
+    coefficient kind (`KINDS`), for the almpde on the import path."""
     import numpy as np
     from almpde.cost import (ProblemSpec, kkt_residuals, multiplier_candidate,
                              multiplier_square, subproblem_objective)
@@ -233,6 +243,11 @@ def measure(n, nt, kind, repeat):
         return msa_solve(spec, rho, mu, config=one, warm=warm)
 
     update_s = _best(update, repeat)
+    six, two = (MsaConfig(eps1=1e-12, max_inner=k) for k in (6, 2))
+    later = None
+    if msa_solve(spec, rho, mu, config=six, warm=warm).inner_iters == 6:
+        later = (_faults(lambda: msa_solve(spec, rho, mu, config=six, warm=warm))
+                 - _faults(lambda: msa_solve(spec, rho, mu, config=two, warm=warm))) / 4
 
     free = solve_forward(mesh, coeffs.operator(), IntervalField.zeros(mesh), None, y0).values[-1]
     slack = ProblemSpec(mesh, coeffs, y0, free, TimeField.constant(mesh, 1e6), alpha=1.0,
@@ -251,7 +266,8 @@ def measure(n, nt, kind, repeat):
             "step_us": 1e6 * (forward_s + adjoint_s) / (2 * nt),
             "objective_us": 1e6 * objective_s, "kkt_us": 1e6 * kkt_s,
             "update_us": 1e6 * update_s,
-            "start_fields": start_bytes / (8 * (nt + 1) * n * n), FAULTS: _faults(update)}
+            "start_fields": start_bytes / (8 * (nt + 1) * n * n), FAULTS: _faults(update),
+            LATER_FAULTS: later}
 
 
 def worker(sizes, repeat):
@@ -283,7 +299,7 @@ def run_worker(tree, args):
 
 def collect(args):
     """({"tree i": {"n x nt": {layer: [one value per round]}}}, and the
-    same with the update's page faults in place of the layers)."""
+    same with each of the two fault counts in place of the layers)."""
     labels = [f"tree{i}" for i in range(len(args.tree))]
     rounds = {label: [] for label in labels}
     for r in range(args.rounds):
@@ -298,20 +314,21 @@ def collect(args):
     results = {label: {size: {layer: per_round(label, size, layer) for layer in LAYERS}
                        for size in rounds[label][0]}
                for label in labels}
-    faults = {label: {size: per_round(label, size, FAULTS) for size in rounds[label][0]}
-              for label in labels}
-    return results, faults
+    faults = {key: {label: {size: per_round(label, size, key) for size in rounds[label][0]}
+                    for label in labels} for key in (FAULTS, LATER_FAULTS)}
+    return results, faults[FAULTS], faults[LATER_FAULTS]
 
 
 def table(record):
     """Text lines: per tree, size and coefficient kind, the median of each
     layer over the rounds (a dash for a layer the path does not have), then
-    the update's page faults in every round.  Under it, per row, each timed
-    layer's round-to-round spread (`layer_spreads`) and the largest of them
-    (`spread`): a difference between two trees smaller than a layer's
-    spread is not resolved by its medians.  With two trees, last, per row
-    and layer the order of the second tree's rounds against the first's
-    (`order`)."""
+    the update's page faults in every round, and below them the later
+    updates' (`LATER_FAULTS`; a record written without them has none).
+    Under it, per row, each timed layer's round-to-round spread
+    (`layer_spreads`) and the largest of them (`spread`): a difference
+    between two trees smaller than a layer's spread is not resolved by its
+    medians.  With two trees, last, per row and layer the order of the
+    second tree's rounds against the first's (`order`)."""
     lines = [f"{label} = {tree}" for label, tree in record["trees"].items()]
     # each column one wider than its name, and at least 13
     widths = [max(13, len(layer) + 1) for layer in LAYERS]
@@ -329,6 +346,12 @@ def table(record):
     lines += rows(results, lambda label, size, layer: _median(results[label][size][layer]),
                   lambda label, size: "  " + " ".join(f"{f:.4g}"
                                                       for f in record[FAULTS][label][size]))
+    if LATER_FAULTS in record:
+        lines.append(f"{LATER_FAULTS} per round: faults per update over updates 3-6 of one "
+                     "warm solve (- when it takes fewer than 6)")
+        lines += [f"{label:<6} {size:<11} " + " ".join(
+            "-" if f is None else f"{f:.4g}" for f in record[LATER_FAULTS][label][size])
+            for label in results for size in results[label]]
     lines += ["round-to-round spread (max/min - 1) of each timed layer", header]
     lines += rows(results, lambda label, size, layer: _percent(
         layer_spreads(results[label][size])[layer]))
@@ -417,7 +440,7 @@ def main(argv=None):
               "seed": SEED,
               "environment": {"nproc": os.cpu_count(), "python": sys.version.split()[0],
                               "numpy": np.__version__}}
-    record["results"], record[FAULTS] = collect(args)
+    record["results"], record[FAULTS], record[LATER_FAULTS] = collect(args)
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
