@@ -76,6 +76,8 @@ states and one for its adjoints, `msa`).  The sweep overwrites all of out
 and returns it in its field, frozen again.  A field over out from an
 earlier sweep then reads the new values, so the caller hands out over only
 when no such field is still in use.
+The sweeps form their sources in place, since on the small grids a sweep
+costs its calls more than its arithmetic (`BandedOperator.steps`).
 
 A forward sweep from rest, with constant zero controls (u, and v when
 there is one, under the constant test above) and an initial slice that
@@ -83,8 +85,6 @@ holds one number c, returns the constant field c and marches nothing: the
 march would add zero deviations to c, giving its bits in every slice.  A c
 of -0.0 keeps the march, whose zeros take either sign there.  A cold start
 from y0 = 0 inside boxes that contain 0 makes such a sweep.
-The sweeps form their sources in place, since on the small grids a sweep
-costs its calls more than its arithmetic (`BandedOperator.steps`).
 """
 
 import numpy as np
